@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crossings import CrossingConfig, Line, count_preimages
+from .crossings import CrossingConfig, Line, count_preimages, line_residual
 from .curves import JordanCurve, curve_from_alias
 from .errors import ZerowindError
 from .harness import HarnessConfig, replay, run_harness, save_replay
@@ -67,10 +67,12 @@ def _load_line(source: str) -> Line:
 
 def _cross_cfg(args) -> CrossingConfig:
     cfg = CrossingConfig()
-    if getattr(args, "resolution", None):
-        cfg = replace(cfg, samples=int(args.resolution))
-    if getattr(args, "delta", None):
-        cfg = replace(cfg, band=float(args.delta))
+    if args.resolution is not None:
+        if args.resolution <= 0:
+            raise _InputError("resolution must be positive")
+        cfg = replace(cfg, samples=args.resolution)
+    if args.delta is not None:
+        cfg = replace(cfg, band=args.delta)
     return cfg
 
 
@@ -193,11 +195,11 @@ def _run(args) -> int:
 
     if cmd == "emit-samples":
         line = _load_line(args.line) if args.line else Line.real_axis()
-        n = int(args.resolution) if args.resolution else 4096
+        n = cfg.samples
         ts = np.arange(n) / n
         pts = curve.points(ts)
         vals = poly(pts)
-        h = np.imag(np.exp(-1j * line.angle) * vals)
+        h = line_residual(poly, curve, line, ts)
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("t,re_gamma,im_gamma,re_f,im_f,h\n")
             for t, p_, v_, h_ in zip(ts, pts, vals, h):
@@ -220,7 +222,7 @@ def _run(args) -> int:
     elif cmd == "verify-piecewise":
         report = verify_piecewise(poly, curve, line, cfg)
     elif cmd == "detour":
-        schedule = (args.epsilon,) if args.epsilon else None
+        schedule = (args.epsilon,) if args.epsilon is not None else None
         dreport, _ = verify_detour(poly, curve, line, eps_schedule=schedule, cfg=cfg)
         payload = dreport.to_json()
         payload["config_echo"] = _config_echo(cfg)

@@ -219,10 +219,9 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
     raises ResolutionTooCoarse.
     """
     cfg = cfg if cfg is not None else CrossingConfig()
-    rot = np.exp(-1j * line.angle)
 
     def h(ts):
-        return np.imag(rot * np.asarray(f(curve.points(ts)), dtype=complex))
+        return line_residual(f, curve, line, ts)
 
     # Evaluation noise floor: Horner on coefficients of size B carries absolute
     # error O(u*B), which can exceed rel-tol * scale when the residual scale is
@@ -250,6 +249,7 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
         n *= 2
 
     points = []
+    rot = np.exp(-1j * line.angle)
     residual_cap = max(cfg.residual_rel_tol * scale, noise_floor)
     for t, kind in merged:
         z = curve.point(t)
@@ -258,6 +258,24 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
             continue  # phantom: the refined point does not actually touch the line
         points.append(PreimagePoint(float(t), complex(z), complex(value), kind))
     return PreimageSet(tuple(points))
+
+
+def _isolated_root(f: Polynomial, zero: complex, eps: float, root_tol: float, what: str, center=None):
+    """The root of f at ``zero`` and f's other roots, none within eps of ``center``.
+
+    ``center`` defaults to the located root; pass ``zero`` when the circle is
+    drawn around the given point instead.
+    """
+    roots = find_roots(f, tol=root_tol).roots
+    root = min(roots, key=lambda r: abs(r.location - zero))
+    if abs(root.location - zero) > 1e-6:
+        raise ValueError(f"{zero} is not a root of f (nearest root {abs(root.location - zero):.3g} away)")
+    center = root.location if center is None else center
+    others = [r for r in roots if r is not root]
+    for r in others:
+        if abs(r.location - center) <= eps:
+            raise ValueError(f"{what} {eps} does not exclude the root at {r.location}")
+    return root, others
 
 
 def count_disc_preimages(
@@ -275,22 +293,12 @@ def count_disc_preimages(
     """
     from .curves import circle  # local import to keep module load light
 
+    cfg = cfg if cfg is not None else CrossingConfig()
     zero = complex(zero)
-    rootset = find_roots(f, tol=(cfg.root_tol if cfg else 1e-10))
-    dists = [abs(r.location - zero) for r in rootset.roots]
-    nearest = int(np.argmin(dists))
-    if dists[nearest] > 1e-6:
-        raise ValueError(f"{zero} is not a root of f (nearest root {dists[nearest]:.3g} away)")
-    if rootset.roots[nearest].multiplicity != int(multiplicity):
-        raise ValueError(
-            f"root at {zero} has multiplicity {rootset.roots[nearest].multiplicity}, not {multiplicity}"
-        )
-    for i, r in enumerate(rootset.roots):
-        if i != nearest and abs(r.location - zero) <= eps:
-            raise ValueError(f"disc of radius {eps} does not exclude the root at {r.location}")
-
-    disc_cfg = replace(cfg if cfg is not None else CrossingConfig(), on_curve_params=())
-    return count_preimages(f, circle(zero, eps), line, disc_cfg).count
+    root, _ = _isolated_root(f, zero, eps, cfg.root_tol, "disc of radius", center=zero)
+    if root.multiplicity != int(multiplicity):
+        raise ValueError(f"root at {zero} has multiplicity {root.multiplicity}, not {multiplicity}")
+    return count_preimages(f, circle(zero, eps), line, replace(cfg, on_curve_params=())).count
 
 
 def arg_derivative_probe(
@@ -311,17 +319,8 @@ def arg_derivative_probe(
     eps = float(eps)
     if eps <= 0.0:
         raise ValueError("probe radius must be positive")
-    rootset = find_roots(f, tol=root_tol)
-    dists = [abs(r.location - zero) for r in rootset.roots]
-    nearest = int(np.argmin(dists))
-    if dists[nearest] > 1e-6:
-        raise ValueError(f"{zero} is not a root of f (nearest root {dists[nearest]:.3g} away)")
-    center = rootset.roots[nearest].location
-    mult = rootset.roots[nearest].multiplicity
-    others = [r for i, r in enumerate(rootset.roots) if i != nearest]
-    for r in others:
-        if abs(r.location - center) <= eps:
-            raise ValueError(f"probe radius {eps} does not exclude the root at {r.location}")
+    root, others = _isolated_root(f, zero, eps, root_tol, "probe radius")
+    center, mult = root.location, root.multiplicity
 
     n = int(theta_samples)
     if n < 8:

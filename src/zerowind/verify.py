@@ -72,40 +72,27 @@ def _instance_descriptor(f: Polynomial, curve: JordanCurve, line: Line) -> dict:
     return {"polynomial": f.to_json(), "curve": curve.to_json(), "line": line.to_json()}
 
 
-def _measure(f: Polynomial, curve: JordanCurve, line: Line, report: ZeroReport, cfg: CrossingConfig | None):
-    cfg = cfg if cfg is not None else CrossingConfig()
-    cfg = replace(cfg, on_curve_params=report.on_curve_params)
-    return count_preimages(f, curve, line, cfg)
+def _classify(f: Polynomial, curve: JordanCurve, cfg: CrossingConfig) -> ZeroReport:
+    return classify_roots(f, curve, band=cfg.band, root_tol=cfg.root_tol)
 
 
 def verify_main(f: Polynomial, curve: JordanCurve, line: Line, cfg: CrossingConfig | None = None) -> BoundReport:
-    """Check measured >= 2m + lam on a smooth curve."""
+    """Check measured >= 2m + lam on a smooth curve, where every interior angle is pi."""
     if curve.corners:
         raise ValueError("curve has corners; use verify_piecewise")
-    report = classify_roots(f, curve, band=cfg.band if cfg else None, root_tol=cfg.root_tol if cfg else 1e-10)
-    measured = _measure(f, curve, line, report, cfg).count
-    per_corner = tuple(CornerTerm(r.multiplicity, np.pi, r.multiplicity) for r in report.on_curve.roots)
-    bound = 2 * report.m + report.lam
-    return BoundReport(
-        measured=measured,
-        bound=bound,
-        m=report.m,
-        lam=report.lam,
-        per_corner=per_corner,
-        holds=measured >= bound,
-        instance=_instance_descriptor(f, curve, line),
-    )
+    return verify_piecewise(f, curve, line, cfg)
 
 
 def verify_piecewise(f: Polynomial, curve: JordanCurve, line: Line, cfg: CrossingConfig | None = None) -> BoundReport:
     """Check measured >= 2m + sum ceil(lam_j * alpha_j / pi) on a piecewise-smooth curve."""
-    report = classify_roots(f, curve, band=cfg.band if cfg else None, root_tol=cfg.root_tol if cfg else 1e-10)
+    cfg = cfg if cfg is not None else CrossingConfig()
+    report = _classify(f, curve, cfg)
     per_corner = []
     for root, t in zip(report.on_curve.roots, report.on_curve_params):
         alpha = interior_angle(curve, t)
         per_corner.append(CornerTerm(root.multiplicity, alpha, guarded_ceil(root.multiplicity * alpha / np.pi)))
     bound = 2 * report.m + sum(c.ceil_term for c in per_corner)
-    measured = _measure(f, curve, line, report, cfg).count
+    measured = count_preimages(f, curve, line, replace(cfg, on_curve_params=report.on_curve_params)).count
     return BoundReport(
         measured=measured,
         bound=bound,
@@ -156,13 +143,13 @@ def verify_detour(
     cfg: CrossingConfig | None = None,
 ) -> tuple[DetourReport, DetourCurve]:
     """Build the detour around f's on-curve zeros and verify counts along it."""
-    report = classify_roots(f, curve, band=cfg.band if cfg else None, root_tol=cfg.root_tol if cfg else 1e-10)
+    cfg = cfg if cfg is not None else CrossingConfig()
+    report = _classify(f, curve, cfg)
     if report.lam < 1:
         raise ValueError("f has no zeros on the curve; the detour adds nothing")
     detour = build_detour(curve, report.on_curve.locations(), eps_schedule)
     w = winding_count(f, detour.composite)
-    measure_cfg = replace(cfg if cfg is not None else CrossingConfig(), on_curve_params=())
-    preimages = count_preimages(f, detour.composite, line, measure_cfg)
+    preimages = count_preimages(f, detour.composite, line, replace(cfg, on_curve_params=()))
     target = report.m + report.lam
     holds = (w == target) and (preimages.count >= 2 * target)
     rep = DetourReport(
@@ -229,6 +216,15 @@ def _direct_cosine_zero_count(coeffs, samples: int = 262144) -> int:
     return int(np.sum(mark & ~np.roll(mark, 1)))
 
 
+def _checked_trig_count(coeffs: tuple[float, ...], circle_curve: JordanCurve, cfg: CrossingConfig | None) -> int:
+    """Imaginary-axis preimages of the coefficients' polynomial, cross-checked by the direct scan."""
+    count = count_preimages(Polynomial(coeffs), circle_curve, Line.imag_axis(), cfg).count
+    direct = _direct_cosine_zero_count(coeffs)
+    if direct != count:
+        raise SelfCheckFailed(f"preimage count {count} disagrees with direct cosine-sum count {direct}")
+    return count
+
+
 def trig_zero_count(a, which: str = "P", cfg: CrossingConfig | None = None) -> int:
     """Distinct zeros on [0, 2*pi) of the cosine sum built from coefficients a.
 
@@ -241,14 +237,7 @@ def trig_zero_count(a, which: str = "P", cfg: CrossingConfig | None = None) -> i
     coeffs = _as_real_coeffs(a)
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
-    if which == "Q":
-        coeffs = coeffs[::-1]
-    f = Polynomial(coeffs)
-    count = count_preimages(f, unit_circle(), Line.imag_axis(), cfg).count
-    direct = _direct_cosine_zero_count(coeffs)
-    if direct != count:
-        raise SelfCheckFailed(f"preimage count {count} disagrees with direct cosine-sum count {direct}")
-    return count
+    return _checked_trig_count(coeffs if which == "P" else coeffs[::-1], unit_circle(), cfg)
 
 
 @dataclass(frozen=True)
@@ -283,13 +272,14 @@ def verify_trig(a, cfg: CrossingConfig | None = None) -> TrigReport:
     Also verifies that the on-circle zeros of the polynomial reappear
     conjugated, with equal multiplicities, among the zeros of its reversal.
     """
+    cfg = cfg if cfg is not None else CrossingConfig()
     coeffs = _as_real_coeffs(a)
     n = len(coeffs) - 1
     f = Polynomial(coeffs)
     g = reverse_poly(f)
     circle_curve = unit_circle()
-    zf = classify_roots(f, circle_curve)
-    zg = classify_roots(g, circle_curve)
+    zf = _classify(f, circle_curve, cfg)
+    zg = _classify(g, circle_curve, cfg)
 
     remaining = list(zg.on_curve.roots)
     for root in zf.on_curve.roots:
@@ -304,8 +294,8 @@ def verify_trig(a, cfg: CrossingConfig | None = None) -> TrigReport:
     if remaining:
         raise SelfCheckFailed("reversed polynomial has unmatched on-circle zeros")
 
-    z_p = trig_zero_count(coeffs, "P", cfg)
-    z_q = trig_zero_count(coeffs, "Q", cfg)
+    z_p = _checked_trig_count(coeffs, circle_curve, replace(cfg, on_curve_params=zf.on_curve_params))
+    z_q = _checked_trig_count(coeffs[::-1], circle_curve, replace(cfg, on_curve_params=zg.on_curve_params))
     return TrigReport(
         coeffs=coeffs,
         z_p=z_p,

@@ -195,6 +195,20 @@ class TestInputErrors:
         assert cli.main(["winding", "--poly", str(bad), "--curve", "unit-circle"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["crossings", "--curve", "unit-circle", "--line", "real-axis", "--delta", "0"],
+            ["crossings", "--curve", "unit-circle", "--line", "real-axis", "--resolution", "0"],
+            ["detour", "--curve", "unit-circle", "--line", "real-axis", "--epsilon", "0"],
+        ],
+        ids=["delta", "resolution", "epsilon"],
+    )
+    def test_zero_flag_exits_2(self, tmp_path, argv, capsys):
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [-1, 1]})
+        assert cli.main(argv + ["--poly", poly]) == 2
+        assert "must be positive" in capsys.readouterr().err
+
     def test_report_determinism(self, tmp_path, cube_poly):
         outs = []
         for name in ("r1.json", "r2.json"):

@@ -19,6 +19,8 @@ from zerowind import (
     verify_piecewise,
     verify_trig,
 )
+import zerowind.crossings
+import zerowind.verify
 from zerowind.crossings import CrossingConfig
 from zerowind.verify import guarded_ceil
 
@@ -82,7 +84,7 @@ class TestVerifyPiecewise:
         a = verify_main(f, circle_curve, Line(0.8))
         b = verify_piecewise(f, circle_curve, Line(0.8))
         assert a.bound == b.bound == 4
-        assert a.measured == b.measured
+        assert a.to_json() == b.to_json()
 
     def test_edge_zero_counts_like_smooth(self, unit_square):
         # a zero in the interior of an edge has interior angle pi
@@ -249,3 +251,31 @@ class TestVerifyTrig:
             rep = verify_trig(list(coeffs))
             assert rep.identity_holds
             assert rep.bound_holds
+
+    def test_classifies_each_polynomial_once(self, monkeypatch):
+        calls = []
+        for module in (zerowind.verify, zerowind.crossings):
+            original = module.classify_roots
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(args[0])
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "classify_roots", counted)
+        rep = verify_trig([1, 4, 6, 4, 1])
+        assert rep.lam == 4
+        assert len(calls) == 2
+
+    def test_classification_honours_band(self, circle_curve):
+        # a conjugate pair just outside the circle: on it for band 1e-7, off it
+        # for the default band of about 2e-9
+        r, psi = 1.0 + 1e-8, np.pi / 3
+        coeffs = [r * r, -2.0 * r * np.cos(psi), 1.0]
+        band = 1e-7
+        assert classify_roots(Polynomial(coeffs), circle_curve).lam == 0
+        want = classify_roots(Polynomial(coeffs), circle_curve, band=band).lam
+        assert want == 2
+        rep = verify_trig(coeffs, CrossingConfig(band=band))
+        assert rep.lam == want
+        assert (rep.m_f, rep.m_g) == (0, 0)
+        assert rep.identity_holds and rep.bound_holds
