@@ -18,11 +18,11 @@ def wrap_angle(a):
     return np.pi - (np.pi - a) % TWO_PI
 
 
-def golden_min(fn, lo, hi, iters=80):
-    """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise."""
+def golden_min(fn, lo, hi):
+    """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise (80 steps)."""
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(80):
         gap = hi - lo
         c = hi - _INV_GOLD * gap
         d = lo + _INV_GOLD * gap
@@ -47,26 +47,26 @@ def bisect_zero(fn, lo, hi, iters=52):
     return 0.5 * (lo + hi)
 
 
-def adaptive_winding(fn, n0=1024, max_passes=24, step_limit=0.5 * np.pi):
+def adaptive_winding(fn):
     """Total argument turns of the closed loop t -> fn(t), t in [0, 1).
 
-    Intervals are subdivided until every consecutive argument step is below
-    ``step_limit`` and the chord between neighbours is short relative to their
-    moduli (the chord test guards against phase aliasing of large steps).
+    Intervals of a 1024-sample grid are split, for at most 24 passes, until
+    every argument step is below pi/2 and each chord is short relative to its
+    endpoints' moduli (the chord test guards against phase aliasing).
 
     Returns (turns, parameters, values); raises WindingNotResolved when the
     loop passes through zero or the steps never settle.
     """
-    ts = np.arange(n0, dtype=float) / float(n0)
+    ts = np.arange(1024, dtype=float) / 1024.0
     vals = np.asarray(fn(ts), dtype=complex)
-    for _ in range(max_passes):
+    for _ in range(24):
         if np.any(vals == 0.0):
             raise WindingNotResolved("loop passes exactly through zero")
         nxt = np.roll(vals, -1)
         steps = np.angle(nxt / vals)
         chord = np.abs(nxt - vals)
         small = np.minimum(np.abs(nxt), np.abs(vals))
-        bad = (np.abs(steps) >= step_limit) | (chord >= 0.9 * small)
+        bad = (np.abs(steps) >= 0.5 * np.pi) | (chord >= 0.9 * small)
         if not bad.any():
             return float(steps.sum() / TWO_PI), ts, vals
         gaps = np.concatenate([ts[1:], [ts[0] + 1.0]]) - ts

@@ -67,11 +67,11 @@ def _load_line(source: str) -> Line:
 
 def _cross_cfg(args) -> CrossingConfig:
     cfg = CrossingConfig()
-    if args.resolution is not None:
+    if getattr(args, "resolution", None) is not None:
         if args.resolution <= 0:
             raise _InputError("resolution must be positive")
         cfg = replace(cfg, samples=args.resolution)
-    if args.delta is not None:
+    if getattr(args, "delta", None) is not None:
         cfg = replace(cfg, band=args.delta)
     return cfg
 
@@ -105,21 +105,22 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zerowind", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, poly=True, curve=True, line=False):
+    def add(name, help_, curve=True, line=False, delta=True, resolution=True):
         p = sub.add_parser(name, help=help_)
-        if poly:
-            p.add_argument("--poly", required=True, help="polynomial JSON file")
+        p.add_argument("--poly", required=True, help="polynomial JSON file")
         if curve:
             p.add_argument("--curve", required=True, help="curve JSON file or alias")
         if line:
             p.add_argument("--line", required=True, help="line JSON file or alias")
-        p.add_argument("--delta", type=float, help="on-curve band override")
-        p.add_argument("--resolution", type=int, help="initial scan resolution")
+        if delta:
+            p.add_argument("--delta", type=float, help="on-curve band override")
+        if resolution:
+            p.add_argument("--resolution", type=int, help="initial scan resolution")
         p.add_argument("--out", help="report output path (default stdout)")
         return p
 
-    add("count-zeros", "classify the polynomial's roots against the curve")
-    add("winding", "winding number of f along the curve")
+    add("count-zeros", "classify the polynomial's roots against the curve", resolution=False)
+    add("winding", "winding number of f along the curve", resolution=False)
     add("crossings", "distinct curve points mapped onto the line", line=True)
     add("verify", "check measured >= 2m + lambda on a smooth curve", line=True)
     add("verify-piecewise", "check the interior-angle bound on a cornered curve", line=True)
@@ -134,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, help="seed override")
     p.add_argument("--out", help="report output path")
 
-    p = add("emit-samples", "write t,re_gamma,im_gamma,re_f,im_f,h rows as CSV", line=False)
+    p = add("emit-samples", "write t,re_gamma,im_gamma,re_f,im_f,h rows as CSV", delta=False)
     p.add_argument("--line", help="line for the h column (default real-axis)")
     p.add_argument("--csv", required=True, help="CSV output path")
     return parser

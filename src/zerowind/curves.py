@@ -507,28 +507,34 @@ class PointLocation:
     t: float | None = None  # nearest parameter, set for on-curve points
 
 
-def nearest_parameter(curve: JordanCurve, p: complex, coarse: int | None = None) -> tuple[float, float]:
-    """Parameter of the curve point closest to p (coarse scan + golden refine)."""
-    n = coarse or max(2048, 512 * len(curve.segments))
+def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest curve parameter and distance for each of ps: one coarse scan, one elementwise golden refine."""
+    n = max(2048, 512 * len(curve.segments))
     ts = np.arange(n) / n
-    d = np.abs(curve.points(ts) - p)
-    i = int(np.argmin(d))
-    lo, hi = ts[i] - 1.5 / n, ts[i] + 1.5 / n
-    tstar = float(golden_min(lambda q: np.abs(curve.points(q) - p), np.array([lo]), np.array([hi]))[0]) % 1.0
-    return tstar, abs(curve.point(tstar) - p)
+    i = np.argmin(np.abs(curve.points(ts)[:, None] - ps[None, :]), axis=0)
+    tstar = golden_min(lambda q: np.abs(curve.points(q) - ps), ts[i] - 1.5 / n, ts[i] + 1.5 / n) % 1.0
+    return tstar, np.abs(curve.points(tstar) - ps)
 
 
-def classify_point(curve: JordanCurve, p: complex, band: float | None = None) -> PointLocation:
-    """Locate p relative to the curve: on it (within ``band``), inside, or outside.
+def classify_points(curve: JordanCurve, ps: Sequence[complex], band: float | None = None) -> list[PointLocation]:
+    """Locate each of ps relative to the curve: on it (within ``band``), inside, or outside.
 
     Inside/outside is decided by the discrete winding number of the curve
-    around p, refined until every argument step is below pi/2.
+    around each point, refined until every argument step is below pi/2.
     """
     band = curve.default_band() if band is None else float(band)
     if band <= 0.0:
         raise ValueError("band must be positive")
-    p = complex(p)
-    tstar, dist = nearest_parameter(curve, p)
+    ps = np.array([complex(p) for p in ps], dtype=complex)
+    return [_locate(curve, complex(p), float(t), d, band) for p, t, d in zip(ps, *nearest_parameter(curve, ps))]
+
+
+def classify_point(curve: JordanCurve, p: complex, band: float | None = None) -> PointLocation:
+    """Locate one point relative to the curve; see :func:`classify_points`."""
+    return classify_points(curve, [p], band)[0]
+
+
+def _locate(curve: JordanCurve, p: complex, tstar: float, dist: float, band: float) -> PointLocation:
     if dist < band:
         return PointLocation("on-curve", tstar)
     try:
@@ -641,25 +647,24 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
 
     intervals.sort(key=lambda iv: iv[0])
 
+    arcs = []
+    for idx, (u, v, zj) in enumerate(intervals):
+        th_a = float(np.angle(curve.point(u) - zj))
+        th_b = float(np.angle(curve.point(v) - zj))
+        sweep_ccw = (th_b - th_a) % TWO_PI
+        for sweep in (sweep_ccw, sweep_ccw - TWO_PI):
+            if abs(sweep) >= 1e-9:
+                midpt = zj + eps * np.exp(1j * (th_a + 0.5 * sweep))
+                arcs.append((idx, ArcSegment(zj, eps, th_a, th_a + sweep), midpt))
+    try:
+        locs = classify_points(curve, [midpt for _, _, midpt in arcs], band)
+    except AmbiguousClassification:
+        return None
+
     segs: list[Segment] = []
     spans: list[float] = []
     for idx, (u, v, zj) in enumerate(intervals):
-        a = curve.point(u)
-        b = curve.point(v)
-        th_a = float(np.angle(a - zj))
-        th_b = float(np.angle(b - zj))
-        sweep_ccw = (th_b - th_a) % TWO_PI
-        chosen = []
-        for sweep in (sweep_ccw, sweep_ccw - TWO_PI):
-            if abs(sweep) < 1e-9:
-                continue
-            midpt = zj + eps * np.exp(1j * (th_a + 0.5 * sweep))
-            try:
-                loc = classify_point(curve, midpt, band)
-            except AmbiguousClassification:
-                return None
-            if loc.kind == "outside":
-                chosen.append(ArcSegment(zj, eps, th_a, th_a + sweep))
+        chosen = [arc for (i, arc, _), loc in zip(arcs, locs) if i == idx and loc.kind == "outside"]
         if len(chosen) != 1:
             return None
         segs.append(chosen[0])
@@ -676,12 +681,11 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
     except ValueError:
         return None
 
-    for _, _, zj in intervals:
-        try:
-            if classify_point(composite, zj, band).kind != "inside":
-                return None
-        except AmbiguousClassification:
+    try:
+        if any(loc.kind != "inside" for loc in classify_points(composite, [zj for _, _, zj in intervals], band)):
             return None
+    except AmbiguousClassification:
+        return None
 
     ordered = tuple((zj, eps) for _, _, zj in intervals)
     return DetourCurve(curve, ordered, composite, tuple(spans))
@@ -707,8 +711,7 @@ def build_detour(
         return DetourCurve(curve, (), curve, ())
 
     marks = []
-    for z in zs:
-        loc = classify_point(curve, z, band)
+    for z, loc in zip(zs, classify_points(curve, zs, band)):
         if loc.kind != "on-curve":
             raise ValueError(f"{z} does not lie on the curve within band {band:.3g}")
         marks.append((loc.t, z))

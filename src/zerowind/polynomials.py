@@ -270,23 +270,18 @@ def classify_roots(
 ) -> ZeroReport:
     """Route every root of f through point classification against the curve."""
     rootset = find_roots(f, tol=root_tol)
-    buckets: dict[str, list[Root]] = {"inside": [], "on-curve": [], "outside": []}
-    params: list[float] = []
-    for root in rootset.roots:
-        loc = _curves.classify_point(curve, root.location, band)
-        buckets[loc.kind].append(root)
-        if loc.kind == "on-curve":
-            params.append(loc.t)
+    locs = _curves.classify_points(curve, rootset.locations(), band)
 
-    def subset(rs: list[Root]) -> RootSet:
+    def subset(kind: str) -> RootSet:
+        rs = tuple(r for r, loc in zip(rootset.roots, locs) if loc.kind == kind)
         res = max((_normalized_residual(f, r.location) for r in rs), default=0.0)
-        return RootSet(tuple(rs), res)
+        return RootSet(rs, res)
 
     return ZeroReport(
-        inside=subset(buckets["inside"]),
-        on_curve=subset(buckets["on-curve"]),
-        outside=subset(buckets["outside"]),
-        on_curve_params=tuple(params),
+        inside=subset("inside"),
+        on_curve=subset("on-curve"),
+        outside=subset("outside"),
+        on_curve_params=tuple(loc.t for loc in locs if loc.kind == "on-curve"),
     )
 
 

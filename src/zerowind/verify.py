@@ -147,8 +147,8 @@ def verify_detour(
     report = _classify(f, curve, cfg)
     if report.lam < 1:
         raise ValueError("f has no zeros on the curve; the detour adds nothing")
-    detour = build_detour(curve, report.on_curve.locations(), eps_schedule)
-    w = winding_count(f, detour.composite)
+    detour = build_detour(curve, report.on_curve.locations(), eps_schedule, band=cfg.band)
+    w = winding_count(f, detour.composite, band=cfg.band)
     preimages = count_preimages(f, detour.composite, line, replace(cfg, on_curve_params=()))
     target = report.m + report.lam
     holds = (w == target) and (preimages.count >= 2 * target)

@@ -83,6 +83,16 @@ class TestVerifyCommands:
         assert out["winding"] == 1
         assert out["preimage_count"] >= 2
 
+    def test_detour_honours_delta(self, tmp_path, capsys):
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [-(1.0 + 1e-8), 1]})
+        argv = ["--poly", poly, "--curve", "unit-circle", "--delta", "1e-7"]
+        assert cli.main(["count-zeros"] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["lambda"] == 1
+        rc = cli.main(["detour", "--line", "real-axis"] + argv)
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert out["lambda"] == 1 and out["winding"] == 1
+
 
 class TestTrigCheck:
     def test_basic(self, tmp_path, capsys):
@@ -188,6 +198,21 @@ class TestInputErrors:
         with pytest.raises(SystemExit) as exc:
             cli.main(["winding", "--poly", cube_poly, "--curve", "unit-circle", "--frob", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["emit-samples", "--curve", "unit-circle", "--csv", "unused.csv", "--delta", "-1"],
+            ["count-zeros", "--curve", "unit-circle", "--resolution", "7"],
+            ["winding", "--curve", "unit-circle", "--resolution", "7"],
+        ],
+        ids=["emit-samples-delta", "count-zeros-resolution", "winding-resolution"],
+    )
+    def test_unread_flag_rejected(self, cube_poly, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--poly", cube_poly])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,14 +1,18 @@
 import numpy as np
 import pytest
 
+import zerowind.curves
 from zerowind import (
     AmbiguousClassification,
     ArcSegment,
     JordanCurve,
+    Line,
     LineSegment,
+    Polynomial,
     TrigSegment,
     circle,
     classify_point,
+    classify_roots,
     curve_from_alias,
     interior_angle,
     polygon,
@@ -16,7 +20,10 @@ from zerowind import (
     sample,
     square,
     unit_circle,
+    verify_detour,
+    verify_trig,
 )
+from zerowind.curves import classify_points
 
 from oracles import polygon_interior_angle
 
@@ -94,6 +101,98 @@ class TestClassification:
             z = r * np.exp(1j * rng.uniform(0, TWO_PI))
             want = "inside" if r < 1 else "outside"
             assert classify_point(circle_curve, z).kind == want
+
+
+def _located_point_sets():
+    """(curve, points, expected kinds): inside, outside, on an edge, at a corner or joint."""
+    lshape = polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+    trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+    return [
+        (unit_circle(), [0.2 + 0.1j, 1.5 - 0.3j, np.exp(0.7j), 1.0], ["inside", "outside", "on-curve", "on-curve"]),
+        (square(0.0, 2.0), [0.3 - 0.2j, 3 + 1j, 1 + 0.37j, 1 + 1j], ["inside", "outside", "on-curve", "on-curve"]),
+        (
+            lshape,
+            [0.5 + 0.5j, 1.5 + 1.5j, 2 + 0.5j, 1 + 1j, 0.0],
+            ["inside", "outside", "on-curve", "on-curve", "on-curve"],
+        ),
+        (trig, [0.1j, 2.0, trig.point(0.3), trig.point(0.0)], ["inside", "outside", "on-curve", "on-curve"]),
+    ]
+
+
+class TestBatchLocation:
+    @pytest.mark.parametrize("case", range(4), ids=["circle", "square", "lshape", "trig"])
+    def test_batch_equals_singles(self, case):
+        curve, points, kinds = _located_point_sets()[case]
+        batch = classify_points(curve, points)
+        singles = [classify_points(curve, [p])[0] for p in points]
+        assert [loc.kind for loc in batch] == kinds
+        assert batch == singles
+        for got, want in zip(batch, singles):
+            if got.kind == "on-curve":
+                assert got.t.hex() == want.t.hex()
+        assert singles == [classify_point(curve, p) for p in points]
+
+    def test_empty_batch(self, circle_curve):
+        assert classify_points(circle_curve, []) == []
+
+    def test_ambiguous_point_in_batch(self):
+        limacon = radial_trig_curve([(1.0, 0.0)], base_radius=0.5)
+        with pytest.raises(AmbiguousClassification) as alone:
+            classify_point(limacon, 0.2)
+        with pytest.raises(AmbiguousClassification) as batched:
+            classify_points(limacon, [5.0, 0.2, -5.0])
+        assert str(batched.value) == str(alone.value)
+
+    def test_classify_roots_refines_once(self, circle_curve, monkeypatch):
+        calls = []
+        original = zerowind.curves.golden_min
+
+        def counted(fn, lo, hi):
+            calls.append(len(lo))
+            return original(fn, lo, hi)
+
+        monkeypatch.setattr(zerowind.curves, "golden_min", counted)
+        roots = [0.3, -0.5j, 2.0, 1j, np.exp(0.5j), -3 + 1j]
+        report = classify_roots(Polynomial.from_roots([(r, 1) for r in roots]), circle_curve)
+        assert (report.m, report.lam) == (2, 2)
+        assert calls == [6]
+
+
+class TestWorkBudget:
+    """Curve evaluations per fixed instance must not grow back.
+
+    The budgets are the ``JordanCurve._dispatch`` counts of the batched point
+    locator; a locator that searches each point on its own takes about 160
+    dispatches per point and exceeds them.
+    """
+
+    @staticmethod
+    def _dispatches(monkeypatch, fn):
+        calls = []
+        original = JordanCurve._dispatch
+
+        def counted(self, t, per_segment):
+            calls.append(1)
+            return original(self, t, per_segment)
+
+        monkeypatch.setattr(JordanCurve, "_dispatch", counted)
+        fn()
+        return len(calls)
+
+    def test_verify_trig(self, monkeypatch):
+        assert self._dispatches(monkeypatch, lambda: verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])) <= 547
+
+    def test_verify_detour(self, monkeypatch):
+        f = Polynomial.from_roots([(1.0, 2), (0.3, 1)])
+        assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 821
+
+    def test_classify_roots(self, monkeypatch):
+        f = Polynomial.from_roots([(r, 1) for r in (0.3 + 0.3j, 0.5 + 0.5j, 5, -4j, 1 + 1j, 2j)])
+
+        def run():
+            classify_roots(f, polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]))
+
+        assert self._dispatches(monkeypatch, run) <= 167
 
 
 class TestInteriorAngle:

@@ -1,9 +1,11 @@
 """Golden reports: fixed inputs whose full reports must not drift.
 
-``golden_reports.json`` was recorded from the code as it stood before the
-verifiers were rebuilt around a single root classification per instance, by
-calling ``compute_reports`` below with that version of the library on the
-path.  Ints, bools and strings must match exactly and floats to a relative
+``golden_reports.json`` was recorded by calling ``compute_reports`` below
+with an earlier version of the library on the path: the first twelve cases
+from the code as it stood before the verifiers were rebuilt around a single
+root classification per instance, and the root classifications on the
+L-shape and the trig curve and the square detour from the code as it stood
+before point location was batched.  Ints, bools and strings must match exactly and floats to a relative
 1e-12; values at the level of floating-point noise (under 1e-15 in magnitude)
 are compared with that as an absolute floor.
 """
@@ -19,7 +21,10 @@ from zerowind import (
     Line,
     Polynomial,
     arg_derivative_probe,
+    classify_roots,
     count_disc_preimages,
+    polygon,
+    radial_trig_curve,
     square,
     unit_circle,
     verify_detour,
@@ -37,6 +42,7 @@ _NOISE = 1e-15
 def compute_reports(workdir) -> dict:
     """Every golden report, keyed by case name, as plain JSON values."""
     circle = unit_circle()
+    trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
     workdir = Path(workdir)
     out = {
         "main_cube_real": verify_main(Polynomial([1, 3, 3, 1]), circle, Line.real_axis()).to_json(),
@@ -61,6 +67,17 @@ def compute_reports(workdir) -> dict:
         ),
         "probe_double_far_root": list(arg_derivative_probe(Polynomial.from_roots([(1.0, 2), (-3.0, 1)]), 1.0, 1e-2)),
         "probe_near_pair": list(arg_derivative_probe(Polynomial.from_roots([(0.5j, 1), (0.9j, 1)]), 0.5j, 0.1)),
+        # roots at the reflex corner, mid-edge, inside and in the notch outside
+        "classify_lshape": classify_roots(
+            Polynomial.from_roots([(1 + 1j, 1), (1.0, 1), (0.5 + 0.5j, 1), (1.5 + 1.5j, 1)]),
+            polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]),
+        ).to_json(),
+        "classify_trig_on_curve": classify_roots(
+            Polynomial.from_roots([(trig.point(0.3), 1), (0.1j, 1), (2.0, 1)]), trig
+        ).to_json(),
+        "detour_square_edge": verify_detour(
+            Polynomial.from_roots([(1 + 0.5j, 1), (0.4 + 0.6j, 1)]), square(0.5 + 0.5j, 1.0), Line(0.3)
+        )[0].to_json(),
     }
 
     poly = workdir / "poly.json"

@@ -118,6 +118,15 @@ class TestVerifyDetour:
         with pytest.raises(ValueError):
             verify_detour(Polynomial([-2, 1]), circle_curve, Line.real_axis())
 
+    def test_detour_honours_band(self, circle_curve):
+        # a zero just outside the circle: on it for band 1e-7, off it for the
+        # default band of about 2e-9, which the detour must not fall back to
+        f = Polynomial([-(1.0 + 1e-8), 1.0])
+        rep, det = verify_detour(f, circle_curve, Line.real_axis(), cfg=CrossingConfig(band=1e-7))
+        assert (rep.m, rep.lam, rep.winding) == (0, 1, 1)
+        assert rep.holds
+        assert len(det.excised) == 1
+
     def test_intermediate_count_on_shared_portion(self, circle_curve):
         # points of the composite away from the excision discs lie on the base
         # curve too; there must be at least 2m + sum(lam_j - 1) of them, and
