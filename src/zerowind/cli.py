@@ -169,10 +169,8 @@ def _run(args) -> int:
 
     if cmd == "trig-check":
         poly = _load_poly(args.poly)
-        if any(c.imag != 0.0 for c in poly.coeffs):
-            raise _InputError("trig-check needs real coefficients")
         cfg = _cross_cfg(args)
-        report = verify_trig([c.real for c in poly.coeffs], cfg)
+        report = verify_trig(poly.coeffs, cfg)
         payload = report.to_json()
         payload["config_echo"] = _config_echo(cfg)
         _emit(payload, args.out)

@@ -13,6 +13,7 @@ zero counts of cosine sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -179,41 +180,91 @@ def reverse_poly(f: Polynomial) -> Polynomial:
 
 
 def _as_real_coeffs(a) -> tuple[float, ...]:
-    coeffs = tuple(float(c) for c in a)
+    coeffs = []
+    for i, c in enumerate(a):
+        z = complex(c)
+        if z.imag != 0.0:
+            raise ValueError(f"coefficient {i} is not real: {c!r}")
+        coeffs.append(z.real)
     if len(coeffs) < 2:
         raise ValueError("need at least two coefficients")
     if coeffs[0] == 0.0 or coeffs[-1] == 0.0:
         raise BoundaryCoefficientZero("first and last coefficients must be nonzero")
-    return coeffs
+    return tuple(coeffs)
 
 
-def _direct_cosine_zero_count(coeffs, samples: int = 262144) -> int:
+# even, so that the grid is symmetric about t = pi and the scan can mirror
+_SCAN_SAMPLES = 262144
+
+
+@functools.cache
+def _half_grid_cos() -> np.ndarray:
+    """x_k = cos(t_k) at t_k = 2*pi*k/N for k = 0..N/2, built on first use and read-only."""
+    x = np.cos(np.arange(_SCAN_SAMPLES // 2 + 1) * (TWO_PI / _SCAN_SAMPLES))
+    x.flags.writeable = False
+    return x
+
+
+def _direct_cosine_zero_count(coeffs) -> int:
     """Distinct zeros of sum_j c_j cos(j t) on [0, 2*pi) by direct 1-D scanning.
 
-    Independent of the curve/preimage machinery: the sum is evaluated termwise
-    and zeros are counted as maximal cyclic runs of samples that either sit in
-    a sign change or dip under a resolution-scaled band.  The band covers the
+    Independent of the curve/preimage machinery.  The sum is evaluated on the
+    grid t_k = 2*pi*k/N as the Chebyshev series sum_j c_j T_j(cos t_k) by
+    Clenshaw's three-term recurrence, on the half grid k = 0..N/2 only; it is
+    even in t, so vals[N-k] = vals[k] mirrors it onto the full grid.  The
+    coefficients are first multiplied by an exact power of two that brings
+    max|c_j| into [0.5, 1), so no intermediate of the recurrence overflows
+    and the count does not depend on the coefficients' scale.
+
+    Zeros are counted as maximal cyclic runs of samples that either sit in a
+    sign change or dip under a resolution-scaled band.  The band covers the
     worst sampled minimum of an order-2 touch at this resolution, and flat
     higher-order zeros dip even deeper, so every zero produces one run.
     """
-    t = np.arange(samples) * (TWO_PI / samples)
-    vals = np.zeros(samples)
-    for j, c in enumerate(coeffs):
-        vals += c * np.cos(j * t) if j else np.full(samples, float(c))
-    scale = float(np.max(np.abs(vals)))
+    c = np.asarray(coeffs, dtype=float)
+    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
+    x = _half_grid_cos()
+    # b_j = c_j + 2 x b_{j+1} - b_{j+2}, from j = n down to 1, in three buffers
+    b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
+    for cj in c[:0:-1]:
+        np.multiply(x, b1, out=tmp)
+        tmp += tmp
+        tmp -= b2
+        tmp += cj
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(x, b1, out=tmp)
+    tmp -= b2
+    tmp += c[0]
+    vals = np.empty(_SCAN_SAMPLES)
+    vals[: len(x)] = tmp
+    vals[len(x) :] = tmp[-2:0:-1]  # vals[N-k] = vals[k]
+
+    pos = vals > 0
+    neg = vals < 0
+    np.abs(vals, out=vals)
+    scale = float(vals.max())
     if scale == 0.0:
         raise ValueError("cosine sum vanishes identically at scan resolution")
 
-    n = len(coeffs) - 1
-    dip_band = max(4.0 * (n * TWO_PI / samples) ** 2, 1e3 * np.finfo(float).eps)
-    nxt = np.roll(vals, -1)
-    flip = ((vals < 0) & (nxt > 0)) | ((vals > 0) & (nxt < 0))
-    mark = flip | np.roll(flip, 1) | (np.abs(vals) < dip_band * scale)
+    n = len(c) - 1
+    dip_band = max(4.0 * (n * TWO_PI / _SCAN_SAMPLES) ** 2, 1e3 * np.finfo(float).eps)
+    mark = vals < dip_band * scale
+    # flip[k]: strict sign change between samples k and k+1, cyclically; the
+    # wrap pair is read before pos is overwritten
+    flip = np.empty_like(mark)
+    flip[-1] = (neg[-1] and pos[0]) or (pos[-1] and neg[0])
+    np.logical_and(neg[:-1], pos[1:], out=flip[:-1])
+    pos[:-1] &= neg[1:]
+    flip[:-1] |= pos[:-1]
+    mark |= flip
+    mark[1:] |= flip[:-1]
+    mark[0] |= flip[-1]
     if mark.all():
         return 1
     if not mark.any():
         return 0
-    return int(np.sum(mark & ~np.roll(mark, 1)))
+    # one run per marked sample whose predecessor is unmarked
+    return int(np.count_nonzero(mark[1:] > mark[:-1])) + int(mark[0] and not mark[-1])
 
 
 def _checked_trig_count(coeffs: tuple[float, ...], circle_curve: JordanCurve, cfg: CrossingConfig | None) -> int:

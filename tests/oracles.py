@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 
+TWO_PI = 2.0 * np.pi
+
 
 def naive_poly_eval(coeffs, z):
     """Power-sum evaluation sum_j a_j z^j (no Horner)."""
@@ -54,6 +56,32 @@ def dense_cosine_zero_count(coeffs, samples: int = 1_000_000, dip_rel: float = 1
     mark = (np.abs(vals) < dip_rel * scale) | (vals == 0.0) | flips | np.roll(flips, 1)
     if mark.all():
         return 1
+    return int(np.sum(mark & ~np.roll(mark, 1)))
+
+
+def termwise_cosine_zero_count(coeffs, samples: int = 262144) -> int:
+    """The direct cosine scan's rule with one np.cos per term: the reference for its recurrence.
+
+    Same grid, dip band and run counting as ``zerowind.verify``'s scan, with
+    the sum evaluated term by term, so the two must give the same count.
+    """
+    t = np.arange(samples) * (TWO_PI / samples)
+    vals = np.zeros(samples)
+    for j, c in enumerate(coeffs):
+        vals += c * np.cos(j * t) if j else np.full(samples, float(c))
+    scale = float(np.max(np.abs(vals)))
+    if scale == 0.0:
+        raise ValueError("cosine sum vanishes identically at scan resolution")
+
+    n = len(coeffs) - 1
+    dip_band = max(4.0 * (n * TWO_PI / samples) ** 2, 1e3 * np.finfo(float).eps)
+    nxt = np.roll(vals, -1)
+    flip = ((vals < 0) & (nxt > 0)) | ((vals > 0) & (nxt < 0))
+    mark = flip | np.roll(flip, 1) | (np.abs(vals) < dip_band * scale)
+    if mark.all():
+        return 1
+    if not mark.any():
+        return 0
     return int(np.sum(mark & ~np.roll(mark, 1)))
 
 

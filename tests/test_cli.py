@@ -109,6 +109,16 @@ class TestTrigCheck:
         capsys.readouterr()
         assert rc == 2
 
+    def test_complex_coefficient_exits_2(self, tmp_path, capsys):
+        poly = write_json(tmp_path / "p.json", {"coeffs": [[1, 0], [2, 0.5]]})
+        rc = cli.main(["trig-check", "--poly", poly])
+        assert "coefficient 1 is not real" in capsys.readouterr().err
+        assert rc == 2
+        poly = write_json(tmp_path / "q.json", {"coeffs": [[1, 0], [2, 0]]})
+        rc = cli.main(["trig-check", "--poly", poly])
+        assert json.loads(capsys.readouterr().out)["coeffs"] == [1.0, 2.0]
+        assert rc == 0
+
 
 class TestCountZeros:
     def test_schema(self, tmp_path, capsys):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from zerowind import (
     BoundaryCoefficientZero,
@@ -22,9 +26,9 @@ from zerowind import (
 import zerowind.crossings
 import zerowind.verify
 from zerowind.crossings import CrossingConfig
-from zerowind.verify import guarded_ceil
+from zerowind.verify import _SCAN_SAMPLES, _direct_cosine_zero_count, guarded_ceil
 
-from oracles import dense_cosine_zero_count, dense_line_crossing_count
+from oracles import dense_cosine_zero_count, dense_line_crossing_count, termwise_cosine_zero_count
 
 TWO_PI = 2 * np.pi
 
@@ -219,8 +223,6 @@ class TestVerifyTrig:
     def test_boundary_power_parity(self):
         # (1+z)^n has all zeros on the circle; the cosine sum picks up the
         # boundary zero at t = pi only when n is even, giving n or n+1 zeros
-        import math
-
         for n in (3, 4):
             coeffs = [math.comb(n, j) for j in range(n + 1)]
             rep = verify_trig(coeffs)
@@ -288,3 +290,108 @@ class TestVerifyTrig:
         assert rep.lam == want
         assert (rep.m_f, rep.m_g) == (0, 0)
         assert rep.identity_holds and rep.bound_holds
+
+    @pytest.mark.parametrize(
+        "a",
+        [[np.complex128(1 + 2j), 2.0], np.array([1 + 2j, 2]), [1 + 2j, 2]],
+        ids=["numpy-scalar", "numpy-array", "python-complex"],
+    )
+    def test_complex_coefficient_rejected(self, a):
+        with pytest.raises(ValueError, match="coefficient 0"):
+            verify_trig(a)
+        with pytest.raises(ValueError, match="coefficient 0"):
+            trig_zero_count(a)
+
+    def test_zero_imaginary_part_is_real(self):
+        assert verify_trig([1, 2 + 0j]).to_json() == verify_trig([1, 2]).to_json()
+
+
+def _exponents(lo, hi):
+    """Integers in [lo, hi] with both ends drawn often: overflow and underflow live there."""
+    return st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+
+
+def _cheb_from_x_roots(roots):
+    """Cosine-sum coefficients of prod (cos t - r), i.e. its Chebyshev coefficients in x = cos t."""
+    return list(np.polynomial.chebyshev.poly2cheb(np.polynomial.polynomial.polyfromroots(roots)))
+
+
+class TestDirectCosineScan:
+    """The recurrence scan must count exactly as the termwise evaluation of the same rule."""
+
+    @staticmethod
+    def _same(coeffs):
+        got = _direct_cosine_zero_count(coeffs)
+        assert got == termwise_cosine_zero_count(coeffs), coeffs
+        return got
+
+    def test_criterion_8_distribution(self):
+        rng = np.random.default_rng(8)
+        for _ in range(500):
+            n = int(rng.integers(1, 9))
+            a = rng.uniform(-1.0, 1.0, size=n + 1)
+            while abs(a[0]) < 0.05:
+                a[0] = rng.uniform(-1.0, 1.0)
+            while abs(a[-1]) < 0.05:
+                a[-1] = rng.uniform(-1.0, 1.0)
+            self._same(list(a))
+
+    def test_combs_and_binomials(self):
+        for n in range(1, 13):
+            assert self._same([1.0] + [0.0] * (n - 1) + [1.0]) == n  # 1 + cos(n t)
+        for n in range(1, 9):
+            self._same([math.comb(n, j) for j in range(n + 1)])  # (1 + z)^n
+
+    @pytest.mark.parametrize(
+        "t0, want",
+        [
+            (0.0, 3),  # on the grid, where the cyclic runs wrap
+            ((_SCAN_SAMPLES // 8) * (TWO_PI / _SCAN_SAMPLES), 4),  # on the grid, t = pi/4
+            (np.pi, 3),  # on the grid, on the mirror axis
+            (1.0, 4),  # off the grid
+        ],
+    )
+    def test_planted_double_zero(self, t0, want):
+        # (cos t - cos t0)^2 (cos t - 0.3): a touch at +-t0 and two crossings
+        a = np.cos(t0)
+        assert self._same(_cheb_from_x_roots([a, a, 0.3])) == want
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [([1e307] * 9, 16), ([1e-300] * 9, 16), ([1e-310] * 3, 4)],
+        ids=["1e307", "1e-300", "1e-310"],
+    )
+    def test_extreme_scales(self, coeffs, want):
+        # the counts of [1] * 9 and [1] * 3, whatever the scale
+        assert self._same(coeffs) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        mantissas=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=9).filter(
+            lambda m: abs(m[0]) >= 0.05 and abs(m[-1]) >= 0.05
+        ),
+        e=_exponents(-123, 123),
+        k=_exponents(-900, 900),
+    )
+    @example(mantissas=[1.0] * 9, e=123, k=900)
+    def test_power_of_two_scaling_invariant(self, mantissas, e, k):
+        coeffs = np.ldexp(mantissas, e)
+        scaled = np.ldexp(coeffs, k)
+        assume(np.array_equal(np.ldexp(scaled, -k), coeffs))
+        assert _direct_cosine_zero_count(scaled) == _direct_cosine_zero_count(coeffs)
+
+    def test_one_grid_per_process(self, monkeypatch):
+        # the grid's cosines are computed once and reused; a grid per call or
+        # a cosine per term calls np.cos on a half-grid-sized array again
+        big = []
+        original = np.cos
+
+        def counted(x, *args, **kwargs):
+            if np.size(x) >= _SCAN_SAMPLES // 2:
+                big.append(np.size(x))
+            return original(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "cos", counted)
+        verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])
+        verify_trig([1, 4, 6, 4, 1])
+        assert len(big) <= 1
