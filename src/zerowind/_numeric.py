@@ -18,8 +18,18 @@ def wrap_angle(a):
     return np.pi - (np.pi - a) % TWO_PI
 
 
+def _same_bits(a, b) -> bool:
+    """True when two arrays hold the same float bit patterns (so -0.0 differs from 0.0 and NaN equals itself)."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 def golden_min(fn, lo, hi):
-    """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise (80 steps)."""
+    """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise (at most 80 steps).
+
+    Stops early once a step leaves (lo, hi) bit for bit unchanged: ``fn`` is
+    pure, so every later step would repeat it, and the result equals that of
+    all 80 steps.
+    """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     for _ in range(80):
@@ -27,13 +37,20 @@ def golden_min(fn, lo, hi):
         c = hi - _INV_GOLD * gap
         d = lo + _INV_GOLD * gap
         keep_low = np.asarray(fn(c)) < np.asarray(fn(d))
-        hi = np.where(keep_low, d, hi)
-        lo = np.where(keep_low, lo, c)
+        new_hi = np.where(keep_low, d, hi)
+        new_lo = np.where(keep_low, lo, c)
+        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+            break
+        lo, hi = new_lo, new_hi
     return 0.5 * (lo + hi)
 
 
 def bisect_zero(fn, lo, hi, iters=52):
-    """Vectorized bisection; fn must change sign on each [lo, hi] interval."""
+    """Vectorized bisection; fn must change sign on each [lo, hi] interval.
+
+    Stops early, with the result of all ``iters`` steps, once a step leaves
+    (lo, hi, fn(lo)) bit for bit unchanged.
+    """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     flo = np.asarray(fn(lo), dtype=float)
@@ -41,9 +58,12 @@ def bisect_zero(fn, lo, hi, iters=52):
         mid = 0.5 * (lo + hi)
         fm = np.asarray(fn(mid), dtype=float)
         same = (np.sign(fm) == np.sign(flo)) & (fm != 0.0)
-        lo = np.where(same, mid, lo)
-        flo = np.where(same, fm, flo)
-        hi = np.where(same, hi, mid)
+        new_lo = np.where(same, mid, lo)
+        new_flo = np.where(same, fm, flo)
+        new_hi = np.where(same, hi, mid)
+        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi) and _same_bits(new_flo, flo):
+            break
+        lo, hi, flo = new_lo, new_hi, new_flo
     return 0.5 * (lo + hi)
 
 
@@ -80,27 +100,51 @@ def adaptive_winding(fn):
     raise WindingNotResolved("argument steps did not settle below the limit")
 
 
-def trig_series(coeffs, theta):
-    """Evaluate c0 + sum_k (a_k cos(k t) + b_k sin(k t)).
+def trig_series(coeffs_x, coeffs_y, theta):
+    """Evaluate x + i y with x, y = c0 + sum_k (a_k cos(k t) + b_k sin(k t)).
 
     Coefficients are packed flat as [c0, a1, b1, a2, b2, ...]; a trailing sine
-    coefficient may be omitted.
+    coefficient may be omitted.  cos(k t) and sin(k t) are computed once per
+    harmonic and shared by both series; each series adds its terms in the
+    packed order, so it is the same float as the series evaluated alone.
     """
     theta = np.asarray(theta, dtype=float)
-    out = np.full(theta.shape, float(coeffs[0]))
-    for k in range(1, len(coeffs) // 2 + 1):
-        out = out + coeffs[2 * k - 1] * np.cos(k * theta)
-        if 2 * k < len(coeffs):
-            out = out + coeffs[2 * k] * np.sin(k * theta)
+    x = np.full(theta.shape, float(coeffs_x[0]))
+    y = np.full(theta.shape, float(coeffs_y[0]))
+    for k in range(1, max(len(coeffs_x), len(coeffs_y)) // 2 + 1):
+        kt = k * theta
+        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
+        x = _add_harmonic(x, coeffs_x, k, cos_kt, sin_kt)
+        y = _add_harmonic(y, coeffs_y, k, cos_kt, sin_kt)
+    return x + 1j * y
+
+
+def _add_harmonic(out, coeffs, k, cos_kt, sin_kt):
+    """``out`` plus harmonic k of one packed series, where the series has it."""
+    if 2 * k - 1 < len(coeffs):
+        out = out + coeffs[2 * k - 1] * cos_kt
+    if 2 * k < len(coeffs):
+        out = out + coeffs[2 * k] * sin_kt
     return out
 
 
-def trig_series_deriv(coeffs, theta):
+def trig_series_deriv(coeffs_x, coeffs_y, theta):
     """Derivative of :func:`trig_series` with respect to the series variable."""
     theta = np.asarray(theta, dtype=float)
-    out = np.zeros(theta.shape)
-    for k in range(1, len(coeffs) // 2 + 1):
-        out = out - k * coeffs[2 * k - 1] * np.sin(k * theta)
-        if 2 * k < len(coeffs):
-            out = out + k * coeffs[2 * k] * np.cos(k * theta)
+    x = np.zeros(theta.shape)
+    y = np.zeros(theta.shape)
+    for k in range(1, max(len(coeffs_x), len(coeffs_y)) // 2 + 1):
+        kt = k * theta
+        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
+        x = _add_harmonic_deriv(x, coeffs_x, k, cos_kt, sin_kt)
+        y = _add_harmonic_deriv(y, coeffs_y, k, cos_kt, sin_kt)
+    return x + 1j * y
+
+
+def _add_harmonic_deriv(out, coeffs, k, cos_kt, sin_kt):
+    """``out`` plus the derivative of harmonic k of one packed series, where the series has it."""
+    if 2 * k - 1 < len(coeffs):
+        out = out - k * coeffs[2 * k - 1] * sin_kt
+    if 2 * k < len(coeffs):
+        out = out + k * coeffs[2 * k] * cos_kt
     return out

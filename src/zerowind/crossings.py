@@ -126,10 +126,9 @@ class PreimageSet:
 _KIND_ZERO = "zero-of-f"
 
 
-def _detect(h, n: int, cfg: CrossingConfig) -> tuple[list[tuple[float, str]], float]:
-    """Candidate zeros of h from an n-point scan: brackets, exact hits, deep dips."""
-    ts = np.arange(n, dtype=float) / n
-    vals = np.asarray(h(ts), dtype=float)
+def _detect(h, ts: np.ndarray, vals: np.ndarray, cfg: CrossingConfig) -> tuple[list[tuple[float, str]], float]:
+    """Candidate zeros of h from its values ``vals`` on the grid ``ts = i / n``: brackets, exact hits, deep dips."""
+    n = len(ts)
     scale = float(np.max(np.abs(vals)))
     if scale == 0.0:
         raise ValueError("the image of the curve lies entirely on the line")
@@ -236,9 +235,11 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
         injected = classify_roots(f, curve, band=cfg.band, root_tol=cfg.root_tol).on_curve_params
 
     n = cfg.samples
+    ts = np.arange(n, dtype=float) / n
+    vals = np.asarray(h(ts), dtype=float)
     prev = None
     while True:
-        cands, scale = _detect(h, n, cfg)
+        cands, scale = _detect(h, ts, vals, cfg)
         cands.extend((t, _KIND_ZERO) for t in injected)
         merged = _cluster(h, cands, scale, cfg)
         if prev is not None and len(merged) == prev:
@@ -246,7 +247,14 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
         prev = len(merged)
         if n >= cfg.max_samples:
             raise ResolutionTooCoarse(f"zero count still unstable at {n} samples")
+        # the doubled grid's even points 2i / 2n are the floats i / n, so
+        # their residuals are kept and only the odd points are evaluated
         n *= 2
+        ts = np.arange(n, dtype=float) / n
+        finer = np.empty(n)
+        finer[0::2] = vals
+        finer[1::2] = np.asarray(h(ts[1::2]), dtype=float)
+        vals = finer
 
     points = []
     rot = np.exp(-1j * line.angle)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -149,13 +150,11 @@ class TrigSegment:
         return self.theta0 + np.asarray(s, dtype=float) * (self.theta1 - self.theta0)
 
     def points(self, s):
-        th = self._theta(s)
-        return trig_series(self.coeffs_x, th) + 1j * trig_series(self.coeffs_y, th)
+        return trig_series(self.coeffs_x, self.coeffs_y, self._theta(s))
 
     def derivs(self, s):
-        th = self._theta(s)
         span = self.theta1 - self.theta0
-        return span * (trig_series_deriv(self.coeffs_x, th) + 1j * trig_series_deriv(self.coeffs_y, th))
+        return span * trig_series_deriv(self.coeffs_x, self.coeffs_y, self._theta(s))
 
     def subsegment(self, s0, s1):
         span = self.theta1 - self.theta0
@@ -294,18 +293,32 @@ class JordanCurve:
 
     # -- evaluation ----------------------------------------------------
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Segment starts, widths and the inner breaks, built on first use.
+
+        Every thread that builds it builds the same arrays, so a race only
+        repeats the work.
+        """
+        br = np.asarray(self.breaks)
+        return br[:-1], br[1:] - br[:-1], br[1:-1]
+
     def _dispatch(self, t, per_segment):
         ts = np.asarray(t, dtype=float)
         scalar = ts.ndim == 0
         ts = np.atleast_1d(ts) % 1.0
-        br = np.asarray(self.breaks)
-        idx = np.clip(np.searchsorted(br, ts, side="right") - 1, 0, len(self.segments) - 1)
-        out = np.empty(ts.shape, dtype=complex)
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if mask.any():
-                width = br[i + 1] - br[i]
-                out[mask] = per_segment(seg, (ts[mask] - br[i]) / width, width)
+        starts, widths, inner = self._layout
+        if len(self.segments) == 1:
+            # breaks are (0.0, 1.0): (t - 0.0) / 1.0 == t exactly
+            out = np.asarray(per_segment(self.segments[0], ts, widths[0]), dtype=complex)
+        else:
+            # t % 1.0 can round up to 1.0; searchsorted still gives the last segment
+            idx = np.searchsorted(inner, ts, side="right")
+            out = np.empty(ts.shape, dtype=complex)
+            for i, seg in enumerate(self.segments):
+                mask = idx == i
+                if mask.any():
+                    out[mask] = per_segment(seg, (ts[mask] - starts[i]) / widths[i], widths[i])
         return out[0] if scalar else out
 
     def points(self, t):
@@ -587,19 +600,24 @@ def default_epsilon_schedule(curve: JordanCurve, zeros: Sequence[complex], k_max
 
 
 def _subsegment_span(curve: JordanCurve, t0: float, t1: float) -> list[Segment]:
-    """Forward sub-chain of the curve covering global parameters t0 -> t1 (t1 > t0)."""
+    """Forward sub-chain of the curve covering global parameters t0 -> t1 (t1 > t0).
+
+    The segment holding t0 is located once; after each finished segment the
+    walk steps to the next one by index.  Locating the segment again from
+    ``t % 1.0`` could find the finished one when ``lap + break`` rounds down.
+    """
     pieces: list[Segment] = []
     br = np.asarray(curve.breaks)
     k = len(curve.segments)
+    u = t0 % 1.0
+    i = min(int(np.searchsorted(br, u, side="right") - 1), k - 1)
+    lap = np.floor(t0 - u)
     t = t0
-    guard = 0
-    while t < t1 - 1e-14:
-        guard += 1
-        if guard > 4 * (k + 2) * (int(t1 - t0) + 1):
-            raise RuntimeError("subsegment walk failed to advance")
-        u = t % 1.0
-        i = min(int(np.searchsorted(br, u, side="right") - 1), k - 1)
-        seg_end_global = float(br[i + 1]) + np.floor(t - u)
+    # t0 -> t1 touches at most int(t1 - t0) + 2 laps: one pass per segment of each, then the final check
+    for _ in range(k * (int(t1 - t0) + 2) + 1):
+        if not t < t1 - 1e-14:
+            return pieces
+        seg_end_global = float(br[i + 1]) + lap
         stop = min(t1, seg_end_global)
         width = br[i + 1] - br[i]
         s0 = (u - br[i]) / width
@@ -607,7 +625,11 @@ def _subsegment_span(curve: JordanCurve, t0: float, t1: float) -> list[Segment]:
         if s1 - s0 > 1e-12:
             pieces.append(curve.segments[i].subsegment(float(s0), float(min(s1, 1.0))))
         t = stop
-    return pieces
+        i += 1
+        if i == k:
+            i, lap = 0, lap + 1.0
+        u = br[i]
+    raise DetourFailed(f"subsegment walk from {t0} did not reach {t1}")
 
 
 def _forward_gap(a: float, b: float) -> float:

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and separate from the library's own
 code paths: power-sum evaluation instead of Horner, binomial expansion by
 combinatorics, brute-force dense scans instead of adaptive refinement, and
-exact vector geometry for polygon angles.
+exact vector geometry for polygon angles.  The ``reference_*`` and ``full_*``
+functions and the termwise cosine scan are verbatim copies of earlier, slower
+forms of library kernels, which the faster forms must match bit for bit.
 """
 
 from __future__ import annotations
@@ -11,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from zerowind.curves import TrigSegment
 
 TWO_PI = 2.0 * np.pi
 
@@ -83,6 +87,106 @@ def termwise_cosine_zero_count(coeffs, samples: int = 262144) -> int:
     if not mark.any():
         return 0
     return int(np.sum(mark & ~np.roll(mark, 1)))
+
+
+def reference_dispatch(curve, t, per_segment):
+    """``JordanCurve._dispatch`` as it was before the one-segment path and the per-curve break arrays.
+
+    Every call searches all breaks, clips the index and scatters each
+    segment's values through a mask; the library's dispatch must give the
+    same bits.
+    """
+    ts = np.asarray(t, dtype=float)
+    scalar = ts.ndim == 0
+    ts = np.atleast_1d(ts) % 1.0
+    br = np.asarray(curve.breaks)
+    idx = np.clip(np.searchsorted(br, ts, side="right") - 1, 0, len(curve.segments) - 1)
+    out = np.empty(ts.shape, dtype=complex)
+    for i, seg in enumerate(curve.segments):
+        mask = idx == i
+        if mask.any():
+            width = br[i + 1] - br[i]
+            out[mask] = per_segment(seg, (ts[mask] - br[i]) / width, width)
+    return out[0] if scalar else out
+
+
+def reference_trig_series(coeffs, theta):
+    """One packed series c0 + sum_k (a_k cos(k t) + b_k sin(k t)), one np.cos and np.sin per term."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.full(theta.shape, float(coeffs[0]))
+    for k in range(1, len(coeffs) // 2 + 1):
+        out = out + coeffs[2 * k - 1] * np.cos(k * theta)
+        if 2 * k < len(coeffs):
+            out = out + coeffs[2 * k] * np.sin(k * theta)
+    return out
+
+
+def reference_trig_series_deriv(coeffs, theta):
+    """Derivative of :func:`reference_trig_series` with respect to the series variable."""
+    theta = np.asarray(theta, dtype=float)
+    out = np.zeros(theta.shape)
+    for k in range(1, len(coeffs) // 2 + 1):
+        out = out - k * coeffs[2 * k - 1] * np.sin(k * theta)
+        if 2 * k < len(coeffs):
+            out = out + k * coeffs[2 * k] * np.cos(k * theta)
+    return out
+
+
+def reference_points(curve, t):
+    """Curve points by the reference dispatch, evaluating trig segments one series at a time."""
+
+    def per_segment(seg, s, w):
+        if isinstance(seg, TrigSegment):
+            th = seg.theta0 + np.asarray(s, dtype=float) * (seg.theta1 - seg.theta0)
+            return reference_trig_series(seg.coeffs_x, th) + 1j * reference_trig_series(seg.coeffs_y, th)
+        return seg.points(s)
+
+    return reference_dispatch(curve, t, per_segment)
+
+
+def reference_derivs(curve, t):
+    """d(curve)/dt by the reference dispatch, evaluating trig segments one series at a time."""
+
+    def per_segment(seg, s, w):
+        if isinstance(seg, TrigSegment):
+            th = seg.theta0 + np.asarray(s, dtype=float) * (seg.theta1 - seg.theta0)
+            span = seg.theta1 - seg.theta0
+            dx = reference_trig_series_deriv(seg.coeffs_x, th)
+            dy = reference_trig_series_deriv(seg.coeffs_y, th)
+            return span * (dx + 1j * dy) / w
+        return seg.derivs(s) / w
+
+    return reference_dispatch(curve, t, per_segment)
+
+
+def full_golden_min(fn, lo, hi):
+    """Golden-section minimization that always runs all 80 steps."""
+    inv_gold = (np.sqrt(5.0) - 1.0) / 2.0
+    lo = np.asarray(lo, dtype=float).copy()
+    hi = np.asarray(hi, dtype=float).copy()
+    for _ in range(80):
+        gap = hi - lo
+        c = hi - inv_gold * gap
+        d = lo + inv_gold * gap
+        keep_low = np.asarray(fn(c)) < np.asarray(fn(d))
+        hi = np.where(keep_low, d, hi)
+        lo = np.where(keep_low, lo, c)
+    return 0.5 * (lo + hi)
+
+
+def full_bisect_zero(fn, lo, hi, iters=52):
+    """Bisection that always runs all ``iters`` steps."""
+    lo = np.asarray(lo, dtype=float).copy()
+    hi = np.asarray(hi, dtype=float).copy()
+    flo = np.asarray(fn(lo), dtype=float)
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        fm = np.asarray(fn(mid), dtype=float)
+        same = (np.sign(fm) == np.sign(flo)) & (fm != 0.0)
+        lo = np.where(same, mid, lo)
+        flo = np.where(same, fm, flo)
+        hi = np.where(same, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 def polygon_interior_angle(vertices, i: int) -> float:

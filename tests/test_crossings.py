@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import zerowind.crossings
 from zerowind import (
     CrossingConfig,
     Line,
@@ -87,6 +88,28 @@ class TestCountPreimages:
         pre = count_preimages(Polynomial([-1, 1]), circle_curve, Line.real_axis())
         assert pre.count == 2
         assert sorted(round(p.t, 6) for p in pre.points) == [0.0, 0.5]
+
+    def test_doubling_reuses_scan_samples(self, circle_curve, monkeypatch):
+        # level two keeps level one's 4096 residuals and evaluates only its 4096 odd points
+        levels, scanned = [], []
+        detect, residual = zerowind.crossings._detect, zerowind.crossings.line_residual
+
+        def counted_detect(h, ts, vals, cfg):
+            levels.append(len(ts))
+            assert np.array_equal(vals, residual(f, circle_curve, line, ts))
+            return detect(h, ts, vals, cfg)
+
+        def counted_residual(f, curve, line, t):
+            if np.size(t) >= 1024:
+                scanned.append(np.size(t))
+            return residual(f, curve, line, t)
+
+        monkeypatch.setattr(zerowind.crossings, "_detect", counted_detect)
+        monkeypatch.setattr(zerowind.crossings, "line_residual", counted_residual)
+        f, line = Polynomial([-1, 1]), Line.real_axis()
+        assert count_preimages(f, circle_curve, line, CrossingConfig(samples=4096)).count == 2
+        assert levels == [4096, 8192]
+        assert sum(scanned) == 8192
 
     def test_rotation_equivariance(self, circle_curve):
         rng = np.random.default_rng(4)

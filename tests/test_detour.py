@@ -3,13 +3,18 @@ import pytest
 
 from zerowind import (
     DetourFailed,
+    JordanCurve,
+    Line,
     Polynomial,
     build_detour,
     classify_point,
     classify_roots,
     default_epsilon_schedule,
+    square,
     unit_circle,
+    verify_detour,
 )
+from zerowind.curves import _subsegment_span
 
 
 class TestBuildDetour:
@@ -86,3 +91,47 @@ class TestDetourZeroSets:
         det = build_detour(circle_curve, [1.0, 1j, -1.0], eps_schedule=[0.15])
         assert det.composite.signed_area() > 0
         assert det.base.signed_area() > 0
+
+
+class TestSubsegmentWalk:
+    # A square whose fourth break is 0.7500000000000001: from t = 1.75 the
+    # walk used to locate the finished third edge again, because
+    # 1 + 0.7500000000000001 rounds to 1.75, and never advanced.
+    LO, HI = complex(-0.694280577853311, -0.8809946389142367), complex(1.12723243103293, 0.9405183699720043)
+    CORNERS = [LO, complex(HI.real, LO.imag), HI, complex(LO.real, HI.imag)]
+    SQUARE = {
+        "segments": [
+            {"kind": "line", "from": [a.real, a.imag], "to": [b.real, b.imag]}
+            for a, b in zip(CORNERS, CORNERS[1:] + CORNERS[:1])
+        ]
+    }
+
+    def test_rounded_break_is_crossed(self):
+        curve = JordanCurve.from_json(self.SQUARE)
+        assert curve.breaks[3] == 0.7500000000000001 and 1.0 + curve.breaks[3] == 1.75
+        pieces = _subsegment_span(curve, 1.6, 2.3)
+        assert len(pieces) == 4
+        for a, b in zip(pieces, pieces[1:]):
+            assert abs(a.points(1.0) - b.points(0.0)) < 1e-12
+        assert abs(pieces[0].points(0.0) - curve.point(0.6)) < 1e-12
+        assert abs(pieces[-1].points(1.0) - curve.point(0.3)) < 1e-12
+
+    def test_planted_boundary_zero_on_square(self):
+        # a degree-4 polynomial with a double zero on the square's left edge (planted m = 0, lambda = 2)
+        coeffs = [
+            (0.8626643471196566, 3.893986707302527),
+            (-0.6334509146350769, 10.612137300411309),
+            (-6.088451239011409, 5.529425581506825),
+            (-4.37691456107475, -2.8490032879985887),
+            (0.701609205158173, -0.6588994312258839),
+        ]
+        f = Polynomial([complex(re, im) for re, im in coeffs])
+        rep, _ = verify_detour(f, JordanCurve.from_json(self.SQUARE), Line(0.12465140702202251))
+        assert rep.holds
+        assert rep.winding == 2
+        assert (rep.m, rep.lam) == (0, 2)
+
+    def test_walk_that_cannot_advance_is_typed(self):
+        # at 1e17 adding a lap of 1.0 rounds away, so the walk never gets closer to its end
+        with pytest.raises(DetourFailed, match="did not reach"):
+            _subsegment_span(square(0.0, 2.0), 1e17, 1e17 + 64.0)
