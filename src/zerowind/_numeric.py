@@ -26,9 +26,14 @@ def _same_bits(a, b) -> bool:
 def golden_min(fn, lo, hi):
     """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise (at most 80 steps).
 
-    Stops early once a step leaves (lo, hi) bit for bit unchanged: ``fn`` is
-    pure, so every later step would repeat it, and the result equals that of
-    all 80 steps.
+    ``fn`` must be pure and elementwise: each output element depends only on
+    the input element at the same place, and broadcasting it over a leading
+    axis gives the same bits.  Each step then calls ``fn`` once, on both probe
+    points stacked as ``np.stack([c, d])`` of shape ``(2,) + lo.shape``, and
+    gets what two calls on ``c`` and ``d`` would give.
+
+    Stops early once a step leaves (lo, hi) bit for bit unchanged: every
+    later step would repeat it, and the result equals that of all 80 steps.
     """
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
@@ -36,7 +41,8 @@ def golden_min(fn, lo, hi):
         gap = hi - lo
         c = hi - _INV_GOLD * gap
         d = lo + _INV_GOLD * gap
-        keep_low = np.asarray(fn(c)) < np.asarray(fn(d))
+        fc, fd = np.asarray(fn(np.stack([c, d])))
+        keep_low = fc < fd
         new_hi = np.where(keep_low, d, hi)
         new_lo = np.where(keep_low, lo, c)
         if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):

@@ -59,10 +59,26 @@ class ArcSegment:
             raise ValueError("arc radius must be positive")
         if self.angle0 == self.angle1:
             raise ValueError("arc sweep must be nonzero")
+        # angle1 - angle0 rounds at the scale of the larger angle
+        slack = 1e-12 * max(TWO_PI, abs(self.angle0), abs(self.angle1))
+        if abs(self.angle1 - self.angle0) > TWO_PI + slack:
+            raise ValueError("arc sweeps more than one full turn")
 
     def points(self, s):
         ang = self.angle0 + np.asarray(s, dtype=float) * (self.angle1 - self.angle0)
         return self.center + self.radius * np.exp(1j * ang)
+
+    def nearest(self, ps):
+        """Local parameter in [0, 1] of the arc point nearest each of ps.
+
+        The angle of p - center, measured along the sweep from angle0, over
+        the sweep's length; off the arc's angular span, the nearer endpoint.
+        """
+        sweep = self.angle1 - self.angle0
+        span = abs(sweep)
+        ahead = (np.sign(sweep) * (np.angle(np.asarray(ps) - self.center) - self.angle0)) % TWO_PI
+        past_end = ahead - span
+        return np.where(past_end <= 0.0, ahead / span, np.where(past_end < TWO_PI - ahead, 1.0, 0.0))
 
     def derivs(self, s):
         sweep = self.angle1 - self.angle0
@@ -102,6 +118,12 @@ class LineSegment:
 
     def points(self, s):
         return self.start_point + np.asarray(s, dtype=float) * (self.end_point - self.start_point)
+
+    def nearest(self, ps):
+        """Local parameter in [0, 1] of the segment point nearest each of ps: the clipped projection."""
+        d = self.end_point - self.start_point
+        along = ((np.asarray(ps) - self.start_point) * np.conj(d)).real / (d.real**2 + d.imag**2)
+        return np.clip(along, 0.0, 1.0)
 
     def derivs(self, s):
         s = np.asarray(s, dtype=float)
@@ -521,7 +543,21 @@ class PointLocation:
 
 
 def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nearest curve parameter and distance for each of ps: one coarse scan, one elementwise golden refine."""
+    """Nearest curve parameter and distance for each of ps.
+
+    On a curve of arcs and lines each segment gives its nearest point in
+    closed form, and the nearest segment wins (the first on ties).  A segment
+    end maps exactly to the next break, so a corner gets its break.  A curve
+    with a trig segment takes one coarse scan and one elementwise golden refine.
+    """
+    if all(hasattr(seg, "nearest") for seg in curve.segments):
+        br = np.asarray(curve.breaks)
+        s = np.array([seg.nearest(ps) for seg in curve.segments])
+        gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
+        i = np.argmin(gaps, axis=0)
+        si = s[i, np.arange(len(ps))]
+        t = np.where(si == 1.0, br[i + 1], br[i] + si * (br[i + 1] - br[i])) % 1.0
+        return t, np.abs(curve.points(t) - ps)
     n = max(2048, 512 * len(curve.segments))
     ts = np.arange(n) / n
     i = np.argmin(np.abs(curve.points(ts)[:, None] - ps[None, :]), axis=0)

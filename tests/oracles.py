@@ -6,6 +6,8 @@ combinatorics, brute-force dense scans instead of adaptive refinement, and
 exact vector geometry for polygon angles.  The ``reference_*`` and ``full_*``
 functions and the termwise cosine scan are verbatim copies of earlier, slower
 forms of library kernels, which the faster forms must match bit for bit.
+``scan_nearest_parameter`` is the earlier nearest-point search, which the
+closed form on arcs and lines must match up to rounding.
 """
 
 from __future__ import annotations
@@ -172,6 +174,19 @@ def full_golden_min(fn, lo, hi):
         hi = np.where(keep_low, d, hi)
         lo = np.where(keep_low, lo, c)
     return 0.5 * (lo + hi)
+
+
+def scan_nearest_parameter(curve, ps):
+    """``zerowind.curves.nearest_parameter`` as it was before closed-form nearest points on arcs and lines.
+
+    One coarse scan and one golden refine on every curve, with the refine
+    that always runs all 80 steps (the same bits as the early-stopping one).
+    """
+    n = max(2048, 512 * len(curve.segments))
+    ts = np.arange(n) / n
+    i = np.argmin(np.abs(curve.points(ts)[:, None] - ps[None, :]), axis=0)
+    tstar = full_golden_min(lambda q: np.abs(curve.points(q) - ps), ts[i] - 1.5 / n, ts[i] + 1.5 / n) % 1.0
+    return tstar, np.abs(curve.points(tstar) - ps)
 
 
 def full_bisect_zero(fn, lo, hi, iters=52):
