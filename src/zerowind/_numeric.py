@@ -6,6 +6,12 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
+# Steps read off one ``fn`` call in golden_min and bisect_zero.  A call on a
+# handful of points costs mostly NumPy overhead, so a call that serves several
+# steps saves most of it.  Deeper trees ran no faster on the benchmark's
+# workloads and evaluate more probes that no step uses.
+_GOLDEN_DEPTH = 3
+_BISECT_DEPTH = 5
 
 
 class WindingNotResolved(Exception):
@@ -23,54 +29,110 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _columns(lo, hi):
+    """Brackets as flat float columns: (lo, hi, their common shape, the column indices)."""
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    return lo.reshape(-1), hi.reshape(-1), lo.shape, np.arange(lo.size)
+
+
 def golden_min(fn, lo, hi):
-    """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise (at most 80 steps).
+    """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise (80 steps).
+
+    Each call of ``fn`` serves ``_GOLDEN_DEPTH`` steps.  From the current
+    bracket it builds the tree of brackets those steps can reach: a bracket's
+    probes are c = hi - g (hi - lo) and d = lo + g (hi - lo), its children are
+    [lo, d] and [c, hi], and level j of the tree holds 2^j brackets.  One call
+    evaluates the probes of every bracket above the leaves, stacked on a
+    leading axis, and the steps walk the tree by ``fn(c) < fn(d)``.  Every
+    probe is the float a step-by-step search computes, so the result is bit
+    for bit that of 80 steps with one ``fn`` call each.
 
     ``fn`` must be pure and elementwise: each output element depends only on
     the input element at the same place, and broadcasting it over a leading
-    axis gives the same bits.  Each step then calls ``fn`` once, on both probe
-    points stacked as ``np.stack([c, d])`` of shape ``(2,) + lo.shape``, and
-    gets what two calls on ``c`` and ``d`` would give.
+    axis gives the same bits.
 
     Stops early once a step leaves (lo, hi) bit for bit unchanged: every
     later step would repeat it, and the result equals that of all 80 steps.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    for _ in range(80):
-        gap = hi - lo
-        c = hi - _INV_GOLD * gap
-        d = lo + _INV_GOLD * gap
-        fc, fd = np.asarray(fn(np.stack([c, d])))
-        keep_low = fc < fd
-        new_hi = np.where(keep_low, d, hi)
-        new_lo = np.where(keep_low, lo, c)
-        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi):
+    lo, hi, shape, cols = _columns(lo, hi)
+    left = 80
+    while left > 0:
+        depth = min(_GOLDEN_DEPTH, left)
+        left -= depth
+        # bracket r of level j splits into bracket r ([lo, d]) and bracket r + 2^j ([c, hi]) of level j + 1
+        los, his, cs, ds = [lo[np.newaxis]], [hi[np.newaxis]], [], []
+        for j in range(depth):
+            step = _INV_GOLD * (his[j] - los[j])
+            cs.append(his[j] - step)
+            ds.append(los[j] + step)
+            if j + 1 < depth:
+                los.append(np.concatenate([los[j], cs[j]]))
+                his.append(np.concatenate([ds[j], his[j]]))
+        probes = np.concatenate(cs + ds)
+        inner = len(probes) // 2
+        fcd = np.asarray(fn(probes.reshape((2 * inner,) + shape))).reshape(2 * inner, lo.size)
+        # row (2^j - 1) + r holds bracket r of level j
+        go_high = ~(fcd[:inner] < fcd[inner:])
+        node = np.zeros(lo.size, dtype=np.intp)
+        for j in range(depth - 1):
+            node = node + go_high[(1 << j) - 1 + node, cols] * (1 << j)
+        # the last step, as a step-by-step search takes it
+        j = depth - 1
+        keep_low = ~go_high[(1 << j) - 1 + node, cols]
+        prev_lo, prev_hi = los[j][node, cols], his[j][node, cols]
+        lo = np.where(keep_low, prev_lo, cs[j][node, cols])
+        hi = np.where(keep_low, ds[j][node, cols], prev_hi)
+        if _same_bits(lo, prev_lo) and _same_bits(hi, prev_hi):
             break
-        lo, hi = new_lo, new_hi
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo.reshape(shape) + hi.reshape(shape))
 
 
 def bisect_zero(fn, lo, hi, iters=52):
     """Vectorized bisection; fn must change sign on each [lo, hi] interval.
 
+    Each call of ``fn`` serves ``_BISECT_DEPTH`` steps.  The bracket's dyadic
+    grid is built level by level, each new point ``0.5 * (a + b)`` of its two
+    neighbours, the operands a step-by-step bisection uses; one call
+    evaluates ``fn`` on the grid's inner points, stacked on a leading axis,
+    and the steps walk the grid.  ``fn(lo)`` only ever gives way to values
+    of its own sign, so a step keeps the right half exactly where
+    ``sign(fn(mid)) == sign(fn(lo_0))`` and ``fn(mid) != 0``.  The result is
+    bit for bit that of ``iters`` steps with one ``fn`` call each.
+
+    ``fn`` must be pure and elementwise, as for :func:`golden_min`.
+
     Stops early, with the result of all ``iters`` steps, once a step leaves
     (lo, hi, fn(lo)) bit for bit unchanged.
     """
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    flo = np.asarray(fn(lo), dtype=float)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(fn(mid), dtype=float)
-        same = (np.sign(fm) == np.sign(flo)) & (fm != 0.0)
-        new_lo = np.where(same, mid, lo)
-        new_flo = np.where(same, fm, flo)
-        new_hi = np.where(same, hi, mid)
-        if _same_bits(new_lo, lo) and _same_bits(new_hi, hi) and _same_bits(new_flo, flo):
+    lo, hi, shape, cols = _columns(lo, hi)
+    flo = np.asarray(fn(lo.reshape(shape)), dtype=float).reshape(lo.size)
+    sign0 = np.sign(flo)
+    left = iters
+    while left > 0:
+        depth = min(_BISECT_DEPTH, left)
+        left -= depth
+        n = 1 << depth
+        grid = np.empty((n + 1, lo.size))
+        grid[0], grid[n] = lo, hi
+        for w in (n >> j for j in range(depth)):
+            grid[w // 2 :: w] = 0.5 * (grid[:-1:w] + grid[w::w])
+        vals = np.empty((n, lo.size))
+        vals[0] = flo
+        vals[1:] = np.asarray(fn(grid[1:n].reshape((n - 1,) + shape)), dtype=float).reshape(n - 1, lo.size)
+        same = (np.sign(vals) == sign0) & (vals != 0.0)
+        # from [grid[a], grid[a + 2w]] a step moves to the right half where same[a + w]
+        a = np.zeros(lo.size, dtype=np.intp)
+        for w in (n >> j for j in range(1, depth)):
+            a = a + same[a + w, cols] * w
+        # the last step, as a step-by-step bisection takes it
+        mid, keep_right = grid[a + 1, cols], same[a + 1, cols]
+        prev_lo, prev_hi, prev_flo = grid[a, cols], grid[a + 2, cols], vals[a, cols]
+        lo = np.where(keep_right, mid, prev_lo)
+        flo = np.where(keep_right, vals[a + 1, cols], prev_flo)
+        hi = np.where(keep_right, prev_hi, mid)
+        if _same_bits(lo, prev_lo) and _same_bits(hi, prev_hi) and _same_bits(flo, prev_flo):
             break
-        lo, hi, flo = new_lo, new_hi, new_flo
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo.reshape(shape) + hi.reshape(shape))
 
 
 def adaptive_winding(fn):

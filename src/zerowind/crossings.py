@@ -28,8 +28,10 @@ class Line:
     angle: float
 
     def __post_init__(self):
-        a = float(self.angle) % np.pi
-        object.__setattr__(self, "angle", a)
+        a = float(self.angle)
+        if not np.isfinite(a):
+            raise ValueError(f"line angle must be finite, not {a}")
+        object.__setattr__(self, "angle", a % np.pi)
 
     @classmethod
     def real_axis(cls) -> "Line":
@@ -325,8 +327,8 @@ def arg_derivative_probe(
     """
     zero = complex(zero)
     eps = float(eps)
-    if eps <= 0.0:
-        raise ValueError("probe radius must be positive")
+    if not 0.0 < eps < np.inf:
+        raise ValueError(f"probe radius must be positive and finite, not {eps}")
     root, others = _isolated_root(f, zero, eps, root_tol, "probe radius")
     center, mult = root.location, root.multiplicity
 

@@ -367,6 +367,13 @@ class JordanCurve:
     def default_band(self) -> float:
         return DEFAULT_BAND_FACTOR * self.diameter
 
+    def checked_band(self, band: float | None) -> float:
+        """``band`` as a float, or the default band for None; it must be positive and finite."""
+        band = self.default_band() if band is None else float(band)
+        if not 0.0 < band < np.inf:
+            raise ValueError(f"band must be positive and finite, not {band}")
+        return band
+
     def corner_parameters(self) -> tuple[float, ...]:
         return tuple(c.parameter for c in self.corners)
 
@@ -571,9 +578,7 @@ def classify_points(curve: JordanCurve, ps: Sequence[complex], band: float | Non
     Inside/outside is decided by the discrete winding number of the curve
     around each point, refined until every argument step is below pi/2.
     """
-    band = curve.default_band() if band is None else float(band)
-    if band <= 0.0:
-        raise ValueError("band must be positive")
+    band = curve.checked_band(band)
     ps = np.array([complex(p) for p in ps], dtype=complex)
     return [_locate(curve, complex(p), float(t), d, band) for p, t, d in zip(ps, *nearest_parameter(curve, ps))]
 
@@ -763,7 +768,7 @@ def build_detour(
     encloses every listed point.  Raises DetourFailed when the schedule is
     exhausted.
     """
-    band = curve.default_band() if band is None else float(band)
+    band = curve.checked_band(band)
     zs = [complex(z) for z in zeros_on_curve]
     if not zs:
         return DetourCurve(curve, (), curve, ())
@@ -778,8 +783,8 @@ def build_detour(
     if not schedule:
         raise ValueError("empty radius schedule")
     for eps in schedule:
-        if eps <= 0.0:
-            raise ValueError("detour radii must be positive")
+        if not 0.0 < eps < np.inf:
+            raise ValueError(f"detour radii must be positive and finite, not {eps}")
         result = _try_detour(curve, marks, float(eps), band)
         if result is not None:
             return result

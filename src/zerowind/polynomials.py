@@ -298,7 +298,7 @@ def winding_count(f: Polynomial, curve: _curves.JordanCurve, band: float | None 
     threshold, and NonIntegerWinding when the accumulated argument variation
     is not within 0.01 of a whole number of turns.
     """
-    band = curve.default_band() if band is None else float(band)
+    band = curve.checked_band(band)
     threshold = _lift_off_threshold(f, curve, band)
     probe = np.abs(f(curve.points(np.arange(2048) / 2048.0)))
     if float(probe.min()) <= threshold:
@@ -321,14 +321,14 @@ def logderiv_integral(f: Polynomial, curve: _curves.JordanCurve, n: int = 4096, 
     Agrees with the winding count within 0.01 at sufficient n whenever the
     curve is zero-free for f.
     """
-    band = curve.default_band() if band is None else float(band)
+    band = curve.checked_band(band)
     if f.degree < 1:
         raise DegreeZero("the logarithmic derivative of a constant has no zeros to count")
     ts = np.arange(n) / n
     pts = curve.points(ts)
     vals = f(pts)
     threshold = _lift_off_threshold(f, curve, band)
-    if float(np.min(np.abs(vals))) <= max(threshold, 0.0):
+    if float(np.min(np.abs(vals))) <= threshold:
         raise ZeroOnCurve("curve is not zero-free at quadrature resolution")
     integrand = f.derivative()(pts) / vals * curve.derivs(ts)
     return complex(np.mean(integrand) / (2j * np.pi))

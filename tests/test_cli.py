@@ -244,6 +244,35 @@ class TestInputErrors:
         assert cli.main(argv + ["--poly", poly]) == 2
         assert "must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--curve", "unit-circle", "--line", "NAN_LINE"],
+            ["verify", "--curve", "unit-circle", "--line", "INF_LINE"],
+            ["count-zeros", "--curve", "unit-circle", "--delta", "inf"],
+            ["count-zeros", "--curve", "unit-circle", "--delta", "nan"],
+            ["winding", "--curve", "unit-circle", "--delta", "nan"],
+            ["crossings", "--curve", "unit-circle", "--line", "real-axis", "--delta", "inf"],
+            ["trig-check", "--delta", "nan"],
+            ["detour", "--curve", "unit-circle", "--line", "real-axis", "--epsilon", "nan"],
+        ],
+        ids=["nan-angle", "inf-angle", "inf-delta", "nan-delta", "winding-nan-delta", "crossings-inf-delta",
+             "trig-check-nan-delta", "nan-epsilon"],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, argv, capsys):
+        # f = (z - 0.3)(z - 1): an infinite band reported the inside root as on the curve (exit 0),
+        # a NaN angle was reported as a bound violation (exit 1), a NaN band exited 3
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [0.3, -1.3, 1]})
+        lines = {
+            "NAN_LINE": write_json(tmp_path / "nan.json", {"angle": float("nan")}),
+            "INF_LINE": write_json(tmp_path / "inf.json", {"angle": float("inf")}),
+        }
+        dest = tmp_path / "report.json"
+        argv = [lines.get(a, a) for a in argv]
+        assert cli.main(argv + ["--poly", poly, "--out", str(dest)]) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not dest.exists()
+
     def test_report_determinism(self, tmp_path, cube_poly):
         outs = []
         for name in ("r1.json", "r2.json"):

@@ -34,6 +34,14 @@ class TestLine:
         with pytest.raises(ValueError):
             Line.from_json("diagonal")
 
+    @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
+    def test_non_finite_angle_rejected(self, angle):
+        # NaN % pi is NaN and so is inf % pi: such a line has no direction
+        with pytest.raises(ValueError, match="finite"):
+            Line(angle)
+        with pytest.raises(ValueError, match="finite"):
+            Line.from_json({"angle": angle})
+
 
 class TestLineResidual:
     def test_identity_map_real_axis(self, circle_curve):
@@ -228,6 +236,11 @@ class TestArgDerivativeProbe:
         mean, max_dev = arg_derivative_probe(Polynomial([0, 1]), 0.0, 0.37)
         assert mean == pytest.approx(1.0, abs=1e-12)
         assert max_dev < 1e-9
+
+    @pytest.mark.parametrize("eps", [np.nan, np.inf, 0.0, -1e-3])
+    def test_radius_must_be_positive_and_finite(self, eps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            arg_derivative_probe(Polynomial.from_roots([(1.0, 2)]), 1.0, eps)
 
     def test_nearby_root_violates_precondition(self):
         f = Polynomial.from_roots([(1.0, 1), (1.001, 1)])

@@ -3,8 +3,11 @@
 ``tests/oracles.py`` keeps the earlier forms verbatim: the dispatch that
 searches all breaks and clips on every call, one trig series at a time,
 golden-section and bisection loops that always run every step and call
-``fn`` twice per step, and the nearest-point scan and refine that closed-form
-nearest points on arcs and lines replaced.
+``fn`` once or twice per step, and the nearest-point scan and refine that
+closed-form nearest points on arcs and lines replaced.  The searches now read
+several steps off one call of ``fn`` on a stacked array of probes, which
+relies on NumPy giving each element the same bits in any array; the last
+class here checks that assumption directly.
 """
 
 from functools import cache
@@ -32,7 +35,7 @@ from zerowind import (
     square,
     unit_circle,
 )
-from zerowind._numeric import bisect_zero, golden_min
+from zerowind._numeric import _BISECT_DEPTH, _GOLDEN_DEPTH, bisect_zero, golden_min
 from zerowind.curves import classify_points, nearest_parameter
 
 from oracles import (
@@ -125,13 +128,18 @@ def _circle_distance(p: complex):
 
 
 def _counted(fn):
+    """``fn`` and the list of the shapes it was called on."""
     calls = []
 
     def wrapped(q):
-        calls.append(1)
+        calls.append(np.shape(q))
         return fn(q)
 
     return wrapped, calls
+
+
+def _ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
 
 
 _bracket = st.tuples(st.floats(-2.0, 2.0), st.floats(1e-6, 0.5))
@@ -171,7 +179,7 @@ class TestEarlyStop:
         full, full_calls = _counted(fn)
         assert _bits(golden_min(early, lo, hi)) == _bits(full_golden_min(full, lo, hi))
         assert len(full_calls) == 160
-        assert len(early_calls) < len(full_calls)
+        assert len(early_calls) <= _ceil_div(80, _GOLDEN_DEPTH)
 
         # where the circle crosses |z - 1| = 0.5, bracketed on the detour's 8192-point grid
         curve = unit_circle()
@@ -185,11 +193,20 @@ class TestEarlyStop:
         hi = lo + 1.0 / 8192
         assert _bits(bisect_zero(early, lo, hi)) == _bits(full_bisect_zero(full, lo, hi))
         assert len(full_calls) == 53
-        assert len(early_calls) < len(full_calls)
+        assert len(early_calls) <= 1 + _ceil_div(52, _BISECT_DEPTH)
+
+    def test_minimiser_at_zero_takes_every_step(self):
+        # the bracket keeps shrinking around 0 through ever smaller floats, so no step is a fixed point:
+        # all 80 steps run, read off one call per golden tree
+        fn = _circle_distance(1.0)
+        lo, hi = np.array([-0.01, -0.003]), np.array([0.02, 0.004])
+        early, early_calls = _counted(fn)
+        assert _bits(golden_min(early, lo, hi)) == _bits(full_golden_min(fn, lo, hi))
+        assert len(early_calls) == _ceil_div(80, _GOLDEN_DEPTH)
 
 
 class TestStackedGolden:
-    """``golden_min`` evaluates both probes of a step in one call, with the bits of two calls."""
+    """``golden_min`` evaluates the probes of several steps in one call, with the bits of one call per probe."""
 
     @staticmethod
     def _trig_distance(ps):
@@ -202,19 +219,15 @@ class TestStackedGolden:
         curve, line = _curve(name), Line(angle)
         return lambda q: np.abs(line_residual(f, curve, line, q))
 
-    def test_one_call_per_step_on_stacked_probes(self):
+    def test_one_call_per_probe_tree(self):
         lo = np.array([0.01, 0.3, 0.62])
         hi = lo + 0.004
-        shapes = []
-        fn = self._trig_distance(_curve("radial-trig").points(lo + 0.002) + 1e-3)
-
-        def recorded(q):
-            shapes.append(np.shape(q))
-            return fn(q)
-
-        golden_min(recorded, lo, hi)
-        assert 0 < len(shapes) <= 80
-        assert set(shapes) == {(2, 3)}
+        fn, shapes = _counted(self._trig_distance(_curve("radial-trig").points(lo + 0.002) + 1e-3))
+        golden_min(fn, lo, hi)
+        # each call evaluates the two probes of each of the 2^K - 1 brackets that a K-step tree splits;
+        # these brackets reach their fixed point before the 80th step, so no call is a shorter last tree
+        assert 0 < len(shapes) < _ceil_div(80, _GOLDEN_DEPTH)
+        assert set(shapes) == {(2 * (2**_GOLDEN_DEPTH - 1), 3)}
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_bracket, min_size=1, max_size=5), st.floats(-0.05, 0.05))
@@ -236,6 +249,148 @@ class TestStackedGolden:
         hi = lo + np.array([w for _, w in brackets])
         fn = self._residual(name, angle)
         assert _bits(golden_min(fn, lo, hi)) == _bits(full_golden_min(fn, lo, hi))
+
+
+_F_TEST = Polynomial.from_roots([(0.3 + 0.2j, 1), (1.0, 2), (-0.4j, 1)])
+_ITERS = st.sampled_from([0, 1, 47, 48, 52])
+
+
+def _flip_brackets(fn, n: int, shift: float = 0.0):
+    """Grid cells [t_i, t_i + 1 / n] where fn changes sign, as ``_detect`` and ``_try_detour`` find them.
+
+    With ``shift = 0`` the grid is t_i = i / n, as there; a shift gives
+    brackets whose ends and width are not dyadic, on which a grid built as
+    ``lo + j (hi - lo) / 2^K`` can miss the bisection's bits.
+    """
+    ts = shift + np.arange(n) / n
+    vals = fn(ts)
+    nxt = np.roll(vals, -1)
+    flip = ((vals < 0) & (nxt > 0)) | ((vals > 0) & (nxt < 0))
+    return ts[flip], ts[flip] + 1.0 / n
+
+
+class TestBatchedSearch:
+    """``bisect_zero`` and ``golden_min`` read K steps off one evaluated grid or tree, with the bits of K calls."""
+
+    @staticmethod
+    def _h(name, angle):
+        curve, line = _curve(name), Line(angle)
+        return lambda q: line_residual(_F_TEST, curve, line, q)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["radial-trig", "lshape", "composite-detour"]),
+        st.floats(-np.pi, np.pi),
+        st.sampled_from([64, 512, 4096]),
+        _ITERS,
+        st.sampled_from([0.0, 0.1, 1 / 3]),
+    )
+    def test_bisect_line_residual_equals_full_loop(self, name, angle, n, iters, shift):
+        h = self._h(name, angle)
+        lo, hi = _flip_brackets(h, n, shift)
+        assert _bits(bisect_zero(h, lo, hi, iters)) == _bits(full_bisect_zero(h, lo, hi, iters))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["radial-trig", "circle", "composite-detour"]),
+        st.floats(0.0, 1.0),
+        st.floats(1e-4, 0.3),
+        _ITERS,
+        st.sampled_from([0.0, 0.1, 1 / 3]),
+    )
+    def test_bisect_detour_gap_equals_full_loop(self, name, t0, eps, iters, shift):
+        # the disc boundary around an on-curve point crosses the curve where |gamma(t) - z| = eps
+        curve = _curve(name)
+        z = curve.point(t0)
+
+        def gfn(q):
+            return np.abs(curve.points(q) - z) - eps
+
+        lo, hi = _flip_brackets(gfn, 8192, shift)
+        assert _bits(bisect_zero(gfn, lo, hi, iters)) == _bits(full_bisect_zero(gfn, lo, hi, iters))
+
+    @classmethod
+    def _shaped_brackets(cls, shape):
+        h = cls._h("radial-trig", 0.7)
+        lo, hi = _flip_brackets(h, 256, 0.1)
+        assert len(lo) >= 4
+        if shape == "scalar":
+            return h, lo[1], hi[1]
+        if shape == "2-D":
+            return h, lo[:4].reshape(2, 2), hi[:4].reshape(2, 2)
+        if shape == "empty":
+            return h, lo[:0], hi[:0]
+        return h, lo, hi
+
+    @pytest.mark.parametrize("iters", [0, 1, 47, 48, 52])
+    @pytest.mark.parametrize("shape", ["scalar", "1-D", "2-D", "empty"])
+    def test_bisect_bracket_shapes(self, shape, iters):
+        h, lo, hi = self._shaped_brackets(shape)
+        assert _bits(bisect_zero(h, lo, hi, iters)) == _bits(full_bisect_zero(h, lo, hi, iters))
+
+    @pytest.mark.parametrize("shape", ["scalar", "1-D", "2-D", "empty"])
+    def test_golden_bracket_shapes(self, shape):
+        h, lo, hi = self._shaped_brackets(shape)
+
+        def dist(q):
+            return np.abs(h(q))
+
+        assert _bits(golden_min(dist, lo, hi)) == _bits(full_golden_min(dist, lo, hi))
+
+    @pytest.mark.parametrize("iters", [0, 1, 47, 48, 52])
+    def test_zero_or_nan_at_lo(self, iters):
+        # fn(lo) is NaN in the first bracket and exactly 0 in the second: neither bracket ever moves its lo
+        def fn(q):
+            return np.where(q < 0.2, np.nan, q - 0.3)
+
+        lo, hi = np.array([0.1, 0.3, 0.25]), np.array([0.4, 0.6, 0.5])
+        assert _bits(bisect_zero(fn, lo, hi, iters)) == _bits(full_bisect_zero(fn, lo, hi, iters))
+
+        # on the unit circle |gamma(0) - 1| is exactly 0
+        curve = unit_circle()
+
+        def dist(q):
+            return np.abs(curve.points(q) - 1.0)
+
+        lo, hi = np.array([0.0, 0.0]), np.array([0.1, 0.3])
+        assert not dist(lo).any()
+        assert _bits(bisect_zero(dist, lo, hi, iters)) == _bits(full_bisect_zero(dist, lo, hi, iters))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(1e-9, 0.01), st.floats(1e-9, 0.01), st.floats(-0.002, 0.002)), min_size=1, max_size=5),
+        st.floats(-0.05, 0.05),
+    )
+    def test_golden_straddling_zero_equals_full_loop(self, brackets, offset):
+        curve = _curve("radial-trig")
+        lo = -np.array([a for a, _, _ in brackets])
+        hi = np.array([b for _, b, _ in brackets])
+        ps = curve.points(np.array([t for _, _, t in brackets])) * (1.0 + offset)
+
+        def fn(q):
+            return np.abs(curve.points(q) - ps)
+
+        assert _bits(golden_min(fn, lo, hi)) == _bits(full_golden_min(fn, lo, hi))
+
+    @pytest.mark.parametrize("iters", [7, 48])
+    def test_one_call_per_dyadic_grid(self, iters):
+        # fn(lo) once, then the 2^K - 1 inner points of each K-step grid; 7 steps end on a shorter grid
+        curve = unit_circle()
+        lo = np.array([0.01, 0.2, 0.45])
+        hi = lo + 0.05
+
+        def gap(q):
+            return np.abs(curve.points(q) - 1.0) - np.array([0.1, 1.3, 1.99])
+
+        fn, shapes = _counted(gap)
+        assert _bits(bisect_zero(fn, lo, hi, iters)) == _bits(full_bisect_zero(gap, lo, hi, iters))
+        assert 2 <= len(shapes) <= 1 + _ceil_div(iters, _BISECT_DEPTH)
+        full = (2**_BISECT_DEPTH - 1, 3)
+        assert shapes[0] == (3,) and set(shapes[1:-1]) <= {full}
+        # the last grid is shorter when iters is not a multiple of K and no earlier step was a fixed point
+        assert shapes[-1] in {full, (2 ** (iters % _BISECT_DEPTH) - 1, 3)}
+        if iters == 7:
+            assert len(shapes) == 1 + _ceil_div(7, _BISECT_DEPTH)
 
 
 CLOSED_FORM_NAMES = (
@@ -389,3 +544,53 @@ class TestClosedFormNearest:
             t, dist = nearest_parameter(curve, np.array([c.location for c in curve.corners]))
             assert list(t) == [c.parameter for c in curve.corners]
             assert not dist.any()
+
+
+def _real_samples() -> np.ndarray:
+    rng = np.random.default_rng(20)
+    special = [0.0, -0.0, 1e-300, 5e-324, np.pi, -np.pi / 2, 2 * np.pi * 0.3, 1e5, -7.25]
+    return np.concatenate([special, rng.uniform(-10.0, 10.0, 50), rng.uniform(-1e-3, 1e-3, 20)])
+
+
+def _complex_samples() -> np.ndarray:
+    rng = np.random.default_rng(21)
+    z = rng.normal(size=79) + 1j * rng.normal(size=79)
+    return np.concatenate([[0.0, 1.0, -1j, 1e-300 + 1e-300j], z * np.geomspace(1e-8, 1e8, 79)])
+
+
+_ELEMENTWISE = {
+    "cos": (np.cos, _real_samples),
+    "sin": (np.sin, _real_samples),
+    "complex-exp": (np.exp, lambda: 1j * _real_samples() + np.tanh(_real_samples()[::-1])),
+    "complex-abs": (np.abs, _complex_samples),
+    "angle": (np.angle, _complex_samples),
+    # two Horner steps of Polynomial.__call__: acc = acc * z + c
+    "complex-multiply-add": (lambda z: ((0.3 - 1.7j) * z + (1.1 + 0.2j)) * z + (2.5 + 0.5j), _complex_samples),
+}
+
+
+class TestElementwiseBits:
+    """Each element of a NumPy elementwise result has the same bits whatever array it sits in.
+
+    The searches evaluate many probes in one stacked call and the curve
+    kernel evaluates sub-arrays of a batch, and both claim the bits of one
+    call per point.  That holds only if these operations give a value the
+    same bits alone, at any offset of a longer array and in any row of a
+    stacked one.  A NumPy build that breaks it fails here, by name.
+    """
+
+    @pytest.mark.parametrize("name", list(_ELEMENTWISE))
+    def test_same_bits_in_any_array(self, name):
+        op, samples = _ELEMENTWISE[name]
+        x = samples()
+        want = op(x)
+        for i in range(len(x)):
+            assert _bits(op(x[i : i + 1])) == _bits(want[i : i + 1]), (name, x[i])
+            assert _bits(op(np.asarray(x[i]))) == _bits(np.asarray(want[i])), (name, x[i])
+        for off in range(1, 9):
+            padded = np.concatenate([x[::-1][:off], x])
+            assert _bits(op(padded)[off:]) == _bits(want), (name, off)
+        for length in range(1, 18):
+            assert _bits(op(x[:length])) == _bits(want[:length]), (name, length)
+        stacked = op(np.stack([x[::-1], x, x]))
+        assert _bits(stacked[1]) == _bits(want) and _bits(stacked[2]) == _bits(want), name
