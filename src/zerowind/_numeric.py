@@ -172,18 +172,31 @@ def trig_series(coeffs_x, coeffs_y, theta):
     """Evaluate x + i y with x, y = c0 + sum_k (a_k cos(k t) + b_k sin(k t)).
 
     Coefficients are packed flat as [c0, a1, b1, a2, b2, ...]; a trailing sine
-    coefficient may be omitted.  cos(k t) and sin(k t) are computed once per
-    harmonic and shared by both series; each series adds its terms in the
-    packed order, so it is the same float as the series evaluated alone.
+    coefficient may be omitted.  Each series adds its terms in the packed
+    order, so it is the same float as the series evaluated alone.
+    """
+    return _harmonic_sums(coeffs_x, coeffs_y, theta, float(coeffs_x[0]), float(coeffs_y[0]), _add_harmonic)
+
+
+def trig_series_deriv(coeffs_x, coeffs_y, theta):
+    """Derivative of :func:`trig_series` with respect to the series variable."""
+    return _harmonic_sums(coeffs_x, coeffs_y, theta, 0.0, 0.0, _add_harmonic_deriv)
+
+
+def _harmonic_sums(coeffs_x, coeffs_y, theta, x0, y0, add):
+    """x + i y, each series started at x0 or y0 and grown by ``add`` for each harmonic k.
+
+    cos(k t) and sin(k t) are computed once per harmonic and shared by both
+    series.
     """
     theta = np.asarray(theta, dtype=float)
-    x = np.full(theta.shape, float(coeffs_x[0]))
-    y = np.full(theta.shape, float(coeffs_y[0]))
+    x = np.full(theta.shape, x0)
+    y = np.full(theta.shape, y0)
     for k in range(1, max(len(coeffs_x), len(coeffs_y)) // 2 + 1):
         kt = k * theta
         cos_kt, sin_kt = np.cos(kt), np.sin(kt)
-        x = _add_harmonic(x, coeffs_x, k, cos_kt, sin_kt)
-        y = _add_harmonic(y, coeffs_y, k, cos_kt, sin_kt)
+        x = add(x, coeffs_x, k, cos_kt, sin_kt)
+        y = add(y, coeffs_y, k, cos_kt, sin_kt)
     return x + 1j * y
 
 
@@ -194,19 +207,6 @@ def _add_harmonic(out, coeffs, k, cos_kt, sin_kt):
     if 2 * k < len(coeffs):
         out = out + coeffs[2 * k] * sin_kt
     return out
-
-
-def trig_series_deriv(coeffs_x, coeffs_y, theta):
-    """Derivative of :func:`trig_series` with respect to the series variable."""
-    theta = np.asarray(theta, dtype=float)
-    x = np.zeros(theta.shape)
-    y = np.zeros(theta.shape)
-    for k in range(1, max(len(coeffs_x), len(coeffs_y)) // 2 + 1):
-        kt = k * theta
-        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
-        x = _add_harmonic_deriv(x, coeffs_x, k, cos_kt, sin_kt)
-        y = _add_harmonic_deriv(y, coeffs_y, k, cos_kt, sin_kt)
-    return x + 1j * y
 
 
 def _add_harmonic_deriv(out, coeffs, k, cos_kt, sin_kt):

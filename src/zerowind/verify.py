@@ -13,13 +13,11 @@ zero counts of cosine sums.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._numeric import TWO_PI
 from .crossings import CrossingConfig, Line, count_preimages
 from .curves import DetourCurve, JordanCurve, build_detour, interior_angle, unit_circle
 from .errors import BoundaryCoefficientZero, SelfCheckFailed
@@ -193,86 +191,172 @@ def _as_real_coeffs(a) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-# even, so that the grid is symmetric about t = pi and the scan can mirror
-_SCAN_SAMPLES = 262144
+def _unit_scaled(coeffs: tuple[float, ...]) -> tuple[float, ...]:
+    """The coefficients times the power of two that brings max |a_j| into [0.5, 1), where that is exact.
 
-
-@functools.cache
-def _half_grid_cos() -> np.ndarray:
-    """x_k = cos(t_k) at t_k = 2*pi*k/N for k = 0..N/2, built on first use and read-only."""
-    x = np.cos(np.arange(_SCAN_SAMPLES // 2 + 1) * (TWO_PI / _SCAN_SAMPLES))
-    x.flags.writeable = False
-    return x
-
-
-def _direct_cosine_zero_count(coeffs) -> int:
-    """Distinct zeros of sum_j c_j cos(j t) on [0, 2*pi) by direct 1-D scanning.
-
-    Independent of the curve/preimage machinery.  The sum is evaluated on the
-    grid t_k = 2*pi*k/N as the Chebyshev series sum_j c_j T_j(cos t_k) by
-    Clenshaw's three-term recurrence, on the half grid k = 0..N/2 only; it is
-    even in t, so vals[N-k] = vals[k] mirrors it onto the full grid.  The
-    coefficients are first multiplied by an exact power of two that brings
-    max|c_j| into [0.5, 1), so no intermediate of the recurrence overflows
-    and the count does not depend on the coefficients' scale.
-
-    Zeros are counted as maximal cyclic runs of samples that either sit in a
-    sign change or dip under a resolution-scaled band.  The band covers the
-    worst sampled minimum of an order-2 touch at this resolution, and flat
-    higher-order zeros dip even deeper, so every zero produces one run.
+    The scaling changes no zero and keeps the polynomials, their derivatives
+    and their reversals clear of overflow and underflow.  A vector that it
+    would round, because a coefficient falls into the subnormal range and
+    loses bits, is returned as given: every count is taken on the floats as
+    given.
     """
-    c = np.asarray(coeffs, dtype=float)
-    c = np.ldexp(c, -np.frexp(np.max(np.abs(c)))[1])
-    x = _half_grid_cos()
-    # b_j = c_j + 2 x b_{j+1} - b_{j+2}, from j = n down to 1, in three buffers
-    b1, b2, tmp = np.zeros_like(x), np.zeros_like(x), np.empty_like(x)
-    for cj in c[:0:-1]:
-        np.multiply(x, b1, out=tmp)
-        tmp += tmp
-        tmp -= b2
-        tmp += cj
-        b1, b2, tmp = tmp, b1, b2
-    np.multiply(x, b1, out=tmp)
-    tmp -= b2
-    tmp += c[0]
-    vals = np.empty(_SCAN_SAMPLES)
-    vals[: len(x)] = tmp
-    vals[len(x) :] = tmp[-2:0:-1]  # vals[N-k] = vals[k]
+    e = math.frexp(max(abs(c) for c in coeffs))[1]
+    scaled = tuple(math.ldexp(c, -e) for c in coeffs)
+    if scaled[0] == 0.0 or scaled[-1] == 0.0:
+        raise BoundaryCoefficientZero("first or last coefficient underflows against the largest one")
+    if any(math.ldexp(s, e) != c for s, c in zip(scaled, coeffs)):
+        return coeffs
+    return scaled
 
-    pos = vals > 0
-    neg = vals < 0
-    np.abs(vals, out=vals)
-    scale = float(vals.max())
-    if scale == 0.0:
-        raise ValueError("cosine sum vanishes identically at scan resolution")
 
-    n = len(c) - 1
-    dip_band = max(4.0 * (n * TWO_PI / _SCAN_SAMPLES) ** 2, 1e3 * np.finfo(float).eps)
-    mark = vals < dip_band * scale
-    # flip[k]: strict sign change between samples k and k+1, cyclically; the
-    # wrap pair is read before pos is overwritten
-    flip = np.empty_like(mark)
-    flip[-1] = (neg[-1] and pos[0]) or (pos[-1] and neg[0])
-    np.logical_and(neg[:-1], pos[1:], out=flip[:-1])
-    pos[:-1] &= neg[1:]
-    flip[:-1] |= pos[:-1]
-    mark |= flip
-    mark[1:] |= flip[:-1]
-    mark[0] |= flip[-1]
-    if mark.all():
-        return 1
-    if not mark.any():
-        return 0
-    # one run per marked sample whose predecessor is unmarked
-    return int(np.count_nonzero(mark[1:] > mark[:-1])) + int(mark[0] and not mark[-1])
+# A coefficient with at most _EXACT_BITS significant bits is taken as exact
+# (integers, short dyadics); any other as rounded to the nearest float, off by
+# at most 2^-53 of itself.  The exact count resolves the cosine sum to 2^-44
+# of the rounded coefficients' sum of magnitudes, 2^9 times the rounding bound.
+_EXACT_BITS = 40
+_CLUSTER_LEVEL_BITS = 44
+
+
+def _deflate(p: list[int], r: int) -> list[int] | None:
+    """p / (x - r) by synthetic division, coefficients highest degree first; None when r is not a root."""
+    acc, quotient = 0, []
+    for a in p:
+        acc = a + r * acc
+        quotient.append(acc)
+    return quotient[:-1] if acc == 0 else None
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p without leading zeros, divided by the gcd of its coefficients (a positive factor)."""
+    while p and p[0] == 0:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [a // g for a in p] if g > 1 else p
+
+
+def _sturm_next(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of -rem(a, b), from the pseudo-remainder lc(b)^k a mod b, k = deg a - deg b + 1.
+
+    Dividing out lc(b)^k and the content multiplies the remainder by a
+    positive factor once the sign of lc(b)^k is undone, so the sign changes
+    of the sequence are those of the Sturm sequence.
+    """
+    lead, r = b[0], list(a)
+    k = len(a) - len(b) + 1
+    for i in range(k):
+        q = r[i]
+        r[i + 1 :] = [lead * c for c in r[i + 1 :]]
+        r[i + 1 : i + len(b)] = [c - q * d for c, d in zip(r[i + 1 : i + len(b)], b[1:])]
+    rem = r[k:]
+    if lead > 0 or k % 2 == 0:
+        rem = [-c for c in rem]
+    return _primitive(rem)
+
+
+def _value(p: list[int], x: int) -> int:
+    """p(x), coefficients highest degree first."""
+    v = 0
+    for a in p:
+        v = v * x + a
+    return v
+
+
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    """Sign changes of the sequence's values at x = 1 or x = -1, zeros skipped."""
+    signs = [v > 0 for v in (_value(p, x) for p in seq) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _sturm_count(p: list[int]) -> tuple[int, bool]:
+    """Distinct roots of p in (-1, 1), for p(1), p(-1) != 0, and whether p is square-free.
+
+    The Sturm sequence of p and p', each remainder's primitive part in place
+    of the remainder: its sign changes at -1 and at 1 differ by the count,
+    and it ends in a constant exactly when p has no multiple root.
+    """
+    deg = len(p) - 1
+    seq, a, b = [p], p, _primitive([c * (deg - i) for i, c in enumerate(p[:-1])])
+    while b:
+        seq.append(b)
+        a, b = b, _sturm_next(a, b)
+    return _sign_changes(seq, -1) - _sign_changes(seq, 1), len(seq[-1]) == 1
+
+
+def _exact_cosine_zero_count(coeffs) -> int:
+    """Zeros of P(t) = sum_j c_j cos(j t) on [0, 2*pi), counted exactly in integer arithmetic.
+
+    Independent of the curve/preimage machinery.  With x = cos t the sum is
+    the polynomial p(x) = sum_j c_j T_j(x); each root of p in (-1, 1) is cos t
+    at two t, the root 1 at t = 0 and the root -1 at t = pi.  Floats are
+    dyadic rationals, so a common power of two turns the coefficients into
+    ints, and everything after is exact, starting with the monomial
+    coefficients of p from T_{j+1} = 2x T_j - T_{j-1}.
+
+    When every coefficient is exact (at most 40 significant bits), the count
+    is of the distinct zeros: p is divided by x - 1 and x + 1 while they
+    divide it, and a Sturm sequence counts the distinct roots left in
+    (-1, 1).  Otherwise P is known only to within its rounding, and the
+    count is resolved to eta = 2^-44 sum |c_j| over the rounded c_j: it is
+    the number of arcs of t on which |P| <= eta, one per zero of any order,
+    and one per cluster of zeros and touches that the rounding could have
+    split, merged or lifted off (a decimal root at z = 1 is one).  Each arc
+    ends where P crosses eta or -eta, so the count is the number of roots of
+    p - eta and p + eta in (-1, 1); where eta is a critical value of p, or
+    |p(1)| or |p(-1)|, a crossing is not clean and eta is halved until none
+    is.
+    """
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    den = max(d for _, d in ratios)
+    p = [0] * len(ratios)  # lowest degree first, until reversed below
+    prev, cur = [0, 1], [1]  # T_{-1} = T_1 = x, T_0 = 1
+    eta = 0  # sum |c_j| over the rounded c_j, times den as p is
+    for num, d in ratios:
+        a = num * (den // d)
+        m = abs(num)
+        if m.bit_length() - (m & -m).bit_length() + 1 > _EXACT_BITS:  # significant bits
+            eta += abs(a)
+        for i, t in enumerate(cur):
+            p[i] += a * t
+        nxt = [0] + [2 * t for t in cur]
+        for i, t in enumerate(prev):
+            nxt[i] -= t
+        prev, cur = cur, nxt
+    p = p[::-1]
+    while p and p[0] == 0:
+        p = p[1:]
+    if not p:
+        raise ValueError("cosine sum vanishes identically")
+
+    if not eta:
+        ends = 0
+        for r in (1, -1):
+            q = _deflate(p, r)
+            ends += q is not None
+            while q is not None:
+                p, q = q, _deflate(q, r)
+        return 2 * _sturm_count(p)[0] + ends
+    for bits in range(_CLUSTER_LEVEL_BITS, _CLUSTER_LEVEL_BITS + 64):
+        scaled = [c << bits for c in p]
+        count = 0
+        for level in (eta, -eta):
+            g = scaled[:-1] + [scaled[-1] - level]
+            if _value(g, 1) == 0 or _value(g, -1) == 0:
+                break
+            roots, square_free = _sturm_count(g)
+            if not square_free:  # p touches the level
+                break
+            count += roots
+        else:
+            return count
+    raise ValueError("no clean resolution for the cosine sum")
 
 
 def _checked_trig_count(coeffs: tuple[float, ...], circle_curve: JordanCurve, cfg: CrossingConfig | None) -> int:
-    """Imaginary-axis preimages of the coefficients' polynomial, cross-checked by the direct scan."""
+    """Imaginary-axis preimages of the coefficients' polynomial, cross-checked by the exact count."""
     count = count_preimages(Polynomial(coeffs), circle_curve, Line.imag_axis(), cfg).count
-    direct = _direct_cosine_zero_count(coeffs)
-    if direct != count:
-        raise SelfCheckFailed(f"preimage count {count} disagrees with direct cosine-sum count {direct}")
+    exact = _exact_cosine_zero_count(coeffs)
+    if exact != count:
+        raise SelfCheckFailed(f"preimage count {count} disagrees with exact cosine-sum count {exact}")
     return count
 
 
@@ -282,10 +366,13 @@ def trig_zero_count(a, which: str = "P", cfg: CrossingConfig | None = None) -> i
     ``which`` selects the coefficient order: "P" uses a as given, "Q" reversed.
     The count comes from line-preimage counting of the matching polynomial
     against the imaginary axis on the unit circle (the cosine sum is the real
-    part of the polynomial there), then is cross-checked against a direct 1-D
-    zero count of the sum itself.
+    part of the polynomial there), then is cross-checked against an exact
+    count of the sum's zeros in integer arithmetic, which merges zeros closer
+    than the rounding of the coefficients resolves, as the preimage count
+    does.  Where it is exact, the coefficients are first scaled by a power of
+    two, which leaves the count unchanged.
     """
-    coeffs = _as_real_coeffs(a)
+    coeffs = _unit_scaled(_as_real_coeffs(a))
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
     return _checked_trig_count(coeffs if which == "P" else coeffs[::-1], unit_circle(), cfg)
@@ -322,9 +409,13 @@ def verify_trig(a, cfg: CrossingConfig | None = None) -> TrigReport:
 
     Also verifies that the on-circle zeros of the polynomial reappear
     conjugated, with equal multiplicities, among the zeros of its reversal.
+    Everything is computed on the coefficients scaled by the power of two
+    that brings max |a_j| into [0.5, 1) where that scaling is exact, so it
+    changes no zero; the report echoes them as given.
     """
     cfg = cfg if cfg is not None else CrossingConfig()
-    coeffs = _as_real_coeffs(a)
+    given = _as_real_coeffs(a)
+    coeffs = _unit_scaled(given)
     n = len(coeffs) - 1
     f = Polynomial(coeffs)
     g = reverse_poly(f)
@@ -348,7 +439,7 @@ def verify_trig(a, cfg: CrossingConfig | None = None) -> TrigReport:
     z_p = _checked_trig_count(coeffs, circle_curve, replace(cfg, on_curve_params=zf.on_curve_params))
     z_q = _checked_trig_count(coeffs[::-1], circle_curve, replace(cfg, on_curve_params=zg.on_curve_params))
     return TrigReport(
-        coeffs=coeffs,
+        coeffs=given,
         z_p=z_p,
         z_q=z_q,
         m_f=zf.m,

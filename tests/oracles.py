@@ -4,10 +4,12 @@ Everything here is deliberately naive and separate from the library's own
 code paths: power-sum evaluation instead of Horner, binomial expansion by
 combinatorics, brute-force dense scans instead of adaptive refinement, and
 exact vector geometry for polygon angles.  The ``reference_*`` and ``full_*``
-functions and the termwise cosine scan are verbatim copies of earlier, slower
-forms of library kernels, which the faster forms must match bit for bit.
-``scan_nearest_parameter`` is the earlier nearest-point search, which the
-closed form on arcs and lines must match up to rounding.
+functions are verbatim copies of earlier, slower forms of library kernels,
+which the faster forms must match bit for bit.  ``scan_nearest_parameter`` is
+the earlier nearest-point search, which the closed form on arcs and lines must
+match up to rounding.  The termwise cosine scan is the rule of an earlier
+sampled zero count, and ``sympy_cosine_zero_count`` counts the same zeros by
+sympy's exact real-root isolation.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import sympy
 
 from zerowind.curves import TrigSegment
 
@@ -66,10 +69,12 @@ def dense_cosine_zero_count(coeffs, samples: int = 1_000_000, dip_rel: float = 1
 
 
 def termwise_cosine_zero_count(coeffs, samples: int = 262144) -> int:
-    """The direct cosine scan's rule with one np.cos per term: the reference for its recurrence.
+    """Distinct zeros of sum_j c_j cos(j t) on [0, 2*pi) by a sampled scan, one np.cos per term.
 
-    Same grid, dip band and run counting as ``zerowind.verify``'s scan, with
-    the sum evaluated term by term, so the two must give the same count.
+    Marks the samples in a sign change or under a resolution-scaled dip band
+    and counts maximal cyclic runs of them.  Right on well-separated zeros;
+    the band merges zeros closer than it resolves (on (1 + z)^8 it counts 7
+    of 9).
     """
     t = np.arange(samples) * (TWO_PI / samples)
     vals = np.zeros(samples)
@@ -89,6 +94,21 @@ def termwise_cosine_zero_count(coeffs, samples: int = 262144) -> int:
     if not mark.any():
         return 0
     return int(np.sum(mark & ~np.roll(mark, 1)))
+
+
+def sympy_cosine_zero_count(coeffs) -> int:
+    """Distinct zeros of sum_j c_j cos(j t) on [0, 2*pi) by sympy's exact real-root count.
+
+    The sum is p(cos t) with p = sum_j c_j T_j over the rationals, each float
+    taken exactly.  sympy counts the roots of p's square-free part in
+    [-1, 1]; the roots 1 and -1 are cos t at one t each (0 and pi), every
+    other root at two.
+    """
+    x = sympy.Symbol("x")
+    p = sympy.Poly(sum(sympy.Rational(float(c)) * sympy.chebyshevt(j, x) for j, c in enumerate(coeffs)), x)
+    sqf = p.sqf_part()
+    ends = int(sqf.eval(1) == 0) + int(sqf.eval(-1) == 0)
+    return 2 * (sqf.count_roots(-1, 1) - ends) + ends
 
 
 def reference_dispatch(curve, t, per_segment):

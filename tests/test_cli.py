@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -102,6 +103,34 @@ class TestTrigCheck:
         assert rc == 0
         assert (out["Z_P"], out["Z_Q"]) == (2, 0)
         assert out["bound_holds"] is True
+
+    def test_binomial_eight_verifies(self, tmp_path, capsys):
+        # (1 + z)^8: 8 zeros of cos(4 t) and the order-8 zero at t = pi
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [1, 8, 28, 56, 70, 56, 28, 8, 1]})
+        rc = cli.main(["trig-check", "--poly", poly])
+        out = json.loads(capsys.readouterr().out)
+        assert rc == 0
+        assert (out["Z_P"], out["Z_Q"]) == (9, 9)
+
+    def test_decimal_root_at_one_verifies(self, tmp_path, capsys):
+        # (z - 1)(z - 0.3): in floats the zero at t = 0 is a near-touch of an ulp
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [0.3, -1.3, 1]})
+        rc = cli.main(["trig-check", "--poly", poly])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        out = json.loads(captured.out)
+        assert (out["Z_P"], out["Z_Q"], out["lambda"]) == (3, 1, 1)
+
+    def test_extreme_scale_verifies(self, tmp_path, capsys):
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [1e307] * 9})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["trig-check", "--poly", poly])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        out = json.loads(captured.out)
+        assert (out["Z_P"], out["Z_Q"]) == (16, 16)
+        assert out["coeffs"] == [1e307] * 9
 
     def test_zero_boundary_coefficient_exits_2(self, tmp_path, capsys):
         poly = write_json(tmp_path / "p.json", {"real_coeffs": [0, 1, 1]})

@@ -1,7 +1,10 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +12,7 @@ from zerowind import (
     BoundaryCoefficientZero,
     Line,
     Polynomial,
+    SelfCheckFailed,
     build_detour,
     classify_roots,
     count_preimages,
@@ -26,11 +30,41 @@ from zerowind import (
 import zerowind.crossings
 import zerowind.verify
 from zerowind.crossings import CrossingConfig
-from zerowind.verify import _SCAN_SAMPLES, _direct_cosine_zero_count, guarded_ceil
+from zerowind.verify import _exact_cosine_zero_count, guarded_ceil
 
-from oracles import dense_cosine_zero_count, dense_line_crossing_count, termwise_cosine_zero_count
+from oracles import (
+    dense_cosine_zero_count,
+    dense_line_crossing_count,
+    sympy_cosine_zero_count,
+    termwise_cosine_zero_count,
+)
 
 TWO_PI = 2 * np.pi
+
+
+def _exponents(lo, hi):
+    """Integers in [lo, hi] with both ends drawn often: overflow and underflow live there."""
+    return st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
+
+
+def _cheb_from_x_roots(roots):
+    """Cosine-sum coefficients of prod (cos t - r), i.e. its Chebyshev coefficients in x = cos t."""
+    return list(np.polynomial.chebyshev.poly2cheb(np.polynomial.polynomial.polyfromroots(roots)))
+
+
+def _dyadic(x, bits=8):
+    """x rounded to a multiple of 2^-bits, so that products of a few such roots stay exact floats."""
+    return math.ldexp(round(math.ldexp(x, bits)), -bits)
+
+
+def _exact_cheb_from_x_roots(roots):
+    """_cheb_from_x_roots on dyadic roots, checked to be the exact Chebyshev coefficients."""
+    coeffs = _cheb_from_x_roots(roots)
+    x = sympy.Symbol("x")
+    want = sympy.Poly(sympy.prod([x - sympy.Rational(r) for r in roots]), x)
+    got = sympy.Poly(sum(sympy.Rational(c) * sympy.chebyshevt(j, x) for j, c in enumerate(coeffs)), x)
+    assert got == want, roots
+    return coeffs
 
 
 class TestVerifyMain:
@@ -223,14 +257,99 @@ class TestVerifyTrig:
     def test_boundary_power_parity(self):
         # (1+z)^n has all zeros on the circle; the cosine sum picks up the
         # boundary zero at t = pi only when n is even, giving n or n+1 zeros
-        for n in (3, 4):
+        # (see TestDirectCosineScan.test_combs_and_binomials); a sampled scan
+        # merged the order-n zero at t = pi with its neighbours from n = 8 on
+        for n in range(1, 13):
             coeffs = [math.comb(n, j) for j in range(n + 1)]
             rep = verify_trig(coeffs)
             assert rep.lam == n and rep.m_f == rep.m_g == 0
             assert rep.identity_holds and rep.bound_holds
             want = n if n % 2 == 1 else n + 1
             assert rep.z_p == rep.z_q == want
-            assert rep.z_p == dense_cosine_zero_count(coeffs, samples=400_000)
+            if n <= 4:
+                assert rep.z_p == dense_cosine_zero_count(coeffs, samples=400_000)
+
+    def test_unresolved_binomial_is_caught(self):
+        # (1 + z)^16 has 17 zeros, but |P| between the order-16 zero at t = pi
+        # and its neighbours at pi -+ pi/16 stays under 2^-58 of sum |c_j|,
+        # below what the float residual resolves: the preimage count takes
+        # the three as one and the exact count of the integer coefficients
+        # says so, instead of a report of 15 + 15 < 32 zeros
+        with pytest.raises(SelfCheckFailed, match="preimage count 15 disagrees with exact cosine-sum count 17"):
+            verify_trig([math.comb(16, j) for j in range(17)])
+
+    @pytest.mark.parametrize(
+        "coeffs, want",
+        [
+            # (z - 1)(z - 0.3) and (z + 1)(z - 0.3): a simple zero at t = 0 or
+            # pi, which the rounded floats turn into a near-touch
+            ([0.3, -1.3, 1.0], (3, 1, 1, 0, 1)),
+            ([-0.3, 0.7, 1.0], (3, 1, 1, 0, 1)),
+            # (z + 1)^2 (z - 0.45)
+            ([-0.45, 0.09999999999999998, 1.55, 1.0], (5, 3, 1, 0, 2)),
+            # Chebyshev coefficients of (x - 1)^2 (x - 0.3) and of
+            # (x - cos(pi/4))^2 (x - 0.3), rounded: the double root splits
+            ([-1.45, 2.35, -1.15, 0.25], (3, 5, 0, 2, 1)),
+            ([-1.0071067811865477, 1.6742640687119286, -0.8571067811865476, 0.25], (4, 4, 1, 2, 0)),
+        ],
+        ids=["root-1", "root-minus-1", "double-root-minus-1", "rounded-double-x-1", "rounded-double-x-pi4"],
+    )
+    def test_rounded_roots_near_the_circle(self, coeffs, want):
+        # decimal inputs whose zeros the floats move by an ulp: a zero of the
+        # sum that rounding splits or lifts off is one zero, in the preimage
+        # count and in the exact count that checks it
+        rep = verify_trig(coeffs)
+        assert (rep.z_p, rep.z_q, rep.m_f, rep.m_g, rep.lam) == want
+        assert rep.identity_holds and rep.bound_holds
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[1e307] * 9, [1e308] * 3, [1e-310] * 3, [5e-324] * 3],
+        ids=["1e307x9", "1e308x3", "1e-310x3", "5e-324x3"],
+    )
+    def test_extreme_scales(self, coeffs):
+        # the report of [1] * len(coeffs), with the coefficients echoed as given
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = verify_trig(coeffs).to_json()
+        want = verify_trig([1.0] * len(coeffs)).to_json()
+        assert got.pop("coeffs") == coeffs
+        want.pop("coeffs")
+        assert got == want
+
+    def test_inexact_scaling_is_not_applied(self):
+        # halving 5e-324 would round it to 0 and turn 1 + 5e-324 cos(t) +
+        # cos(2t), whose zeros near pi/2 and 3pi/2 are pairs 2.5e-324 apart in
+        # cos t, into 1 + cos(2t) with two double zeros; the vector is counted
+        # as given
+        assert zerowind.verify._unit_scaled((4.0, 3.0)) == (0.5, 0.375)
+        assert zerowind.verify._unit_scaled((1.0, 5e-324, 1.0)) == (1.0, 5e-324, 1.0)
+        assert _exact_cosine_zero_count([1.0, 5e-324, 1.0]) == sympy_cosine_zero_count([1.0, 5e-324, 1.0]) == 4
+        assert _exact_cosine_zero_count([0.5, 0.0, 0.5]) == 2
+
+    def test_boundary_coefficient_underflow_rejected(self):
+        # scaled to max |a_j| in [0.5, 1), the constant coefficient rounds to 0
+        for a in ([5e-324, 1.0], [1.0, 5e-324]):
+            with pytest.raises(BoundaryCoefficientZero, match="underflows"):
+                verify_trig(a)
+            with pytest.raises(BoundaryCoefficientZero, match="underflows"):
+                trig_zero_count(a)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        mantissas=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=7).filter(
+            lambda m: abs(m[0]) >= 0.05 and abs(m[-1]) >= 0.05
+        ),
+        k=_exponents(-1000, 1000),
+    )
+    def test_report_power_of_two_scaling_invariant(self, mantissas, k):
+        scaled = [math.ldexp(m, k) for m in mantissas]
+        assume(all(math.ldexp(s, -k) == m for s, m in zip(scaled, mantissas)))
+        want = verify_trig(mantissas).to_json()
+        got = verify_trig(scaled).to_json()
+        assert got.pop("coeffs") == scaled
+        want.pop("coeffs")
+        assert got == want
 
     def test_palindromic_comb(self):
         rep = verify_trig([1, 0, 0, 0, 0, 1])
@@ -306,22 +425,12 @@ class TestVerifyTrig:
         assert verify_trig([1, 2 + 0j]).to_json() == verify_trig([1, 2]).to_json()
 
 
-def _exponents(lo, hi):
-    """Integers in [lo, hi] with both ends drawn often: overflow and underflow live there."""
-    return st.one_of(st.sampled_from([lo, hi]), st.integers(lo, hi))
-
-
-def _cheb_from_x_roots(roots):
-    """Cosine-sum coefficients of prod (cos t - r), i.e. its Chebyshev coefficients in x = cos t."""
-    return list(np.polynomial.chebyshev.poly2cheb(np.polynomial.polynomial.polyfromroots(roots)))
-
-
 class TestDirectCosineScan:
-    """The recurrence scan must count exactly as the termwise evaluation of the same rule."""
+    """The direct count of a cosine sum's zeros, exact in integer arithmetic, against independent oracles."""
 
     @staticmethod
     def _same(coeffs):
-        got = _direct_cosine_zero_count(coeffs)
+        got = _exact_cosine_zero_count(coeffs)
         assert got == termwise_cosine_zero_count(coeffs), coeffs
         return got
 
@@ -339,22 +448,64 @@ class TestDirectCosineScan:
     def test_combs_and_binomials(self):
         for n in range(1, 13):
             assert self._same([1.0] + [0.0] * (n - 1) + [1.0]) == n  # 1 + cos(n t)
-        for n in range(1, 9):
-            self._same([math.comb(n, j) for j in range(n + 1)])  # (1 + z)^n
+        for n in range(1, 17):
+            # (1 + z)^n: the real part on the circle is 2^n cos^n(t/2) cos(n t/2),
+            # zero at the n points of cos(n t/2) = 0 and, for even n, at t = pi;
+            # integer coefficients are exact, so the zeros next to the flat
+            # one at t = pi count apart however close |P| comes to 0 between
+            coeffs = [math.comb(n, j) for j in range(n + 1)]
+            want = n if n % 2 == 1 else n + 1
+            assert _exact_cosine_zero_count(coeffs) == sympy_cosine_zero_count(coeffs) == want
 
     @pytest.mark.parametrize(
         "t0, want",
         [
-            (0.0, 3),  # on the grid, where the cyclic runs wrap
-            ((_SCAN_SAMPLES // 8) * (TWO_PI / _SCAN_SAMPLES), 4),  # on the grid, t = pi/4
-            (np.pi, 3),  # on the grid, on the mirror axis
-            (1.0, 4),  # off the grid
+            (0.0, 3),  # x = 1: the touch at t = 0 is a root at an end of [-1, 1]
+            (np.pi / 4, 4),
+            (np.pi, 3),  # x = -1
+            (1.0, 4),
         ],
     )
     def test_planted_double_zero(self, t0, want):
-        # (cos t - cos t0)^2 (cos t - 0.3): a touch at +-t0 and two crossings
-        a = np.cos(t0)
-        assert self._same(_cheb_from_x_roots([a, a, 0.3])) == want
+        # (cos t - a)^2 (cos t - b): a touch at +-arccos(a) and two crossings,
+        # with a the 8-bit dyadic nearest cos t0 and b near 0.3, so that the
+        # coefficients are exact and the double root survives
+        a = _dyadic(np.cos(t0))
+        coeffs = _exact_cheb_from_x_roots([a, a, _dyadic(0.3)])
+        assert self._same(coeffs) == sympy_cosine_zero_count(coeffs) == want
+
+    @pytest.mark.parametrize("a, distinct, want", [(1.0, 2, 3), (np.cos(np.pi / 4), 6, 4)])
+    def test_rounded_double_root_is_one_zero(self, a, distinct, want):
+        # rounded to floats, the coefficients of (x - a)^2 (x - 0.3) no longer
+        # have a double root: at a = 1 it leaves (-1, 1) or turns complex, at
+        # cos(pi/4) it splits into two simple roots 4e-8 apart.  sympy
+        # counts the distinct zeros of the floats; the exact count resolves
+        # the sum to 2^-44 of sum |c_j| over the rounded coefficients and
+        # sees the planted double zero
+        coeffs = _cheb_from_x_roots([a, a, 0.3])
+        assert sympy_cosine_zero_count(coeffs) == distinct
+        assert _exact_cosine_zero_count(coeffs) == want
+        assert verify_trig(coeffs).z_p == want
+
+    def test_against_sympy_random(self):
+        rng = np.random.default_rng(9)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            a = rng.uniform(-1.0, 1.0, size=n + 1)
+            assert _exact_cosine_zero_count(list(a)) == sympy_cosine_zero_count(a), list(a)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_against_sympy_planted_multiple_roots(self, seed):
+        # double and triple roots in x inside (-1, 1) and at +-1, with simple
+        # roots inside and outside, all dyadic so the coefficients are exact
+        rng = np.random.default_rng(100 + seed)
+        inside = [_dyadic(x, 6) for x in rng.uniform(-0.95, 0.95, size=3)]
+        roots = [inside[0]] * 2 + [inside[1]] * 3 + [inside[2]] + [_dyadic(rng.uniform(1.2, 3.0), 4)]
+        roots += [1.0] * int(rng.integers(0, 4)) + [-1.0] * int(rng.integers(0, 4))
+        coeffs = _exact_cheb_from_x_roots(roots)
+        ends = (1.0 in roots) + (-1.0 in roots)
+        want = 2 * len(set(inside) - {1.0, -1.0}) + ends
+        assert _exact_cosine_zero_count(coeffs) == sympy_cosine_zero_count(coeffs) == want
 
     @pytest.mark.parametrize(
         "coeffs, want",
@@ -378,20 +529,27 @@ class TestDirectCosineScan:
         coeffs = np.ldexp(mantissas, e)
         scaled = np.ldexp(coeffs, k)
         assume(np.array_equal(np.ldexp(scaled, -k), coeffs))
-        assert _direct_cosine_zero_count(scaled) == _direct_cosine_zero_count(coeffs)
+        assert _exact_cosine_zero_count(scaled) == _exact_cosine_zero_count(coeffs)
 
-    def test_one_grid_per_process(self, monkeypatch):
-        # the grid's cosines are computed once and reused; a grid per call or
-        # a cosine per term calls np.cos on a half-grid-sized array again
+    def test_no_sampled_scan(self, monkeypatch):
+        # the count samples nothing: no np.cos on a grid of 2^17 points or
+        # more, and no grid-sized buffer (a 262,144-point scan holds 2 MiB of
+        # values alone, even with its grid's cosines cached)
         big = []
         original = np.cos
 
         def counted(x, *args, **kwargs):
-            if np.size(x) >= _SCAN_SAMPLES // 2:
+            if np.size(x) >= 1 << 17:
                 big.append(np.size(x))
             return original(x, *args, **kwargs)
 
         monkeypatch.setattr(np, "cos", counted)
-        verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])
-        verify_trig([1, 4, 6, 4, 1])
-        assert len(big) <= 1
+        tracemalloc.start()
+        try:
+            verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])
+            verify_trig([1, 4, 6, 4, 1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert big == []
+        assert peak < 1 << 21
