@@ -135,18 +135,20 @@ def bisect_zero(fn, lo, hi, iters=52):
     return 0.5 * (lo.reshape(shape) + hi.reshape(shape))
 
 
-def adaptive_winding(fn):
+def adaptive_winding(fn, coarse):
     """Total argument turns of the closed loop t -> fn(t), t in [0, 1).
 
-    Intervals of a 1024-sample grid are split, for at most 24 passes, until
-    every argument step is below pi/2 and each chord is short relative to its
-    endpoints' moduli (the chord test guards against phase aliasing).
+    ``coarse`` holds the loop's values on the grid t = i / 1024, which the
+    caller usually has already.  Intervals of that grid are split, for at
+    most 24 passes, until every argument step is below pi/2 and each chord is
+    short relative to its endpoints' moduli (the chord test guards against
+    phase aliasing); ``fn`` gives the values at the new midpoints.
 
     Returns (turns, parameters, values); raises WindingNotResolved when the
     loop passes through zero or the steps never settle.
     """
     ts = np.arange(1024, dtype=float) / 1024.0
-    vals = np.asarray(fn(ts), dtype=complex)
+    vals = np.asarray(coarse, dtype=complex)
     for _ in range(24):
         if np.any(vals == 0.0):
             raise WindingNotResolved("loop passes exactly through zero")

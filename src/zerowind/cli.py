@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crossings import CrossingConfig, Line, count_preimages, line_residual
+from .crossings import CrossingConfig, Line, count_preimages
 from .curves import JordanCurve, curve_from_alias
 from .errors import ZerowindError
 from .harness import HarnessConfig, replay, run_harness, save_replay
@@ -198,7 +198,7 @@ def _run(args) -> int:
         ts = np.arange(n) / n
         pts = curve.points(ts)
         vals = poly(pts)
-        h = line_residual(poly, curve, line, ts)
+        h = line.residual(vals)
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write("t,re_gamma,im_gamma,re_f,im_f,h\n")
             for t, p_, v_, h_ in zip(ts, pts, vals, h):

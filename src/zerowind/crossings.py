@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._numeric import bisect_zero, golden_min
-from .curves import JordanCurve
+from .curves import GRID_SAMPLES, JordanCurve
 from .errors import ResolutionTooCoarse
 from .polynomials import Polynomial, classify_roots, find_roots
 
@@ -41,6 +41,10 @@ class Line:
     def imag_axis(cls) -> "Line":
         return cls(np.pi / 2.0)
 
+    def residual(self, values) -> np.ndarray:
+        """Im(e^{-i angle} v) for each value v: zero exactly where v is on the line."""
+        return np.imag(np.exp(-1j * self.angle) * np.asarray(values, dtype=complex))
+
     def to_json(self):
         return {"angle": self.angle}
 
@@ -58,9 +62,7 @@ class Line:
 
 def line_residual(f: Polynomial, curve: JordanCurve, line: Line, t):
     """h(t) = Im(e^{-i angle} f(gamma(t))); zero exactly when f(gamma(t)) is on the line."""
-    rot = np.exp(-1j * line.angle)
-    vals = f(curve.points(t))
-    out = np.imag(rot * np.asarray(vals, dtype=complex))
+    out = line.residual(f(curve.points(t)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -86,6 +88,10 @@ class CrossingConfig:
     band: float | None = None
     root_tol: float = 1e-10
     on_curve_params: tuple[float, ...] | None = None
+
+    def __post_init__(self):
+        if self.samples < 2:
+            raise ValueError(f"samples must be at least 2, not {self.samples}")
 
     def tightened(self, resolution_factor: int = 4, tol_factor: float = 0.1) -> "CrossingConfig":
         return replace(
@@ -227,7 +233,7 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
     # Evaluation noise floor: Horner on coefficients of size B carries absolute
     # error O(u*B), which can exceed rel-tol * scale when the residual scale is
     # dominated by cancellation (e.g. high-order roots probed at tiny radii).
-    r_max = float(np.max(np.abs(curve.points(np.arange(256) / 256.0))))
+    r_max = float(np.max(np.abs(curve.grid(256))))
     coeff_bound = sum(abs(c) * max(1.0, r_max) ** k for k, c in enumerate(f.coeffs))
     noise_floor = 64.0 * np.finfo(float).eps * coeff_bound
 
@@ -238,7 +244,7 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
 
     n = cfg.samples
     ts = np.arange(n, dtype=float) / n
-    vals = np.asarray(h(ts), dtype=float)
+    vals = line.residual(f(curve.grid(n)))
     prev = None
     while True:
         cands, scale = _detect(h, ts, vals, cfg)
@@ -250,21 +256,22 @@ def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossing
         if n >= cfg.max_samples:
             raise ResolutionTooCoarse(f"zero count still unstable at {n} samples")
         # the doubled grid's even points 2i / 2n are the floats i / n, so
-        # their residuals are kept and only the odd points are evaluated
+        # their residuals are kept and only the odd points are evaluated:
+        # read off the curve's grid where n divides it, else evaluated
         n *= 2
         ts = np.arange(n, dtype=float) / n
+        odd = curve.grid(n)[1::2] if GRID_SAMPLES % n == 0 else curve.points(ts[1::2])
         finer = np.empty(n)
         finer[0::2] = vals
-        finer[1::2] = np.asarray(h(ts[1::2]), dtype=float)
+        finer[1::2] = line.residual(f(odd))
         vals = finer
 
     points = []
-    rot = np.exp(-1j * line.angle)
     residual_cap = max(cfg.residual_rel_tol * scale, noise_floor)
     for t, kind in merged:
         z = curve.point(t)
         value = f(z)
-        if abs(float(np.imag(rot * value))) > residual_cap:
+        if abs(float(line.residual(value))) > residual_cap:
             continue  # phantom: the refined point does not actually touch the line
         points.append(PreimagePoint(float(t), complex(z), complex(value), kind))
     return PreimageSet(tuple(points))

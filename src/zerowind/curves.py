@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -39,6 +39,10 @@ CORNER_TOL = 1e-6
 
 # On-curve band, as a fraction of the curve diameter.
 DEFAULT_BAND_FACTOR = 1e-9
+
+# Points of the sampling t = i / GRID_SAMPLES that every curve caches: every
+# grid of n points with n dividing it is a strided view of it.
+GRID_SAMPLES = 8192
 
 
 # ---------------------------------------------------------------------------
@@ -293,25 +297,25 @@ class JordanCurve:
             if gap > closure_tol:
                 raise ValueError(f"segments {i} and {(i + 1) % k} do not join (gap {gap:.3g})")
 
-        curve = cls(segs, cls._breaks_for(segs), (), diameter)
+        # the curve returned is the one whose grid the orientation test sampled
+        curve = cls._assembled(segs, diameter)
         if curve.signed_area() <= 0.0:
             if not auto_orient:
                 raise ValueError("curve is clockwise")
             warnings.warn("clockwise curve reversed to counterclockwise orientation", stacklevel=2)
-            segs = tuple(s.reversed() for s in reversed(segs))
-            curve = cls(segs, cls._breaks_for(segs), (), diameter)
-
-        curve = cls(curve.segments, curve.breaks, _find_corners(curve), diameter)
+            curve = cls._assembled(tuple(s.reversed() for s in reversed(segs)), diameter)
         if check_simple:
             _check_simple(curve, band if band is not None else DEFAULT_BAND_FACTOR * diameter)
         return curve
 
-    @staticmethod
-    def _breaks_for(segs: tuple[Segment, ...]) -> tuple[float, ...]:
+    @classmethod
+    def _assembled(cls, segs: tuple[Segment, ...], diameter: float) -> "JordanCurve":
+        """The curve of the chained segments, with its breaks and corners."""
         lengths = np.array([max(s.rough_length(), 1e-300) for s in segs])
         cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
         cum[-1] = 1.0
-        return tuple(cum)
+        breaks = tuple(cum)
+        return cls(segs, breaks, _find_corners(segs, breaks), diameter)
 
     # -- evaluation ----------------------------------------------------
 
@@ -347,6 +351,31 @@ class JordanCurve:
         """Curve points at global parameter(s) t (wrapped modulo 1)."""
         return self._dispatch(t, lambda seg, s, w: seg.points(s))
 
+    @cached_property
+    def _grid(self) -> np.ndarray:
+        """The read-only points at t = i / GRID_SAMPLES, evaluated on first use.
+
+        Every thread that builds it builds the same array, so a race only
+        repeats the work.
+        """
+        pts = self.points(np.arange(GRID_SAMPLES) / GRID_SAMPLES)
+        pts.flags.writeable = False
+        return pts
+
+    def grid(self, n: int) -> np.ndarray:
+        """The read-only curve points at t = i / n, i = 0 .. n - 1.
+
+        When n divides GRID_SAMPLES the points are a strided view of the
+        curve's cached sampling: i / n is the float (i * GRID_SAMPLES / n) /
+        GRID_SAMPLES, and evaluation is elementwise, so the bits are those of
+        ``points(np.arange(n) / n)``.  Any other n evaluates that expression.
+        """
+        if GRID_SAMPLES % n == 0:
+            return self._grid[:: GRID_SAMPLES // n]
+        pts = self.points(np.arange(n) / n)
+        pts.flags.writeable = False
+        return pts
+
     def derivs(self, t):
         """d(curve)/dt at global parameter(s) t; one-sided from the right at joints."""
         return self._dispatch(t, lambda seg, s, w: seg.derivs(s) / w)
@@ -360,7 +389,7 @@ class JordanCurve:
     # -- global quantities ----------------------------------------------
 
     def signed_area(self, n: int = 4096) -> float:
-        pts = self.points(np.arange(n) / n)
+        pts = self.grid(n)
         x, y = pts.real, pts.imag
         return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
@@ -387,8 +416,7 @@ class JordanCurve:
         return cls.from_segments(segment_from_json(s) for s in obj["segments"])
 
 
-def _find_corners(curve: JordanCurve) -> tuple[CornerInfo, ...]:
-    segs = curve.segments
+def _find_corners(segs: tuple[Segment, ...], breaks: tuple[float, ...]) -> tuple[CornerInfo, ...]:
     k = len(segs)
     corners = []
     for i in range(k):
@@ -400,12 +428,30 @@ def _find_corners(curve: JordanCurve) -> tuple[CornerInfo, ...]:
         interior = np.pi - turn
         if not 0.0 < interior < TWO_PI:
             raise ValueError(f"cusp at segment joint {i} (turn {turn:.6f} rad)")
-        corners.append(CornerInfo(curve.breaks[i], _segment_start(segs[i]), interior))
+        corners.append(CornerInfo(breaks[i], _segment_start(segs[i]), interior))
     return tuple(corners)
 
 
+def _splits(p: complex, q: complex, r: complex, s: complex) -> bool:
+    """True when r and s lie strictly on opposite sides of the line through p and q."""
+    d = q - p
+    a = d.real * (r - p).imag - d.imag * (r - p).real
+    b = d.real * (s - p).imag - d.imag * (s - p).real
+    return (a < 0.0 < b) or (b < 0.0 < a)
+
+
+def _lines_cross(a: LineSegment, b: LineSegment) -> bool:
+    """True when two straight segments cross properly: each one's ends lie strictly on both sides of the other."""
+    p, q, r, s = a.start_point, a.end_point, b.start_point, b.end_point
+    return _splits(p, q, r, s) and _splits(r, s, p, q)
+
+
 def _check_simple(curve: JordanCurve, band: float, per_segment: int = 96) -> None:
-    """Desk-scale simplicity test: samples of non-adjacent segments must stay apart."""
+    """Desk-scale simplicity test: non-adjacent segments must not cross, and their samples must stay apart.
+
+    Two straight segments are tested for a proper crossing by the signs of
+    their orientations, which sampling can miss between samples.
+    """
     k = len(curve.segments)
     if k < 3:
         return
@@ -415,6 +461,9 @@ def _check_simple(curve: JordanCurve, band: float, per_segment: int = 96) -> Non
         for j in range(i + 1, k):
             if (j - i) % k in (1, k - 1):
                 continue
+            a, b = curve.segments[i], curve.segments[j]
+            if isinstance(a, LineSegment) and isinstance(b, LineSegment) and _lines_cross(a, b):
+                raise ValueError(f"curve self-intersects (segments {i} and {j} cross)")
             dmin = np.min(np.abs(samples[i][:, None] - samples[j][None, :]))
             if dmin < band:
                 raise ValueError(f"curve nearly self-intersects (segments {i} and {j}, distance {dmin:.3g})")
@@ -424,8 +473,13 @@ def _check_simple(curve: JordanCurve, band: float, per_segment: int = 96) -> Non
 # common shapes
 
 
+@cache
 def unit_circle() -> JordanCurve:
-    """The unit circle with canonical parameterization t -> exp(2*pi*i*t)."""
+    """The unit circle with canonical parameterization t -> exp(2*pi*i*t).
+
+    One shared curve per process: it is immutable, so its cached sampling
+    serves every caller.
+    """
     return JordanCurve.from_segments([ArcSegment(0.0, 1.0, 0.0, TWO_PI)])
 
 
@@ -531,7 +585,7 @@ def sample(curve: JordanCurve, n: int) -> list[CurveSample]:
     if n < 3:
         raise ValueError("need at least three samples")
     ts = np.arange(n) / n
-    pts = curve.points(ts)
+    pts = curve.grid(n)
     tans = curve.derivs(ts)
     corner_params = np.array(curve.corner_parameters())
     out = []
@@ -567,7 +621,7 @@ def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, n
         return t, np.abs(curve.points(t) - ps)
     n = max(2048, 512 * len(curve.segments))
     ts = np.arange(n) / n
-    i = np.argmin(np.abs(curve.points(ts)[:, None] - ps[None, :]), axis=0)
+    i = np.argmin(np.abs(curve.grid(n)[:, None] - ps[None, :]), axis=0)
     tstar = golden_min(lambda q: np.abs(curve.points(q) - ps), ts[i] - 1.5 / n, ts[i] + 1.5 / n) % 1.0
     return tstar, np.abs(curve.points(tstar) - ps)
 
@@ -592,7 +646,7 @@ def _locate(curve: JordanCurve, p: complex, tstar: float, dist: float, band: flo
     if dist < band:
         return PointLocation("on-curve", tstar)
     try:
-        turns, _, _ = adaptive_winding(lambda ts: curve.points(ts) - p)
+        turns, _, _ = adaptive_winding(lambda ts: curve.points(ts) - p, coarse=curve.grid(1024) - p)
     except WindingNotResolved as exc:
         raise AmbiguousClassification(f"winding around {p} did not converge: {exc}") from exc
     w = round(turns)
@@ -686,7 +740,7 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
 
     n = 8192
     ts = np.arange(n) / n
-    pts = curve.points(ts)
+    pts = curve.grid(n)
 
     intervals = []
     for tj, zj in marks:

@@ -286,8 +286,7 @@ def classify_roots(
 
 
 def _lift_off_threshold(f: Polynomial, curve: _curves.JordanCurve, band: float, n: int = 1024) -> float:
-    ts = np.arange(n) / n
-    dmax = float(np.max(np.abs(f.derivative()(curve.points(ts))))) if f.degree >= 1 else 0.0
+    dmax = float(np.max(np.abs(f.derivative()(curve.grid(n))))) if f.degree >= 1 else 0.0
     return LIFT_OFF_FACTOR * band * dmax
 
 
@@ -300,11 +299,13 @@ def winding_count(f: Polynomial, curve: _curves.JordanCurve, band: float | None 
     """
     band = curve.checked_band(band)
     threshold = _lift_off_threshold(f, curve, band)
-    probe = np.abs(f(curve.points(np.arange(2048) / 2048.0)))
+    probe_vals = f(curve.grid(2048))
+    probe = np.abs(probe_vals)
     if float(probe.min()) <= threshold:
         raise ZeroOnCurve(f"min |f| on curve {probe.min():.3g} under lift-off {threshold:.3g}")
     try:
-        turns, _, vals = adaptive_winding(lambda ts: f(curve.points(ts)))
+        # the probe's even points are the winding pass's 1024-point grid
+        turns, _, vals = adaptive_winding(lambda ts: f(curve.points(ts)), coarse=probe_vals[::2])
     except WindingNotResolved as exc:
         raise NoConvergence(f"winding refinement failed: {exc}") from exc
     if float(np.min(np.abs(vals))) <= threshold:
@@ -324,11 +325,10 @@ def logderiv_integral(f: Polynomial, curve: _curves.JordanCurve, n: int = 4096, 
     band = curve.checked_band(band)
     if f.degree < 1:
         raise DegreeZero("the logarithmic derivative of a constant has no zeros to count")
-    ts = np.arange(n) / n
-    pts = curve.points(ts)
+    pts = curve.grid(n)
     vals = f(pts)
     threshold = _lift_off_threshold(f, curve, band)
     if float(np.min(np.abs(vals))) <= threshold:
         raise ZeroOnCurve("curve is not zero-free at quadrature resolution")
-    integrand = f.derivative()(pts) / vals * curve.derivs(ts)
+    integrand = f.derivative()(pts) / vals * curve.derivs(np.arange(n) / n)
     return complex(np.mean(integrand) / (2j * np.pi))

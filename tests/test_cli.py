@@ -1,9 +1,12 @@
+import hashlib
 import json
 import warnings
 
+import numpy as np
 import pytest
 
 import zerowind.cli as cli
+from zerowind import Polynomial
 from zerowind.verify import BoundReport
 
 
@@ -223,6 +226,31 @@ class TestEmitSamples:
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "curve, line, digest",
+        [
+            ("circle(0.2+0.1j,1.3)", "imag-axis", "245aec70af1aa06c34beb86445114a5b6a9d64fbdd6380d3aff1135d5146055d"),
+            ("square(0j,2)", "real-axis", "f95f31886120edf0cc89f7594a188321ec2b933149f2a137c768f3575eec5078"),
+        ],
+        ids=["circle", "square"],
+    )
+    def test_each_sample_evaluated_once(self, tmp_path, curve, line, digest, capsys, monkeypatch):
+        # h comes from the f values of the re_f and im_f columns; the bytes are those of evaluating f twice
+        poly = write_json(tmp_path / "p.json", {"coeffs": [[0.3, -0.2], [-1.1, 0.4], [0.0, 1.0], [1.0, 0.0]]})
+        dest = tmp_path / "trace.csv"
+        sizes, call = [], Polynomial.__call__
+
+        def counted(self, z):
+            sizes.append(np.size(z))
+            return call(self, z)
+
+        monkeypatch.setattr(Polynomial, "__call__", counted)
+        argv = ["emit-samples", "--poly", poly, "--curve", curve, "--line", line, "--resolution", "500"]
+        assert cli.main(argv + ["--csv", str(dest)]) == 0
+        capsys.readouterr()
+        assert sizes == [500]
+        assert hashlib.sha256(dest.read_bytes()).hexdigest() == digest
+
 
 class TestInputErrors:
     def test_missing_file(self, capsys):
@@ -272,6 +300,12 @@ class TestInputErrors:
         poly = write_json(tmp_path / "p.json", {"real_coeffs": [-1, 1]})
         assert cli.main(argv + ["--poly", poly]) == 2
         assert "must be positive" in capsys.readouterr().err
+
+    def test_one_sample_exits_2(self, tmp_path, capsys):
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [-0.3, 1]})
+        argv = ["crossings", "--poly", poly, "--curve", "unit-circle", "--line", "real-axis", "--resolution", "1"]
+        assert cli.main(argv) == 2
+        assert "samples must be at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -98,26 +98,28 @@ class TestCountPreimages:
         assert sorted(round(p.t, 6) for p in pre.points) == [0.0, 0.5]
 
     def test_doubling_reuses_scan_samples(self, circle_curve, monkeypatch):
-        # level two keeps level one's 4096 residuals and evaluates only its 4096 odd points
-        levels, scanned = [], []
-        detect, residual = zerowind.crossings._detect, zerowind.crossings.line_residual
+        # level two keeps level one's 4096 residuals and evaluates f only on its 4096 odd points
+        levels, scanned, checking = [], [], []
+        detect, call = zerowind.crossings._detect, Polynomial.__call__
+        f, line = Polynomial([-1, 1]), Line.real_axis()
 
         def counted_detect(h, ts, vals, cfg):
             levels.append(len(ts))
-            assert np.array_equal(vals, residual(f, circle_curve, line, ts))
+            checking.append(True)
+            assert np.array_equal(vals, line_residual(f, circle_curve, line, ts))
+            checking.pop()
             return detect(h, ts, vals, cfg)
 
-        def counted_residual(f, curve, line, t):
-            if np.size(t) >= 1024:
-                scanned.append(np.size(t))
-            return residual(f, curve, line, t)
+        def counted_call(self, z):
+            if np.size(z) >= 1024 and not checking:
+                scanned.append(np.size(z))
+            return call(self, z)
 
         monkeypatch.setattr(zerowind.crossings, "_detect", counted_detect)
-        monkeypatch.setattr(zerowind.crossings, "line_residual", counted_residual)
-        f, line = Polynomial([-1, 1]), Line.real_axis()
+        monkeypatch.setattr(Polynomial, "__call__", counted_call)
         assert count_preimages(f, circle_curve, line, CrossingConfig(samples=4096)).count == 2
         assert levels == [4096, 8192]
-        assert sum(scanned) == 8192
+        assert scanned == [4096, 4096]
 
     def test_rotation_equivariance(self, circle_curve):
         rng = np.random.default_rng(4)
@@ -183,6 +185,18 @@ class TestCountPreimages:
         cfg = CrossingConfig(samples=8, max_samples=16)
         with pytest.raises(ResolutionTooCoarse):
             count_preimages(Polynomial([0, 0, 0, 0, 0, 1]), circle_curve, Line(0.3), cfg)
+
+    @pytest.mark.parametrize("samples", [1, 0, -5])
+    def test_fewer_than_two_samples_rejected(self, samples):
+        # one sample of z - 0.3 on the unit circle is real, which once read as "the image lies on the line"
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            CrossingConfig(samples=samples)
+        with pytest.raises(ValueError, match="samples must be at least 2"):
+            count_preimages(Polynomial([-0.3, 1]), unit_circle(), Line.real_axis(), CrossingConfig(samples=samples))
+
+    def test_two_samples_accepted(self, circle_curve):
+        pre = count_preimages(Polynomial([-0.3, 1]), circle_curve, Line.real_axis(), CrossingConfig(samples=2))
+        assert pre.count == 2
 
     def test_constant_image_on_line_rejected(self, circle_curve):
         # constant polynomial with value on the line: residual identically zero

@@ -10,6 +10,7 @@ from zerowind import (
     LineSegment,
     Polynomial,
     TrigSegment,
+    build_detour,
     circle,
     classify_point,
     classify_roots,
@@ -25,6 +26,7 @@ from zerowind import (
     winding_count,
 )
 from zerowind.curves import classify_points
+from zerowind.harness import HarnessConfig, run_harness
 
 from oracles import polygon_interior_angle
 
@@ -195,7 +197,12 @@ class TestWorkBudget:
     several steps off each call and stop at their fixed point.  The golden
     refine on every curve, with two calls per step, took 477, 786, 167 and
     158 dispatches on these instances; with one call per step, 207, 164, 6
-    and 82.
+    and 82.  With each curve sampled once on its cached grid, a cold run
+    takes 53, 46, 2 and 27.
+
+    Separately, every grid scan, winding pass and orientation test reads the
+    curve's one cached sampling, so a curve is evaluated at 1024 or more
+    points once: when it is built.
     """
 
     @staticmethod
@@ -211,12 +218,54 @@ class TestWorkBudget:
         fn()
         return len(calls)
 
+    @staticmethod
+    def _large_evaluations(monkeypatch, fn):
+        """The curves evaluated at 1024 or more points, once per such evaluation, and the curves built."""
+        evaluated, built = [], []
+        points, from_segments = JordanCurve.points, JordanCurve.from_segments.__func__
+
+        def counted_points(self, t):
+            if np.size(t) >= 1024:
+                evaluated.append(self)
+            return points(self, t)
+
+        def counted_from_segments(cls, *args, **kwargs):
+            built.append(from_segments(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(JordanCurve, "points", counted_points)
+        monkeypatch.setattr(JordanCurve, "from_segments", classmethod(counted_from_segments))
+        fn()
+        return evaluated, built
+
     def test_verify_trig(self, monkeypatch):
-        assert self._dispatches(monkeypatch, lambda: verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])) <= 69
+        assert self._dispatches(monkeypatch, lambda: verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])) <= 53
 
     def test_verify_detour(self, monkeypatch):
         f = Polynomial.from_roots([(1.0, 2), (0.3, 1)])
-        assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 57
+        assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 46
+
+    def test_unit_circle_sampled_once_per_process(self, monkeypatch):
+        def run():
+            verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])
+            verify_trig([0.3, -0.8, 0.1, 0.6])
+
+        evaluated, _ = self._large_evaluations(monkeypatch, run)
+        assert len(evaluated) <= 1
+        assert unit_circle() is unit_circle()
+
+    def test_verify_detour_samples_each_curve_once(self, monkeypatch):
+        f = Polynomial.from_roots([(1.0, 2), (0.3, 1)])
+        evaluated, built = self._large_evaluations(monkeypatch, lambda: verify_detour(f, circle(0.0, 1.0), Line(0.3)))
+        assert len(built) >= 2  # the base circle and at least one composite
+        assert [id(c) for c in evaluated] == [id(c) for c in built]
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_planted_trig_trial_samples_each_curve_once(self, monkeypatch, seed):
+        cfg = HarnessConfig(trials=1, max_degree=6, curve_family="trig-perturbed", seed=seed)
+        evaluated, built = self._large_evaluations(monkeypatch, lambda: run_harness(cfg))
+        assert len(built) == 1
+        assert [id(c) for c in evaluated] == [id(c) for c in built]
 
     def test_classify_roots(self, monkeypatch):
         f = Polynomial.from_roots([(r, 1) for r in (0.3 + 0.3j, 0.5 + 0.5j, 5, -4j, 1 + 1j, 2j)])
@@ -224,12 +273,12 @@ class TestWorkBudget:
         def run():
             classify_roots(f, polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j]))
 
-        assert self._dispatches(monkeypatch, run) <= 6
+        assert self._dispatches(monkeypatch, run) <= 2
 
     def test_classify_roots_on_trig_curve(self, monkeypatch):
         trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
         f = Polynomial.from_roots([(r, 1) for r in (0.3, -0.5j, 2.0, trig.point(0.3), trig.point(0.7), -3 + 1j)])
-        assert self._dispatches(monkeypatch, lambda: classify_roots(f, trig)) <= 32
+        assert self._dispatches(monkeypatch, lambda: classify_roots(f, trig)) <= 27
 
     def test_one_cosine_per_harmonic(self, monkeypatch):
         # x and y share cos(k t): two series of three harmonics call np.cos three times, not six
@@ -295,6 +344,29 @@ class TestConstruction:
         segs = [LineSegment(0, 1), LineSegment(1, 1 + 1j), LineSegment(1 + 1j, 0.5j)]
         with pytest.raises(ValueError):
             JordanCurve.from_segments(segs)
+
+    @pytest.mark.filterwarnings("ignore:clockwise curve reversed")
+    @pytest.mark.parametrize("vertices", [[0, 2 + 1j, 2, 1j], [0, 1 + 1j, 1, 1j]], ids=["crossed", "bowtie"])
+    def test_crossing_edges_rejected(self, vertices):
+        # the crossings fall between the 96 samples per edge, which once let both through
+        with pytest.raises(ValueError, match="self-intersects"):
+            polygon(vertices)
+
+    def test_simple_shapes_still_build(self, unit_square, lshape):
+        stadium = JordanCurve.from_segments(
+            [
+                LineSegment(-1 - 1j, 1 - 1j),
+                ArcSegment(1, 1.0, -np.pi / 2, np.pi / 2),
+                LineSegment(1 + 1j, -1 + 1j),
+                ArcSegment(-1, 1.0, np.pi / 2, 3 * np.pi / 2),
+            ]
+        )
+        for curve in (unit_square, lshape, stadium):
+            assert curve.signed_area() > 0
+        for base, z in ((unit_square, 1.0), (lshape, 1 + 1.5j), (stadium, 1j)):
+            composite = build_detour(base, [z]).composite
+            assert any(isinstance(seg, LineSegment) for seg in composite.segments)
+            assert classify_point(composite, z).kind == "inside"
 
     def test_near_self_intersection_rejected(self):
         # bowtie-like hourglass pinched at the middle

@@ -5,9 +5,10 @@ searches all breaks and clips on every call, one trig series at a time,
 golden-section and bisection loops that always run every step and call
 ``fn`` once or twice per step, and the nearest-point scan and refine that
 closed-form nearest points on arcs and lines replaced.  The searches now read
-several steps off one call of ``fn`` on a stacked array of probes, which
-relies on NumPy giving each element the same bits in any array; the last
-class here checks that assumption directly.
+several steps off one call of ``fn`` on a stacked array of probes, and a
+curve's ``grid(n)`` reads its points off one cached 8192-point sampling;
+both rely on NumPy giving each element the same bits in any array, which the
+last class here checks directly.
 """
 
 from functools import cache
@@ -36,7 +37,7 @@ from zerowind import (
     unit_circle,
 )
 from zerowind._numeric import _BISECT_DEPTH, _GOLDEN_DEPTH, bisect_zero, golden_min
-from zerowind.curves import classify_points, nearest_parameter
+from zerowind.curves import GRID_SAMPLES, classify_points, nearest_parameter
 
 from oracles import (
     full_bisect_zero,
@@ -120,6 +121,28 @@ class TestKernelOracle:
         for name in ("circle", "lshape"):
             curve = _curve(name)
             assert _bits(curve.points(ts)) == _bits(reference_points(curve, ts))
+
+
+class TestCurveGrid:
+    """``grid(n)`` gives the bits of ``points(np.arange(n) / n)``, read-only, from one cached sampling."""
+
+    @pytest.mark.parametrize("n", [1, 2, 256, 1024, 2048, 4096, 8192, 3, 12288, 16384])
+    @pytest.mark.parametrize("name", CURVE_NAMES)
+    def test_grid_matches_points_bitwise(self, name, n):
+        curve = _curve(name)
+        got = curve.grid(n)
+        assert _bits(got) == _bits(curve.points(np.arange(n) / n))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+
+    @pytest.mark.parametrize("name", CURVE_NAMES)
+    def test_divisors_share_one_sampling(self, name):
+        curve = _curve(name)
+        full = curve.grid(GRID_SAMPLES)
+        for n in (1, 256, 1024, 4096):
+            assert np.shares_memory(curve.grid(n), full)
+        assert not np.shares_memory(curve.grid(3), full)
 
 
 def _circle_distance(p: complex):

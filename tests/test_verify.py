@@ -351,6 +351,18 @@ class TestVerifyTrig:
         want.pop("coeffs")
         assert got == want
 
+    @pytest.mark.xfail(
+        raises=SelfCheckFailed,
+        strict=True,
+        reason="ROADMAP item 4: two crossings in one grid cell of both scan levels are seen as one dip",
+    )
+    def test_close_crossing_pair_in_one_cell(self):
+        # cos t (2 cos t + 1e-6) has simple zeros at pi/2 and 3pi/2 and, 5e-7
+        # from each, a zero of 2 cos t + 1e-6: both pairs fit in one cell of
+        # the 4096- and the 8192-point grid, so the preimage count reads 2
+        rep = verify_trig([1.0, 1e-6, 1.0])
+        assert rep.z_p == rep.z_q == 4
+
     def test_palindromic_comb(self):
         rep = verify_trig([1, 0, 0, 0, 0, 1])
         assert rep.z_p == rep.z_q == 5
