@@ -170,51 +170,30 @@ def adaptive_winding(fn, coarse):
     raise WindingNotResolved("argument steps did not settle below the limit")
 
 
-def trig_series(coeffs_x, coeffs_y, theta):
-    """Evaluate x + i y with x, y = c0 + sum_k (a_k cos(k t) + b_k sin(k t)).
+def trig_series(c0, pos, neg, theta):
+    """The Laurent polynomial c0 + sum_k (pos[k-1] w^k + neg[k-1] conj(w)^k) at w = exp(i theta).
 
-    Coefficients are packed flat as [c0, a1, b1, a2, b2, ...]; a trailing sine
-    coefficient may be omitted.  Each series adds its terms in the packed
-    order, so it is the same float as the series evaluated alone.
+    A cosine/sine series is a Laurent polynomial in w (Boyd, J. Eng. Math. 56,
+    2006), so one complex exp and two Horner passes evaluate it.  ``pos`` and
+    ``neg`` hold c_1 .. c_K and c_-1 .. c_-K, both of length K >= 1.
     """
-    return _harmonic_sums(coeffs_x, coeffs_y, theta, float(coeffs_x[0]), float(coeffs_y[0]), _add_harmonic)
+    w = np.exp(1j * np.asarray(theta, dtype=float))
+    return c0 + _horner(pos, w) + _horner(neg, np.conj(w))
 
 
-def trig_series_deriv(coeffs_x, coeffs_y, theta):
-    """Derivative of :func:`trig_series` with respect to the series variable."""
-    return _harmonic_sums(coeffs_x, coeffs_y, theta, 0.0, 0.0, _add_harmonic_deriv)
+def trig_series_deriv(pos, neg, theta):
+    """d/dtheta of :func:`trig_series`, i (sum_k k c_k w^k - sum_k k c_-k conj(w)^k).
 
-
-def _harmonic_sums(coeffs_x, coeffs_y, theta, x0, y0, add):
-    """x + i y, each series started at x0 or y0 and grown by ``add`` for each harmonic k.
-
-    cos(k t) and sin(k t) are computed once per harmonic and shared by both
-    series.
+    ``pos`` and ``neg`` hold the derivative's own coefficients, i k c_k and
+    -i k c_-k.
     """
-    theta = np.asarray(theta, dtype=float)
-    x = np.full(theta.shape, x0)
-    y = np.full(theta.shape, y0)
-    for k in range(1, max(len(coeffs_x), len(coeffs_y)) // 2 + 1):
-        kt = k * theta
-        cos_kt, sin_kt = np.cos(kt), np.sin(kt)
-        x = add(x, coeffs_x, k, cos_kt, sin_kt)
-        y = add(y, coeffs_y, k, cos_kt, sin_kt)
-    return x + 1j * y
+    w = np.exp(1j * np.asarray(theta, dtype=float))
+    return _horner(pos, w) + _horner(neg, np.conj(w))
 
 
-def _add_harmonic(out, coeffs, k, cos_kt, sin_kt):
-    """``out`` plus harmonic k of one packed series, where the series has it."""
-    if 2 * k - 1 < len(coeffs):
-        out = out + coeffs[2 * k - 1] * cos_kt
-    if 2 * k < len(coeffs):
-        out = out + coeffs[2 * k] * sin_kt
-    return out
-
-
-def _add_harmonic_deriv(out, coeffs, k, cos_kt, sin_kt):
-    """``out`` plus the derivative of harmonic k of one packed series, where the series has it."""
-    if 2 * k - 1 < len(coeffs):
-        out = out - k * coeffs[2 * k - 1] * sin_kt
-    if 2 * k < len(coeffs):
-        out = out + k * coeffs[2 * k] * cos_kt
-    return out
+def _horner(coeffs, w):
+    """sum_k coeffs[k-1] w^k, k = 1 .. len(coeffs), by Horner's rule."""
+    p = coeffs[-1]
+    for c in coeffs[-2::-1]:
+        p = p * w + c
+    return p * w

@@ -172,15 +172,35 @@ class TrigSegment:
         if self.theta0 == self.theta1:
             raise ValueError("trig segment parameter interval must be nondegenerate")
 
+    @cached_property
+    def _laurent(self):
+        """(c_0, c_1..K, c_-1..-K, i k c_k, -i k c_-k): z(t) as a Laurent polynomial in w = e^{it}.
+
+        With (a_k, b_k) the x series' cosine and sine coefficients and
+        (c_k, d_k) the y series', c_0 = x_0 + i y_0 and
+        c_+-k = ((a_k + i c_k) -+ i (b_k + i d_k)) / 2.
+        """
+        kmax = max(len(self.coeffs_x), len(self.coeffs_y), 2) // 2
+        x, y = (co + (0.0,) * (2 * kmax + 1 - len(co)) for co in (self.coeffs_x, self.coeffs_y))
+        pos, neg = [], []
+        for k in range(1, kmax + 1):
+            a, b, c, d = x[2 * k - 1], x[2 * k], y[2 * k - 1], y[2 * k]
+            pos.append(complex((a + d) / 2, (c - b) / 2))
+            neg.append(complex((a - d) / 2, (c + b) / 2))
+        dpos = [complex(-k * p.imag, k * p.real) for k, p in enumerate(pos, start=1)]
+        dneg = [complex(k * n.imag, -k * n.real) for k, n in enumerate(neg, start=1)]
+        return complex(x[0], y[0]), tuple(pos), tuple(neg), tuple(dpos), tuple(dneg)
+
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * (self.theta1 - self.theta0)
 
     def points(self, s):
-        return trig_series(self.coeffs_x, self.coeffs_y, self._theta(s))
+        c0, pos, neg, _, _ = self._laurent
+        return trig_series(c0, pos, neg, self._theta(s))
 
     def derivs(self, s):
-        span = self.theta1 - self.theta0
-        return span * trig_series_deriv(self.coeffs_x, self.coeffs_y, self._theta(s))
+        _, _, _, dpos, dneg = self._laurent
+        return (self.theta1 - self.theta0) * trig_series_deriv(dpos, dneg, self._theta(s))
 
     def subsegment(self, s0, s1):
         span = self.theta1 - self.theta0
@@ -446,14 +466,29 @@ def _lines_cross(a: LineSegment, b: LineSegment) -> bool:
     return _splits(p, q, r, s) and _splits(r, s, p, q)
 
 
+def _turning_number(pts: np.ndarray) -> float:
+    """Total turn of the closed polygon through pts, edge to edge, in full turns."""
+    edges = np.diff(pts, append=pts[:1])
+    turns = np.angle(edges[1:] * np.conj(edges[:-1])).sum() + np.angle(edges[0] * np.conj(edges[-1]))
+    return float(turns / TWO_PI)
+
+
 def _check_simple(curve: JordanCurve, band: float, per_segment: int = 96) -> None:
     """Desk-scale simplicity test: non-adjacent segments must not cross, and their samples must stay apart.
 
     Two straight segments are tested for a proper crossing by the signs of
-    their orientations, which sampling can miss between samples.
+    their orientations, which sampling can miss between samples.  A curve of
+    one or two segments has no non-adjacent pair.  If it is made of arcs and
+    lines, its segments meet only at their joints; if it has a trig segment,
+    its grid polygon must turn once, which rejects a limaçon's inner loop
+    (two turns) and a figure eight (none).
     """
     k = len(curve.segments)
     if k < 3:
+        if any(isinstance(seg, TrigSegment) for seg in curve.segments):
+            turns = _turning_number(curve.grid(GRID_SAMPLES))
+            if not abs(turns - 1.0) < 0.5:
+                raise ValueError(f"curve self-intersects (turning number {turns:.3f})")
         return
     s = np.linspace(0.0, 1.0, per_segment)
     samples = [seg.points(s) for seg in curve.segments]

@@ -4,8 +4,12 @@ Everything here is deliberately naive and separate from the library's own
 code paths: power-sum evaluation instead of Horner, binomial expansion by
 combinatorics, brute-force dense scans instead of adaptive refinement, and
 exact vector geometry for polygon angles.  The ``reference_*`` and ``full_*``
-functions are verbatim copies of earlier, slower forms of library kernels,
-which the faster forms must match bit for bit.  ``scan_nearest_parameter`` is
+functions are plain forms of library kernels, most of them verbatim copies of
+earlier, slower forms, which the faster forms must match bit for bit.
+``reference_laurent_points`` and ``reference_laurent_derivs`` build a trig
+segment's Laurent coefficients one harmonic at a time; the earlier cosine and
+sine series, ``reference_trig_series``, stay as a second float oracle, checked
+against ``mpmath`` within the same bound as the kernel.  ``scan_nearest_parameter`` is
 the earlier nearest-point search, which the closed form on arcs and lines must
 match up to rounding.  The termwise cosine scan is the rule of an earlier
 sampled zero count, and ``sympy_cosine_zero_count`` counts the same zeros by
@@ -154,28 +158,70 @@ def reference_trig_series_deriv(coeffs, theta):
     return out
 
 
+def _laurent_coefficients(coeffs_x, coeffs_y):
+    """c_0, [c_1 .. c_K] and [c_-1 .. c_-K] of x + i y, built one harmonic at a time.
+
+    With (a, b) the x series' cosine and sine coefficients of harmonic k and
+    (c, d) the y series', c_k = ((a + d) + i (c - b)) / 2 and
+    c_-k = ((a - d) + i (c + b)) / 2.  A missing coefficient is 0.
+    """
+
+    def coeff(coeffs, i):
+        return float(coeffs[i]) if i < len(coeffs) else 0.0
+
+    pos, neg = [], []
+    for k in range(1, max(len(coeffs_x), len(coeffs_y), 2) // 2 + 1):
+        a, b = coeff(coeffs_x, 2 * k - 1), coeff(coeffs_x, 2 * k)
+        c, d = coeff(coeffs_y, 2 * k - 1), coeff(coeffs_y, 2 * k)
+        pos.append(complex((a + d) / 2, (c - b) / 2))
+        neg.append(complex((a - d) / 2, (c + b) / 2))
+    return complex(coeff(coeffs_x, 0), coeff(coeffs_y, 0)), pos, neg
+
+
+def _horner(coeffs, w):
+    """sum_k coeffs[k-1] w^k by Horner's rule, from the highest power down."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * w + c
+    return acc * w
+
+
+def reference_laurent_points(coeffs_x, coeffs_y, theta):
+    """x + i y as the Laurent polynomial c_0 + sum_k (c_k w^k + c_-k conj(w)^k), w = exp(i theta)."""
+    c0, pos, neg = _laurent_coefficients(coeffs_x, coeffs_y)
+    w = np.exp(1j * np.asarray(theta, dtype=float))
+    return c0 + _horner(pos, w) + _horner(neg, np.conj(w))
+
+
+def reference_laurent_derivs(coeffs_x, coeffs_y, theta):
+    """d/dtheta of :func:`reference_laurent_points`: the coefficients i k c_k and -i k c_-k in the same sum."""
+    _, pos, neg = _laurent_coefficients(coeffs_x, coeffs_y)
+    dpos = [complex(-k * c.imag, k * c.real) for k, c in enumerate(pos, start=1)]
+    dneg = [complex(k * c.imag, -k * c.real) for k, c in enumerate(neg, start=1)]
+    w = np.exp(1j * np.asarray(theta, dtype=float))
+    return _horner(dpos, w) + _horner(dneg, np.conj(w))
+
+
 def reference_points(curve, t):
-    """Curve points by the reference dispatch, evaluating trig segments one series at a time."""
+    """Curve points by the reference dispatch, evaluating trig segments by the reference Laurent sum."""
 
     def per_segment(seg, s, w):
         if isinstance(seg, TrigSegment):
             th = seg.theta0 + np.asarray(s, dtype=float) * (seg.theta1 - seg.theta0)
-            return reference_trig_series(seg.coeffs_x, th) + 1j * reference_trig_series(seg.coeffs_y, th)
+            return reference_laurent_points(seg.coeffs_x, seg.coeffs_y, th)
         return seg.points(s)
 
     return reference_dispatch(curve, t, per_segment)
 
 
 def reference_derivs(curve, t):
-    """d(curve)/dt by the reference dispatch, evaluating trig segments one series at a time."""
+    """d(curve)/dt by the reference dispatch, evaluating trig segments by the reference Laurent sum."""
 
     def per_segment(seg, s, w):
         if isinstance(seg, TrigSegment):
             th = seg.theta0 + np.asarray(s, dtype=float) * (seg.theta1 - seg.theta0)
             span = seg.theta1 - seg.theta0
-            dx = reference_trig_series_deriv(seg.coeffs_x, th)
-            dy = reference_trig_series_deriv(seg.coeffs_y, th)
-            return span * (dx + 1j * dy) / w
+            return span * reference_laurent_derivs(seg.coeffs_x, seg.coeffs_y, th) / w
         return seg.derivs(s) / w
 
     return reference_dispatch(curve, t, per_segment)

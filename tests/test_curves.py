@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import zerowind._numeric
 import zerowind.curves
 from zerowind import (
     AmbiguousClassification,
@@ -25,8 +28,8 @@ from zerowind import (
     verify_trig,
     winding_count,
 )
-from zerowind.curves import classify_points
-from zerowind.harness import HarnessConfig, run_harness
+from zerowind.curves import GRID_SAMPLES, classify_points
+from zerowind.harness import HarnessConfig, random_instance, run_harness
 
 from oracles import polygon_interior_angle
 
@@ -150,7 +153,9 @@ class TestBatchLocation:
         assert classify_points(circle_curve, []) == []
 
     def test_ambiguous_point_in_batch(self):
-        limacon = radial_trig_curve([(1.0, 0.0)], base_radius=0.5)
+        # radial_trig_curve([(1.0, 0.0)], base_radius=0.5), a limaçon, is rejected: only an unchecked build gives it
+        seg = TrigSegment((0.5, 0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.5, 0.0, 0.5), 0.0, TWO_PI)
+        limacon = JordanCurve.from_segments([seg], check_simple=False)
         with pytest.raises(AmbiguousClassification) as alone:
             classify_point(limacon, 0.2)
         with pytest.raises(AmbiguousClassification) as batched:
@@ -280,20 +285,49 @@ class TestWorkBudget:
         f = Polynomial.from_roots([(r, 1) for r in (0.3, -0.5j, 2.0, trig.point(0.3), trig.point(0.7), -3 + 1j)])
         assert self._dispatches(monkeypatch, lambda: classify_roots(f, trig)) <= 27
 
-    def test_one_cosine_per_harmonic(self, monkeypatch):
-        # x and y share cos(k t): two series of three harmonics call np.cos three times, not six
+    def test_one_complex_exp_per_call(self, monkeypatch):
+        # a trig segment is a Laurent polynomial in w = exp(i t): one complex exp, then Horner in w and conj(w)
         seg = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]).segments[0]
         assert len(seg.coeffs_x) == len(seg.coeffs_y) == 7
         calls = []
-        original = np.cos
 
-        def counted(x, *args, **kwargs):
-            calls.append(np.size(x))
-            return original(x, *args, **kwargs)
+        def counted(name):
+            original = getattr(np, name)
 
-        monkeypatch.setattr(np, "cos", counted)
-        seg.points(np.linspace(0.0, 1.0, 50))
-        assert calls == [50, 50, 50]
+            def wrapped(x, *args, **kwargs):
+                calls.append((name, np.size(x), np.iscomplexobj(x)))
+                return original(x, *args, **kwargs)
+
+            return wrapped
+
+        for name in ("exp", "cos", "sin"):
+            monkeypatch.setattr(np, name, counted(name))
+        s = np.linspace(0.0, 1.0, 50)
+        seg.points(s)
+        assert calls == [("exp", 50, True)]
+        seg.derivs(s)
+        assert calls == [("exp", 50, True)] * 2
+
+    def test_points_go_through_the_kernel(self, monkeypatch):
+        # a traced run wraps the kernel in every zerowind module that holds it, as the perfbench span does
+        seg = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]).segments[0]
+        original, calls = zerowind._numeric.trig_series, []
+
+        def counted(*args):
+            calls.append(1)
+            return original(*args)
+
+        holders = [
+            module
+            for name, module in sys.modules.items()
+            if name.startswith("zerowind") and getattr(module, "trig_series", None) is original
+        ]
+        assert zerowind.curves in holders
+        for module in holders:
+            monkeypatch.setattr(module, "trig_series", counted)
+        seg.points(np.linspace(0.0, 1.0, 5))
+        seg.points(0.25)
+        assert calls == [1, 1]
 
 
 class TestInteriorAngle:
@@ -372,6 +406,26 @@ class TestConstruction:
         # bowtie-like hourglass pinched at the middle
         with pytest.raises(ValueError):
             polygon([0, 2, 1 + 0.0000000001j, 2 + 2j, 2j, 1 - 0.0000000001j])
+
+    def test_one_or_two_segment_loops_rejected(self):
+        # such curves have no non-adjacent segment pair; the grid polygon must turn exactly once
+        with pytest.raises(ValueError, match="turning number 2"):
+            radial_trig_curve([(1.0, 0.0)], base_radius=0.5)  # limaçon: the inner loop turns again
+        # figure eight x = cos t, y = sin(2t) (1 + cos(t) / 2) / 2, whose larger lobe sets the orientation
+        eight = TrigSegment((0.0, 1.0), (0.0, 0.0, 0.125, 0.0, 0.5, 0.0, 0.125), 0.0, TWO_PI)
+        with pytest.raises(ValueError, match="turning number -?0.000"):
+            JordanCurve.from_segments([eight], auto_orient=False)
+        arc = ArcSegment(0.0, 1.0, 0.0, np.pi)
+        half_disc = JordanCurve.from_segments([arc, LineSegment(-1.0, 1.0)])
+        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        for curve in (unit_circle(), half_disc, trig, square(0.0, 2.0), polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])):
+            assert zerowind.curves._turning_number(curve.grid(GRID_SAMPLES)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("family", ["circle", "trig-perturbed", "square", "lshape"])
+    def test_harness_families_still_build(self, family):
+        for seed in range(20):
+            inst = random_instance(np.random.default_rng(seed), HarnessConfig(curve_family=family))
+            assert inst.curve.signed_area() > 0
 
     def test_degenerate_segment_rejected(self):
         with pytest.raises(ValueError):

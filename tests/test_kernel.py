@@ -1,19 +1,22 @@
 """The curve-evaluation kernel and the 1-D searches give the same bits as their reference loops.
 
 ``tests/oracles.py`` keeps the earlier forms verbatim: the dispatch that
-searches all breaks and clips on every call, one trig series at a time,
-golden-section and bisection loops that always run every step and call
-``fn`` once or twice per step, and the nearest-point scan and refine that
-closed-form nearest points on arcs and lines replaced.  The searches now read
-several steps off one call of ``fn`` on a stacked array of probes, and a
-curve's ``grid(n)`` reads its points off one cached 8192-point sampling;
-both rely on NumPy giving each element the same bits in any array, which the
-last class here checks directly.
+searches all breaks and clips on every call, golden-section and bisection
+loops that always run every step and call ``fn`` once or twice per step, and
+the nearest-point scan and refine that closed-form nearest points on arcs and
+lines replaced.  Trig segments are checked bit for bit against a plain
+Laurent sum that builds its coefficients one harmonic at a time, and within a
+rounding bound against ``mpmath``, as is the earlier cosine/sine series.  The
+searches now read several steps off one call of ``fn`` on a stacked array of
+probes, and a curve's ``grid(n)`` reads its points off one cached 8192-point
+sampling; both rely on NumPy giving each element the same bits in any array,
+which the last class here checks directly.
 """
 
 from functools import cache
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -44,6 +47,8 @@ from oracles import (
     full_golden_min,
     reference_derivs,
     reference_points,
+    reference_trig_series,
+    reference_trig_series_deriv,
     scan_nearest_parameter,
 )
 
@@ -93,6 +98,11 @@ class TestKernelOracle:
         kinds = {type(s).__name__ for s in _curve("composite-detour").segments}
         assert kinds == {"ArcSegment", "TrigSegment"}
 
+    @pytest.mark.parametrize("name", CURVE_NAMES)
+    def test_curves_pass_the_simplicity_check(self, name):
+        curve = _curve(name)
+        assert JordanCurve.from_segments(curve.segments, auto_orient=False).breaks == curve.breaks
+
     @settings(max_examples=300, deadline=None)
     @given(_params())
     def test_points_match_reference_bitwise(self, case):
@@ -121,6 +131,66 @@ class TestKernelOracle:
         for name in ("circle", "lshape"):
             curve = _curve(name)
             assert _bits(curve.points(ts)) == _bits(reference_points(curve, ts))
+
+    def test_matches_mpmath(self):
+        """Trig segments agree with a 50-digit evaluation of their cosine/sine series.
+
+        Points within (2K+1) eps sum_j |c_j| over the Laurent coefficients
+        c_-K .. c_K, derivatives within (2K+1) eps |span| sum_k k (|a_k| +
+        |b_k| + |c_k| + |d_k|) over the packed coefficients.  The earlier
+        cosine/sine float series must stay within the same bounds.
+        """
+        rng = np.random.default_rng(11)
+        segments = [seg for name in CURVE_NAMES for seg in _curve(name).segments if isinstance(seg, TrigSegment)]
+        assert len(segments) >= 3
+        for _ in range(40):
+            # sum_k (1 + k) (|a_k| + |b_k|) < 0.9 base keeps each curve simple
+            k, base = int(rng.integers(1, 7)), rng.uniform(0.1, 3.0)
+            amps = rng.uniform(-1.0, 1.0, (k, 2)) * base * rng.uniform(0.0, 0.9) / (k * (k + 3))
+            segments.append(radial_trig_curve([tuple(h) for h in amps], base_radius=base).segments[0])
+        s = np.concatenate([np.linspace(0.0, 1.0, 17), rng.uniform(0.0, 1.0, 16)])
+        eps = np.finfo(float).eps
+        for seg in segments:
+            span = seg.theta1 - seg.theta0
+            theta = seg.theta0 + s * span
+            c0, pos, neg, _, _ = seg._laurent
+            terms = 2 * len(pos) + 1
+            bound = terms * eps * sum(abs(c) for c in (c0, *pos, *neg))
+            weighted = sum(abs(c) * ((i + 1) // 2) for co in (seg.coeffs_x, seg.coeffs_y) for i, c in enumerate(co))
+            bound_d = terms * eps * abs(span) * weighted
+            old, old_d = (
+                series(seg.coeffs_x, theta) + 1j * series(seg.coeffs_y, theta)
+                for series in (reference_trig_series, reference_trig_series_deriv)
+            )
+            got, got_d = seg.points(s), seg.derivs(s)
+            for i, th in enumerate(theta):
+                (x, dx), (y, dy) = _mp_series(seg.coeffs_x, th, span), _mp_series(seg.coeffs_y, th, span)
+                assert _mp_gap(got[i], x, y) <= bound, (seg, th)
+                assert _mp_gap(got_d[i], dx, dy) <= bound_d, (seg, th)
+                assert _mp_gap(old[i], x, y) <= bound, (seg, th)
+                assert _mp_gap(span * old_d[i], dx, dy) <= bound_d, (seg, th)
+
+
+def _mp_series(coeffs, theta, span):
+    """A packed series c0 + sum_k (a_k cos(k t) + b_k sin(k t)) at the float theta, and span times its t-derivative.
+
+    Both to 50 digits.
+    """
+    with mpmath.workdps(50):
+        t = mpmath.mpf(float(theta))
+        value, deriv = mpmath.mpf(coeffs[0]), mpmath.mpf(0)
+        for i, c in enumerate(coeffs[1:], start=1):
+            k = (i + 1) // 2
+            cos, sin = mpmath.cos(k * t), mpmath.sin(k * t)
+            value += c * (cos if i % 2 else sin)
+            deriv += k * c * (-sin if i % 2 else cos)
+        return value, mpmath.mpf(span) * deriv
+
+
+def _mp_gap(got, x, y):
+    """|got - (x + i y)| for a float got and 50-digit x, y."""
+    with mpmath.workdps(50):
+        return float(mpmath.hypot(mpmath.mpf(got.real) - x, mpmath.mpf(got.imag) - y))
 
 
 class TestCurveGrid:
@@ -589,6 +659,12 @@ _ELEMENTWISE = {
     "angle": (np.angle, _complex_samples),
     # two Horner steps of Polynomial.__call__: acc = acc * z + c
     "complex-multiply-add": (lambda z: ((0.3 - 1.7j) * z + (1.1 + 0.2j)) * z + (2.5 + 0.5j), _complex_samples),
+    "conj": (np.conj, _complex_samples),
+    # the trig kernel's Horner steps p = p * w + c on w = exp(i t), then p * w
+    "laurent-horner": (
+        lambda w: (((0.3 - 1.7j) * w + (1.1 + 0.2j)) * w + (-0.4 + 0.9j)) * w,
+        lambda: np.exp(1j * _real_samples()),
+    ),
 }
 
 
