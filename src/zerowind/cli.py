@@ -15,7 +15,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crossings import CrossingConfig, Line, count_preimages
+from .crossings import CIRCLE_TOL, MERGE_RADIUS, CrossingConfig, Line, count_preimages
 from .curves import JordanCurve, curve_from_alias
 from .errors import ZerowindError
 from .harness import HarnessConfig, replay, run_harness, save_replay
@@ -66,27 +66,15 @@ def _load_line(source: str) -> Line:
 
 
 def _cross_cfg(args) -> CrossingConfig:
-    cfg = CrossingConfig()
-    if getattr(args, "resolution", None) is not None:
-        if args.resolution <= 0:
-            raise _InputError("resolution must be positive")
-        cfg = replace(cfg, samples=args.resolution)
-    if getattr(args, "delta", None) is not None:
-        cfg = replace(cfg, band=args.delta)
-    return cfg
+    return CrossingConfig(band=getattr(args, "delta", None))
 
 
 def _config_echo(cfg: CrossingConfig, **extra) -> dict:
     echo = {
-        "samples": cfg.samples,
-        "max_samples": cfg.max_samples,
-        "param_tol": cfg.param_tol,
-        "cluster_radius": cfg.cluster_factor * cfg.param_tol,
-        "contact_rel_tol": cfg.contact_rel_tol,
-        "plateau_rel_band": cfg.plateau_rel_band,
-        "residual_rel_tol": cfg.residual_rel_tol,
         "band": cfg.band,
         "root_tol": cfg.root_tol,
+        "circle_tol": CIRCLE_TOL,
+        "merge_radius": MERGE_RADIUS,
     }
     echo.update(extra)
     return echo
@@ -105,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="zerowind", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_, curve=True, line=False, delta=True, resolution=True):
+    def add(name, help_, curve=True, line=False, delta=True):
         p = sub.add_parser(name, help=help_)
         p.add_argument("--poly", required=True, help="polynomial JSON file")
         if curve:
@@ -114,13 +102,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--line", required=True, help="line JSON file or alias")
         if delta:
             p.add_argument("--delta", type=float, help="on-curve band override")
-        if resolution:
-            p.add_argument("--resolution", type=int, help="initial scan resolution")
         p.add_argument("--out", help="report output path (default stdout)")
         return p
 
-    add("count-zeros", "classify the polynomial's roots against the curve", resolution=False)
-    add("winding", "winding number of f along the curve", resolution=False)
+    add("count-zeros", "classify the polynomial's roots against the curve")
+    add("winding", "winding number of f along the curve")
     add("crossings", "distinct curve points mapped onto the line", line=True)
     add("verify", "check measured >= 2m + lambda on a smooth curve", line=True)
     add("verify-piecewise", "check the interior-angle bound on a cornered curve", line=True)
@@ -137,6 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("emit-samples", "write t,re_gamma,im_gamma,re_f,im_f,h rows as CSV", delta=False)
     p.add_argument("--line", help="line for the h column (default real-axis)")
+    p.add_argument("--resolution", type=int, default=4096, help="number of rows, at t = i / resolution")
     p.add_argument("--csv", required=True, help="CSV output path")
     return parser
 
@@ -194,7 +181,9 @@ def _run(args) -> int:
 
     if cmd == "emit-samples":
         line = _load_line(args.line) if args.line else Line.real_axis()
-        n = cfg.samples
+        n = args.resolution
+        if n <= 0:
+            raise _InputError("resolution must be positive")
         ts = np.arange(n) / n
         pts = curve.points(ts)
         vals = poly(pts)

@@ -1,24 +1,48 @@
 """Counting the distinct curve points whose polynomial image lands on a line through the origin.
 
-For a line at angle phi the signed residual h(t) = Im(e^{-i phi} f(gamma(t)))
-vanishes exactly where f(gamma(t)) belongs to the line.  Distinct zeros of h
-are found three ways and merged: sign-change brackets refined by bisection,
-tangential touches recovered as deep local minima of |h|, and the on-curve
-zeros of f themselves, which always map to the line because it passes through
-the origin.  Counts are conservative: a reported point always carries a small
-residual, while a missed tangency can only lower the count.
+For a line at angle phi the signed residual h = Im(u f(gamma)), u = e^{-i phi},
+vanishes exactly where f(gamma) belongs to the line.  On every segment h is a
+polynomial in the segment's own variable, so its zeros are polynomial roots
+(Boyd, SIAM J. Numer. Anal. 40, 2002, and J. Eng. Math. 56, 2006):
+
+* an arc c + R w or a trig segment is a Laurent polynomial z(w) in
+  w = e^{i theta} with exponents -K..K.  G(w) = w^{nK} f(z(w)) has degree
+  2nK, and on |w| = 1, 2i w^{nK} h = u G(w) - conj(u) G*(w), with G* the
+  conjugate reversal of G.  The zeros of h are that polynomial's roots on
+  the unit circle, inside the segment's angular range.
+* a line segment a + s d gives the real polynomial h(s) = Im(u f(a + s d)),
+  whose zeros are its real roots in [0, 1].
+
+The on-curve zeros of f, which always map to the line since it passes through
+the origin, are divided out of G before the roots are taken: with
+G = prod (w - w_j)^{k_j} q and every |w_j| = 1, the residual polynomial is
+prod (w - w_j)^{k_j} (u q - conj(u) c q*), c = prod (-conj(w_j))^{k_j}, and
+rounding cannot split the zeros' multiple roots into phantom crossings.  A
+zero at a break is divided out of both segments that meet there.  Roots and
+zeros closer than ``MERGE_RADIUS`` in the curve parameter are one point, so a
+tangency that rounding splits into two roots is counted once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import bisect_zero, golden_min
-from .curves import GRID_SAMPLES, JordanCurve
-from .errors import ResolutionTooCoarse
-from .polynomials import Polynomial, classify_roots, find_roots
+from ._numeric import TWO_PI
+from .curves import ArcSegment, JordanCurve, LineSegment, circle
+from .errors import BelowNoiseFloor
+from .polynomials import Polynomial, ZeroReport, classify_roots, find_roots
+
+# A root of a segment's residual polynomial is a zero of h when it lies within
+# CIRCLE_TOL of |w| = 1 (arcs and trig segments) or has imaginary part within
+# CIRCLE_TOL * (1 + |s|) (line segments).
+CIRCLE_TOL = 1e-6
+# Candidates closer than this in the global curve parameter are one point.
+MERGE_RADIUS = 1e-7
+# Local parameter by which a root may pass its segment's ends, so that a
+# crossing at a break is not lost to rounding on both sides of it.
+_END_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -68,38 +92,10 @@ def line_residual(f: Polynomial, curve: JordanCurve, line: Line, t):
 
 @dataclass(frozen=True)
 class CrossingConfig:
-    """Resolution and tolerances for preimage counting.
+    """Tolerances of root classification: the on-curve band (None for the curve's default) and the root finder's."""
 
-    ``param_tol`` is the bisection refinement tolerance in parameter units and
-    fixes the clustering radius rho = cluster_factor * param_tol.  Candidates
-    closer than rho, or separated only by a stretch where |h| never leaves the
-    plateau band, describe the same geometric point and are merged.
-    """
-
-    samples: int = 4096
-    max_samples: int = 1 << 22
-    param_tol: float = 1e-9
-    cluster_factor: float = 8.0
-    contact_rel_tol: float = 1e-8
-    dip_prefilter: float = 1e-3
-    plateau_rel_band: float = 1e-12
-    plateau_max_gap: float = 1e-2
-    residual_rel_tol: float = 1e-4
     band: float | None = None
     root_tol: float = 1e-10
-    on_curve_params: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        if self.samples < 2:
-            raise ValueError(f"samples must be at least 2, not {self.samples}")
-
-    def tightened(self, resolution_factor: int = 4, tol_factor: float = 0.1) -> "CrossingConfig":
-        return replace(
-            self,
-            samples=self.samples * resolution_factor,
-            param_tol=self.param_tol * tol_factor,
-            contact_rel_tol=self.contact_rel_tol * tol_factor,
-        )
 
 
 @dataclass(frozen=True)
@@ -131,149 +127,180 @@ class PreimageSet:
         }
 
 
-_KIND_ZERO = "zero-of-f"
+def _compose(f: Polynomial, inner: np.ndarray, shift: int, floor: float) -> np.ndarray:
+    """Ascending coefficients of x^{n shift} f(inner(x) / x^shift), n = deg f, by Horner's rule.
+
+    Each step multiplies by ``inner`` and adds the next coefficient of f at
+    x^{shift (n - j)}: shift 0 composes with a polynomial, shift K with the
+    Laurent polynomial whose w^K multiple is ``inner``.  Raises
+    BelowNoiseFloor when no coefficient of the result rises above ``floor``.
+    """
+    n = f.degree
+    acc = np.array([f.coeffs[-1]], dtype=complex)
+    for j in range(n - 1, -1, -1):
+        acc = np.convolve(acc, inner)
+        acc[shift * (n - j)] += f.coeffs[j]
+    if not np.any(np.abs(acc) > floor):
+        raise BelowNoiseFloor(f"f on a curve segment stays under its evaluation noise floor {floor:.3g}")
+    return acc
 
 
-def _detect(h, ts: np.ndarray, vals: np.ndarray, cfg: CrossingConfig) -> tuple[list[tuple[float, str]], float]:
-    """Candidate zeros of h from its values ``vals`` on the grid ``ts = i / n``: brackets, exact hits, deep dips."""
-    n = len(ts)
-    scale = float(np.max(np.abs(vals)))
-    if scale == 0.0:
+def _deflate(coeffs: np.ndarray, root: complex) -> np.ndarray:
+    """Ascending coefficients of the quotient by (x - root), the remainder dropped."""
+    out = np.empty(len(coeffs) - 1, dtype=complex)
+    acc = 0j
+    for k in range(len(coeffs) - 1, 0, -1):
+        acc = coeffs[k] + root * acc
+        out[k - 1] = acc
+    return out
+
+
+def _in_range(s: np.ndarray, period: float = np.inf) -> np.ndarray:
+    """The local parameters on their segment, clipped to [0, 1], up to _END_SLACK past either end.
+
+    ``s`` is taken modulo ``period``: a value just under it lies just before
+    the segment's start.
+    """
+    before = s >= period - _END_SLACK
+    keep = before | ((s >= -_END_SLACK) & (s <= 1.0 + _END_SLACK))
+    return np.clip(np.where(before, 0.0, s), 0.0, 1.0)[keep]
+
+
+def _laurent(seg):
+    """(c_0, [c_1 .. c_K], [c_-1 .. c_-K], theta0, theta1): an arc or trig segment as z = sum_k c_k e^{i k theta}."""
+    if isinstance(seg, ArcSegment):
+        return seg.center, (seg.radius,), (0.0,), seg.angle0, seg.angle1
+    c0, pos, neg, _, _ = seg._laurent
+    return c0, pos, neg, seg.theta0, seg.theta1
+
+
+def _roots(residual: np.ndarray, floor: float) -> np.ndarray | None:
+    """Roots of the ascending coefficients ``residual``; None when they all stay under ``floor``, so h vanishes."""
+    return np.roots(residual[::-1]) if np.any(np.abs(residual) > floor) else None
+
+
+def _segment_roots(f: Polynomial, seg, u: complex, zeros, floor: float) -> np.ndarray | None:
+    """Local parameters in [0, 1] of the zeros of h on one segment, other than ``zeros``, the (s, k) of f's zeros on it.
+
+    None when h vanishes on the whole segment.
+    """
+    if isinstance(seg, LineSegment):
+        a = seg.start_point
+        g = _compose(f, np.array([a, seg.end_point - a]), 0, floor)
+        for s, k in zeros:
+            for _ in range(k):
+                g = _deflate(g, s)
+        roots = _roots((u * g).imag, floor)
+        if roots is None:
+            return None
+        return _in_range(roots.real[np.abs(roots.imag) < CIRCLE_TOL * (1.0 + np.abs(roots))])
+
+    c0, pos, neg, th0, th1 = _laurent(seg)
+    g = _compose(f, np.array(neg[::-1] + (c0,) + tuple(pos), dtype=complex), len(pos), floor)
+    sweep = th1 - th0
+    c = 1.0 + 0j
+    for s, k in zeros:
+        w = np.exp(1j * (th0 + s * sweep))
+        for _ in range(k):
+            g = _deflate(g, w)
+        c *= (-np.conj(w)) ** k
+    roots = _roots(u * g - np.conj(u) * c * np.conj(g[::-1]), floor)
+    if roots is None:
+        return None
+    on_circle = roots[np.abs(np.abs(roots) - 1.0) < CIRCLE_TOL]
+    return _in_range((np.sign(sweep) * (np.angle(on_circle) - th0)) % TWO_PI / abs(sweep), TWO_PI / abs(sweep))
+
+
+def _detect(f: Polynomial, curve: JordanCurve, line: Line, zeros: ZeroReport, floor: float) -> list[tuple]:
+    """Every zero of h as (t, order, is a zero of f): each segment's residual roots, and f's on-curve zeros.
+
+    A segment on which h vanishes is one stretch of contact: it adds its two
+    ends, and every candidate on it, ends included, moves to its start.
+    """
+    u = np.exp(-1j * line.angle)
+    on_curve = [(float(t) % 1.0, r.multiplicity) for r, t in zip(zeros.on_curve.roots, zeros.on_curve_params)]
+    cands = [(t, k, True) for t, k in on_curve]
+    stretches = []
+    br = curve.breaks
+    for i, seg in enumerate(curve.segments):
+        lo, width = br[i], br[i + 1] - br[i]
+        here = []
+        for t, k in on_curve:
+            s = _in_range(np.array([((t - lo) % 1.0) / width]), 1.0 / width)
+            if s.size:
+                here.append((float(s[0]), k))
+        roots = _segment_roots(f, seg, u, here, floor)
+        if roots is None:
+            stretches.append((lo, width))
+            roots = np.array([0.0, 1.0])
+        cands.extend(((lo + s * width) % 1.0, 1, False) for s in roots)
+    if len(stretches) == len(curve.segments):
         raise ValueError("the image of the curve lies entirely on the line")
-
-    nxt = np.roll(vals, -1)
-    flip = ((vals < 0) & (nxt > 0)) | ((vals > 0) & (nxt < 0))
-    cands: list[tuple[float, str]] = []
-
-    if flip.any():
-        lo = ts[flip]
-        roots = bisect_zero(h, lo, lo + 1.0 / n, iters=48)
-        cands.extend((float(r) % 1.0, "transversal") for r in roots)
-
-    for i in np.nonzero(vals == 0.0)[0]:
-        a, b = vals[(i - 1) % n], vals[(i + 1) % n]
-        kind = "transversal" if (a < 0 < b) or (b < 0 < a) else "tangential"
-        cands.append((float(ts[i]), kind))
-
-    mag = np.abs(vals)
-    locmin = (mag <= np.roll(mag, 1)) & (mag <= np.roll(mag, -1)) & (mag > 0.0)
-    # a dip adjacent to a sign change belongs to that crossing
-    near_flip = flip | np.roll(flip, 1)
-    dip_idx = np.nonzero(locmin & (mag < cfg.dip_prefilter * scale) & ~near_flip)[0]
-    if dip_idx.size:
-        lo = ts[dip_idx] - 1.0 / n
-        hi = ts[dip_idx] + 1.0 / n
-        tstar = np.asarray(golden_min(lambda q: np.abs(h(q)), lo, hi)) % 1.0
-        hstar = np.abs(h(tstar))
-        for t_, v_ in zip(np.atleast_1d(tstar), np.atleast_1d(hstar)):
-            if v_ < cfg.contact_rel_tol * scale:
-                cands.append((float(t_), "tangential"))
-    return cands, scale
+    for lo, width in stretches:
+        cands = [(lo if (t - lo + MERGE_RADIUS) % 1.0 <= width + 2 * MERGE_RADIUS else t, k, z) for t, k, z in cands]
+    return cands
 
 
-def _plateau_between(h, t0: float, t1: float, scale: float, cfg: CrossingConfig) -> bool:
-    gap = (t1 - t0) % 1.0
-    if gap > cfg.plateau_max_gap:
-        return False
-    qs = (t0 + np.linspace(0.0, gap, 96)) % 1.0
-    return bool(np.max(np.abs(h(qs))) < cfg.plateau_rel_band * scale)
+def _cluster(cands: list[tuple[float, int, bool]]) -> list[tuple[float, str]]:
+    """Merge candidates within MERGE_RADIUS of each other, cyclically, into (t, contact) points.
 
-
-def _cluster(h, cands: list[tuple[float, str]], scale: float, cfg: CrossingConfig) -> list[tuple[float, str]]:
-    """Merge candidates within rho, or joined by a plateau of |h|; pick one representative each."""
+    A group with a zero of f sits at the zero; any other at its roots' mean.
+    Its contact is transversal where its total order is odd (h changes
+    sign), else tangential, or zero-of-f where only a zero of f is there.
+    """
     if not cands:
         return []
-    rho = cfg.cluster_factor * cfg.param_tol
-    items = sorted((t % 1.0, kind) for t, kind in cands)
-    groups: list[list[tuple[float, str]]] = [[items[0]]]
-    for t, kind in items[1:]:
-        prev_t = groups[-1][-1][0]
-        if (t - prev_t) <= rho or _plateau_between(h, prev_t, t, scale, cfg):
-            groups[-1].append((t, kind))
+    items = sorted(cands)
+    groups = [[items[0]]]
+    for item in items[1:]:
+        if item[0] - groups[-1][-1][0] <= MERGE_RADIUS:
+            groups[-1].append(item)
         else:
-            groups.append([(t, kind)])
-    if len(groups) > 1:
-        first_t = groups[0][0][0]
-        last_t = groups[-1][-1][0]
-        wrap_gap = (first_t - last_t) % 1.0
-        if wrap_gap <= rho or _plateau_between(h, last_t, first_t, scale, cfg):
-            groups[0] = groups.pop() + groups[0]
+            groups.append([item])
+    if len(groups) > 1 and (groups[0][0][0] - groups[-1][-1][0]) % 1.0 <= MERGE_RADIUS:
+        groups[0] = groups.pop() + groups[0]
 
     out = []
     for group in groups:
-        kinds = {k for _, k in group}
-        zero_ts = [t for t, k in group if k == _KIND_ZERO]
-        if "transversal" in kinds:
-            label = "transversal"
-        elif "tangential" in kinds:
-            label = "tangential"
-        else:
-            label = _KIND_ZERO
+        zero_ts = [t for t, _, is_zero in group if is_zero]
         if zero_ts:
-            rep = zero_ts[0]
+            t = zero_ts[0]
         else:
-            rep = next(t for t, k in group if k == label)
-        out.append((rep, label))
+            first = group[0][0]
+            t = (first + float(np.mean([(s - first + 0.5) % 1.0 - 0.5 for s, _, _ in group]))) % 1.0
+        if sum(k for _, k, _ in group) % 2:
+            contact = "transversal"
+        else:
+            contact = "zero-of-f" if len(zero_ts) == len(group) else "tangential"
+        out.append((t, contact))
     out.sort()
     return out
 
 
-def count_preimages(f: Polynomial, curve: JordanCurve, line: Line, cfg: CrossingConfig | None = None) -> PreimageSet:
+def count_preimages(
+    f: Polynomial,
+    curve: JordanCurve,
+    line: Line,
+    cfg: CrossingConfig | None = None,
+    zeros: ZeroReport | None = None,
+) -> PreimageSet:
     """All distinct curve points mapped into the line by f.
 
-    Scans are repeated at doubled resolution until the merged count is stable
-    between two consecutive levels; persistent instability up to max_samples
-    raises ResolutionTooCoarse.
+    ``zeros`` is f's root classification against the curve, as
+    ``classify_roots`` gives it; without one, f's roots are classified here.
+    Raises BelowNoiseFloor when f's image on some segment does not rise above
+    the rounding noise of its evaluation, 64 eps sum_k |f_k| r^k with r the
+    curve's largest modulus (at least 1): no count is then possible.
     """
     cfg = cfg if cfg is not None else CrossingConfig()
-
-    def h(ts):
-        return line_residual(f, curve, line, ts)
-
-    # Evaluation noise floor: Horner on coefficients of size B carries absolute
-    # error O(u*B), which can exceed rel-tol * scale when the residual scale is
-    # dominated by cancellation (e.g. high-order roots probed at tiny radii).
-    r_max = float(np.max(np.abs(curve.grid(256))))
-    coeff_bound = sum(abs(c) * max(1.0, r_max) ** k for k, c in enumerate(f.coeffs))
-    noise_floor = 64.0 * np.finfo(float).eps * coeff_bound
-
-    if cfg.on_curve_params is not None:
-        injected = tuple(float(t) % 1.0 for t in cfg.on_curve_params)
-    else:
-        injected = classify_roots(f, curve, band=cfg.band, root_tol=cfg.root_tol).on_curve_params
-
-    n = cfg.samples
-    ts = np.arange(n, dtype=float) / n
-    vals = line.residual(f(curve.grid(n)))
-    prev = None
-    while True:
-        cands, scale = _detect(h, ts, vals, cfg)
-        cands.extend((t, _KIND_ZERO) for t in injected)
-        merged = _cluster(h, cands, scale, cfg)
-        if prev is not None and len(merged) == prev:
-            break
-        prev = len(merged)
-        if n >= cfg.max_samples:
-            raise ResolutionTooCoarse(f"zero count still unstable at {n} samples")
-        # the doubled grid's even points 2i / 2n are the floats i / n, so
-        # their residuals are kept and only the odd points are evaluated:
-        # read off the curve's grid where n divides it, else evaluated
-        n *= 2
-        ts = np.arange(n, dtype=float) / n
-        odd = curve.grid(n)[1::2] if GRID_SAMPLES % n == 0 else curve.points(ts[1::2])
-        finer = np.empty(n)
-        finer[0::2] = vals
-        finer[1::2] = line.residual(f(odd))
-        vals = finer
-
+    if zeros is None:
+        zeros = classify_roots(f, curve, band=cfg.band, root_tol=cfg.root_tol)
+    r_max = max(1.0, float(np.max(np.abs(curve.grid(256)))))
+    floor = 64.0 * np.finfo(float).eps * sum(abs(c) * r_max**k for k, c in enumerate(f.coeffs))
     points = []
-    residual_cap = max(cfg.residual_rel_tol * scale, noise_floor)
-    for t, kind in merged:
+    for t, contact in _cluster(_detect(f, curve, line, zeros, floor)):
         z = curve.point(t)
-        value = f(z)
-        if abs(float(line.residual(value))) > residual_cap:
-            continue  # phantom: the refined point does not actually touch the line
-        points.append(PreimagePoint(float(t), complex(z), complex(value), kind))
+        points.append(PreimagePoint(float(t), complex(z), complex(f(z)), contact))
     return PreimageSet(tuple(points))
 
 
@@ -306,16 +333,15 @@ def count_disc_preimages(
     """Preimage count of the line on the circle of radius eps around a root of f.
 
     For small eps this equals twice the root's multiplicity.  The disc must
-    exclude every other root.
+    exclude every other root.  Raises BelowNoiseFloor when eps is so small
+    that f on the circle stays within the rounding noise of its evaluation.
     """
-    from .curves import circle  # local import to keep module load light
-
     cfg = cfg if cfg is not None else CrossingConfig()
     zero = complex(zero)
     root, _ = _isolated_root(f, zero, eps, cfg.root_tol, "disc of radius", center=zero)
     if root.multiplicity != int(multiplicity):
         raise ValueError(f"root at {zero} has multiplicity {root.multiplicity}, not {multiplicity}")
-    return count_preimages(f, circle(zero, eps), line, replace(cfg, on_curve_params=())).count
+    return count_preimages(f, circle(zero, eps), line, cfg, ZeroReport.empty()).count
 
 
 def arg_derivative_probe(

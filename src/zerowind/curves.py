@@ -601,35 +601,7 @@ def curve_from_alias(alias: str) -> JordanCurve:
 
 
 # ---------------------------------------------------------------------------
-# sampling and classification
-
-
-@dataclass(frozen=True)
-class CurveSample:
-    t: float
-    point: complex
-    tangent: complex
-    at_corner: bool
-
-
-def sample(curve: JordanCurve, n: int) -> list[CurveSample]:
-    """n samples at equispaced parameters with global-parameter tangents.
-
-    Tangents at corner parameters are one-sided (from the right) and flagged.
-    """
-    if n < 3:
-        raise ValueError("need at least three samples")
-    ts = np.arange(n) / n
-    pts = curve.grid(n)
-    tans = curve.derivs(ts)
-    corner_params = np.array(curve.corner_parameters())
-    out = []
-    for t, p, d in zip(ts, pts, tans):
-        at_corner = bool(corner_params.size) and bool(
-            np.min(np.abs(wrap_angle((corner_params - t) * TWO_PI))) < 1e-12 * TWO_PI
-        )
-        out.append(CurveSample(float(t), complex(p), complex(d), at_corner))
-    return out
+# classification
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,8 @@ class NonIntegerWinding(ZerowindError):
     """The accumulated argument variation was not close enough to a whole number of turns."""
 
 
-class ResolutionTooCoarse(ZerowindError):
-    """The zero pattern kept changing between refinement levels up to the maximum resolution."""
+class BelowNoiseFloor(ZerowindError):
+    """The polynomial's values on the curve do not rise above the rounding noise of their evaluation."""
 
 
 class BoundaryCoefficientZero(ZerowindError):

@@ -239,6 +239,12 @@ class ZeroReport:
     outside: RootSet
     on_curve_params: tuple[float, ...]
 
+    @classmethod
+    def empty(cls) -> "ZeroReport":
+        """No roots: what ``count_preimages`` takes for a curve that carries none of f's, such as a detour composite."""
+        none = RootSet((), 0.0)
+        return cls(none, none, none, ())
+
     @property
     def m(self) -> int:
         return self.inside.total_multiplicity

@@ -14,7 +14,7 @@ zero counts of cosine sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,7 +91,7 @@ def verify_piecewise(f: Polynomial, curve: JordanCurve, line: Line, cfg: Crossin
         alpha = interior_angle(curve, t)
         per_corner.append(CornerTerm(root.multiplicity, alpha, guarded_ceil(root.multiplicity * alpha / np.pi)))
     bound = 2 * report.m + sum(c.ceil_term for c in per_corner)
-    measured = count_preimages(f, curve, line, replace(cfg, on_curve_params=report.on_curve_params)).count
+    measured = count_preimages(f, curve, line, cfg, report).count
     return BoundReport(
         measured=measured,
         bound=bound,
@@ -148,7 +148,7 @@ def verify_detour(
         raise ValueError("f has no zeros on the curve; the detour adds nothing")
     detour = build_detour(curve, report.on_curve.locations(), eps_schedule, band=cfg.band)
     w = winding_count(f, detour.composite, band=cfg.band)
-    preimages = count_preimages(f, detour.composite, line, replace(cfg, on_curve_params=()))
+    preimages = count_preimages(f, detour.composite, line, cfg, ZeroReport.empty())
     target = report.m + report.lam
     holds = (w == target) and (preimages.count >= 2 * target)
     rep = DetourReport(
@@ -351,9 +351,11 @@ def _exact_cosine_zero_count(coeffs) -> int:
     raise ValueError("no clean resolution for the cosine sum")
 
 
-def _checked_trig_count(coeffs: tuple[float, ...], circle_curve: JordanCurve, cfg: CrossingConfig | None) -> int:
+def _checked_trig_count(
+    coeffs: tuple[float, ...], circle_curve: JordanCurve, cfg: CrossingConfig | None, zeros: ZeroReport | None = None
+) -> int:
     """Imaginary-axis preimages of the coefficients' polynomial, cross-checked by the exact count."""
-    count = count_preimages(Polynomial(coeffs), circle_curve, Line.imag_axis(), cfg).count
+    count = count_preimages(Polynomial(coeffs), circle_curve, Line.imag_axis(), cfg, zeros).count
     exact = _exact_cosine_zero_count(coeffs)
     if exact != count:
         raise SelfCheckFailed(f"preimage count {count} disagrees with exact cosine-sum count {exact}")
@@ -436,8 +438,8 @@ def verify_trig(a, cfg: CrossingConfig | None = None) -> TrigReport:
     if remaining:
         raise SelfCheckFailed("reversed polynomial has unmatched on-circle zeros")
 
-    z_p = _checked_trig_count(coeffs, circle_curve, replace(cfg, on_curve_params=zf.on_curve_params))
-    z_q = _checked_trig_count(coeffs[::-1], circle_curve, replace(cfg, on_curve_params=zg.on_curve_params))
+    z_p = _checked_trig_count(coeffs, circle_curve, cfg, zf)
+    z_q = _checked_trig_count(coeffs[::-1], circle_curve, cfg, zg)
     return TrigReport(
         coeffs=given,
         z_p=z_p,

@@ -13,7 +13,8 @@ against ``mpmath`` within the same bound as the kernel.  ``scan_nearest_paramete
 the earlier nearest-point search, which the closed form on arcs and lines must
 match up to rounding.  The termwise cosine scan is the rule of an earlier
 sampled zero count, and ``sympy_cosine_zero_count`` counts the same zeros by
-sympy's exact real-root isolation.
+sympy's exact real-root isolation, as ``sympy_segment_residual_roots`` does
+for the line residual on one straight segment.
 """
 
 from __future__ import annotations
@@ -113,6 +114,26 @@ def sympy_cosine_zero_count(coeffs) -> int:
     sqf = p.sqf_part()
     ends = int(sqf.eval(1) == 0) + int(sqf.eval(-1) == 0)
     return 2 * (sqf.count_roots(-1, 1) - ends) + ends
+
+
+def sympy_segment_residual_roots(coeffs, start: complex, end: complex) -> list[float]:
+    """Distinct real roots in [0, 1] of h(s) = Im f(start + s (end - start)), by sympy's exact real-root isolation.
+
+    Every float is taken exactly, so dyadic data gives h exactly.  None when
+    h vanishes identically on the segment.
+    """
+    s = sympy.Symbol("s", real=True)
+
+    def exact(c):
+        c = complex(c)
+        return sympy.Rational(c.real) + sympy.I * sympy.Rational(c.imag)
+
+    z = exact(start) + s * (exact(end) - exact(start))
+    h = sympy.im(sympy.expand(sum(exact(c) * z**k for k, c in enumerate(coeffs))))
+    poly = sympy.Poly(sympy.expand(h), s)
+    if poly.is_zero:
+        return None
+    return sorted({float(r) for r in poly.real_roots() if 0 <= r <= 1})
 
 
 def reference_dispatch(curve, t, per_segment):

@@ -28,7 +28,7 @@ class TestCrossingsCommand:
         assert rc == 0
         # boundary zero at -1 plus the three phase-alignment points
         assert out["count"] == 4
-        assert "config_echo" in out and out["config_echo"]["samples"] == 4096
+        assert out["config_echo"] == {"band": None, "root_tol": 1e-10, "circle_tol": 1e-6, "merge_radius": 1e-7}
 
     def test_out_file(self, tmp_path, cube_poly):
         dest = tmp_path / "report.json"
@@ -272,8 +272,9 @@ class TestInputErrors:
             ["emit-samples", "--curve", "unit-circle", "--csv", "unused.csv", "--delta", "-1"],
             ["count-zeros", "--curve", "unit-circle", "--resolution", "7"],
             ["winding", "--curve", "unit-circle", "--resolution", "7"],
+            ["crossings", "--curve", "unit-circle", "--line", "real-axis", "--resolution", "7"],
         ],
-        ids=["emit-samples-delta", "count-zeros-resolution", "winding-resolution"],
+        ids=["emit-samples-delta", "count-zeros-resolution", "winding-resolution", "crossings-resolution"],
     )
     def test_unread_flag_rejected(self, cube_poly, argv, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -291,7 +292,7 @@ class TestInputErrors:
         "argv",
         [
             ["crossings", "--curve", "unit-circle", "--line", "real-axis", "--delta", "0"],
-            ["crossings", "--curve", "unit-circle", "--line", "real-axis", "--resolution", "0"],
+            ["emit-samples", "--curve", "unit-circle", "--csv", "unused.csv", "--resolution", "0"],
             ["detour", "--curve", "unit-circle", "--line", "real-axis", "--epsilon", "0"],
         ],
         ids=["delta", "resolution", "epsilon"],
@@ -300,12 +301,6 @@ class TestInputErrors:
         poly = write_json(tmp_path / "p.json", {"real_coeffs": [-1, 1]})
         assert cli.main(argv + ["--poly", poly]) == 2
         assert "must be positive" in capsys.readouterr().err
-
-    def test_one_sample_exits_2(self, tmp_path, capsys):
-        poly = write_json(tmp_path / "p.json", {"real_coeffs": [-0.3, 1]})
-        argv = ["crossings", "--poly", poly, "--curve", "unit-circle", "--line", "real-axis", "--resolution", "1"]
-        assert cli.main(argv) == 2
-        assert "samples must be at least 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,19 +5,27 @@ from hypothesis import strategies as st
 
 import zerowind.crossings
 from zerowind import (
-    CrossingConfig,
+    ArcSegment,
+    BelowNoiseFloor,
+    JordanCurve,
     Line,
+    LineSegment,
     Polynomial,
-    ResolutionTooCoarse,
+    ZeroReport,
     arg_derivative_probe,
+    build_detour,
+    classify_roots,
     count_disc_preimages,
     count_preimages,
     line_residual,
+    polygon,
     radial_trig_curve,
-    unit_circle,
+    run_harness,
+    square,
 )
+from zerowind.harness import HarnessConfig
 
-from oracles import dense_line_crossing_count
+from oracles import dense_line_crossing_count, sympy_segment_residual_roots
 
 TWO_PI = 2 * np.pi
 
@@ -79,6 +87,14 @@ class TestCountPreimages:
             assert got == want, f"n={n}"
             assert got == dense_line_crossing_count(f, circle_curve, Line.real_axis(), samples=200_000)
 
+    def test_boundary_zero_powers_any_line(self, circle_curve):
+        # (1+z)^n = (2 cos(t/2))^n e^{i n t/2} meets the line at angle 0.37 at
+        # the n solutions of n t/2 = 0.37 mod pi and at its zero t = pi, which
+        # is not one of them; a sampled search read n for n = 10 and 12
+        for n in range(1, 13):
+            f = Polynomial.from_roots([(-1.0, n)])
+            assert count_preimages(f, circle_curve, Line(0.37)).count == n + 1, f"n={n}"
+
     def test_pure_power_hits_any_line_2n_times(self, circle_curve):
         rng = np.random.default_rng(0)
         for n in (1, 2, 5):
@@ -96,30 +112,6 @@ class TestCountPreimages:
         pre = count_preimages(Polynomial([-1, 1]), circle_curve, Line.real_axis())
         assert pre.count == 2
         assert sorted(round(p.t, 6) for p in pre.points) == [0.0, 0.5]
-
-    def test_doubling_reuses_scan_samples(self, circle_curve, monkeypatch):
-        # level two keeps level one's 4096 residuals and evaluates f only on its 4096 odd points
-        levels, scanned, checking = [], [], []
-        detect, call = zerowind.crossings._detect, Polynomial.__call__
-        f, line = Polynomial([-1, 1]), Line.real_axis()
-
-        def counted_detect(h, ts, vals, cfg):
-            levels.append(len(ts))
-            checking.append(True)
-            assert np.array_equal(vals, line_residual(f, circle_curve, line, ts))
-            checking.pop()
-            return detect(h, ts, vals, cfg)
-
-        def counted_call(self, z):
-            if np.size(z) >= 1024 and not checking:
-                scanned.append(np.size(z))
-            return call(self, z)
-
-        monkeypatch.setattr(zerowind.crossings, "_detect", counted_detect)
-        monkeypatch.setattr(Polynomial, "__call__", counted_call)
-        assert count_preimages(f, circle_curve, line, CrossingConfig(samples=4096)).count == 2
-        assert levels == [4096, 8192]
-        assert scanned == [4096, 4096]
 
     def test_rotation_equivariance(self, circle_curve):
         rng = np.random.default_rng(4)
@@ -181,32 +173,98 @@ class TestCountPreimages:
         assert pre.count >= 2 * 1 + 2
         assert pre.count == dense_line_crossing_count(f, curve, Line.real_axis(), samples=400_000)
 
-    def test_resolution_instability_raises(self, circle_curve):
-        cfg = CrossingConfig(samples=8, max_samples=16)
-        with pytest.raises(ResolutionTooCoarse):
-            count_preimages(Polynomial([0, 0, 0, 0, 0, 1]), circle_curve, Line(0.3), cfg)
-
-    @pytest.mark.parametrize("samples", [1, 0, -5])
-    def test_fewer_than_two_samples_rejected(self, samples):
-        # one sample of z - 0.3 on the unit circle is real, which once read as "the image lies on the line"
-        with pytest.raises(ValueError, match="samples must be at least 2"):
-            CrossingConfig(samples=samples)
-        with pytest.raises(ValueError, match="samples must be at least 2"):
-            count_preimages(Polynomial([-0.3, 1]), unit_circle(), Line.real_axis(), CrossingConfig(samples=samples))
-
-    def test_two_samples_accepted(self, circle_curve):
-        pre = count_preimages(Polynomial([-0.3, 1]), circle_curve, Line.real_axis(), CrossingConfig(samples=2))
-        assert pre.count == 2
-
     def test_constant_image_on_line_rejected(self, circle_curve):
         # constant polynomial with value on the line: residual identically zero
         with pytest.raises(ValueError):
             count_preimages(Polynomial([2.0]), circle_curve, Line.real_axis())
 
-    def test_injected_params_short_circuit_classification(self, circle_curve):
+    def test_injected_params_short_circuit_classification(self, circle_curve, monkeypatch):
         f = Polynomial.from_roots([(-1.0, 2)])
-        cfg = CrossingConfig(on_curve_params=(0.5,))
-        assert count_preimages(f, circle_curve, Line.real_axis(), cfg).count == 2
+        report = classify_roots(f, circle_curve)
+        monkeypatch.setattr(zerowind.crossings, "classify_roots", None)
+        assert count_preimages(f, circle_curve, Line.real_axis(), zeros=report).count == 2
+
+
+class TestRootCount:
+    """Each segment's zeros of h are roots of one polynomial; each kind of segment against an independent oracle."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_line_segments_match_exact_roots(self, seed):
+        # dyadic vertices and coefficients make h exact on every edge; roots
+        # planted at an edge point and at a corner are divided out of f
+        rng = np.random.default_rng(seed)
+        shift = complex(rng.integers(-8, 9), rng.integers(-8, 9)) / 16
+        verts = [shift + v for v in ([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j] if seed % 2 else [0, 2, 2 + 2j, 2j])]
+        planted = [verts[int(rng.integers(len(verts)))], (verts[1] + verts[2]) / 2]
+        free = [complex(rng.integers(-48, 49), rng.integers(-48, 49)) / 16 for _ in range(int(rng.integers(1, 4)))]
+        lead = complex(rng.integers(1, 5), rng.integers(-4, 5)) / 4
+        f = Polynomial.from_roots(planted[: 1 + seed % 2] + free, leading=lead)
+        curve = polygon(verts)
+        want = 0
+        for seg in curve.segments:
+            roots = sympy_segment_residual_roots(f.coeffs, seg.start_point, seg.end_point)
+            want += sum(r < 1 for r in roots)  # a corner belongs to the segment it starts
+        assert count_preimages(f, curve, Line.real_axis()).count == want
+
+    @pytest.mark.parametrize("line", [Line(0.3), Line.imag_axis()], ids=["0.3", "imag"])
+    def test_partial_arcs_match_dense_count(self, line):
+        # a stadium of two half circles and two edges, and a circle of three arcs
+        stadium = JordanCurve.from_segments(
+            [
+                LineSegment(-1 - 1j, 1 - 1j),
+                ArcSegment(1, 1.0, -np.pi / 2, np.pi / 2),
+                LineSegment(1 + 1j, -1 + 1j),
+                ArcSegment(-1, 1.0, np.pi / 2, 3 * np.pi / 2),
+            ]
+        )
+        arcs = JordanCurve.from_segments([ArcSegment(0.2j, 1.5, a, b) for a, b in ((0, 2), (2, 4), (4, TWO_PI))])
+        for curve in (stadium, arcs):
+            rng = np.random.default_rng(3)
+            for _ in range(4):
+                roots = [complex(curve.point(rng.random()))] + list(rng.normal(size=3) + 1j * rng.normal(size=3))
+                f = Polynomial.from_roots(roots)
+                got = count_preimages(f, curve, line).count
+                assert got == dense_line_crossing_count(f, curve, line, samples=400_000)
+
+    def test_trig_subsegments_match_dense_count(self):
+        # a detour composite keeps two pieces of the trig segment; splitting
+        # the whole curve at a break must not change its count either
+        curve = radial_trig_curve([(0.02, -0.015), (0.01, 0.02)])
+        seg = curve.segments[0]
+        halves = JordanCurve.from_segments([seg.subsegment(0.0, 0.37), seg.subsegment(0.37, 1.0)])
+        z0 = complex(curve.point(0.31))
+        f = Polynomial.from_roots([(z0, 1), (0.2 - 0.1j, 1), (-1.7 + 0.4j, 1)])
+        detour = build_detour(curve, [z0])
+        for line in (Line(0.2), Line(1.3)):
+            assert count_preimages(f, halves, line).count == count_preimages(f, curve, line).count
+            got = count_preimages(f, detour.composite, line, zeros=ZeroReport.empty()).count
+            assert got == dense_line_crossing_count(f, detour.composite, line, samples=400_000)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_zero_on_a_corner_counts_once(self, k):
+        sq = square(0.5 + 0.5j, 1.0)
+        f = Polynomial.from_roots([(1 + 1j, k), (0.4 + 0.3j, 1)])
+        for line in (Line(0.3), Line(2.0)):
+            pre = count_preimages(f, sq, line)
+            assert sum(abs(p.t - 0.5) < 1e-6 for p in pre.points) == 1
+            assert pre.count == dense_line_crossing_count(f, sq, line, samples=400_000)
+
+    def test_below_noise_floor_raises_at_once(self):
+        # f on a circle of radius 1e-4 around its order-4 zero is about 4e-16,
+        # under the rounding noise of evaluating f there (5e-13): a sampled
+        # search scanned up to 4,194,304 samples before giving up
+        f = Polynomial.from_roots([(1.0, 4), (-3.0, 1)])
+        with pytest.raises(BelowNoiseFloor):
+            count_disc_preimages(f, 1.0, 4, 1e-4, Line(0.37))
+
+    def test_split_double_root_near_the_curve_counts_once(self, monkeypatch):
+        # the planted double root at t = 0.925 is classified just off the curve,
+        # as two simple roots 3e-8 apart; the two crossings near it lie 1.1e-8
+        # apart in t, closer than the merge radius, so they are one point
+        cfg = HarnessConfig(trials=1, max_degree=6, curve_family="trig-perturbed", seed=1289204377)
+        assert run_harness(cfg).min_slack == 1
+        monkeypatch.setattr(zerowind.crossings, "MERGE_RADIUS", 1e-9)
+        assert run_harness(cfg).min_slack == 2
 
 
 class TestDiscPreimages:

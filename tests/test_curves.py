@@ -21,7 +21,6 @@ from zerowind import (
     interior_angle,
     polygon,
     radial_trig_curve,
-    sample,
     square,
     unit_circle,
     verify_detour,
@@ -38,17 +37,17 @@ TWO_PI = 2 * np.pi
 
 class TestSampling:
     def test_unit_circle_quarters(self, circle_curve):
-        pts = [s.point for s in sample(circle_curve, 4)]
-        for got, want in zip(pts, [1, 1j, -1, -1j]):
+        for got, want in zip(circle_curve.grid(4), [1, 1j, -1, -1j]):
             assert got == pytest.approx(want, abs=1e-15)
 
     def test_square_eight_includes_corners(self, unit_square):
-        pts = [s.point for s in sample(unit_square, 8)]
+        pts = unit_square.grid(8)
         corners = {c.location for c in unit_square.corners}
         hits = sum(any(abs(p - c) < 1e-12 for c in corners) for p in pts)
         assert hits == 4
-        flags = [s.at_corner for s in sample(unit_square, 8)]
-        assert sum(flags) == 4
+        assert sorted(unit_square.corner_parameters()) == [i / 8 for i in range(8) if any(
+            abs(pts[i] - c) < 1e-12 for c in corners
+        )]
 
     def test_closure_gap(self):
         curves = [
@@ -65,14 +64,10 @@ class TestSampling:
             # wrap evaluation is exact by construction
             assert abs(curve.point(0.0) - curve.point(1.0)) < 1e-12
 
-    def test_sample_needs_three(self, circle_curve):
-        with pytest.raises(ValueError):
-            sample(circle_curve, 2)
-
     def test_tangent_is_global_derivative(self, circle_curve):
-        s = sample(circle_curve, 16)[3]
+        t = 3 / 16
         # d/dt exp(2 pi i t) = 2 pi i exp(2 pi i t)
-        assert s.tangent == pytest.approx(TWO_PI * 1j * s.point, rel=1e-12)
+        assert circle_curve.deriv(t) == pytest.approx(TWO_PI * 1j * circle_curve.point(t), rel=1e-12)
 
 
 class TestClassification:
@@ -203,7 +198,9 @@ class TestWorkBudget:
     refine on every curve, with two calls per step, took 477, 786, 167 and
     158 dispatches on these instances; with one call per step, 207, 164, 6
     and 82.  With each curve sampled once on its cached grid, a cold run
-    takes 53, 46, 2 and 27.
+    takes 53, 46, 2 and 27.  With preimages counted as polynomial roots
+    instead of by a sampled search, the first two take 13 and 24: the
+    nearest-point batches, the grids and one point per preimage found.
 
     Separately, every grid scan, winding pass and orientation test reads the
     curve's one cached sampling, so a curve is evaluated at 1024 or more
@@ -244,11 +241,11 @@ class TestWorkBudget:
         return evaluated, built
 
     def test_verify_trig(self, monkeypatch):
-        assert self._dispatches(monkeypatch, lambda: verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])) <= 53
+        assert self._dispatches(monkeypatch, lambda: verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])) <= 13
 
     def test_verify_detour(self, monkeypatch):
         f = Polynomial.from_roots([(1.0, 2), (0.3, 1)])
-        assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 46
+        assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 24
 
     def test_unit_circle_sampled_once_per_process(self, monkeypatch):
         def run():

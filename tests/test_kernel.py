@@ -349,7 +349,7 @@ _ITERS = st.sampled_from([0, 1, 47, 48, 52])
 
 
 def _flip_brackets(fn, n: int, shift: float = 0.0):
-    """Grid cells [t_i, t_i + 1 / n] where fn changes sign, as ``_detect`` and ``_try_detour`` find them.
+    """Grid cells [t_i, t_i + 1 / n] where fn changes sign, as ``_try_detour`` finds them.
 
     With ``shift = 0`` the grid is t_i = i / n, as there; a shift gives
     brackets whose ends and width are not dyadic, on which a grid built as

@@ -13,6 +13,7 @@ from zerowind import (
     Line,
     Polynomial,
     SelfCheckFailed,
+    ZeroReport,
     build_detour,
     classify_roots,
     count_preimages,
@@ -187,7 +188,7 @@ class TestVerifyDetour:
             except Exception:
                 continue
             assert rep.holds
-            pre = count_preimages(f, det.composite, line, CrossingConfig(on_curve_params=()))
+            pre = count_preimages(f, det.composite, line, zeros=ZeroReport.empty())
             off_disc = [
                 p for p in pre.points if all(abs(p.z - z) > eps * (1 + 1e-9) for z, eps in det.excised)
             ]
@@ -269,14 +270,14 @@ class TestVerifyTrig:
             if n <= 4:
                 assert rep.z_p == dense_cosine_zero_count(coeffs, samples=400_000)
 
-    def test_unresolved_binomial_is_caught(self):
-        # (1 + z)^16 has 17 zeros, but |P| between the order-16 zero at t = pi
-        # and its neighbours at pi -+ pi/16 stays under 2^-58 of sum |c_j|,
-        # below what the float residual resolves: the preimage count takes
-        # the three as one and the exact count of the integer coefficients
-        # says so, instead of a report of 15 + 15 < 32 zeros
-        with pytest.raises(SelfCheckFailed, match="preimage count 15 disagrees with exact cosine-sum count 17"):
-            verify_trig([math.comb(16, j) for j in range(17)])
+    def test_binomial_sixteen_verifies(self):
+        # (1 + z)^16 has 17 zeros: 16 of cos(8 t) and the order-16 zero at
+        # t = pi.  |P| between that zero and its neighbours at pi -+ pi/16
+        # stays under 2^-58 of sum |c_j|, which a sampled residual cannot
+        # resolve (it took the three as one); with the order-16 zero divided
+        # out, the other 16 are simple roots on the unit circle
+        rep = verify_trig([math.comb(16, j) for j in range(17)])
+        assert (rep.z_p, rep.z_q, rep.lam) == (17, 17, 16)
 
     @pytest.mark.parametrize(
         "coeffs, want",
@@ -354,12 +355,16 @@ class TestVerifyTrig:
     @pytest.mark.xfail(
         raises=SelfCheckFailed,
         strict=True,
-        reason="ROADMAP item 4: two crossings in one grid cell of both scan levels are seen as one dip",
+        reason=(
+            "ROADMAP item 1: the root count finds both roots of each pair, 5e-7 apart, and merges them; "
+            "telling such a pair from a split double root needs a certificate"
+        ),
     )
     def test_close_crossing_pair_in_one_cell(self):
         # cos t (2 cos t + 1e-6) has simple zeros at pi/2 and 3pi/2 and, 5e-7
-        # from each, a zero of 2 cos t + 1e-6: both pairs fit in one cell of
-        # the 4096- and the 8192-point grid, so the preimage count reads 2
+        # from each, a zero of 2 cos t + 1e-6.  Each pair is two roots on the
+        # unit circle 8e-8 apart in t, inside the merge radius that keeps a
+        # split tangency one point, so the preimage count reads 2
         rep = verify_trig([1.0, 1e-6, 1.0])
         assert rep.z_p == rep.z_q == 4
 
