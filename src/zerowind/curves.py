@@ -396,6 +396,11 @@ class JordanCurve:
         pts.flags.writeable = False
         return pts
 
+    @cached_property
+    def _chords(self) -> "_ChordPolygon | None":
+        """The closed-form winding's polygon, built on first use; None on a curve with a trig segment."""
+        return _ChordPolygon.of(self.segments)
+
     def derivs(self, t):
         """d(curve)/dt at global parameter(s) t; one-sided from the right at joints."""
         return self._dispatch(t, lambda seg, s, w: seg.derivs(s) / w)
@@ -633,20 +638,106 @@ def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, n
     return tstar, np.abs(curve.points(tstar) - ps)
 
 
+# A point this close to a curve of arcs and lines, relative to the largest
+# coordinate involved, is within rounding of it: the closed-form winding
+# cannot place it, so it is ambiguous.
+_ROUNDING_GUARD = 64.0 * np.finfo(float).eps
+
+
+@dataclass(frozen=True, eq=False)
+class _ChordPolygon:
+    """A curve of arcs and lines as a closed polygon plus the arc pieces its edges cut off.
+
+    A line is one edge; an arc is split into pieces of sweep at most pi, one
+    edge each.  Per edge, ``centres``, ``radii`` and ``signs`` give the arc
+    piece's centre, radius and sweep sign (radius 0 and sign 0 on a straight
+    edge).  Each segment contributes the edges from its own start, so the
+    polygon closes across the gaps that joints may leave.  ``extent`` bounds
+    every coordinate of the curve.
+    """
+
+    verts: np.ndarray
+    centres: np.ndarray
+    radii: np.ndarray
+    signs: np.ndarray
+    extent: float
+
+    @classmethod
+    def of(cls, segments: tuple[Segment, ...]) -> "_ChordPolygon | None":
+        if not all(isinstance(seg, (ArcSegment, LineSegment)) for seg in segments):
+            return None
+        verts, centres, radii, signs = [], [], [], []
+        for seg in segments:
+            if isinstance(seg, LineSegment):
+                verts.append(seg.start_point)
+                centres.append(0j)
+                radii.append(0.0)
+                signs.append(0.0)
+                continue
+            sweep = seg.angle1 - seg.angle0
+            pieces = int(np.ceil(abs(sweep) / np.pi))
+            verts.extend(seg.points(np.arange(pieces) / pieces))
+            centres.extend([seg.center] * pieces)
+            radii.extend([seg.radius] * pieces)
+            signs.extend([float(np.sign(sweep))] * pieces)
+        verts, centres, radii = np.array(verts, dtype=complex), np.array(centres, dtype=complex), np.array(radii)
+        extent = max(float(np.max(np.abs(verts))), float(np.max(np.abs(centres) + radii)))
+        return cls(verts, centres, radii, np.array(signs), extent)
+
+    def turns(self, ps: np.ndarray) -> np.ndarray:
+        """Winding numbers, in turns, around each of ps (none on the curve).
+
+        The sum over the polygon's edges of each edge's argument change
+        angle((b - p) / (a - p)).  An arc piece of sweep at most pi adds the
+        2 pi its chord misses where p lies in the piece's disc on the arc's
+        side of the chord: there the chord's angle has the sign opposite to
+        the sweep's.
+        """
+        signs = self.signs[:, np.newaxis]
+        chord = np.angle((np.roll(self.verts, -1)[:, np.newaxis] - ps) / (self.verts[:, np.newaxis] - ps))
+        in_disc = np.abs(ps - self.centres[:, np.newaxis]) < self.radii[:, np.newaxis]
+        missed = in_disc & (np.sign(chord) == -signs)
+        return (chord + TWO_PI * signs * missed).sum(axis=0) / TWO_PI
+
+
 def classify_points(curve: JordanCurve, ps: Sequence[complex], band: float | None = None) -> list[PointLocation]:
     """Locate each of ps relative to the curve: on it (within ``band``), inside, or outside.
 
-    Inside/outside is decided by the discrete winding number of the curve
-    around each point, refined until every argument step is below pi/2.
+    Inside/outside is decided by the winding number of the curve around each
+    point.  On a curve of arcs and lines it is summed in closed form (see
+    :meth:`_ChordPolygon.turns`); on a curve with a trig segment it is the
+    discrete winding, refined until every argument step is below pi/2.
     """
     band = curve.checked_band(band)
     ps = np.array([complex(p) for p in ps], dtype=complex)
-    return [_locate(curve, complex(p), float(t), d, band) for p, t, d in zip(ps, *nearest_parameter(curve, ps))]
+    tstar, dist = nearest_parameter(curve, ps)
+    chords = curve._chords
+    if chords is None:
+        return [_locate(curve, complex(p), float(t), d, band) for p, t, d in zip(ps, tstar, dist)]
+    # a point within rounding of a vertex can divide by zero; the guard below refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        turns = iter(chords.turns(ps[~(dist < band)]).tolist())
+    out = []
+    for p, t, d in zip(ps.tolist(), tstar.tolist(), dist.tolist()):
+        if d < band:
+            out.append(PointLocation("on-curve", t))
+        elif d <= _ROUNDING_GUARD * max(chords.extent, abs(p)):
+            raise AmbiguousClassification(f"{p} lies {d:.3g} from the curve, within rounding of it")
+        else:
+            out.append(_from_turns(p, next(turns)))
+    return out
 
 
 def classify_point(curve: JordanCurve, p: complex, band: float | None = None) -> PointLocation:
     """Locate one point relative to the curve; see :func:`classify_points`."""
     return classify_points(curve, [p], band)[0]
+
+
+def _from_turns(p: complex, turns: float) -> PointLocation:
+    w = round(turns)
+    if abs(turns - w) > 0.01 or w not in (0, 1):
+        raise AmbiguousClassification(f"winding around {p} is {turns:.6f}")
+    return PointLocation("inside" if w == 1 else "outside")
 
 
 def _locate(curve: JordanCurve, p: complex, tstar: float, dist: float, band: float) -> PointLocation:
@@ -656,10 +747,7 @@ def _locate(curve: JordanCurve, p: complex, tstar: float, dist: float, band: flo
         turns, _, _ = adaptive_winding(lambda ts: curve.points(ts) - p, coarse=curve.grid(1024) - p)
     except WindingNotResolved as exc:
         raise AmbiguousClassification(f"winding around {p} did not converge: {exc}") from exc
-    w = round(turns)
-    if abs(turns - w) > 0.01 or w not in (0, 1):
-        raise AmbiguousClassification(f"winding around {p} is {turns:.6f}")
-    return PointLocation("inside" if w == 1 else "outside")
+    return _from_turns(p, turns)
 
 
 def interior_angle(curve: JordanCurve, t: float, snap_tol: float = 1e-7) -> float:

@@ -91,10 +91,15 @@ class Root:
 
 @dataclass(frozen=True)
 class RootSet:
-    """Roots with multiplicities plus the worst normalized residual among them."""
+    """Roots with multiplicities plus the worst normalized residual among them.
+
+    ``residuals`` holds each root's own normalized residual, aligned with
+    ``roots``, so that a subset needs none of them computed again.
+    """
 
     roots: tuple[Root, ...]
     residual: float
+    residuals: tuple[float, ...] = ()
 
     @property
     def total_multiplicity(self) -> int:
@@ -104,79 +109,176 @@ class RootSet:
         return tuple(r.location for r in self.roots)
 
 
-def _normalized_residual(f: Polynomial, z: complex) -> float:
-    denom = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(f.coeffs))
-    return abs(f(z)) / denom
+# Array forms of the one-point root tests.  Each gives, for every point of an
+# array, the bits of the scalar form that evaluated one point at a time: |z|
+# is np.hypot of the parts, as Python's complex abs computes it (np.abs on a
+# complex array rounds differently), powers and the Newton step stay Python
+# float and complex arithmetic, and sums keep their left-to-right order.
+# Where the scalar form raised, the point keeps that exception, and
+# find_roots raises it when its in-order walk over the points reaches it.
 
 
-def _taylor_magnitudes(f: Polynomial, z: complex) -> np.ndarray:
-    """|f^(j)(z)| / j! scaled by (1+|z|)^j, for j = 0..degree."""
-    mags = np.empty(f.degree + 1)
-    g = f
-    fact = 1.0
-    scale = 1.0 + abs(z)
-    for j in range(f.degree + 1):
-        mags[j] = abs(g(z)) / fact * scale**j
-        if g.degree == 0:
-            mags[j + 1 :] = 0.0
-            break
-        g = g.derivative()
-        fact *= j + 1
-    return mags
+def _derivative_chain(f: Polynomial) -> np.ndarray:
+    """Coefficients of f, f', ..., f^(n), built once: row j holds f^(j)'s, ascending and zero-padded.
+
+    Each row is the one before it differentiated as ``Polynomial.derivative``
+    does it, ``k * c`` in Python complex arithmetic.
+    """
+    n = f.degree
+    rows = []
+    coeffs = list(f.coeffs)
+    for j in range(n + 1):
+        rows.append(coeffs + [0j] * j)
+        coeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
+    chain = np.array(rows, dtype=complex)
+    if not np.isfinite(chain).all():
+        raise ValueError("coefficients must be finite")
+    return chain
+
+
+def _chain_values(chain: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    """f^(j)(z) with j down the rows and the points zs across the columns.
+
+    One Horner pass for the whole chain: the row of f^(j), of degree n - j,
+    joins at its leading coefficient and then takes the steps
+    ``acc * z + c`` that ``Polynomial.__call__`` takes.  The rows run end to
+    end in one flat array and every product is a new array: NumPy's complex
+    multiply can round a broadcast or in-place operand differently from
+    one flat operand into a fresh output.
+    """
+    n, width = len(chain) - 1, len(zs)
+    z_rows = np.empty((n + 1, width), dtype=complex)
+    z_rows[:] = zs
+    z_rows = z_rows.reshape(-1)
+    c_rows = np.repeat(chain, width, axis=0)
+    acc = np.empty((n + 1) * width, dtype=complex)
+    for k in range(n, -1, -1):
+        top = (n - k) * width
+        acc[:top] = acc[:top] * z_rows[:top] + c_rows[:top, k]
+        acc[top : top + width] = chain[n - k, k]
+    return acc.reshape(n + 1, width)
+
+
+def _moduli(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """|z| for each of zs as Python's complex abs gives it, and where that abs raises: finite parts, overflowing modulus."""
+    mods = np.hypot(zs.real, zs.imag)
+    return mods, np.isinf(mods) & np.isfinite(zs)
+
+
+def _taylor_magnitudes(chain: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, list[OverflowError | None]]:
+    """|f^(j)(z)| / j! scaled by (1+|z|)^j, for j = 0..degree down the rows and each of zs across.
+
+    With them, per column, the OverflowError that the one-point form raised
+    first, if any: Python's abs of z or of some f^(j)(z), or a power
+    (1+|z|)^j, that overflows.  A column with one has no magnitudes to read.
+    """
+    z_mods, z_over = _moduli(zs)
+    mods, over = _moduli(_chain_values(chain, zs))
+    facts = [1.0]
+    for j in range(1, len(chain)):
+        facts.append(facts[-1] * j)
+    powers = np.ones(mods.shape)
+    errors: list[OverflowError | None] = []
+    for i, (s, z_overflows, overflows) in enumerate(zip((1.0 + z_mods).tolist(), z_over.tolist(), over.T.tolist())):
+        error = OverflowError("absolute value too large") if z_overflows else None
+        for j in range(len(chain) if error is None else 0):
+            if overflows[j]:
+                error = OverflowError("absolute value too large")
+                break
+            try:
+                powers[j, i] = s**j
+            except OverflowError as exc:
+                error = exc
+                break
+        errors.append(error)
+    return mods / np.array(facts)[:, np.newaxis] * powers, errors
+
+
+def _vanishing_orders(chain: np.ndarray, zs: np.ndarray, tol: float) -> tuple[list[int | Exception], np.ndarray]:
+    """Each point's vanishing order, or the exception the one-point test raised there; and the Taylor magnitudes."""
+    mags, errors = _taylor_magnitudes(chain, zs)
+    top = mags.max(axis=0)
+    above = mags > tol * top
+    first = above.argmax(axis=0).tolist()
+    out: list[int | Exception] = []
+    for i, t in enumerate(top.tolist()):
+        if errors[i] is not None:
+            out.append(errors[i])
+        elif t == 0.0:
+            out.append(NoConvergence("all Taylor magnitudes vanished"))
+        elif not above[first[i], i]:
+            out.append(NoConvergence("no Taylor magnitude above tolerance"))
+        else:
+            out.append(first[i])
+    return out, mags
 
 
 def vanishing_order(f: Polynomial, z: complex, tol: float = 1e-8) -> int:
     """Smallest j whose scaled Taylor magnitude at z rises above tol (relative)."""
-    mags = _taylor_magnitudes(f, complex(z))
-    top = float(mags.max())
-    if top == 0.0:
-        raise NoConvergence("all Taylor magnitudes vanished")
-    for j, mag in enumerate(mags):
-        if mag > tol * top:
-            return j
-    raise NoConvergence("no Taylor magnitude above tolerance")
+    (order,), _ = _vanishing_orders(_derivative_chain(f), np.array([complex(z)]), tol)
+    if isinstance(order, Exception):
+        raise order
+    return order
 
 
-def _clusters_by_radius(points: np.ndarray, radius: float) -> list[np.ndarray]:
-    """Connected components under |p - q| <= radius (single-linkage)."""
-    n = len(points)
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(points[i] - points[j]) <= radius:
-                pi, pj = find(i), find(j)
-                if pi != pj:
-                    parent[pi] = pj
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    return [np.array(idx) for idx in groups.values()]
+def _cluster_labels(points: np.ndarray, radius: float) -> np.ndarray:
+    """Each point's single-linkage cluster under |p - q| <= radius, labelled by the cluster's first index."""
+    diff = points[:, np.newaxis] - points[np.newaxis, :]
+    # NumPy's scalar abs, which the one-point form took here, overflows to inf without raising
+    near = np.hypot(diff.real, diff.imag) <= radius
+    label = np.arange(len(points))
+    # each point takes its neighbours' smallest label until the labels settle
+    while True:
+        nxt = np.where(near, label, len(points)).min(axis=1)
+        if (nxt == label).all():
+            return label
+        label = nxt
 
 
-def _polish_root(f: Polynomial, z: complex, mult: int, radius: float) -> complex:
-    """Newton steps on f^(mult-1), where an order-mult root of f is simple."""
-    g = f
-    for _ in range(mult - 1):
-        g = g.derivative()
-    gp = g.derivative() if g.degree >= 1 else None
-    if gp is None:
-        return z
-    out = z
+def _polish_roots(
+    chain: np.ndarray, zs: list[complex], mults: list[int], radius: float
+) -> tuple[list[complex], list[OverflowError | None]]:
+    """Newton steps on f^(mult-1), where an order-mult root of f is simple, for every centre at once.
+
+    A centre stops at a zero derivative or at a step longer than
+    max(radius, 1e-6), as the one-point polish did, or where the length of
+    its step overflows, which the one-point polish raised; that error is
+    returned for the centre.
+    """
+    limit = max(radius, 1e-6)
+    out = list(zs)
+    errors: list[OverflowError | None] = [None] * len(out)
+    live = list(range(len(out)))
     for _ in range(3):
-        d = gp(out)
-        if d == 0:
+        if not live:
             break
-        step = g(out) / d
-        if abs(step) > max(radius, 1e-6):
-            break
-        out = out - step
+        vals = _chain_values(chain, np.array([out[i] for i in live]))
+        rows = np.array([mults[i] for i in live])
+        cols = np.arange(len(live))
+        kept = []
+        for i, g, d in zip(live, vals[rows - 1, cols].tolist(), vals[rows, cols].tolist()):
+            if d == 0:
+                continue
+            step = g / d
+            try:
+                too_long = abs(step) > limit
+            except OverflowError as exc:
+                errors[i] = exc
+                continue
+            if too_long:
+                continue
+            out[i] = out[i] - step
+            kept.append(i)
+        live = kept
+    return out, errors
+
+
+def _normalized_residuals(f: Polynomial, zs: np.ndarray, abs_f: list[float]) -> list[float]:
+    """|f(z)| over sum_k |a_k| max(1, |z|)^k for each of zs, given each |f(z)|, in the one-point form's Python arithmetic."""
+    out = []
+    for a, m in zip(abs_f, _moduli(zs)[0].tolist()):
+        base = max(1.0, m)
+        out.append(a / sum(abs(c) * base**k for k, c in enumerate(f.coeffs)))
     return out
 
 
@@ -185,7 +287,9 @@ def find_roots(f: Polynomial, tol: float = 1e-10, residual_tol: float | None = N
 
     Raw roots come from the companion-matrix eigenproblem; clusters within
     radius tol**(1/k) are merged for increasing k until the Taylor-based
-    vanishing order at each centroid matches the cluster size.
+    vanishing order at each centroid matches the cluster size.  The
+    derivative chain is built once, and each radius polishes and tests all
+    centroids at once.
     """
     if f.degree < 1:
         raise ValueError("root finding needs degree >= 1")
@@ -198,26 +302,38 @@ def find_roots(f: Polynomial, tol: float = 1e-10, residual_tol: float | None = N
     if len(raw) != f.degree or not np.all(np.isfinite(raw)):
         raise NoConvergence("companion eigenproblem returned an invalid root set")
 
+    chain = _derivative_chain(f)
     for k_cluster in range(1, f.degree + 1):
         radius = tol ** (1.0 / k_cluster)
-        groups = _clusters_by_radius(raw, radius)
-        roots = []
-        ok = True
-        for idx in groups:
-            mult = len(idx)
-            center = complex(raw[idx].mean())
-            center = _polish_root(f, center, mult, radius)
-            if vanishing_order(f, center, tol=1e-8) != mult:
-                ok = False
+        label = _cluster_labels(raw, radius)
+        heads = np.flatnonzero(label == np.arange(len(raw)))
+        mults = np.bincount(label)[heads].tolist()
+        # a one-point mean is the point plus 0.0, which turns a -0.0 part into 0.0
+        centres = (raw[heads] + 0.0).tolist()
+        for i, (head, mult) in enumerate(zip(heads, mults)):
+            if mult > 1:
+                centres[i] = complex(raw[label == head].mean())
+        centres, polish_errors = _polish_roots(chain, centres, mults, radius)
+        centres = np.array(centres)
+        orders, mags = _vanishing_orders(chain, centres, 1e-8)
+        # the one-point form tested the centres in turn: the first error or mismatch decides
+        for polish_error, order, mult in zip(polish_errors, orders, mults):
+            if polish_error is not None:
+                raise polish_error
+            if isinstance(order, Exception):
+                raise order
+            if order != mult:
                 break
-            roots.append(Root(center, mult))
-        if not ok:
-            continue
-        residual = max(_normalized_residual(f, r.location) for r in roots)
-        if residual > residual_tol:
-            raise NoConvergence(f"root residual {residual:.3g} above {residual_tol:.3g}")
-        roots.sort(key=lambda r: (r.location.real, r.location.imag))
-        return RootSet(tuple(roots), residual)
+        else:
+            # the first Taylor magnitude is |f(z)| itself
+            residuals = _normalized_residuals(f, centres, mags[0].tolist())
+            residual = max(residuals)
+            if residual > residual_tol:
+                raise NoConvergence(f"root residual {residual:.3g} above {residual_tol:.3g}")
+            ranked = sorted(zip(centres.tolist(), mults, residuals), key=lambda r: (r[0].real, r[0].imag))
+            return RootSet(
+                tuple(Root(z, m) for z, m, _ in ranked), residual, tuple(res for _, _, res in ranked)
+            )
     raise NoConvergence("no cluster radius produced multiplicities consistent with the Taylor test")
 
 
@@ -279,9 +395,9 @@ def classify_roots(
     locs = _curves.classify_points(curve, rootset.locations(), band)
 
     def subset(kind: str) -> RootSet:
-        rs = tuple(r for r, loc in zip(rootset.roots, locs) if loc.kind == kind)
-        res = max((_normalized_residual(f, r.location) for r in rs), default=0.0)
-        return RootSet(rs, res)
+        picked = [(r, res) for r, res, loc in zip(rootset.roots, rootset.residuals, locs) if loc.kind == kind]
+        residuals = tuple(res for _, res in picked)
+        return RootSet(tuple(r for r, _ in picked), max(residuals, default=0.0), residuals)
 
     return ZeroReport(
         inside=subset("inside"),

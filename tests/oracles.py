@@ -302,3 +302,142 @@ def polygon_interior_angle(vertices, i: int) -> float:
     nxt = complex(vertices[(i + 1) % len(vertices)])
     ang = (np.angle(prev - v) - np.angle(nxt - v)) % (2.0 * np.pi)
     return float(ang)
+
+
+def _scalar_normalized_residual(f, z: complex) -> float:
+    denom = sum(abs(c) * max(1.0, abs(z)) ** k for k, c in enumerate(f.coeffs))
+    return abs(f(z)) / denom
+
+
+def _scalar_taylor_magnitudes(f, z: complex) -> np.ndarray:
+    mags = np.empty(f.degree + 1)
+    g = f
+    fact = 1.0
+    scale = 1.0 + abs(z)
+    for j in range(f.degree + 1):
+        mags[j] = abs(g(z)) / fact * scale**j
+        if g.degree == 0:
+            mags[j + 1 :] = 0.0
+            break
+        g = g.derivative()
+        fact *= j + 1
+    return mags
+
+
+def scalar_vanishing_order(f, z: complex, tol: float = 1e-8) -> int:
+    """``zerowind.polynomials.vanishing_order`` as it was before the array kernel: one point, derivatives built on the way."""
+    from zerowind.errors import NoConvergence
+
+    mags = _scalar_taylor_magnitudes(f, complex(z))
+    top = float(mags.max())
+    if top == 0.0:
+        raise NoConvergence("all Taylor magnitudes vanished")
+    for j, mag in enumerate(mags):
+        if mag > tol * top:
+            return j
+    raise NoConvergence("no Taylor magnitude above tolerance")
+
+
+def _scalar_clusters_by_radius(points: np.ndarray, radius: float) -> list[np.ndarray]:
+    n = len(points)
+    parent = list(range(n))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(points[i] - points[j]) <= radius:
+                pi, pj = find(i), find(j)
+                if pi != pj:
+                    parent[pi] = pj
+    groups: dict[int, list[int]] = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    return [np.array(idx) for idx in groups.values()]
+
+
+def _scalar_polish_root(f, z: complex, mult: int, radius: float) -> complex:
+    g = f
+    for _ in range(mult - 1):
+        g = g.derivative()
+    gp = g.derivative() if g.degree >= 1 else None
+    if gp is None:
+        return z
+    out = z
+    for _ in range(3):
+        d = gp(out)
+        if d == 0:
+            break
+        step = g(out) / d
+        if abs(step) > max(radius, 1e-6):
+            break
+        out = out - step
+    return out
+
+
+def scalar_find_roots(f, tol: float = 1e-10, residual_tol: float | None = None):
+    """``zerowind.polynomials.find_roots`` as it was before the array kernel, verbatim in its arithmetic.
+
+    Each cluster centroid is polished and tested on its own, with f's
+    derivatives rebuilt for every test.  Returns the sorted
+    ``(location, multiplicity, residual)`` triples and the worst residual.
+    """
+    from zerowind.errors import NoConvergence
+
+    if f.degree < 1:
+        raise ValueError("root finding needs degree >= 1")
+    if residual_tol is None:
+        residual_tol = math.sqrt(tol)
+    try:
+        raw = np.roots(np.array(f.coeffs[::-1], dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenproblem failed: {exc}") from exc
+    if len(raw) != f.degree or not np.all(np.isfinite(raw)):
+        raise NoConvergence("companion eigenproblem returned an invalid root set")
+
+    for k_cluster in range(1, f.degree + 1):
+        radius = tol ** (1.0 / k_cluster)
+        groups = _scalar_clusters_by_radius(raw, radius)
+        roots = []
+        ok = True
+        for idx in groups:
+            mult = len(idx)
+            center = complex(raw[idx].mean())
+            center = _scalar_polish_root(f, center, mult, radius)
+            if scalar_vanishing_order(f, center, tol=1e-8) != mult:
+                ok = False
+                break
+            roots.append((center, mult))
+        if not ok:
+            continue
+        residual = max(_scalar_normalized_residual(f, z) for z, _ in roots)
+        if residual > residual_tol:
+            raise NoConvergence(f"root residual {residual:.3g} above {residual_tol:.3g}")
+        roots.sort(key=lambda r: (r[0].real, r[0].imag))
+        return [(z, m, _scalar_normalized_residual(f, z)) for z, m in roots], residual
+    raise NoConvergence("no cluster radius produced multiplicities consistent with the Taylor test")
+
+
+def sampled_inside(curve, p: complex) -> str:
+    """"inside" or "outside" by the sampled winding that classified every curve before the closed form.
+
+    The discrete winding of the curve around p on the 1024-point grid,
+    refined until every argument step is below pi/2
+    (``zerowind._numeric.adaptive_winding``).  Raises ``AmbiguousClassification``
+    where that does not settle on 0 or 1 turns.
+    """
+    from zerowind._numeric import WindingNotResolved, adaptive_winding
+    from zerowind.errors import AmbiguousClassification
+
+    try:
+        turns, _, _ = adaptive_winding(lambda ts: curve.points(ts) - p, coarse=curve.grid(1024) - p)
+    except WindingNotResolved as exc:
+        raise AmbiguousClassification(f"winding around {p} did not converge: {exc}") from exc
+    w = round(turns)
+    if abs(turns - w) > 0.01 or w not in (0, 1):
+        raise AmbiguousClassification(f"winding around {p} is {turns:.6f}")
+    return "inside" if w == 1 else "outside"

@@ -1,4 +1,5 @@
 import sys
+from functools import cache
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from zerowind import (
 from zerowind.curves import GRID_SAMPLES, classify_points
 from zerowind.harness import HarnessConfig, random_instance, run_harness
 
-from oracles import polygon_interior_angle
+from oracles import polygon_interior_angle, sampled_inside
 
 TWO_PI = 2 * np.pi
 
@@ -85,9 +86,23 @@ class TestClassification:
         assert classify_point(unit_square, 3 + 3j).kind == "outside"
         assert classify_point(unit_square, 1 + 0.37j).kind == "on-curve"
 
-    def test_near_curve_point_is_ambiguous(self, circle_curve):
+    def test_near_curve_point_is_ambiguous(self):
+        # on a trig curve the sampled winding cannot resolve a point 2e-12 off the curve
+        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        normal = -1j * trig.deriv(0.3) / abs(trig.deriv(0.3))
         with pytest.raises(AmbiguousClassification):
-            classify_point(circle_curve, 1.0 + 2e-12, band=1e-12)
+            classify_point(trig, trig.point(0.3) + 2e-12 * normal, band=1e-12)
+
+    def test_near_circle_point_is_exact(self, circle_curve):
+        # the closed form places 1 + 2e-12 outside the unit circle, as |p| > 1 says
+        p = 1.0 + 2e-12
+        assert abs(p) > 1.0
+        assert classify_point(circle_curve, p, band=1e-12).kind == "outside"
+        assert classify_point(circle_curve, 1.0 - 2e-12, band=1e-12).kind == "inside"
+
+    def test_point_within_rounding_of_arc_is_ambiguous(self, circle_curve):
+        with pytest.raises(AmbiguousClassification, match="within rounding"):
+            classify_point(circle_curve, 1.0 + 4.4e-16, band=1e-16)
 
     def test_band_must_be_positive(self, circle_curve):
         with pytest.raises(ValueError):
@@ -129,6 +144,79 @@ def _located_point_sets():
         ),
         (trig, [0.1j, 2.0, trig.point(0.3), trig.point(0.0)], ["inside", "outside", "on-curve", "on-curve"]),
     ]
+
+
+_ORACLE_CURVES = (
+    "circle",
+    "off-centre-circle",
+    "square",
+    "lshape",
+    "stadium",
+    "circle-detour",
+    "square-detour",
+    "lshape-detour",
+)
+
+
+@cache
+def _oracle_curve(name: str) -> JordanCurve:
+    """Curves of arcs and lines: circles, a square, an L-shape, a stadium and detour composites of each kind."""
+    if name == "circle":
+        return unit_circle()
+    if name == "off-centre-circle":
+        return circle(0.3 - 0.2j, 1.7)
+    if name == "square":
+        return square(0.0, 2.0)
+    if name == "lshape":
+        return polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])
+    if name == "stadium":
+        return JordanCurve.from_segments(
+            [
+                LineSegment(-1 - 1j, 1 - 1j),
+                ArcSegment(1, 1.0, -np.pi / 2, np.pi / 2),
+                LineSegment(1 + 1j, -1 + 1j),
+                ArcSegment(-1, 1.0, np.pi / 2, 3 * np.pi / 2),
+            ]
+        )
+    if name == "circle-detour":
+        return build_detour(unit_circle(), [np.exp(0.7j), -1j, np.exp(2.5j)]).composite
+    if name == "square-detour":
+        return build_detour(square(0.0, 2.0), [1 + 0.37j, -1 - 1j, -0.2 + 1j]).composite
+    return build_detour(_oracle_curve("lshape"), [1 + 1j, 0.5, 2 + 0.5j]).composite
+
+
+class TestClosedFormInside:
+    """Inside/outside on arcs and lines, summed in closed form, against the sampled winding it replaced."""
+
+    @pytest.mark.parametrize("name", _ORACLE_CURVES)
+    def test_agrees_with_sampled_winding(self, name):
+        curve = _oracle_curve(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        ts = rng.uniform(0.0, 1.0, 40)
+        normals = -1j * curve.derivs(ts) / np.abs(curve.derivs(ts))
+        offsets = curve.diameter * 10.0 ** rng.uniform(-8.5, 0.0, 40) * rng.choice([-1.0, 1.0], 40)
+        ps = curve.points(ts) + offsets * normals
+        got = [loc.kind for loc in classify_points(curve, ps)]
+        assert got == [sampled_inside(curve, p) for p in ps]
+        # offsets to the left of the counterclockwise tangent, short of the next edge, are inside
+        near = np.abs(offsets) < 1e-4 * curve.diameter
+        assert all(kind == ("inside" if off < 0 else "outside") for kind, off in zip(np.array(got)[near], offsets[near]))
+
+    @pytest.mark.parametrize("name", ["circle", "square", "lshape"])
+    def test_classify_roots_makes_no_sampled_winding(self, name, monkeypatch):
+        curve = _oracle_curve(name)
+        calls = []
+        original = zerowind.curves.adaptive_winding
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(zerowind.curves, "adaptive_winding", counted)
+        roots = [0.3 + 0.2j, 0.5 + 0.5j, 5.0, -4j, curve.point(0.3), 1.9 + 1.9j]
+        report = classify_roots(Polynomial.from_roots([(r, 1) for r in roots]), curve)
+        assert report.lam == 1 and report.m + report.outside.total_multiplicity == 5
+        assert calls == []
 
 
 class TestBatchLocation:

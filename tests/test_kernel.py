@@ -13,7 +13,11 @@ sampling; both rely on NumPy giving each element the same bits in any array,
 which the last class here checks directly.
 """
 
+import os
+import subprocess
+import sys
 from functools import cache
+from pathlib import Path
 from unittest import mock
 
 import mpmath
@@ -23,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerowind.curves
+import zerowind.polynomials
 from zerowind import (
     AmbiguousClassification,
     ArcSegment,
@@ -660,6 +665,10 @@ _ELEMENTWISE = {
     # two Horner steps of Polynomial.__call__: acc = acc * z + c
     "complex-multiply-add": (lambda z: ((0.3 - 1.7j) * z + (1.1 + 0.2j)) * z + (2.5 + 0.5j), _complex_samples),
     "conj": (np.conj, _complex_samples),
+    # the root tests' |z|: the one-point form took Python's complex abs, which is hypot of the parts
+    "hypot": (lambda z: np.hypot(z.real, z.imag), _complex_samples),
+    # a Taylor magnitude, |f^(j)(z)| / j! * (1 + |z|)^j, on a row of the root tests' array
+    "scaled-magnitude": (lambda z: np.hypot(z.real, z.imag) / 720.0 * (1.0 + np.hypot(z.imag, z.real)), _complex_samples),
     # the trig kernel's Horner steps p = p * w + c on w = exp(i t), then p * w
     "laurent-horner": (
         lambda w: (((0.3 - 1.7j) * w + (1.1 + 0.2j)) * w + (-0.4 + 0.9j)) * w,
@@ -693,3 +702,55 @@ class TestElementwiseBits:
             assert _bits(op(x[:length])) == _bits(want[:length]), (name, length)
         stacked = op(np.stack([x[::-1], x, x]))
         assert _bits(stacked[1]) == _bits(want) and _bits(stacked[2]) == _bits(want), name
+
+
+class TestScalarParity:
+    """The root tests' array kernel gives the bits of the one-point Python arithmetic it replaced.
+
+    NumPy's ``np.abs`` on a complex array rounds differently from Python's
+    complex ``abs`` (about a third of random inputs on an AVX-512 build), and
+    its complex multiply can round a broadcast or in-place operand
+    differently from a flat one.  The kernel takes hypot of the parts and
+    multiplies flat arrays into fresh outputs; these checks fail by name on
+    a build where that is no longer enough.
+    """
+
+    def test_hypot_is_python_abs(self):
+        z = _complex_samples()
+        want = np.array([abs(complex(v)) for v in z])
+        assert _bits(np.hypot(z.real, z.imag)) == _bits(want)
+
+    @pytest.mark.parametrize("width", range(1, 10))
+    def test_chain_values_are_horner_per_point(self, width):
+        rng = np.random.default_rng(width)
+        for n in (1, 2, 5, 9):
+            f = Polynomial(tuple(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)))
+            chain = zerowind.polynomials._derivative_chain(f)
+            zs = rng.normal(size=width) + 1j * rng.normal(size=width)
+            got = zerowind.polynomials._chain_values(chain, zs)
+            g = f
+            for j in range(n + 1):
+                assert _bits(got[j]) == _bits(np.array([g(complex(z)) for z in zs])), (n, j)
+                if j < n:
+                    g = g.derivative()
+
+
+_IMPORT_PROBE = """
+import sys
+from zerowind import Line, Polynomial, unit_circle, verify_detour, verify_trig
+from zerowind.harness import HarnessConfig, run_harness
+
+verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])
+run_harness(HarnessConfig(trials=1, max_degree=6, curve_family="trig-perturbed", seed=1))
+verify_detour(Polynomial.from_roots([(1.0, 1), (0.3, 1)]), unit_circle(), Line(0.3))
+print("numpy.ma" in sys.modules)
+"""
+
+
+class TestLazyImports:
+    def test_no_masked_arrays_on_the_hot_path(self):
+        # np.unique and friends import numpy.ma on first use, about 30 ms of a cold operation
+        src = str(Path(zerowind.curves.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        out = subprocess.run([sys.executable, "-c", _IMPORT_PROBE], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout.strip() == "False"

@@ -17,7 +17,9 @@ from zerowind import (
 )
 import zerowind.polynomials as poly_mod
 
-from oracles import binomial_shift_coeffs, naive_poly_eval
+import math
+
+from oracles import binomial_shift_coeffs, naive_poly_eval, scalar_find_roots, scalar_vanishing_order
 
 finite_complex = st.complex_numbers(
     min_magnitude=0.0, max_magnitude=10.0, allow_nan=False, allow_infinity=False
@@ -141,6 +143,107 @@ class TestFindRoots:
         assert vanishing_order(f, 2.0) == 4
         assert vanishing_order(f, 0.0) == 1
         assert vanishing_order(f, 1.0) == 0
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
+def _outcome(find, f):
+    """(location bits, multiplicity, residual bits) per root and the worst residual's bits, or the exception raised."""
+    try:
+        roots, worst = find(f)
+    except Exception as exc:  # the oracle's exceptions are compared by type and message
+        return type(exc), str(exc)
+    return [(_bits(z), m, _bits(res)) for z, m, res in roots], _bits(worst)
+
+
+def _library_find(f):
+    rs = find_roots(f)
+    return [(r.location, r.multiplicity, res) for r, res in zip(rs.roots, rs.residuals)], rs.residual
+
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def _random_polynomials(draw):
+    n = draw(st.integers(1, 12))
+    re = draw(st.lists(_unit, min_size=n + 1, max_size=n + 1))
+    im = draw(st.one_of(st.just([0.0] * (n + 1)), st.lists(_unit, min_size=n + 1, max_size=n + 1)))
+    coeffs = [complex(a, b) for a, b in zip(re, im)]
+    if coeffs[-1] == 0:
+        coeffs[-1] = 1.0
+    return Polynomial(coeffs)
+
+
+@st.composite
+def _planted_polynomials(draw):
+    roots = []
+    for _ in range(draw(st.integers(1, 4))):
+        radius = draw(st.one_of(st.just(1.0), st.floats(0.2, 1.8)))
+        z = radius * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        roots.append((complex(z), draw(st.integers(1, 3))))
+    return Polynomial.from_roots(roots, leading=draw(st.floats(0.5, 2.0)))
+
+
+class TestFindRootsOracle:
+    """The array kernel of ``find_roots`` against the one-point form it replaced, bit for bit.
+
+    Same root locations, multiplicities and residuals, to the last bit, or
+    the same exception with the same message.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(_random_polynomials())
+    def test_random_polynomials(self, f):
+        assert _outcome(_library_find, f) == _outcome(scalar_find_roots, f)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_planted_polynomials())
+    def test_planted_multiplicities(self, f):
+        assert _outcome(_library_find, f) == _outcome(scalar_find_roots, f)
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_binomial_powers(self, n):
+        f = Polynomial([float(math.comb(n, j)) for j in range(n + 1)])
+        got = _outcome(_library_find, f)
+        assert got == _outcome(scalar_find_roots, f)
+        if n >= 32:
+            # (1+z)^n has no accepted clustering from 32 on: ROADMAP item 1
+            assert got[0] is NoConvergence
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1.5e308 + 1.5e308j], [1.0, 1.5e308 + 1.5e308j]])
+    def test_overflowing_modulus(self, coeffs):
+        # finite parts whose modulus overflows: Python's complex abs raises OverflowError, and so does the kernel
+        f = Polynomial(coeffs)
+        got = _outcome(_library_find, f)
+        assert got == _outcome(scalar_find_roots, f) == (OverflowError, "absolute value too large")
+
+    @settings(max_examples=60, deadline=None)
+    @given(_random_polynomials(), finite_complex)
+    def test_vanishing_order(self, f, z):
+        assert vanishing_order(f, z) == scalar_vanishing_order(f, z)
+
+    def test_builds_one_derivative_chain(self, monkeypatch):
+        f = Polynomial.from_roots([(0.5j, 2), (1.0, 1), (-1.5, 3)])
+        chains, derivatives = [], []
+        build, derivative = poly_mod._derivative_chain, Polynomial.derivative
+
+        def counted_chain(g):
+            chains.append(build(g))
+            return chains[-1]
+
+        def counted_derivative(self):
+            derivatives.append(self)
+            return derivative(self)
+
+        monkeypatch.setattr(poly_mod, "_derivative_chain", counted_chain)
+        monkeypatch.setattr(Polynomial, "derivative", counted_derivative)
+        assert find_roots(f).total_multiplicity == 6
+        # one chain of f and its 6 derivatives, built without a Polynomial per derivative
+        assert len(chains) == 1 and chains[0].shape == (7, 7)
+        assert derivatives == []
 
 
 class TestClassifyRoots:
