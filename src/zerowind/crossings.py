@@ -166,14 +166,6 @@ def _in_range(s: np.ndarray, period: float = np.inf) -> np.ndarray:
     return np.clip(np.where(before, 0.0, s), 0.0, 1.0)[keep]
 
 
-def _laurent(seg):
-    """(c_0, [c_1 .. c_K], [c_-1 .. c_-K], theta0, theta1): an arc or trig segment as z = sum_k c_k e^{i k theta}."""
-    if isinstance(seg, ArcSegment):
-        return seg.center, (seg.radius,), (0.0,), seg.angle0, seg.angle1
-    c0, pos, neg, _, _ = seg._laurent
-    return c0, pos, neg, seg.theta0, seg.theta1
-
-
 def _roots(residual: np.ndarray, floor: float) -> np.ndarray | None:
     """Roots of the ascending coefficients ``residual``; None when they all stay under ``floor``, so h vanishes."""
     return np.roots(residual[::-1]) if np.any(np.abs(residual) > floor) else None
@@ -195,8 +187,9 @@ def _segment_roots(f: Polynomial, seg, u: complex, zeros, floor: float) -> np.nd
             return None
         return _in_range(roots.real[np.abs(roots.imag) < CIRCLE_TOL * (1.0 + np.abs(roots))])
 
-    c0, pos, neg, th0, th1 = _laurent(seg)
-    g = _compose(f, np.array(neg[::-1] + (c0,) + tuple(pos), dtype=complex), len(pos), floor)
+    # an arc or trig segment is z = sum_k c_k e^{i k theta}, theta from th0 to th1
+    th0, th1 = (seg.angle0, seg.angle1) if isinstance(seg, ArcSegment) else (seg.theta0, seg.theta1)
+    g = _compose(f, seg._coefficients, len(seg._coefficients) // 2, floor)
     sweep = th1 - th0
     c = 1.0 + 0j
     for s, k in zeros:

@@ -22,16 +22,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._numeric import (
-    TWO_PI,
-    WindingNotResolved,
-    adaptive_winding,
-    bisect_zero,
-    golden_min,
-    trig_series,
-    trig_series_deriv,
-    wrap_angle,
-)
+from ._numeric import TWO_PI, bisect_zero, trig_series, trig_series_deriv, wrap_angle
 from .errors import AmbiguousClassification, DetourFailed
 
 # Tangent-direction jump (radians) above which a joint counts as a corner.
@@ -84,6 +75,19 @@ class ArcSegment:
         past_end = ahead - span
         return np.where(past_end <= 0.0, ahead / span, np.where(past_end < TWO_PI - ahead, 1.0, 0.0))
 
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """The arc z = c + R w as the coefficients 0, c, R of w z(w), ascending in w = e^{i angle}."""
+        return np.array((0.0, self.center, self.radius), dtype=complex)
+
+    def turns(self, ps):
+        """Argument change of z - p along the arc, in turns, for each of ps (none on the arc)."""
+        return _unit_arc_turns((ps - self.center) / self.radius, self.angle0, self.angle1)
+
+    def extent(self):
+        """A bound on every coordinate of the arc."""
+        return abs(self.center) + self.radius
+
     def derivs(self, s):
         sweep = self.angle1 - self.angle0
         ang = self.angle0 + np.asarray(s, dtype=float) * sweep
@@ -128,6 +132,14 @@ class LineSegment:
         d = self.end_point - self.start_point
         along = ((np.asarray(ps) - self.start_point) * np.conj(d)).real / (d.real**2 + d.imag**2)
         return np.clip(along, 0.0, 1.0)
+
+    def turns(self, ps):
+        """Argument change of z - p along the segment, in turns, for each of ps (none on the segment)."""
+        return np.angle((self.end_point - ps) / (self.start_point - ps)) / TWO_PI
+
+    def extent(self):
+        """A bound on every coordinate of the segment."""
+        return max(abs(self.start_point), abs(self.end_point))
 
     def derivs(self, s):
         s = np.asarray(s, dtype=float)
@@ -191,8 +203,55 @@ class TrigSegment:
         dneg = [complex(k * n.imag, -k * n.real) for k, n in enumerate(neg, start=1)]
         return complex(x[0], y[0]), tuple(pos), tuple(neg), tuple(dpos), tuple(dneg)
 
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """c_-K .. c_K in one array: the coefficients of w^K z(w), ascending in w = e^{it}."""
+        c0, pos, neg, _, _ = self._laurent
+        return np.array(neg[::-1] + (c0,) + pos, dtype=complex)
+
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * (self.theta1 - self.theta0)
+
+    def nearest(self, ps):
+        """Local parameter in [0, 1] of the segment point nearest each of ps.
+
+        d/dt |z - p|^2 is X + conj(X) with X = z' conj(z - p).  On |w| = 1,
+        conj(z - p) has the coefficients conj(b[::-1]) of b = c - p, and z'
+        those of i j c_j, so w^2K d/dt |z - p|^2 is a polynomial of degree 4K
+        whose leading coefficient does not depend on p.  The candidates are
+        both ends and every root angle that falls on the segment; the nearest
+        one wins.
+        """
+        a, sweep = self._coefficients, self.theta1 - self.theta0
+        k = len(a) // 2
+        da, at_c0 = 1j * np.arange(-k, k + 1) * a, np.arange(len(a)) == k
+        out = []
+        for p in ps.tolist():
+            x = np.convolve(np.conj((a - p * at_c0)[::-1]), da)
+            s = (np.sign(sweep) * (np.angle(np.roots((x + np.conj(x[::-1]))[::-1])) - self.theta0)) % TWO_PI
+            s = np.concatenate([[0.0, 1.0], s[s <= abs(sweep)] / abs(sweep)])
+            out.append(s[np.argmin(np.abs(self.points(s) - p))])
+        return np.array(out)
+
+    def turns(self, ps):
+        """Argument change of z - p along the segment, in turns, for each of ps (none on the segment).
+
+        w^K (z(w) - p) is a polynomial in w = e^{it}, so z - p is w^-K times a
+        constant times the factors w - r over its roots r: each factor adds
+        its own argument change along the segment's angles, and w^-K takes
+        K sweep / 2 pi off.
+        """
+        a = self._coefficients
+        k = len(a) // 2
+        at_c0 = np.arange(len(a)) == k
+        roots = [np.roots((a - p * at_c0)[::-1]) for p in ps.tolist()]
+        owner = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
+        per_root = _unit_arc_turns(np.concatenate([np.empty(0, dtype=complex)] + roots), self.theta0, self.theta1)
+        return np.bincount(owner, per_root, minlength=len(roots)) - k * (self.theta1 - self.theta0) / TWO_PI
+
+    def extent(self):
+        """A bound on every coordinate of the segment: |c_0| + sum_k |c_k|."""
+        return float(np.abs(self._coefficients).sum())
 
     def points(self, s):
         c0, pos, neg, _, _ = self._laurent
@@ -238,6 +297,22 @@ class TrigSegment:
 
 
 Segment = Union[ArcSegment, LineSegment, TrigSegment]
+
+
+def _unit_arc_turns(r: np.ndarray, theta0: float, theta1: float) -> np.ndarray:
+    """Argument change of e^{it} - r as t runs from theta0 to theta1, in turns, for each r off that arc.
+
+    The sweep is cut into pieces of at most pi.  Each piece adds its chord's
+    angle, and 2 pi more in the sweep's direction where r lies in the unit
+    disc on the arc's side of the chord: there the chord's angle has the sign
+    opposite to the sweep's.
+    """
+    sweep = theta1 - theta0
+    pieces = int(np.ceil(abs(sweep) / np.pi))
+    verts = np.exp(1j * (theta0 + sweep * np.arange(pieces + 1) / pieces))[:, np.newaxis]
+    chord = np.angle((verts[1:] - r) / (verts[:-1] - r))
+    missed = (chord * sweep < 0.0) & (np.abs(r) < 1.0)
+    return (chord.sum(axis=0) + np.sign(sweep) * TWO_PI * missed.sum(axis=0)) / TWO_PI
 
 
 def _segment_start(seg) -> complex:
@@ -397,9 +472,11 @@ class JordanCurve:
         return pts
 
     @cached_property
-    def _chords(self) -> "_ChordPolygon | None":
-        """The closed-form winding's polygon, built on first use; None on a curve with a trig segment."""
-        return _ChordPolygon.of(self.segments)
+    def _joints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each segment's end and the next segment's start, as columns, built on first use."""
+        ends = [_segment_end(seg) for seg in self.segments]
+        starts = [_segment_start(seg) for seg in self.segments[1:] + self.segments[:1]]
+        return np.array(ends)[:, np.newaxis], np.array(starts)[:, np.newaxis]
 
     def derivs(self, t):
         """d(curve)/dt at global parameter(s) t; one-sided from the right at joints."""
@@ -618,136 +695,63 @@ class PointLocation:
 def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Nearest curve parameter and distance for each of ps.
 
-    On a curve of arcs and lines each segment gives its nearest point in
-    closed form, and the nearest segment wins (the first on ties).  A segment
-    end maps exactly to the next break, so a corner gets its break.  A curve
-    with a trig segment takes one coarse scan and one elementwise golden refine.
+    Each segment gives its nearest point in closed form (its ``nearest``),
+    and the nearest segment wins (the first on ties).  A segment end maps
+    exactly to the next break, so a corner gets its break.
     """
-    if all(hasattr(seg, "nearest") for seg in curve.segments):
-        br = np.asarray(curve.breaks)
-        s = np.array([seg.nearest(ps) for seg in curve.segments])
-        gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
-        i = np.argmin(gaps, axis=0)
-        si = s[i, np.arange(len(ps))]
-        t = np.where(si == 1.0, br[i + 1], br[i] + si * (br[i + 1] - br[i])) % 1.0
-        return t, np.abs(curve.points(t) - ps)
-    n = max(2048, 512 * len(curve.segments))
-    ts = np.arange(n) / n
-    i = np.argmin(np.abs(curve.grid(n)[:, None] - ps[None, :]), axis=0)
-    tstar = golden_min(lambda q: np.abs(curve.points(q) - ps), ts[i] - 1.5 / n, ts[i] + 1.5 / n) % 1.0
-    return tstar, np.abs(curve.points(tstar) - ps)
+    br = np.asarray(curve.breaks)
+    s = np.array([seg.nearest(ps) for seg in curve.segments])
+    gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
+    i = np.argmin(gaps, axis=0)
+    si = s[i, np.arange(len(ps))]
+    t = np.where(si == 1.0, br[i + 1], br[i] + si * (br[i + 1] - br[i])) % 1.0
+    return t, np.abs(curve.points(t) - ps)
 
 
-# A point this close to a curve of arcs and lines, relative to the largest
-# coordinate involved, is within rounding of it: the closed-form winding
-# cannot place it, so it is ambiguous.
+# A point this close to a curve, relative to the largest coordinate
+# involved, is within rounding of it: the closed-form winding cannot place
+# it, so it is ambiguous.
 _ROUNDING_GUARD = 64.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True, eq=False)
-class _ChordPolygon:
-    """A curve of arcs and lines as a closed polygon plus the arc pieces its edges cut off.
-
-    A line is one edge; an arc is split into pieces of sweep at most pi, one
-    edge each.  Per edge, ``centres``, ``radii`` and ``signs`` give the arc
-    piece's centre, radius and sweep sign (radius 0 and sign 0 on a straight
-    edge).  Each segment contributes the edges from its own start, so the
-    polygon closes across the gaps that joints may leave.  ``extent`` bounds
-    every coordinate of the curve.
-    """
-
-    verts: np.ndarray
-    centres: np.ndarray
-    radii: np.ndarray
-    signs: np.ndarray
-    extent: float
-
-    @classmethod
-    def of(cls, segments: tuple[Segment, ...]) -> "_ChordPolygon | None":
-        if not all(isinstance(seg, (ArcSegment, LineSegment)) for seg in segments):
-            return None
-        verts, centres, radii, signs = [], [], [], []
-        for seg in segments:
-            if isinstance(seg, LineSegment):
-                verts.append(seg.start_point)
-                centres.append(0j)
-                radii.append(0.0)
-                signs.append(0.0)
-                continue
-            sweep = seg.angle1 - seg.angle0
-            pieces = int(np.ceil(abs(sweep) / np.pi))
-            verts.extend(seg.points(np.arange(pieces) / pieces))
-            centres.extend([seg.center] * pieces)
-            radii.extend([seg.radius] * pieces)
-            signs.extend([float(np.sign(sweep))] * pieces)
-        verts, centres, radii = np.array(verts, dtype=complex), np.array(centres, dtype=complex), np.array(radii)
-        extent = max(float(np.max(np.abs(verts))), float(np.max(np.abs(centres) + radii)))
-        return cls(verts, centres, radii, np.array(signs), extent)
-
-    def turns(self, ps: np.ndarray) -> np.ndarray:
-        """Winding numbers, in turns, around each of ps (none on the curve).
-
-        The sum over the polygon's edges of each edge's argument change
-        angle((b - p) / (a - p)).  An arc piece of sweep at most pi adds the
-        2 pi its chord misses where p lies in the piece's disc on the arc's
-        side of the chord: there the chord's angle has the sign opposite to
-        the sweep's.
-        """
-        signs = self.signs[:, np.newaxis]
-        chord = np.angle((np.roll(self.verts, -1)[:, np.newaxis] - ps) / (self.verts[:, np.newaxis] - ps))
-        in_disc = np.abs(ps - self.centres[:, np.newaxis]) < self.radii[:, np.newaxis]
-        missed = in_disc & (np.sign(chord) == -signs)
-        return (chord + TWO_PI * signs * missed).sum(axis=0) / TWO_PI
 
 
 def classify_points(curve: JordanCurve, ps: Sequence[complex], band: float | None = None) -> list[PointLocation]:
     """Locate each of ps relative to the curve: on it (within ``band``), inside, or outside.
 
     Inside/outside is decided by the winding number of the curve around each
-    point.  On a curve of arcs and lines it is summed in closed form (see
-    :meth:`_ChordPolygon.turns`); on a curve with a trig segment it is the
-    discrete winding, refined until every argument step is below pi/2.
+    point, summed in closed form: every segment's argument change (its
+    ``turns``) plus the angle each joint's gap, from a segment's end to the
+    next one's start, subtends.  A point outside the band but within
+    rounding of the curve cannot be placed and is refused.
     """
     band = curve.checked_band(band)
     ps = np.array([complex(p) for p in ps], dtype=complex)
+    for p in ps[~np.isfinite(ps)].tolist():
+        raise ValueError(f"cannot locate the non-finite point {p}")
     tstar, dist = nearest_parameter(curve, ps)
-    chords = curve._chords
-    if chords is None:
-        return [_locate(curve, complex(p), float(t), d, band) for p, t, d in zip(ps, tstar, dist)]
+    extent = max(seg.extent() for seg in curve.segments)
+    off, (ends, starts) = ps[~(dist < band)], curve._joints
     # a point within rounding of a vertex can divide by zero; the guard below refuses it
     with np.errstate(divide="ignore", invalid="ignore"):
-        turns = iter(chords.turns(ps[~(dist < band)]).tolist())
+        gaps = np.angle((starts - off) / (ends - off)).sum(axis=0) / TWO_PI
+        turns = iter((sum(seg.turns(off) for seg in curve.segments) + gaps).tolist())
     out = []
     for p, t, d in zip(ps.tolist(), tstar.tolist(), dist.tolist()):
         if d < band:
             out.append(PointLocation("on-curve", t))
-        elif d <= _ROUNDING_GUARD * max(chords.extent, abs(p)):
+            continue
+        if d <= _ROUNDING_GUARD * max(extent, abs(p)):
             raise AmbiguousClassification(f"{p} lies {d:.3g} from the curve, within rounding of it")
-        else:
-            out.append(_from_turns(p, next(turns)))
+        winding = next(turns)
+        w = round(winding)
+        if abs(winding - w) > 0.01 or w not in (0, 1):
+            raise AmbiguousClassification(f"winding around {p} is {winding:.6f}")
+        out.append(PointLocation("inside" if w == 1 else "outside"))
     return out
 
 
 def classify_point(curve: JordanCurve, p: complex, band: float | None = None) -> PointLocation:
     """Locate one point relative to the curve; see :func:`classify_points`."""
     return classify_points(curve, [p], band)[0]
-
-
-def _from_turns(p: complex, turns: float) -> PointLocation:
-    w = round(turns)
-    if abs(turns - w) > 0.01 or w not in (0, 1):
-        raise AmbiguousClassification(f"winding around {p} is {turns:.6f}")
-    return PointLocation("inside" if w == 1 else "outside")
-
-
-def _locate(curve: JordanCurve, p: complex, tstar: float, dist: float, band: float) -> PointLocation:
-    if dist < band:
-        return PointLocation("on-curve", tstar)
-    try:
-        turns, _, _ = adaptive_winding(lambda ts: curve.points(ts) - p, coarse=curve.grid(1024) - p)
-    except WindingNotResolved as exc:
-        raise AmbiguousClassification(f"winding around {p} did not converge: {exc}") from exc
-    return _from_turns(p, turns)
 
 
 def interior_angle(curve: JordanCurve, t: float, snap_tol: float = 1e-7) -> float:

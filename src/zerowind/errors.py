@@ -6,7 +6,7 @@ class ZerowindError(Exception):
 
 
 class AmbiguousClassification(ZerowindError):
-    """Point-vs-curve classification did not converge at maximum refinement depth."""
+    """A point cannot be placed against a curve: it lies within rounding of it, or the winding around it is not 0 or 1."""
 
 
 class DetourFailed(ZerowindError):

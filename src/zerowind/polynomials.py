@@ -115,7 +115,8 @@ class RootSet:
 # complex array rounds differently), powers and the Newton step stay Python
 # float and complex arithmetic, and sums keep their left-to-right order.
 # Where the scalar form raised, the point keeps that exception, and
-# find_roots raises it when its in-order walk over the points reaches it.
+# find_roots raises it when its in-order walk over the points reaches it,
+# an OverflowError as NoConvergence.
 
 
 def _derivative_chain(f: Polynomial) -> np.ndarray:
@@ -318,10 +319,11 @@ def find_roots(f: Polynomial, tol: float = 1e-10, residual_tol: float | None = N
         orders, mags = _vanishing_orders(chain, centres, 1e-8)
         # the one-point form tested the centres in turn: the first error or mismatch decides
         for polish_error, order, mult in zip(polish_errors, orders, mults):
-            if polish_error is not None:
-                raise polish_error
-            if isinstance(order, Exception):
-                raise order
+            error = polish_error or (order if isinstance(order, Exception) else None)
+            if isinstance(error, OverflowError):
+                raise NoConvergence(f"root test overflowed: {error}") from error
+            if error is not None:
+                raise error
             if order != mult:
                 break
         else:

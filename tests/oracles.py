@@ -10,8 +10,8 @@ earlier, slower forms, which the faster forms must match bit for bit.
 segment's Laurent coefficients one harmonic at a time; the earlier cosine and
 sine series, ``reference_trig_series``, stay as a second float oracle, checked
 against ``mpmath`` within the same bound as the kernel.  ``scan_nearest_parameter`` is
-the earlier nearest-point search, which the closed form on arcs and lines must
-match up to rounding.  The termwise cosine scan is the rule of an earlier
+the earlier nearest-point search, which the closed forms on every segment kind
+must match up to rounding.  The termwise cosine scan is the rule of an earlier
 sampled zero count, and ``sympy_cosine_zero_count`` counts the same zeros by
 sympy's exact real-root isolation, as ``sympy_segment_residual_roots`` does
 for the line residual on one straight segment.
@@ -264,7 +264,7 @@ def full_golden_min(fn, lo, hi):
 
 
 def scan_nearest_parameter(curve, ps):
-    """``zerowind.curves.nearest_parameter`` as it was before closed-form nearest points on arcs and lines.
+    """``zerowind.curves.nearest_parameter`` as it was before closed-form nearest points.
 
     One coarse scan and one golden refine on every curve, with the refine
     that always runs all 80 steps (the same bits as the early-stopping one).

@@ -160,6 +160,13 @@ class TestCountZeros:
         assert rc == 0
         assert out["m"] == 1 and out["lambda"] == 2
 
+    def test_overflowing_coefficient_exits_3(self, tmp_path, capsys):
+        # a finite coefficient whose modulus overflows was an untyped OverflowError and a traceback
+        poly = write_json(tmp_path / "p.json", {"coeffs": [[0, 0], [1.5e308, 1.5e308]]})
+        rc = cli.main(["count-zeros", "--poly", poly, "--curve", "unit-circle"])
+        assert "NoConvergence" in capsys.readouterr().err
+        assert rc == 3
+
 
 class TestHarnessCommand:
     def test_config_run(self, tmp_path, capsys):

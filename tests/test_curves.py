@@ -86,12 +86,14 @@ class TestClassification:
         assert classify_point(unit_square, 3 + 3j).kind == "outside"
         assert classify_point(unit_square, 1 + 0.37j).kind == "on-curve"
 
-    def test_near_curve_point_is_ambiguous(self):
-        # on a trig curve the sampled winding cannot resolve a point 2e-12 off the curve
+    def test_near_trig_point_is_exact(self):
+        # the closed form places a point 2e-12 off a trig curve, where the sampled winding could not
         trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
         normal = -1j * trig.deriv(0.3) / abs(trig.deriv(0.3))
-        with pytest.raises(AmbiguousClassification):
-            classify_point(trig, trig.point(0.3) + 2e-12 * normal, band=1e-12)
+        assert classify_point(trig, trig.point(0.3) + 2e-12 * normal, band=1e-12).kind == "outside"
+        assert classify_point(trig, trig.point(0.3) - 2e-12 * normal, band=1e-12).kind == "inside"
+        with pytest.raises(AmbiguousClassification, match="within rounding"):
+            classify_point(trig, trig.point(0.3) + 4e-15 * normal, band=1e-16)
 
     def test_near_circle_point_is_exact(self, circle_curve):
         # the closed form places 1 + 2e-12 outside the unit circle, as |p| > 1 says
@@ -103,6 +105,14 @@ class TestClassification:
     def test_point_within_rounding_of_arc_is_ambiguous(self, circle_curve):
         with pytest.raises(AmbiguousClassification, match="within rounding"):
             classify_point(circle_curve, 1.0 + 4.4e-16, band=1e-16)
+
+    @pytest.mark.parametrize("p", [complex(np.nan, 0.0), complex(0.0, np.inf), complex(-np.inf, 1.0)])
+    @pytest.mark.parametrize("name", ["circle", "trig"])
+    def test_non_finite_point_rejected(self, name, p):
+        curve = unit_circle() if name == "circle" else radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        with pytest.raises(ValueError, match="non-finite point") as exc:
+            classify_points(curve, [0.1, p])
+        assert str(p) in str(exc.value)
 
     def test_band_must_be_positive(self, circle_curve):
         with pytest.raises(ValueError):
@@ -155,12 +165,22 @@ _ORACLE_CURVES = (
     "circle-detour",
     "square-detour",
     "lshape-detour",
+    "trig",
+    "trig-five-harmonics",
+    "trig-detour",
 )
 
 
 @cache
 def _oracle_curve(name: str) -> JordanCurve:
-    """Curves of arcs and lines: circles, a square, an L-shape, a stadium and detour composites of each kind."""
+    """Circles, a square, an L-shape, a stadium, radial trig curves and detour composites of each kind."""
+    if name.startswith("trig"):
+        if name == "trig-five-harmonics":
+            return radial_trig_curve([(0.05, 0.02), (-0.03, 0.01), (0.01, 0.02), (0.0, -0.01), (0.005, 0.0)], 1.3)
+        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        if name == "trig":
+            return trig
+        return build_detour(trig, [trig.point(0.1), trig.point(0.45), trig.point(0.8)]).composite
     if name == "circle":
         return unit_circle()
     if name == "off-centre-circle":
@@ -185,8 +205,24 @@ def _oracle_curve(name: str) -> JordanCurve:
     return build_detour(_oracle_curve("lshape"), [1 + 1j, 0.5, 2 + 0.5j]).composite
 
 
+def _count_searches(monkeypatch) -> list[str]:
+    """Names of the sampled searches called from now on, wrapped in every zerowind module that holds them."""
+    calls = []
+    for name in ("golden_min", "adaptive_winding"):
+        original = getattr(zerowind._numeric, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("zerowind") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 class TestClosedFormInside:
-    """Inside/outside on arcs and lines, summed in closed form, against the sampled winding it replaced."""
+    """Inside/outside, summed in closed form per segment, against the sampled winding it replaced."""
 
     @pytest.mark.parametrize("name", _ORACLE_CURVES)
     def test_agrees_with_sampled_winding(self, name):
@@ -205,14 +241,7 @@ class TestClosedFormInside:
     @pytest.mark.parametrize("name", ["circle", "square", "lshape"])
     def test_classify_roots_makes_no_sampled_winding(self, name, monkeypatch):
         curve = _oracle_curve(name)
-        calls = []
-        original = zerowind.curves.adaptive_winding
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(zerowind.curves, "adaptive_winding", counted)
+        calls = _count_searches(monkeypatch)
         roots = [0.3 + 0.2j, 0.5 + 0.5j, 5.0, -4j, curve.point(0.3), 1.9 + 1.9j]
         report = classify_roots(Polynomial.from_roots([(r, 1) for r in roots]), curve)
         assert report.lam == 1 and report.m + report.outside.total_multiplicity == 5
@@ -245,31 +274,22 @@ class TestBatchLocation:
             classify_points(limacon, [5.0, 0.2, -5.0])
         assert str(batched.value) == str(alone.value)
 
-    @staticmethod
-    def _golden_batches(monkeypatch):
-        calls = []
-        original = zerowind.curves.golden_min
-
-        def counted(fn, lo, hi):
-            calls.append(len(lo))
-            return original(fn, lo, hi)
-
-        monkeypatch.setattr(zerowind.curves, "golden_min", counted)
-        return calls
-
-    def test_classify_roots_refines_once(self, monkeypatch):
-        # a trig curve has no closed-form nearest point: its six roots share one golden refine
-        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
-        calls = self._golden_batches(monkeypatch)
-        roots = [0.3, -0.5j, 2.0, trig.point(0.3), trig.point(0.7), -3 + 1j]
-        report = classify_roots(Polynomial.from_roots([(r, 1) for r in roots]), trig)
+    @pytest.mark.parametrize("name", ["trig", "trig-detour"])
+    def test_trig_curves_never_search(self, name, monkeypatch):
+        # every segment kind locates points in closed form: no golden refine and no sampled winding
+        curve = _oracle_curve(name)
+        calls = _count_searches(monkeypatch)
+        roots = [0.3, -0.5j, 2.0, curve.point(0.3), curve.point(0.7), -3 + 1j]
+        report = classify_roots(Polynomial.from_roots([(r, 1) for r in roots]), curve)
         assert (report.m, report.lam) == (2, 2)
-        assert calls == [6]
+        kinds = ["inside", "inside", "outside", "on-curve", "on-curve", "outside"]
+        assert [loc.kind for loc in classify_points(curve, roots)] == kinds
+        assert calls == []
 
     @pytest.mark.parametrize("case", range(3), ids=["circle", "square", "lshape"])
     def test_arcs_and_lines_never_search(self, case, monkeypatch):
         curve, points, kinds = _located_point_sets()[case]
-        calls = self._golden_batches(monkeypatch)
+        calls = _count_searches(monkeypatch)
         assert [loc.kind for loc in classify_points(curve, points)] == kinds
         report = classify_roots(Polynomial.from_roots([(p, 1) for p in points]), curve)
         assert report.lam == kinds.count("on-curve")
@@ -279,16 +299,17 @@ class TestBatchLocation:
 class TestWorkBudget:
     """Curve evaluations per fixed instance must not grow back.
 
-    The budgets are ``JordanCurve._dispatch`` counts.  Arcs and lines locate
-    points in closed form, one dispatch per batch; a trig curve takes one
-    coarse scan and one golden refine.  Golden section and bisection read
-    several steps off each call and stop at their fixed point.  The golden
+    The budgets are ``JordanCurve._dispatch`` counts.  Every segment kind
+    locates points in closed form, one dispatch per batch.  The golden
     refine on every curve, with two calls per step, took 477, 786, 167 and
     158 dispatches on these instances; with one call per step, 207, 164, 6
     and 82.  With each curve sampled once on its cached grid, a cold run
     takes 53, 46, 2 and 27.  With preimages counted as polynomial roots
     instead of by a sampled search, the first two take 13 and 24: the
-    nearest-point batches, the grids and one point per preimage found.
+    nearest-point batches, the grids and one point per preimage found.  With
+    nearest points and windings on trig segments taken from Laurent roots
+    instead of a scan, a golden refine and a sampled winding, the last
+    takes 1.
 
     Separately, every grid scan, winding pass and orientation test reads the
     curve's one cached sampling, so a curve is evaluated at 1024 or more
@@ -368,7 +389,7 @@ class TestWorkBudget:
     def test_classify_roots_on_trig_curve(self, monkeypatch):
         trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
         f = Polynomial.from_roots([(r, 1) for r in (0.3, -0.5j, 2.0, trig.point(0.3), trig.point(0.7), -3 + 1j)])
-        assert self._dispatches(monkeypatch, lambda: classify_roots(f, trig)) <= 27
+        assert self._dispatches(monkeypatch, lambda: classify_roots(f, trig)) <= 1
 
     def test_one_complex_exp_per_call(self, monkeypatch):
         # a trig segment is a Laurent polynomial in w = exp(i t): one complex exp, then Horner in w and conj(w)

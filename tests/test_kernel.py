@@ -3,8 +3,8 @@
 ``tests/oracles.py`` keeps the earlier forms verbatim: the dispatch that
 searches all breaks and clips on every call, golden-section and bisection
 loops that always run every step and call ``fn`` once or twice per step, and
-the nearest-point scan and refine that closed-form nearest points on arcs and
-lines replaced.  Trig segments are checked bit for bit against a plain
+the nearest-point scan and refine that closed-form nearest points on every
+segment kind replaced.  Trig segments are checked bit for bit against a plain
 Laurent sum that builds its coefficients one harmonic at a time, and within a
 rounding bound against ``mpmath``, as is the earlier cosine/sine series.  The
 searches now read several steps off one call of ``fn`` on a stacked array of
@@ -74,6 +74,10 @@ def _curve(name: str) -> JordanCurve:
     if name == "trig-no-trailing-sine":
         # x = cos t + 0.1 cos 2t packs as [c0, a1, b1, a2]: b2 is omitted
         return JordanCurve.from_segments([TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, 1.0), 0.0, 2 * np.pi)])
+    if name == "trig-falling-parameter":
+        # y = -sin t - 0.05 sin 3t traversed from t = 2 pi down to 0: counterclockwise with a negative sweep
+        seg = TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -0.05), 2 * np.pi, 0.0)
+        return JordanCurve.from_segments([seg], auto_orient=False)
     return build_detour(trig, [trig.point(0.3)]).composite
 
 
@@ -580,7 +584,7 @@ def _kinds(curve, ps):
 
 
 class TestClosedFormNearest:
-    """Closed-form nearest points on arcs and lines against the scan and golden refine they replaced."""
+    """Closed-form nearest points on every segment kind against the scan and golden refine they replaced."""
 
     def test_curves_cover_the_cases(self):
         kinds = {type(s).__name__ for name in CLOSED_FORM_NAMES for s in _closed_form_curve(name).segments}
@@ -635,6 +639,38 @@ class TestClosedFormNearest:
         assert dist[0] == pytest.approx(1.167e-9, rel=1e-6)
         assert dist_scan[0] == pytest.approx(1.232e-9, rel=1e-6)
         assert t_scan[0] < corner < t[0]
+
+    @pytest.mark.parametrize("name", ["radial-trig", "trig-no-trailing-sine", "trig-falling-parameter", "composite-detour"])
+    def test_trig_curves_agree_with_scan_and_refine(self, name):
+        # roots of d/dt |z - p|^2 on every trig segment, from 10^-8.5 to 1 diameter off the curve
+        curve = _curve(name)
+        rng = np.random.default_rng(sum(map(ord, name)))
+        ts = rng.uniform(0.0, 1.0, 200)
+        normals = -1j * curve.derivs(ts) / np.abs(curve.derivs(ts))
+        offsets = curve.diameter * 10.0 ** rng.uniform(-8.5, 0.0, 200) * rng.choice([-1.0, 1.0], 200)
+        ps = curve.points(ts) + offsets * normals
+        t, dist = nearest_parameter(curve, ps)
+        _, dist_scan = scan_nearest_parameter(curve, ps)
+        assert np.all((0.0 <= t) & (t < 1.0))
+        assert np.all(dist <= dist_scan + 4e-16 * (1.0 + np.abs(ps)))
+        # a point on the curve gets its own parameter back, to rounding
+        t_on, dist_on = nearest_parameter(curve, curve.points(ts))
+        gap = np.abs(t_on - ts)
+        assert np.all(np.minimum(gap, 1.0 - gap) <= 1e-12)
+        assert np.all(dist_on < 1e-14)
+
+    def test_nearer_edge_of_a_trig_detour(self):
+        # the scan's refine settles on the trig edge; the detour's arc, whose radial gap this is, is nearer
+        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        curve = build_detour(trig, [trig.point(0.25)], eps_schedule=[0.05]).composite
+        arc = curve.segments[0]
+        ps = np.array([-0.04985816277976444 + 0.9862312874576986j])
+        t, dist = nearest_parameter(curve, ps)
+        _, dist_scan = scan_nearest_parameter(curve, ps)
+        assert dist_scan[0] == pytest.approx(5.546e-7, rel=1e-3)
+        assert dist[0] <= 4.2193e-7
+        assert dist[0] == pytest.approx(abs(abs(ps[0] - arc.center) - arc.radius), rel=1e-9)
+        assert 0.0 < t[0] < curve.breaks[1]
 
     def test_corners_get_their_breaks(self):
         for name in ("square", "lshape", "square-detour"):

@@ -158,6 +158,12 @@ def _outcome(find, f):
     return [(_bits(z), m, _bits(res)) for z, m, res in roots], _bits(worst)
 
 
+def _oracle_outcome(f):
+    """The one-point form's outcome, with an OverflowError as ``find_roots`` reports it: NoConvergence."""
+    got = _outcome(scalar_find_roots, f)
+    return (NoConvergence, f"root test overflowed: {got[1]}") if got[0] is OverflowError else got
+
+
 def _library_find(f):
     rs = find_roots(f)
     return [(r.location, r.multiplicity, res) for r, res in zip(rs.roots, rs.residuals)], rs.residual
@@ -197,28 +203,35 @@ class TestFindRootsOracle:
     @settings(max_examples=150, deadline=None)
     @given(_random_polynomials())
     def test_random_polynomials(self, f):
-        assert _outcome(_library_find, f) == _outcome(scalar_find_roots, f)
+        assert _outcome(_library_find, f) == _oracle_outcome(f)
 
     @settings(max_examples=150, deadline=None)
     @given(_planted_polynomials())
     def test_planted_multiplicities(self, f):
-        assert _outcome(_library_find, f) == _outcome(scalar_find_roots, f)
+        assert _outcome(_library_find, f) == _oracle_outcome(f)
 
     @pytest.mark.parametrize("n", range(1, 41))
     def test_binomial_powers(self, n):
         f = Polynomial([float(math.comb(n, j)) for j in range(n + 1)])
         got = _outcome(_library_find, f)
-        assert got == _outcome(scalar_find_roots, f)
+        assert got == _oracle_outcome(f)
         if n >= 32:
             # (1+z)^n has no accepted clustering from 32 on: ROADMAP item 1
             assert got[0] is NoConvergence
 
     @pytest.mark.parametrize("coeffs", [[0.0, 1.5e308 + 1.5e308j], [1.0, 1.5e308 + 1.5e308j]])
     def test_overflowing_modulus(self, coeffs):
-        # finite parts whose modulus overflows: Python's complex abs raises OverflowError, and so does the kernel
+        # finite parts whose modulus overflows: Python's complex abs raises OverflowError in the one-point
+        # form, and the kernel reports it as a typed NoConvergence
         f = Polynomial(coeffs)
-        got = _outcome(_library_find, f)
-        assert got == _outcome(scalar_find_roots, f) == (OverflowError, "absolute value too large")
+        assert _outcome(scalar_find_roots, f) == (OverflowError, "absolute value too large")
+        assert _outcome(_library_find, f) == _oracle_outcome(f) == (
+            NoConvergence,
+            "root test overflowed: absolute value too large",
+        )
+        with pytest.raises(NoConvergence) as exc:
+            find_roots(f)
+        assert isinstance(exc.value.__cause__, OverflowError)
 
     @settings(max_examples=60, deadline=None)
     @given(_random_polynomials(), finite_complex)
