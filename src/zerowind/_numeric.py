@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
 _INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
-# Steps read off one ``fn`` call in golden_min and bisect_zero.  A call on a
-# handful of points costs mostly NumPy overhead, so a call that serves several
-# steps saves most of it.  Deeper trees ran no faster on the benchmark's
-# workloads and evaluate more probes that no step uses.
+# Steps read off one ``fn`` call in golden_min, and the least that one call
+# serves in bisect_zero, which also follows a predicted path below them.  A
+# call on a handful of points costs mostly NumPy overhead, so a call that
+# serves several steps saves most of it.  Deeper trees ran no faster on the
+# benchmark's workloads and evaluate more probes that no step uses.
 _GOLDEN_DEPTH = 3
 _BISECT_DEPTH = 5
 
@@ -90,49 +93,142 @@ def golden_min(fn, lo, hi):
 def bisect_zero(fn, lo, hi, iters=52):
     """Vectorized bisection; fn must change sign on each [lo, hi] interval.
 
-    Each call of ``fn`` serves ``_BISECT_DEPTH`` steps.  The bracket's dyadic
-    grid is built level by level, each new point ``0.5 * (a + b)`` of its two
-    neighbours, the operands a step-by-step bisection uses; one call
-    evaluates ``fn`` on the grid's inner points, stacked on a leading axis,
-    and the steps walk the grid.  ``fn(lo)`` only ever gives way to values
-    of its own sign, so a step keeps the right half exactly where
-    ``sign(fn(mid)) == sign(fn(lo_0))`` and ``fn(mid) != 0``.  The result is
-    bit for bit that of ``iters`` steps with one ``fn`` call each.
+    The result is bit for bit that of ``iters`` steps with one ``fn`` call
+    each.  Every probe is the float ``0.5 * (a + b)`` of the bracket [a, b]
+    that a step-by-step bisection holds there, and ``fn(lo)`` only ever gives
+    way to values of its own sign, so a step keeps the right half exactly
+    where ``sign(fn(mid)) == sign(fn(lo_0))`` and ``fn(mid) != 0``.
 
-    ``fn`` must be pure and elementwise, as for :func:`golden_min`.
+    The first call evaluates both ends of every bracket.  Each later call
+    evaluates, for every bracket still going:
+    - the dyadic grid of its next ``_BISECT_DEPTH`` steps, each point the
+      midpoint of its two neighbours, so that every call serves at least
+      that many steps;
+    - below the grid cell that holds the secant (regula falsi) root of
+      fn(lo) and fn(hi), the midpoints that bisection visits if the root
+      lies where the secant puts it.
+    The steps walk the grid, then that predicted path while the signs agree
+    with it.  The first step that disagrees takes the side its sign gives,
+    and the next call starts from there.  The prediction only chooses which
+    probes to evaluate, never a step, so it cannot change the result.
 
-    Stops early, with the result of all ``iters`` steps, once a step leaves
-    (lo, hi, fn(lo)) bit for bit unchanged.
+    ``fn`` must be pure and elementwise, as for :func:`golden_min`; the
+    probes of all brackets go to it stacked on a leading axis.
+
+    A bracket stops early, with the result of all ``iters`` steps, once its
+    midpoint equals one of its ends.
     """
-    lo, hi, shape, cols = _columns(lo, hi)
-    flo = np.asarray(fn(lo.reshape(shape)), dtype=float).reshape(lo.size)
-    sign0 = np.sign(flo)
-    left = iters
-    while left > 0:
-        depth = min(_BISECT_DEPTH, left)
-        left -= depth
+    lo, hi, shape, _ = _columns(lo, hi)
+    ends = np.asarray(fn(np.stack([lo, hi]).reshape((2,) + shape)), dtype=float).reshape(2, lo.size)
+    brackets = [_Bracket(*col, iters) for col in zip(lo.tolist(), hi.tolist(), *ends.tolist())]
+    while any(b.left for b in brackets):
+        probes = [b.probes() if b.left else [b.lo] for b in brackets]
+        width = max(map(len, probes))
+        # a short list is padded with its last probe; no step reads the padding's values
+        table = np.array([p + p[-1:] * (width - len(p)) for p in probes]).T
+        vals = np.asarray(fn(table.reshape((width,) + shape)), dtype=float).reshape(width, lo.size)
+        for b, v in zip(brackets, vals.T.tolist()):
+            if b.left:
+                b.walk(v)
+    lo = np.array([b.lo for b in brackets], dtype=float).reshape(shape)
+    hi = np.array([b.hi for b in brackets], dtype=float).reshape(shape)
+    return 0.5 * (lo + hi)
+
+
+class _Bracket:
+    """One bracket of :func:`bisect_zero`: its ends, fn at both, and the steps it has left."""
+
+    def __init__(self, lo, hi, flo, fhi, steps):
+        self.lo, self.hi, self.flo, self.fhi = lo, hi, flo, fhi
+        # lo moves to a midpoint exactly where sign * fn(mid) > 0; a zero or NaN fn(lo) never moves it
+        self.sign = 1.0 if flo > 0.0 else -1.0 if flo < 0.0 else 0.0
+        self.left = 0 if self._settled() else max(steps, 0)
+
+    def _keeps_right(self, v) -> bool:
+        return self.sign * v > 0.0
+
+    def _settled(self) -> bool:
+        """True once the midpoint equals an end: every later step leaves 0.5 * (lo + hi) as it is.
+
+        The step either moves the other end onto that one, or changes
+        nothing, and a bracket [x, x] has midpoint x.
+        """
+        mid = 0.5 * (self.lo + self.hi)
+        return _same_float(mid, self.lo) or _same_float(mid, self.hi)
+
+    def _secant(self) -> float:
+        """Where the secant of fn(lo) and fn(hi) crosses zero, as a fraction of the bracket, clipped to it."""
+        if not self.sign:
+            return 0.0  # every step keeps the left half
+        gap = self.flo - self.fhi
+        frac = self.flo / gap if gap else 0.5
+        return min(max(frac, 0.0), 1.0) if frac == frac else 0.5
+
+    def probes(self) -> list:
+        """The points of the next pass: the grid of the next steps, then the predicted path below it."""
+        depth = min(_BISECT_DEPTH, self.left)
         n = 1 << depth
-        grid = np.empty((n + 1, lo.size))
-        grid[0], grid[n] = lo, hi
+        grid = [self.lo] * n + [self.hi]
         for w in (n >> j for j in range(depth)):
-            grid[w // 2 :: w] = 0.5 * (grid[:-1:w] + grid[w::w])
-        vals = np.empty((n, lo.size))
-        vals[0] = flo
-        vals[1:] = np.asarray(fn(grid[1:n].reshape((n - 1,) + shape)), dtype=float).reshape(n - 1, lo.size)
-        same = (np.sign(vals) == sign0) & (vals != 0.0)
-        # from [grid[a], grid[a + 2w]] a step moves to the right half where same[a + w]
-        a = np.zeros(lo.size, dtype=np.intp)
-        for w in (n >> j for j in range(1, depth)):
-            a = a + same[a + w, cols] * w
-        # the last step, as a step-by-step bisection takes it
-        mid, keep_right = grid[a + 1, cols], same[a + 1, cols]
-        prev_lo, prev_hi, prev_flo = grid[a, cols], grid[a + 2, cols], vals[a, cols]
-        lo = np.where(keep_right, mid, prev_lo)
-        flo = np.where(keep_right, vals[a + 1, cols], prev_flo)
-        hi = np.where(keep_right, prev_hi, mid)
-        if _same_bits(lo, prev_lo) and _same_bits(hi, prev_hi) and _same_bits(flo, prev_flo):
+            for i in range(w // 2, n, w):
+                grid[i] = 0.5 * (grid[i - w // 2] + grid[i + w // 2])
+        frac = self._secant() * n
+        cell = min(int(frac), n - 1)
+        mids, rights = _predicted_path(grid[cell], grid[cell + 1], frac - cell, self.left - depth)
+        self._plan = depth, grid, cell, mids, rights
+        return grid[1:n] + mids
+
+    def walk(self, vals: list) -> None:
+        """Take the pass's steps, given fn at the points :meth:`probes` returned."""
+        depth, grid, cell, mids, rights = self._plan
+        n = 1 << depth
+        at = [self.flo] + vals[: n - 1] + [self.fhi]
+        # from [grid[a], grid[a + 2w]] a step moves to the right half where fn(grid[a + w]) keeps it
+        a = 0
+        for w in (n >> j for j in range(1, depth + 1)):
+            if self._keeps_right(at[a + w]):
+                a += w
+        self.lo, self.hi, self.flo, self.fhi = grid[a], grid[a + 1], at[a], at[a + 1]
+        self.left -= depth
+        if a == cell:
+            for mid, fmid, right in zip(mids, vals[n - 1 :], rights):
+                self.left -= 1
+                went_right = self._keeps_right(fmid)
+                if went_right:
+                    self.lo, self.flo = mid, fmid
+                else:
+                    self.hi, self.fhi = mid, fmid
+                if went_right != right:
+                    break
+        if self._settled():
+            self.left = 0
+
+
+def _same_float(a: float, b: float) -> bool:
+    """True when two floats have the same bits (NaN is taken as never equal)."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def _predicted_path(a, b, frac, steps):
+    """The midpoints of ``steps`` bisection steps on [a, b], and the side each keeps, if the root lies at ``frac`` of it.
+
+    Stops after the first midpoint that equals an end: from there the
+    bracket no longer shrinks.
+    """
+    mids, rights = [], []
+    for _ in range(steps):
+        mid = 0.5 * (a + b)
+        frac *= 2.0
+        right = frac >= 1.0
+        mids.append(mid)
+        rights.append(right)
+        if mid == a or mid == b:
             break
-    return 0.5 * (lo.reshape(shape) + hi.reshape(shape))
+        if right:
+            a, frac = mid, frac - 1.0
+        else:
+            b = mid
+    return mids, rights
 
 
 def adaptive_winding(fn, coarse):

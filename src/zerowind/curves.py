@@ -31,8 +31,8 @@ CORNER_TOL = 1e-6
 # On-curve band, as a fraction of the curve diameter.
 DEFAULT_BAND_FACTOR = 1e-9
 
-# Points of the sampling t = i / GRID_SAMPLES that every curve caches: every
-# grid of n points with n dividing it is a strided view of it.
+# The finest sampling t = i / GRID_SAMPLES that a curve caches: a grid of n
+# points with n dividing it is a strided view of the one sampling cached.
 GRID_SAMPLES = 8192
 
 
@@ -88,6 +88,12 @@ class ArcSegment:
         """A bound on every coordinate of the arc."""
         return abs(self.center) + self.radius
 
+    def area(self) -> float:
+        """Half of the integral of Im(conj(z) dz) along the arc: (R^2 sweep + R Im(conj(c) (e^{i a1} - e^{i a0}))) / 2."""
+        chord = np.exp(1j * self.angle1) - np.exp(1j * self.angle0)
+        r = self.radius
+        return 0.5 * (r * r * (self.angle1 - self.angle0) + r * (np.conj(self.center) * chord).imag)
+
     def derivs(self, s):
         sweep = self.angle1 - self.angle0
         ang = self.angle0 + np.asarray(s, dtype=float) * sweep
@@ -140,6 +146,10 @@ class LineSegment:
     def extent(self):
         """A bound on every coordinate of the segment."""
         return max(abs(self.start_point), abs(self.end_point))
+
+    def area(self) -> float:
+        """Half of the integral of Im(conj(z) dz) along the segment: Im(conj(a) b) / 2."""
+        return 0.5 * (self.start_point.conjugate() * self.end_point).imag
 
     def derivs(self, s):
         s = np.asarray(s, dtype=float)
@@ -252,6 +262,21 @@ class TrigSegment:
     def extent(self):
         """A bound on every coordinate of the segment: |c_0| + sum_k |c_k|."""
         return float(np.abs(self._coefficients).sum())
+
+    def area(self) -> float:
+        """Half of the integral of Im(conj(z) dz) along the segment.
+
+        With z = sum_k c_k e^{ikt} and dz = sum_k i k c_k e^{ikt} dt, the
+        integral over [t0, t1] is sum_{j,k} conj(c_j) c_k I_jk, where I_kk =
+        i k (t1 - t0) and I_jk = k (e^{i(k-j)t1} - e^{i(k-j)t0}) / (k - j)
+        otherwise.  That holds on any range, reversed and partial ones too.
+        """
+        c = self._coefficients
+        k = np.arange(len(c)) - len(c) // 2
+        d = k - k[:, np.newaxis]
+        off = np.exp(1j * d * self.theta1) - np.exp(1j * d * self.theta0)
+        weights = np.where(d == 0, 1j * k * (self.theta1 - self.theta0), k * off / np.where(d == 0, 1, d))
+        return 0.5 * float((np.conj(c) @ weights @ c).imag)
 
     def points(self, s):
         c0, pos, neg, _, _ = self._laurent
@@ -392,7 +417,6 @@ class JordanCurve:
             if gap > closure_tol:
                 raise ValueError(f"segments {i} and {(i + 1) % k} do not join (gap {gap:.3g})")
 
-        # the curve returned is the one whose grid the orientation test sampled
         curve = cls._assembled(segs, diameter)
         if curve.signed_area() <= 0.0:
             if not auto_orient:
@@ -446,29 +470,24 @@ class JordanCurve:
         """Curve points at global parameter(s) t (wrapped modulo 1)."""
         return self._dispatch(t, lambda seg, s, w: seg.points(s))
 
-    @cached_property
-    def _grid(self) -> np.ndarray:
-        """The read-only points at t = i / GRID_SAMPLES, evaluated on first use.
-
-        Every thread that builds it builds the same array, so a race only
-        repeats the work.
-        """
-        pts = self.points(np.arange(GRID_SAMPLES) / GRID_SAMPLES)
-        pts.flags.writeable = False
-        return pts
-
     def grid(self, n: int) -> np.ndarray:
         """The read-only curve points at t = i / n, i = 0 .. n - 1.
 
-        When n divides GRID_SAMPLES the points are a strided view of the
-        curve's cached sampling: i / n is the float (i * GRID_SAMPLES / n) /
-        GRID_SAMPLES, and evaluation is elementwise, so the bits are those of
-        ``points(np.arange(n) / n)``.  Any other n evaluates that expression.
+        The curve caches one sampling: the largest n dividing GRID_SAMPLES
+        asked for so far, evaluated when first asked for.  Any n dividing it
+        is a strided view of it: with m cached points, i / n is the float
+        (i * m / n) / m, and evaluation is elementwise, so the bits are those
+        of ``points(np.arange(n) / n)``.  Any other n evaluates that
+        expression.  Threads that race may evaluate a sampling twice or keep
+        the smaller one, which repeats work but never changes a bit.
         """
-        if GRID_SAMPLES % n == 0:
-            return self._grid[:: GRID_SAMPLES // n]
+        cached = self.__dict__.get("_sampling")
+        if cached is not None and len(cached) % n == 0:
+            return cached[:: len(cached) // n]
         pts = self.points(np.arange(n) / n)
         pts.flags.writeable = False
+        if GRID_SAMPLES % n == 0:
+            self.__dict__["_sampling"] = pts
         return pts
 
     @cached_property
@@ -490,10 +509,9 @@ class JordanCurve:
 
     # -- global quantities ----------------------------------------------
 
-    def signed_area(self, n: int = 4096) -> float:
-        pts = self.grid(n)
-        x, y = pts.real, pts.imag
-        return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+    def signed_area(self) -> float:
+        """The area the curve encloses, positive when it runs counterclockwise: the sum of its segments' ``area()``."""
+        return float(sum(seg.area() for seg in self.segments))
 
     def default_band(self) -> float:
         return DEFAULT_BAND_FACTOR * self.diameter
@@ -841,25 +859,29 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
     ts = np.arange(n) / n
     pts = curve.grid(n)
 
-    intervals = []
-    for tj, zj in marks:
-        g = np.abs(pts - zj) - eps
-        sgn = np.sign(g)
-        flips = np.nonzero(sgn * np.roll(sgn, -1) < 0)[0]
-        if len(flips) != 2:
+    flips = []
+    for zj in zs:
+        sgn = np.sign(np.abs(pts - zj) - eps)
+        flips.append(np.nonzero(sgn * np.roll(sgn, -1) < 0)[0])
+        if len(flips[-1]) != 2:
             return None
+    # every mark's two crossings in one bisection: column 2j + i is the i-th crossing of mark j
+    centers = np.repeat(zs, 2)
 
-        def gfn(q, _z=zj):
-            return np.abs(curve.points(q) - _z) - eps
+    def gfn(q):
+        return np.abs(curve.points(q) - centers) - eps
 
-        roots = bisect_zero(gfn, ts[flips], ts[flips] + 1.0 / n)
-        u, v = float(roots[0]) % 1.0, float(roots[1]) % 1.0
+    lo = ts[np.concatenate(flips)]
+    roots = bisect_zero(gfn, lo, lo + 1.0 / n).tolist()
+    intervals, mids = [], []
+    for j, (tj, zj) in enumerate(marks):
+        u, v = roots[2 * j] % 1.0, roots[2 * j + 1] % 1.0
         if not _forward_gap(u, tj % 1.0) <= _forward_gap(u, v):
             u, v = v, u
-        mid = (u + 0.5 * _forward_gap(u, v)) % 1.0
-        if float(gfn(np.array([mid]))[0]) >= 0.0:
-            return None
+        mids.append((u + 0.5 * _forward_gap(u, v)) % 1.0)
         intervals.append((u, v, zj))
+    if (np.abs(curve.points(np.array(mids)) - zs) - eps >= 0.0).any():
+        return None
 
     intervals.sort(key=lambda iv: iv[0])
 
@@ -918,13 +940,17 @@ def build_detour(
     Tries each radius in the schedule until the discs are pairwise disjoint,
     each disc boundary crosses the curve exactly twice, and the spliced curve
     is closed, simple at sample resolution, positively oriented, and strictly
-    encloses every listed point.  Raises DetourFailed when the schedule is
+    encloses every listed point.  Raises ValueError when a point is listed
+    twice or lies off the curve, and DetourFailed when the schedule is
     exhausted.
     """
     band = curve.checked_band(band)
     zs = [complex(z) for z in zeros_on_curve]
     if not zs:
         return DetourCurve(curve, (), curve, ())
+    for i, z in enumerate(zs):
+        if z in zs[:i]:
+            raise ValueError(f"{z} is listed more than once; each point gets one detour")
 
     marks = []
     for z, loc in zip(zs, classify_points(curve, zs, band)):

@@ -422,8 +422,9 @@ def winding_count(f: Polynomial, curve: _curves.JordanCurve, band: float | None 
     is not within 0.01 of a whole number of turns.
     """
     band = curve.checked_band(band)
-    threshold = _lift_off_threshold(f, curve, band)
+    # the probe first: the lift-off threshold's 1024-point grid is then a view of its sampling
     probe_vals = f(curve.grid(2048))
+    threshold = _lift_off_threshold(f, curve, band)
     probe = np.abs(probe_vals)
     if float(probe.min()) <= threshold:
         raise ZeroOnCurve(f"min |f| on curve {probe.min():.3g} under lift-off {threshold:.3g}")

@@ -291,6 +291,17 @@ def full_bisect_zero(fn, lo, hi, iters=52):
     return 0.5 * (lo + hi)
 
 
+def chord_area(points) -> float:
+    """Half the sum of Im(conj(z_i) z_{i+1}) over consecutive points: the shoelace sum of an open chain.
+
+    On a closed polygon (first point repeated at the end) it is the signed
+    area; on samples of one segment it approximates the segment's share of
+    it, half the integral of Im(conj(z) dz).
+    """
+    z = np.asarray(points, dtype=complex)
+    return float(0.5 * np.sum((np.conj(z[:-1]) * z[1:]).imag))
+
+
 def polygon_interior_angle(vertices, i: int) -> float:
     """Interior angle at vertex i of a counterclockwise simple polygon, exactly.
 

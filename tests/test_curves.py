@@ -309,11 +309,14 @@ class TestWorkBudget:
     nearest-point batches, the grids and one point per preimage found.  With
     nearest points and windings on trig segments taken from Laurent roots
     instead of a scan, a golden refine and a sampled winding, the last
-    takes 1.
+    takes 1.  With the detour's crossings bisected in one call that
+    predicts its path, the second takes 19.
 
-    Separately, every grid scan, winding pass and orientation test reads the
-    curve's one cached sampling, so a curve is evaluated at 1024 or more
-    points once: when it is built.
+    Separately, every grid scan and winding pass reads the curve's one
+    cached sampling, and orientation samples nothing, so a curve is
+    evaluated at 1024 or more points once: when first sampled, at the most
+    points any caller asks for (8192 for a detour's base curve, 2048 for
+    its composite).
     """
 
     @staticmethod
@@ -354,7 +357,7 @@ class TestWorkBudget:
 
     def test_verify_detour(self, monkeypatch):
         f = Polynomial.from_roots([(1.0, 2), (0.3, 1)])
-        assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 24
+        assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 19
 
     def test_unit_circle_sampled_once_per_process(self, monkeypatch):
         def run():
@@ -370,6 +373,35 @@ class TestWorkBudget:
         evaluated, built = self._large_evaluations(monkeypatch, lambda: verify_detour(f, circle(0.0, 1.0), Line(0.3)))
         assert len(built) >= 2  # the base circle and at least one composite
         assert [id(c) for c in evaluated] == [id(c) for c in built]
+
+    def test_verify_detour_samples_composites_at_2048(self, monkeypatch):
+        # the winding count's 2048-point probe; its lift-off grid and the preimage count's grid are views of it
+        rng = np.random.default_rng(3)
+        cases = [(Polynomial.from_roots([(1.0, 2), (0.3, 1)]), circle(0.0, 1.0), Line(0.3))]
+        for family in ("circle", "square"):
+            for _ in range(5):
+                cfg = HarnessConfig(max_degree=5, curve_family=family)
+                inst = random_instance(rng, cfg, min_on_curve=1, max_multiplicity=1, separation=0.7)
+                cases.append((inst.polynomial, inst.curve, inst.line))
+        largest, built = {}, []
+        points, from_segments = JordanCurve.points, JordanCurve.from_segments.__func__
+
+        def counted_points(self, t):
+            largest[id(self)] = max(largest.get(id(self), 0), np.size(t))
+            return points(self, t)
+
+        def counted_from_segments(cls, *args, **kwargs):
+            built.append(from_segments(cls, *args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(JordanCurve, "points", counted_points)
+        monkeypatch.setattr(JordanCurve, "from_segments", classmethod(counted_from_segments))
+        for f, curve, line in cases:
+            del built[:]
+            _, detour = verify_detour(f, curve, line)
+            assert detour.composite in built
+            assert largest[id(detour.composite)] == 2048
+            assert all(largest.get(id(c), 0) <= 2048 for c in built)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_planted_trig_trial_samples_each_curve_once(self, monkeypatch, seed):
@@ -474,6 +506,22 @@ class TestConstruction:
         with pytest.warns(UserWarning):
             sq = polygon([0, 2j, 2 + 2j, 2])  # clockwise square
         assert sq.signed_area() > 0
+
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            [ArcSegment(0.5j, 2.0, 0.0, -2 * np.pi)],
+            [ArcSegment(0.0, 1.0, np.pi, 0.0), LineSegment(1.0, -1.0)],
+            [TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -0.05), 0.0, 2 * np.pi)],
+        ],
+        ids=["circle", "half-disc", "trig"],
+    )
+    def test_clockwise_arcs_and_trig_reversed_with_warning(self, segments):
+        with pytest.warns(UserWarning, match="clockwise curve reversed"):
+            curve = JordanCurve.from_segments(segments)
+        assert curve.signed_area() > 0
+        assert curve.signed_area() == pytest.approx(-sum(seg.area() for seg in segments), rel=1e-12)
+        assert curve.segments[0] == segments[-1].reversed()
 
     def test_clockwise_rejected_when_not_auto(self):
         segs = [LineSegment(0, 2j), LineSegment(2j, 2 + 2j), LineSegment(2 + 2j, 2), LineSegment(2, 0)]
@@ -612,4 +660,4 @@ class TestOrientationInvariants:
             assert curve.signed_area() > 0
 
     def test_circle_area_value(self, circle_curve):
-        assert circle_curve.signed_area(1 << 14) == pytest.approx(np.pi, rel=1e-6)
+        assert circle_curve.signed_area() == pytest.approx(np.pi, abs=1e-12)

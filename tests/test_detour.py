@@ -56,6 +56,13 @@ class TestBuildDetour:
         with pytest.raises(ValueError):
             build_detour(circle_curve, [0.5])
 
+    def test_repeated_point_rejected(self, circle_curve):
+        # the default schedule scales with the smallest pairwise distance, which a repeat makes zero
+        with pytest.raises(ValueError, match=r"\(1\+0j\) is listed more than once"):
+            build_detour(circle_curve, [1, 1])
+        with pytest.raises(ValueError, match="listed more than once"):
+            build_detour(circle_curve, [1j, -1.0, 1j], eps_schedule=[0.1])
+
     def test_overlapping_discs_exhaust_schedule(self, circle_curve):
         close_pair = [1.0, complex(np.exp(0.05j))]
         with pytest.raises(DetourFailed):

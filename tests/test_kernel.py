@@ -8,9 +8,11 @@ segment kind replaced.  Trig segments are checked bit for bit against a plain
 Laurent sum that builds its coefficients one harmonic at a time, and within a
 rounding bound against ``mpmath``, as is the earlier cosine/sine series.  The
 searches now read several steps off one call of ``fn`` on a stacked array of
-probes, and a curve's ``grid(n)`` reads its points off one cached 8192-point
-sampling; both rely on NumPy giving each element the same bits in any array,
-which the last class here checks directly.
+probes, and a curve's ``grid(n)`` reads its points off one cached sampling
+of up to 8192 points; both rely on NumPy giving each element the same bits in
+any array, which the last class here checks directly.  Bisection also walks
+a path it predicts by the secant, and closed-form segment areas are checked
+against the shoelace sum of fine chords.
 """
 
 import os
@@ -45,9 +47,11 @@ from zerowind import (
     unit_circle,
 )
 from zerowind._numeric import _BISECT_DEPTH, _GOLDEN_DEPTH, bisect_zero, golden_min
-from zerowind.curves import GRID_SAMPLES, classify_points, nearest_parameter
+from zerowind.curves import GRID_SAMPLES, TWO_PI, classify_points, nearest_parameter
+from zerowind.harness import HarnessConfig, random_instance
 
 from oracles import (
+    chord_area,
     full_bisect_zero,
     full_golden_min,
     reference_derivs,
@@ -223,6 +227,21 @@ class TestCurveGrid:
             assert np.shares_memory(curve.grid(n), full)
         assert not np.shares_memory(curve.grid(3), full)
 
+    @pytest.mark.parametrize("name", CURVE_NAMES)
+    def test_sampling_grows_to_the_largest_divisor_asked(self, name):
+        # a fresh copy, so that no earlier test has sampled it; a composite's check would sample it at 8192
+        curve = JordanCurve.from_segments(_curve(name).segments, auto_orient=False, check_simple=False)
+        assert "_sampling" not in curve.__dict__
+        small = curve.grid(256)
+        assert len(curve._sampling) == 256
+        probe = curve.grid(2048)
+        assert len(curve._sampling) == 2048 and _bits(probe) == _bits(curve.points(np.arange(2048) / 2048))
+        assert np.shares_memory(curve.grid(1024), probe) and np.shares_memory(curve.grid(256), probe)
+        assert _bits(curve.grid(256)) == _bits(small)
+        assert not np.shares_memory(curve.grid(3), probe) and len(curve._sampling) == 2048
+        full = curve.grid(GRID_SAMPLES)
+        assert np.shares_memory(curve.grid(2048), full) and _bits(curve.grid(2048)) == _bits(probe)
+
 
 def _circle_distance(p: complex):
     curve = unit_circle()
@@ -296,6 +315,8 @@ class TestEarlyStop:
         assert _bits(bisect_zero(early, lo, hi)) == _bits(full_bisect_zero(full, lo, hi))
         assert len(full_calls) == 53
         assert len(early_calls) <= 1 + _ceil_div(52, _BISECT_DEPTH)
+        # both ends, then the grid and the secant-predicted path, which the gap follows for many steps at a time
+        assert len(early_calls) <= 4
 
     def test_minimiser_at_zero_takes_every_step(self):
         # the bracket keeps shrinking around 0 through ever smaller floats, so no step is a fixed point:
@@ -476,7 +497,7 @@ class TestBatchedSearch:
 
     @pytest.mark.parametrize("iters", [7, 48])
     def test_one_call_per_dyadic_grid(self, iters):
-        # fn(lo) once, then the 2^K - 1 inner points of each K-step grid; 7 steps end on a shorter grid
+        # both ends once, then per call each bracket's grid of its next K steps and the predicted path below it
         curve = unit_circle()
         lo = np.array([0.01, 0.2, 0.45])
         hi = lo + 0.05
@@ -487,12 +508,106 @@ class TestBatchedSearch:
         fn, shapes = _counted(gap)
         assert _bits(bisect_zero(fn, lo, hi, iters)) == _bits(full_bisect_zero(gap, lo, hi, iters))
         assert 2 <= len(shapes) <= 1 + _ceil_div(iters, _BISECT_DEPTH)
-        full = (2**_BISECT_DEPTH - 1, 3)
-        assert shapes[0] == (3,) and set(shapes[1:-1]) <= {full}
-        # the last grid is shorter when iters is not a multiple of K and no earlier step was a fixed point
-        assert shapes[-1] in {full, (2 ** (iters % _BISECT_DEPTH) - 1, 3)}
-        if iters == 7:
-            assert len(shapes) == 1 + _ceil_div(7, _BISECT_DEPTH)
+        assert shapes[0] == (2, 3)
+        # the first pass holds every bracket's full grid and its whole predicted path
+        assert shapes[1] == (2 ** min(iters, _BISECT_DEPTH) - 1 + max(iters - _BISECT_DEPTH, 0), 3)
+        assert all(len(shape) == 2 and shape[1] == 3 for shape in shapes)
+
+
+class TestPredictedBisection:
+    """``bisect_zero`` follows a secant-predicted path; whatever it predicts, the bits are those of one call per step.
+
+    Noise at the level of a few ulps makes fn change sign many times near
+    its root, where the secant is no guide; an exact zero or a NaN at a
+    probe, and a zero fn(lo), are the sign tests' edge cases.  Each case
+    also keeps the bound of one call for the ends plus one per K steps.
+    """
+
+    ITERS = [-1, 0, 1, 5, 6, 47, 52, 60]
+
+    @staticmethod
+    def _check(fn, lo, hi, iters):
+        counted, calls = _counted(fn)
+        assert _bits(bisect_zero(counted, lo, hi, iters)) == _bits(full_bisect_zero(fn, lo, hi, iters))
+        assert len(calls) <= 1 + _ceil_div(iters, _BISECT_DEPTH)
+        return len(calls)
+
+    @staticmethod
+    def _noise(q):
+        """A pure function of each float's bits, in [-0.5, 0.5)."""
+        return (np.asarray(q, dtype=float).view(np.int64) % 1009) / 1009.0 - 0.5
+
+    @pytest.mark.parametrize("iters", ITERS)
+    @pytest.mark.parametrize("amplitude", [1e-16, 1e-13, 1e-9])
+    def test_noisy_fn(self, iters, amplitude):
+        curve = unit_circle()
+
+        def gap(q):
+            return np.abs(curve.points(q) - 1.0) - 0.5 + amplitude * self._noise(q)
+
+        # both crossings of |z - 1| = 0.5, bracketed on the detour's grid
+        lo = np.floor(np.array([np.arcsin(0.25), np.pi - np.arcsin(0.25)]) / np.pi * 8192) / 8192
+        self._check(gap, lo, lo + 1.0 / 8192, iters)
+
+    @pytest.mark.parametrize("iters", ITERS)
+    def test_exact_zero_at_a_midpoint(self, iters):
+        # each root is the midpoint a step-by-step bisection visits at step 1, 3, 12 or 30
+        lo, hi = np.array([0.25, 0.1, 0.1, -0.7]), np.array([0.75, 0.5, 0.5, 0.3])
+        roots = []
+        for a, b, depth in zip(lo.tolist(), hi.tolist(), (1, 3, 12, 30)):
+            toward = a + 0.37 * (b - a)
+            for _ in range(depth):
+                mid = 0.5 * (a + b)
+                a, b = (mid, b) if mid < toward else (a, mid)
+            roots.append(mid)
+        roots = np.array(roots)
+
+        def fn(q):
+            return np.expm1(q - roots)
+
+        assert not fn(np.array(roots)).any()
+        self._check(fn, lo, hi, iters)
+
+    @pytest.mark.parametrize("iters", ITERS)
+    def test_nan_and_zero_ends(self, iters):
+        # NaN on a window around the root, NaN at hi, and fn(lo) exactly 0
+        def fn(q):
+            return np.where(np.abs(q - 0.3) < 1e-9, np.nan, (q - 0.3) * (q - 0.75))
+
+        lo = np.array([0.1, 0.2, 0.75, 0.25])
+        hi = np.array([0.5, 0.3 + 5e-10, 0.9, 0.3 + 1e-6])
+        assert np.isnan(fn(hi[1:2])).all() and fn(lo[2:3])[0] == 0.0
+        self._check(fn, lo, hi, iters)
+
+    @pytest.mark.parametrize("iters", ITERS)
+    def test_columns_settle_at_different_steps(self, iters):
+        # widths from one half down to two ulps: each bracket reaches its fixed point at its own step
+        root = np.float64(0.3)
+        widths = np.array([0.5, 1e-3, 1e-9, 1e-15, 0.0])
+        lo = root - widths * 0.4
+        hi = root + widths * 0.6
+        lo[-1], hi[-1] = np.nextafter(root, 0.0), np.nextafter(root, 1.0)
+
+        def fn(q):
+            return np.tanh(7.0 * (q - root)) + 0.2 * (q - root) ** 2
+
+        self._check(fn, lo, hi, iters)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.tuples(st.floats(-2.0, 2.0), st.floats(1e-14, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=6),
+        st.sampled_from([0.0, 1e-16, 1e-12]),
+        st.sampled_from(ITERS),
+    )
+    def test_random_brackets(self, brackets, amplitude, iters):
+        lo = np.array([a for a, _, _ in brackets])
+        hi = lo + np.array([w for _, w, _ in brackets])
+        roots = lo + np.array([f for _, _, f in brackets]) * (hi - lo)
+
+        def fn(q):
+            return np.sinh(3.0 * (q - roots)) + np.cos(q) * amplitude * self._noise(q)
+
+        self._check(fn, lo, hi, iters)
 
 
 CLOSED_FORM_NAMES = (
@@ -678,6 +793,98 @@ class TestClosedFormNearest:
             t, dist = nearest_parameter(curve, np.array([c.location for c in curve.corners]))
             assert list(t) == [c.parameter for c in curve.corners]
             assert not dist.any()
+
+
+@cache
+def _area_segments() -> dict:
+    """Segments of every kind and direction: partial and full arcs of both senses, lines, trig pieces."""
+    trig = _curve("radial-trig").segments[0]
+    return {
+        "arc-partial": ArcSegment(0.3 - 0.2j, 1.7, -0.4, 2.1),
+        "arc-partial-clockwise": ArcSegment(0.3 - 0.2j, 1.7, 2.1, -0.4),
+        "arc-full": ArcSegment(1 + 1j, 0.5, 0.0, TWO_PI),
+        "arc-full-clockwise": ArcSegment(-2j, 0.5, 1.0, 1.0 - TWO_PI),
+        "line": LineSegment(1 + 2j, -0.5 + 0.1j),
+        "line-through-origin": LineSegment(-1 - 1j, 2 + 2j),
+        "trig-full": trig,
+        "trig-partial": trig.subsegment(0.2, 0.7),
+        "trig-reversed": trig.reversed(),
+        "trig-reversed-partial": trig.reversed().subsegment(0.1, 0.4),
+        "trig-backwards-subsegment": trig.subsegment(0.7, 0.2),
+        "trig-no-trailing-sine": _curve("trig-no-trailing-sine").segments[0],
+        "trig-falling-parameter": _curve("trig-falling-parameter").segments[0],
+        "trig-off-centre": TrigSegment((2.0, 0.5, 0.1, 0.0, 0.03), (-1.0, 0.05, 0.5), 0.3, 4.0),
+    }
+
+
+def _area_curves() -> dict:
+    curves = {name: _curve(name) for name in CURVE_NAMES}
+    curves.update((name, _closed_form_curve(name)) for name in CLOSED_FORM_NAMES)
+    return curves
+
+
+def _chords(seg, n: int = 1 << 16) -> float:
+    return chord_area(seg.points(np.linspace(0.0, 1.0, n + 1)))
+
+
+class TestClosedFormArea:
+    """``area()``, half the integral of Im(conj(z) dz) along a segment, against the shoelace sum of 2^16 chords.
+
+    ``signed_area`` sums it over a curve's segments, and its sign decides a
+    curve's orientation; before, the shoelace sum of the 4096-point grid
+    polygon did, and every curve must keep the sign that gave.
+    """
+
+    @pytest.mark.parametrize("name", list(_area_segments()))
+    def test_segment_matches_chords(self, name):
+        seg = _area_segments()[name]
+        assert seg.area() == pytest.approx(_chords(seg), rel=1e-8, abs=1e-12 * seg.extent() ** 2)
+
+    def test_directions_flip_the_sign(self):
+        segs = _area_segments()
+        for name, seg in segs.items():
+            assert seg.reversed().area() == pytest.approx(-seg.area(), rel=1e-12, abs=1e-14), name
+        assert segs["arc-partial-clockwise"].area() == pytest.approx(-segs["arc-partial"].area(), rel=1e-12)
+
+    @pytest.mark.parametrize("name", [*CURVE_NAMES, *CLOSED_FORM_NAMES])
+    def test_curve_matches_chords(self, name):
+        curve = _area_curves()[name]
+        want = sum(_chords(seg) for seg in curve.segments)
+        assert curve.signed_area() == pytest.approx(want, rel=1e-8)
+
+    def test_detour_composites_match_chords(self):
+        trig = _curve("radial-trig")
+        for base, zs in (
+            (unit_circle(), [np.exp(0.7j), -1j]),
+            (square(0.0, 2.0), [1 + 0.37j, -1 - 1j]),
+            (trig, [trig.point(0.3)]),
+            (trig, [trig.point(0.1), trig.point(0.55)]),
+        ):
+            composite = build_detour(base, zs).composite
+            want = sum(_chords(seg) for seg in composite.segments)
+            assert composite.signed_area() == pytest.approx(want, rel=1e-8)
+            # the splices run outside the base curve
+            assert composite.signed_area() > base.signed_area()
+
+    @staticmethod
+    def _grid_polygon_area(curve) -> float:
+        pts = curve.points(np.arange(4096) / 4096)
+        return chord_area(np.append(pts, pts[:1]))
+
+    @pytest.mark.parametrize("name", [*CURVE_NAMES, *CLOSED_FORM_NAMES])
+    def test_keeps_the_grid_polygons_sign(self, name):
+        curve = _area_curves()[name]
+        old = self._grid_polygon_area(curve)
+        assert old > 0.0 and curve.signed_area() == pytest.approx(old, rel=1e-5)
+
+    @pytest.mark.parametrize("family", ["circle", "trig-perturbed", "square", "lshape"])
+    def test_harness_families_keep_the_grid_polygons_sign(self, family):
+        for seed in range(20):
+            curve = random_instance(np.random.default_rng(seed), HarnessConfig(curve_family=family)).curve
+            old = self._grid_polygon_area(curve)
+            assert old > 0.0 and curve.signed_area() == pytest.approx(old, rel=1e-5)
+            reversed_segments = [seg.reversed() for seg in reversed(curve.segments)]
+            assert sum(seg.area() for seg in reversed_segments) == pytest.approx(-curve.signed_area(), rel=1e-12)
 
 
 def _real_samples() -> np.ndarray:
