@@ -405,7 +405,13 @@ class JordanCurve:
         if not segs:
             raise ValueError("a curve needs at least one segment")
 
-        probe = np.concatenate([s.points(np.linspace(0.0, 1.0, 64)) for s in segs])
+        # a non-finite segment is reported below, not warned about here
+        with np.errstate(invalid="ignore", over="ignore"):
+            probes = [s.points(np.linspace(0.0, 1.0, 64)) for s in segs]
+        for i, pts in enumerate(probes):
+            if not np.isfinite(pts).all():
+                raise ValueError(f"segment {i} has a non-finite point")
+        probe = np.concatenate(probes)
         diameter = float(np.max(np.abs(probe[:, None] - probe[None, :])))
         if diameter <= 0.0:
             raise ValueError("degenerate curve")
@@ -573,18 +579,52 @@ def _turning_number(pts: np.ndarray) -> float:
     return float(turns / TWO_PI)
 
 
+# Relative allowance of the dominant-harmonic certificate, far above the few
+# ulps by which the Laurent coefficients and their weighted sum are rounded.
+_DOMINANCE_SLACK = 1e-9
+
+
+def _first_harmonic_dominates(seg: Segment) -> bool:
+    """True when seg sweeps one full turn and its first harmonic proves the closed curve simple.
+
+    Alexander's coefficient criterion for univalence: with z = sum_k c_k w^k
+    on w = e^{it}, and w1 != w2 on the unit circle, |w1^k - w2^k| <=
+    |k| |w1 - w2| for every integer k, while |w1^s - w2^s| = |w1 - w2| for
+    s = +-1.  So
+
+        |z(w1) - z(w2)| >= (|c_s| - sum_{k not in {0, s}} |k| |c_k|) |w1 - w2|,
+
+    and z is one-to-one on the period when the bracket is positive; |z'| is
+    bounded below by it too.  The bracket must exceed a relative allowance
+    for rounding, so a curve at the boundary is not certified, and neither
+    is a curve with a NaN or infinite coefficient.
+    """
+    if not isinstance(seg, TrigSegment) or abs(seg.theta1 - seg.theta0) != TWO_PI:
+        return False
+    c = seg._coefficients
+    if not np.isfinite(c).all():
+        return False
+    k = len(c) // 2
+    weighted = np.abs(np.arange(-k, k + 1)) * np.abs(c)
+    return bool(2.0 * max(weighted[k - 1], weighted[k + 1]) > (1.0 + _DOMINANCE_SLACK) * weighted.sum())
+
+
 def _check_simple(curve: JordanCurve, band: float, per_segment: int = 96) -> None:
     """Desk-scale simplicity test: non-adjacent segments must not cross, and their samples must stay apart.
 
     Two straight segments are tested for a proper crossing by the signs of
     their orientations, which sampling can miss between samples.  A curve of
     one or two segments has no non-adjacent pair.  If it is made of arcs and
-    lines, its segments meet only at their joints; if it has a trig segment,
-    its grid polygon must turn once, which rejects a limaçon's inner loop
-    (two turns) and a figure eight (none).
+    lines, its segments meet only at their joints.  A single full-turn trig
+    segment whose first harmonic dominates is simple by
+    ``_first_harmonic_dominates``; any other curve with a trig segment must
+    have a grid polygon that turns once, which rejects a limaçon's inner
+    loop (two turns) and a figure eight (none).
     """
     k = len(curve.segments)
     if k < 3:
+        if k == 1 and _first_harmonic_dominates(curve.segments[0]):
+            return
         if any(isinstance(seg, TrigSegment) for seg in curve.segments):
             turns = _turning_number(curve.grid(GRID_SAMPLES))
             if not abs(turns - 1.0) < 0.5:
@@ -632,12 +672,17 @@ def polygon(vertices: Sequence[complex]) -> JordanCurve:
 
 
 def square(center: complex, side: float) -> JordanCurve:
-    c, h = complex(center), float(side) / 2.0
+    side = float(side)
+    if not 0.0 < side < np.inf:
+        raise ValueError(f"square side must be positive and finite, not {side}")
+    c, h = complex(center), side / 2.0
     return polygon([c + complex(-h, -h), c + complex(h, -h), c + complex(h, h), c + complex(-h, h)])
 
 
 def trig_curve_from_complex_fourier(coeffs: dict[int, complex]) -> JordanCurve:
     """Closed curve z(t) = sum_m c_m exp(i m t), t in [0, 2*pi), from complex coefficients."""
+    if not coeffs:
+        raise ValueError("no Fourier coefficients given")
     kmax = max(abs(m) for m in coeffs)
     ax = np.zeros(kmax + 1)
     bx = np.zeros(kmax + 1)
@@ -952,12 +997,23 @@ def build_detour(
         if z in zs[:i]:
             raise ValueError(f"{z} is listed more than once; each point gets one detour")
 
-    marks = []
+    params = []
     for z, loc in zip(zs, classify_points(curve, zs, band)):
         if loc.kind != "on-curve":
             raise ValueError(f"{z} does not lie on the curve within band {band:.3g}")
-        marks.append((loc.t, z))
+        params.append(loc.t)
+    return _detour_at(curve, zs, params, eps_schedule, band)
 
+
+def _detour_at(
+    curve: JordanCurve,
+    zs: Sequence[complex],
+    params: Sequence[float],
+    eps_schedule: Sequence[float] | None,
+    band: float,
+) -> DetourCurve:
+    """``build_detour`` for distinct on-curve points zs whose curve parameters are already known."""
+    marks = list(zip(params, zs))
     schedule = tuple(eps_schedule) if eps_schedule is not None else default_epsilon_schedule(curve, zs)
     if not schedule:
         raise ValueError("empty radius schedule")

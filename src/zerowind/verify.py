@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crossings import CrossingConfig, Line, count_preimages
-from .curves import DetourCurve, JordanCurve, build_detour, interior_angle, unit_circle
+from .curves import DetourCurve, JordanCurve, _detour_at, interior_angle, unit_circle
 from .errors import BoundaryCoefficientZero, SelfCheckFailed
 from .polynomials import Polynomial, ZeroReport, classify_roots, winding_count
 
@@ -146,7 +146,9 @@ def verify_detour(
     report = _classify(f, curve, cfg)
     if report.lam < 1:
         raise ValueError("f has no zeros on the curve; the detour adds nothing")
-    detour = build_detour(curve, report.on_curve.locations(), eps_schedule, band=cfg.band)
+    # the report already holds the zeros' curve parameters, so they are not located again
+    zs = report.on_curve.locations()
+    detour = _detour_at(curve, zs, report.on_curve_params, eps_schedule, curve.checked_band(cfg.band))
     w = winding_count(f, detour.composite, band=cfg.band)
     preimages = count_preimages(f, detour.composite, line, cfg, ZeroReport.empty())
     target = report.m + report.lam

@@ -268,6 +268,21 @@ class TestInputErrors:
         assert cli.main(["winding", "--poly", cube_poly, "--curve", "heptagon"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "alias, reason",
+        [
+            ("square(0,-1)", "square side must be positive and finite"),
+            ("square(0,0)", "square side must be positive and finite"),
+            ("circle(nan,1)", "segment 0 has a non-finite point"),
+            ("circle(0,inf)", "segment 0 has a non-finite point"),
+        ],
+        ids=["negative-square", "zero-square", "nan-circle", "inf-circle"],
+    )
+    def test_invalid_curve_alias_exits_2(self, cube_poly, alias, reason, capsys):
+        # the negative square once built the positive one, and the NaN circle a curve with a NaN diameter
+        assert cli.main(["winding", "--poly", cube_poly, "--curve", alias]) == 2
+        assert reason in capsys.readouterr().err
+
     def test_unknown_flag_rejected(self, cube_poly):
         with pytest.raises(SystemExit) as exc:
             cli.main(["winding", "--poly", cube_poly, "--curve", "unit-circle", "--frob", "1"])

@@ -1,8 +1,11 @@
 import sys
+import warnings
 from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import zerowind._numeric
 import zerowind.curves
@@ -316,7 +319,8 @@ class TestWorkBudget:
     cached sampling, and orientation samples nothing, so a curve is
     evaluated at 1024 or more points once: when first sampled, at the most
     points any caller asks for (8192 for a detour's base curve, 2048 for
-    its composite).
+    its composite).  A harness trial on a trig-perturbed curve, which is
+    proved simple in closed form, samples it at 256 points only.
     """
 
     @staticmethod
@@ -404,11 +408,11 @@ class TestWorkBudget:
             assert all(largest.get(id(c), 0) <= 2048 for c in built)
 
     @pytest.mark.parametrize("seed", [1, 2])
-    def test_planted_trig_trial_samples_each_curve_once(self, monkeypatch, seed):
+    def test_planted_trig_trial_samples_no_curve_densely(self, monkeypatch, seed):
         cfg = HarnessConfig(trials=1, max_degree=6, curve_family="trig-perturbed", seed=seed)
         evaluated, built = self._large_evaluations(monkeypatch, lambda: run_harness(cfg))
         assert len(built) == 1
-        assert [id(c) for c in evaluated] == [id(c) for c in built]
+        assert evaluated == []
 
     def test_classify_roots(self, monkeypatch):
         f = Polynomial.from_roots([(r, 1) for r in (0.3 + 0.3j, 0.5 + 0.5j, 5, -4j, 1 + 1j, 2j)])
@@ -575,6 +579,27 @@ class TestConstruction:
         for curve in (unit_circle(), half_disc, trig, square(0.0, 2.0), polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])):
             assert zerowind.curves._turning_number(curve.grid(GRID_SAMPLES)) == pytest.approx(1.0, abs=1e-9)
 
+    def test_non_finite_segment_named(self):
+        # the NaN circle was built with a NaN diameter; the others were reported as a cusp
+        cases = [
+            (lambda: circle(complex("nan"), 1.0), 0),
+            (lambda: circle(0.0, float("inf")), 0),
+            (lambda: polygon([0, 1, complex("nan")]), 1),
+            (lambda: zerowind.curves.trig_curve_from_complex_fourier({1: 1.0, 2: float("inf")}), 0),
+        ]
+        for build, index in cases:
+            with pytest.raises(ValueError, match=f"segment {index} has a non-finite point"):
+                build()
+
+    @pytest.mark.parametrize("side", [-1.0, 0.0, float("inf"), float("nan")])
+    def test_square_side_must_be_positive_and_finite(self, side):
+        with pytest.raises(ValueError, match="square side must be positive and finite"):
+            square(0.0, side)
+
+    def test_empty_fourier_coefficients_rejected(self):
+        with pytest.raises(ValueError, match="no Fourier coefficients given"):
+            zerowind.curves.trig_curve_from_complex_fourier({})
+
     @pytest.mark.parametrize("family", ["circle", "trig-perturbed", "square", "lshape"])
     def test_harness_families_still_build(self, family):
         for seed in range(20):
@@ -627,6 +652,80 @@ class TestConstruction:
         sub = seg.subsegment(0.25, 0.75)
         s = np.linspace(0, 1, 17)
         assert np.max(np.abs(sub.points(s) - seg.points(0.25 + 0.5 * s))) < 1e-14
+
+
+class TestSimplicityCertificate:
+    """A full-turn trig curve whose first harmonic outweighs the rest, sum |k| |c_k|, is simple without sampling."""
+
+    @given(
+        st.integers(1, 4),
+        st.sampled_from([1, -1]),
+        st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=9, max_size=9),
+        # near the certificate's boundary, or far enough below it to fool a certificate without the |k| weights
+        st.one_of(st.floats(-0.05, 0.05), st.floats(-0.75, -0.05)),
+        st.floats(0.0, TWO_PI),
+    )
+    @settings(max_examples=150, deadline=None, database=None)
+    def test_certified_curves_turn_once(self, kmax, s, pairs, excess, phase):
+        coeffs = {k: complex(*pairs[k + 4]) for k in range(-kmax, kmax + 1) if k != s}
+        weight = sum(abs(k) * abs(c) for k, c in coeffs.items())
+        coeffs[s] = max(weight, 0.1) * (1.0 + excess) * np.exp(1j * phase)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # s = -1 runs clockwise
+            try:
+                curve = zerowind.curves.trig_curve_from_complex_fourier(coeffs)
+            except ValueError:
+                return  # the sampled test rejected it, so it was not certified
+        if not zerowind.curves._first_harmonic_dominates(curve.segments[0]):
+            return
+        assert "_sampling" not in curve.__dict__
+        turns = zerowind.curves._turning_number(curve.grid(GRID_SAMPLES))
+        assert turns == pytest.approx(1.0, abs=1e-9)
+
+    def test_loops_are_not_certified_and_still_rejected(self):
+        # a certified curve returns before the turning number is sampled, so each message shows the fallback ran
+        eight = TrigSegment((0.0, 1.0), (0.0, 0.0, 0.125, 0.0, 0.5, 0.0, 0.125), 0.0, TWO_PI)
+        assert not zerowind.curves._first_harmonic_dominates(eight)
+        with pytest.raises(ValueError, match="turning number 2"):
+            radial_trig_curve([(1.0, 0.0)], base_radius=0.5)
+        with pytest.raises(ValueError, match="turning number -?0.000"):
+            JordanCurve.from_segments([eight], auto_orient=False)
+        with pytest.raises(ValueError, match="turning number 2"):
+            zerowind.curves.trig_curve_from_complex_fourier({2: 1.0})
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]),
+            lambda: JordanCurve.from_segments([TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, 1.0), 0.0, TWO_PI)]),
+            lambda: JordanCurve.from_segments(
+                [TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -0.05), TWO_PI, 0.0)],
+                auto_orient=False,
+            ),
+        ],
+        ids=["radial-trig", "trig-no-trailing-sine", "trig-falling-parameter"],
+    )
+    def test_kernel_trig_curves_are_certified(self, build):
+        # the trig curves of test_kernel.py, built fresh so that no other test has sampled them
+        curve = build()
+        assert zerowind.curves._first_harmonic_dominates(curve.segments[0])
+        assert "_sampling" not in curve.__dict__
+
+    def test_boundary_partial_and_non_finite_not_certified(self):
+        dominates = zerowind.curves._first_harmonic_dominates
+
+        def cardioid(a):
+            return TrigSegment((0.0, 1.0, 0.0, a, 0.0), (0.0, 0.0, 1.0, 0.0, a), 0.0, TWO_PI)  # w + a w^2
+
+        # at a = 1/2 the curve has a cusp and its margin is exactly 0
+        assert not dominates(cardioid(0.5))
+        assert not dominates(cardioid(0.5 * (1.0 - 1e-12)))
+        assert dominates(cardioid(0.5 * (1.0 - 1e-6)))
+        assert not dominates(TrigSegment((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), 0.0, np.pi))
+        assert not dominates(ArcSegment(0.0, 1.0, 0.0, TWO_PI))
+        for bad in (float("nan"), float("inf")):
+            assert not dominates(TrigSegment((0.0, 1.0, 0.0, bad), (0.0, 0.0, 1.0), 0.0, TWO_PI))
+            assert not dominates(TrigSegment((bad, 1.0, 0.0), (0.0, 0.0, 1.0), 0.0, TWO_PI))
 
 
 class TestAliases:
