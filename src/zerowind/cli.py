@@ -15,11 +15,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .crossings import CIRCLE_TOL, MERGE_RADIUS, CrossingConfig, Line, count_preimages
+from .crossings import CIRCLE_TOL, MERGE_RADIUS, Line, count_preimages
 from .curves import JordanCurve, curve_from_alias
 from .errors import ZerowindError
 from .harness import HarnessConfig, replay, run_harness, save_replay
-from .polynomials import Polynomial, classify_roots, winding_count
+from .polynomials import ROOT_TOL, Polynomial, classify_roots, winding_count
 from .verify import verify_detour, verify_main, verify_piecewise, verify_trig
 
 EXIT_OK = 0
@@ -65,14 +65,10 @@ def _load_line(source: str) -> Line:
         raise _InputError(f"bad line {source!r}: {exc}") from exc
 
 
-def _cross_cfg(args) -> CrossingConfig:
-    return CrossingConfig(band=getattr(args, "delta", None))
-
-
-def _config_echo(cfg: CrossingConfig, **extra) -> dict:
+def _config_echo(band: float | None, **extra) -> dict:
     echo = {
-        "band": cfg.band,
-        "root_tol": cfg.root_tol,
+        "band": band,
+        "root_tol": ROOT_TOL,
         "circle_tol": CIRCLE_TOL,
         "merge_radius": MERGE_RADIUS,
     }
@@ -135,8 +131,12 @@ def _run(args) -> int:
         if bool(args.config) == bool(args.replay):
             raise _InputError("harness needs exactly one of --config or --replay")
         if args.replay:
-            verdict = replay(_load_json(args.replay))
-            _emit({"replay": verdict, "config_echo": _config_echo(CrossingConfig())}, args.out)
+            instance = _load_json(args.replay)
+            try:
+                verdict = replay(instance)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise _InputError(f"bad replay file {args.replay}: {exc}") from exc
+            _emit({"replay": verdict, "config_echo": _config_echo(None)}, args.out)
             return EXIT_OK if verdict["holds"] else EXIT_VIOLATION
         raw = _load_json(args.config)
         try:
@@ -147,7 +147,7 @@ def _run(args) -> int:
             hcfg = replace(hcfg, seed=args.seed)
         report = run_harness(hcfg)
         payload = report.to_json()
-        payload["config_echo"] = _config_echo(CrossingConfig(), seed=hcfg.seed)
+        payload["config_echo"] = _config_echo(None, seed=hcfg.seed)
         _emit(payload, args.out)
         if report.violations and args.out:
             for i, v in enumerate(report.violations):
@@ -156,27 +156,26 @@ def _run(args) -> int:
 
     if cmd == "trig-check":
         poly = _load_poly(args.poly)
-        cfg = _cross_cfg(args)
-        report = verify_trig(poly.coeffs, cfg)
+        report = verify_trig(poly.coeffs, band=args.delta)
         payload = report.to_json()
-        payload["config_echo"] = _config_echo(cfg)
+        payload["config_echo"] = _config_echo(args.delta)
         _emit(payload, args.out)
         return EXIT_OK if (report.identity_holds and report.bound_holds) else EXIT_VIOLATION
 
     poly = _load_poly(args.poly)
     curve = _load_curve(args.curve)
-    cfg = _cross_cfg(args)
+    band = getattr(args, "delta", None)
 
     if cmd == "count-zeros":
-        report = classify_roots(poly, curve, band=cfg.band, root_tol=cfg.root_tol)
+        report = classify_roots(poly, curve, band)
         payload = report.to_json()
-        payload["config_echo"] = _config_echo(cfg)
+        payload["config_echo"] = _config_echo(band)
         _emit(payload, args.out)
         return EXIT_OK
 
     if cmd == "winding":
-        w = winding_count(poly, curve, band=cfg.band)
-        _emit({"winding": w, "config_echo": _config_echo(cfg)}, args.out)
+        w = winding_count(poly, curve, band=band)
+        _emit({"winding": w, "config_echo": _config_echo(band)}, args.out)
         return EXIT_OK
 
     if cmd == "emit-samples":
@@ -193,34 +192,34 @@ def _run(args) -> int:
             for t, p_, v_, h_ in zip(ts, pts, vals, h):
                 row = (float(t), float(p_.real), float(p_.imag), float(v_.real), float(v_.imag), float(h_))
                 fh.write(",".join(repr(x) for x in row) + "\n")
-        _emit({"rows": n, "csv": args.csv, "config_echo": _config_echo(cfg)}, args.out)
+        _emit({"rows": n, "csv": args.csv, "config_echo": _config_echo(band)}, args.out)
         return EXIT_OK
 
     line = _load_line(args.line)
 
     if cmd == "crossings":
-        pre = count_preimages(poly, curve, line, cfg)
+        pre = count_preimages(poly, curve, line, band=band)
         payload = pre.to_json()
-        payload["config_echo"] = _config_echo(cfg)
+        payload["config_echo"] = _config_echo(band)
         _emit(payload, args.out)
         return EXIT_OK
 
     if cmd == "verify":
-        report = verify_main(poly, curve, line, cfg)
+        report = verify_main(poly, curve, line, band=band)
     elif cmd == "verify-piecewise":
-        report = verify_piecewise(poly, curve, line, cfg)
+        report = verify_piecewise(poly, curve, line, band=band)
     elif cmd == "detour":
         schedule = (args.epsilon,) if args.epsilon is not None else None
-        dreport, _ = verify_detour(poly, curve, line, eps_schedule=schedule, cfg=cfg)
+        dreport, _ = verify_detour(poly, curve, line, eps_schedule=schedule, band=band)
         payload = dreport.to_json()
-        payload["config_echo"] = _config_echo(cfg)
+        payload["config_echo"] = _config_echo(band)
         _emit(payload, args.out)
         return EXIT_OK if dreport.holds else EXIT_VIOLATION
     else:  # pragma: no cover
         raise _InputError(f"unknown command {cmd!r}")
 
     payload = report.to_json()
-    payload["config_echo"] = _config_echo(cfg)
+    payload["config_echo"] = _config_echo(band)
     _emit(payload, args.out)
     return EXIT_OK if report.holds else EXIT_VIOLATION
 

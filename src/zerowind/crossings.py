@@ -55,7 +55,9 @@ class Line:
         a = float(self.angle)
         if not np.isfinite(a):
             raise ValueError(f"line angle must be finite, not {a}")
-        object.__setattr__(self, "angle", a % np.pi)
+        a %= np.pi
+        # a tiny negative angle reduces to pi itself, which names the same line as 0
+        object.__setattr__(self, "angle", 0.0 if a == np.pi else a)
 
     @classmethod
     def real_axis(cls) -> "Line":
@@ -91,14 +93,6 @@ def line_residual(f: Polynomial, curve: JordanCurve, line: Line, t):
 
 
 @dataclass(frozen=True)
-class CrossingConfig:
-    """Tolerances of root classification: the on-curve band (None for the curve's default) and the root finder's."""
-
-    band: float | None = None
-    root_tol: float = 1e-10
-
-
-@dataclass(frozen=True)
 class PreimagePoint:
     t: float
     z: complex
@@ -113,9 +107,6 @@ class PreimageSet:
     @property
     def count(self) -> int:
         return len(self.points)
-
-    def parameters(self) -> tuple[float, ...]:
-        return tuple(p.t for p in self.points)
 
     def to_json(self) -> dict:
         return {
@@ -274,21 +265,23 @@ def count_preimages(
     f: Polynomial,
     curve: JordanCurve,
     line: Line,
-    cfg: CrossingConfig | None = None,
+    *,
+    band: float | None = None,
     zeros: ZeroReport | None = None,
 ) -> PreimageSet:
     """All distinct curve points mapped into the line by f.
 
     ``zeros`` is f's root classification against the curve, as
-    ``classify_roots`` gives it; without one, f's roots are classified here.
-    Raises BelowNoiseFloor when f's image on some segment does not rise above
-    the rounding noise of its evaluation, 64 eps sum_k |f_k| r^k with r the
-    curve's largest modulus (at least 1): no count is then possible.
+    ``classify_roots`` gives it; without one, f's roots are classified here,
+    on-curve within ``band`` (None for the curve's default band).  Raises
+    BelowNoiseFloor when f's image on some segment does not rise above the
+    rounding noise of its evaluation, 64 eps sum_k |f_k| r^k with r the
+    curve's coordinate bound ``extent()`` (at least 1): no count is then
+    possible.
     """
-    cfg = cfg if cfg is not None else CrossingConfig()
     if zeros is None:
-        zeros = classify_roots(f, curve, band=cfg.band, root_tol=cfg.root_tol)
-    r_max = max(1.0, float(np.max(np.abs(curve.grid(256)))))
+        zeros = classify_roots(f, curve, band)
+    r_max = max(1.0, curve.extent())
     floor = 64.0 * np.finfo(float).eps * sum(abs(c) * r_max**k for k, c in enumerate(f.coeffs))
     points = []
     for t, contact in _cluster(_detect(f, curve, line, zeros, floor)):
@@ -297,13 +290,13 @@ def count_preimages(
     return PreimageSet(tuple(points))
 
 
-def _isolated_root(f: Polynomial, zero: complex, eps: float, root_tol: float, what: str, center=None):
+def _isolated_root(f: Polynomial, zero: complex, eps: float, what: str, center=None):
     """The root of f at ``zero`` and f's other roots, none within eps of ``center``.
 
     ``center`` defaults to the located root; pass ``zero`` when the circle is
     drawn around the given point instead.
     """
-    roots = find_roots(f, tol=root_tol).roots
+    roots = find_roots(f).roots
     root = min(roots, key=lambda r: abs(r.location - zero))
     if abs(root.location - zero) > 1e-6:
         raise ValueError(f"{zero} is not a root of f (nearest root {abs(root.location - zero):.3g} away)")
@@ -315,36 +308,22 @@ def _isolated_root(f: Polynomial, zero: complex, eps: float, root_tol: float, wh
     return root, others
 
 
-def count_disc_preimages(
-    f: Polynomial,
-    zero: complex,
-    multiplicity: int,
-    eps: float,
-    line: Line,
-    cfg: CrossingConfig | None = None,
-) -> int:
+def count_disc_preimages(f: Polynomial, zero: complex, multiplicity: int, eps: float, line: Line) -> int:
     """Preimage count of the line on the circle of radius eps around a root of f.
 
     For small eps this equals twice the root's multiplicity.  The disc must
     exclude every other root.  Raises BelowNoiseFloor when eps is so small
     that f on the circle stays within the rounding noise of its evaluation.
     """
-    cfg = cfg if cfg is not None else CrossingConfig()
     zero = complex(zero)
-    root, _ = _isolated_root(f, zero, eps, cfg.root_tol, "disc of radius", center=zero)
+    root, _ = _isolated_root(f, zero, eps, "disc of radius", center=zero)
     if root.multiplicity != int(multiplicity):
         raise ValueError(f"root at {zero} has multiplicity {root.multiplicity}, not {multiplicity}")
-    return count_preimages(f, circle(zero, eps), line, cfg, ZeroReport.empty()).count
+    return count_preimages(f, circle(zero, eps), line, zeros=ZeroReport.empty()).count
 
 
-def arg_derivative_probe(
-    f: Polynomial,
-    zero: complex,
-    eps: float,
-    theta_samples: int = 1024,
-    root_tol: float = 1e-10,
-) -> tuple[float, float]:
-    """Finite-difference estimate of d(arg f)/dtheta on the circle zero + eps*e^{i theta}.
+def arg_derivative_probe(f: Polynomial, zero: complex, eps: float) -> tuple[float, float]:
+    """Finite-difference estimate of d(arg f)/dtheta on the circle zero + eps*e^{i theta}, at 1024 angles.
 
     Returns (mean, max deviation from the root's multiplicity).  The argument
     is accumulated factorwise from the root decomposition of f, which stays
@@ -355,12 +334,10 @@ def arg_derivative_probe(
     eps = float(eps)
     if not 0.0 < eps < np.inf:
         raise ValueError(f"probe radius must be positive and finite, not {eps}")
-    root, others = _isolated_root(f, zero, eps, root_tol, "probe radius")
+    root, others = _isolated_root(f, zero, eps, "probe radius")
     center, mult = root.location, root.multiplicity
 
-    n = int(theta_samples)
-    if n < 8:
-        raise ValueError("need at least eight angular samples")
+    n = 1024
     dtheta = 2.0 * np.pi / n
     theta = np.arange(n + 2, dtype=float) * dtheta  # two extra points to close the central differences
     psi = mult * theta

@@ -522,6 +522,10 @@ class JordanCurve:
     def default_band(self) -> float:
         return DEFAULT_BAND_FACTOR * self.diameter
 
+    def extent(self) -> float:
+        """A bound on every coordinate of the curve: the largest of its segments' ``extent()``."""
+        return float(max(seg.extent() for seg in self.segments))
+
     def checked_band(self, band: float | None) -> float:
         """``band`` as a float, or the default band for None; it must be positive and finite."""
         band = self.default_band() if band is None else float(band)
@@ -609,8 +613,8 @@ def _first_harmonic_dominates(seg: Segment) -> bool:
     return bool(2.0 * max(weighted[k - 1], weighted[k + 1]) > (1.0 + _DOMINANCE_SLACK) * weighted.sum())
 
 
-def _check_simple(curve: JordanCurve, band: float, per_segment: int = 96) -> None:
-    """Desk-scale simplicity test: non-adjacent segments must not cross, and their samples must stay apart.
+def _check_simple(curve: JordanCurve, band: float) -> None:
+    """Desk-scale simplicity test: non-adjacent segments must not cross, and their 96 samples each must stay apart.
 
     Two straight segments are tested for a proper crossing by the signs of
     their orientations, which sampling can miss between samples.  A curve of
@@ -630,7 +634,7 @@ def _check_simple(curve: JordanCurve, band: float, per_segment: int = 96) -> Non
             if not abs(turns - 1.0) < 0.5:
                 raise ValueError(f"curve self-intersects (turning number {turns:.3f})")
         return
-    s = np.linspace(0.0, 1.0, per_segment)
+    s = np.linspace(0.0, 1.0, 96)
     samples = [seg.points(s) for seg in curve.segments]
     for i in range(k):
         for j in range(i + 1, k):
@@ -791,7 +795,7 @@ def classify_points(curve: JordanCurve, ps: Sequence[complex], band: float | Non
     for p in ps[~np.isfinite(ps)].tolist():
         raise ValueError(f"cannot locate the non-finite point {p}")
     tstar, dist = nearest_parameter(curve, ps)
-    extent = max(seg.extent() for seg in curve.segments)
+    extent = curve.extent()
     off, (ends, starts) = ps[~(dist < band)], curve._joints
     # a point within rounding of a vertex can divide by zero; the guard below refuses it
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -817,12 +821,12 @@ def classify_point(curve: JordanCurve, p: complex, band: float | None = None) ->
     return classify_points(curve, [p], band)[0]
 
 
-def interior_angle(curve: JordanCurve, t: float, snap_tol: float = 1e-7) -> float:
-    """Interior angle at parameter t: pi at smooth points, the corner angle at corners."""
+def interior_angle(curve: JordanCurve, t: float) -> float:
+    """Interior angle at parameter t: pi at smooth points, the corner angle at corners within 1e-7 of t."""
     t = float(t) % 1.0
     for c in curve.corners:
         gap = abs(t - c.parameter)
-        if min(gap, 1.0 - gap) < snap_tol:
+        if min(gap, 1.0 - gap) < 1e-7:
             return c.interior_angle
     return np.pi
 
@@ -848,12 +852,12 @@ class DetourCurve:
     arc_spans: tuple[float, ...]
 
 
-def default_epsilon_schedule(curve: JordanCurve, zeros: Sequence[complex], k_max: int = 20) -> tuple[float, ...]:
-    """Geometric radius schedule 0.2 * 2^-k * (min of pairwise zero distances and curve diameter)."""
+def default_epsilon_schedule(curve: JordanCurve, zeros: Sequence[complex]) -> tuple[float, ...]:
+    """Geometric radius schedule 0.2 * 2^-k * (min of pairwise zero distances and curve diameter), k = 0..20."""
     zs = [complex(z) for z in zeros]
     dists = [abs(a - b) for i, a in enumerate(zs) for b in zs[i + 1 :]]
     scale = min(dists + [curve.diameter])
-    return tuple(0.2 * scale * 0.5**k for k in range(k_max + 1))
+    return tuple(0.2 * scale * 0.5**k for k in range(21))
 
 
 def _subsegment_span(curve: JordanCurve, t0: float, t1: float) -> list[Segment]:

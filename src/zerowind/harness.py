@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossings import CrossingConfig, Line, count_preimages
+from .crossings import Line, count_preimages
 from .curves import JordanCurve, polygon, radial_trig_curve, square, unit_circle
 from .polynomials import Polynomial
 from .verify import guarded_ceil
@@ -261,18 +261,18 @@ class HarnessReport:
         }
 
 
-def measure_instance(inst: PlantedInstance, cross_cfg: CrossingConfig | None = None) -> int:
+def measure_instance(inst: PlantedInstance) -> int:
     """Distinct line preimages, letting the counter classify roots on its own."""
-    return count_preimages(inst.polynomial, inst.curve, inst.line, cross_cfg).count
+    return count_preimages(inst.polynomial, inst.curve, inst.line).count
 
 
-def run_harness(cfg: HarnessConfig, cross_cfg: CrossingConfig | None = None, min_on_curve: int = 0) -> HarnessReport:
+def run_harness(cfg: HarnessConfig, min_on_curve: int = 0) -> HarnessReport:
     rng = np.random.default_rng(cfg.seed)
     violations: list[dict] = []
     min_slack = None
     for _ in range(cfg.trials):
         inst = random_instance(rng, cfg, min_on_curve=min_on_curve)
-        measured = measure_instance(inst, cross_cfg)
+        measured = measure_instance(inst)
         if measured < inst.bound:
             violations.append({"instance": inst.to_json(), "measured": measured, "bound": inst.bound})
         slack = measured - inst.bound
@@ -285,18 +285,18 @@ def run_harness(cfg: HarnessConfig, cross_cfg: CrossingConfig | None = None, min
     )
 
 
-def replay(instance_json: dict, cross_cfg: CrossingConfig | None = None) -> dict:
-    """Re-run a serialized instance; returns the verdict for round-trip checks."""
+def replay(instance_json: dict) -> dict:
+    """Re-run a serialized instance; returns the verdict for round-trip checks.
+
+    Every field is read before the count starts, so a malformed instance
+    raises KeyError, TypeError or ValueError without counting anything.
+    """
     f = Polynomial.from_json(instance_json["polynomial"])
     curve = JordanCurve.from_json(instance_json["curve"])
     line = Line.from_json(instance_json["line"])
-    planted = instance_json["planted"]
-    measured = count_preimages(f, curve, line, cross_cfg).count
-    return {
-        "measured": measured,
-        "bound": int(planted["bound"]),
-        "holds": measured >= int(planted["bound"]),
-    }
+    bound = int(instance_json["planted"]["bound"])
+    measured = count_preimages(f, curve, line).count
+    return {"measured": measured, "bound": bound, "holds": measured >= bound}
 
 
 def save_replay(instance_json: dict, path) -> None:

@@ -1,9 +1,10 @@
 """Complex polynomials: evaluation, roots with multiplicities, zero counting along curves.
 
 The root finder recovers multiple roots by clustering the raw companion-matrix
-eigenvalues: an order-k root perturbs like tol**(1/k), so cluster radii are
-tried for k = 1, 2, ... until every cluster's size agrees with the local
-vanishing order measured from the Taylor coefficients at the cluster centroid.
+eigenvalues: an order-k root splits like a k-th root of the rounding, so cluster
+radii ROOT_TOL**(1/k) are tried for k = 1, 2, ... until every cluster's size
+agrees with the local vanishing order measured from the Taylor coefficients
+at the cluster centroid.
 """
 
 from __future__ import annotations
@@ -21,6 +22,13 @@ from .errors import DegreeZero, NoConvergence, NonIntegerWinding, ZeroOnCurve
 # the curve to count as zero-free; separates genuine on-curve zeros from near
 # misses at the same scale as the classification band.
 LIFT_OFF_FACTOR = 1e3
+# Raw roots within ROOT_TOL**(1/k) of each other are tried as one order-k
+# root, and a root is accepted when its normalised residual is at most
+# sqrt(ROOT_TOL).
+ROOT_TOL = 1e-10
+# The vanishing order at z is the first j whose scaled Taylor magnitude
+# exceeds TAYLOR_TOL times the largest one.
+TAYLOR_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -195,11 +203,11 @@ def _taylor_magnitudes(chain: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, l
     return mods / np.array(facts)[:, np.newaxis] * powers, errors
 
 
-def _vanishing_orders(chain: np.ndarray, zs: np.ndarray, tol: float) -> tuple[list[int | Exception], np.ndarray]:
+def _vanishing_orders(chain: np.ndarray, zs: np.ndarray) -> tuple[list[int | Exception], np.ndarray]:
     """Each point's vanishing order, or the exception the one-point test raised there; and the Taylor magnitudes."""
     mags, errors = _taylor_magnitudes(chain, zs)
     top = mags.max(axis=0)
-    above = mags > tol * top
+    above = mags > TAYLOR_TOL * top
     first = above.argmax(axis=0).tolist()
     out: list[int | Exception] = []
     for i, t in enumerate(top.tolist()):
@@ -214,9 +222,9 @@ def _vanishing_orders(chain: np.ndarray, zs: np.ndarray, tol: float) -> tuple[li
     return out, mags
 
 
-def vanishing_order(f: Polynomial, z: complex, tol: float = 1e-8) -> int:
-    """Smallest j whose scaled Taylor magnitude at z rises above tol (relative)."""
-    (order,), _ = _vanishing_orders(_derivative_chain(f), np.array([complex(z)]), tol)
+def vanishing_order(f: Polynomial, z: complex) -> int:
+    """Smallest j whose scaled Taylor magnitude at z rises above TAYLOR_TOL (relative)."""
+    (order,), _ = _vanishing_orders(_derivative_chain(f), np.array([complex(z)]))
     if isinstance(order, Exception):
         raise order
     return order
@@ -283,19 +291,17 @@ def _normalized_residuals(f: Polynomial, zs: np.ndarray, abs_f: list[float]) -> 
     return out
 
 
-def find_roots(f: Polynomial, tol: float = 1e-10, residual_tol: float | None = None) -> RootSet:
+def find_roots(f: Polynomial) -> RootSet:
     """All roots of f with multiplicities.
 
     Raw roots come from the companion-matrix eigenproblem; clusters within
-    radius tol**(1/k) are merged for increasing k until the Taylor-based
+    radius ROOT_TOL**(1/k) are merged for increasing k until the Taylor-based
     vanishing order at each centroid matches the cluster size.  The
     derivative chain is built once, and each radius polishes and tests all
     centroids at once.
     """
     if f.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    if residual_tol is None:
-        residual_tol = math.sqrt(tol)
     try:
         raw = np.roots(np.array(f.coeffs[::-1], dtype=complex))
     except np.linalg.LinAlgError as exc:
@@ -305,7 +311,7 @@ def find_roots(f: Polynomial, tol: float = 1e-10, residual_tol: float | None = N
 
     chain = _derivative_chain(f)
     for k_cluster in range(1, f.degree + 1):
-        radius = tol ** (1.0 / k_cluster)
+        radius = ROOT_TOL ** (1.0 / k_cluster)
         label = _cluster_labels(raw, radius)
         heads = np.flatnonzero(label == np.arange(len(raw)))
         mults = np.bincount(label)[heads].tolist()
@@ -316,7 +322,7 @@ def find_roots(f: Polynomial, tol: float = 1e-10, residual_tol: float | None = N
                 centres[i] = complex(raw[label == head].mean())
         centres, polish_errors = _polish_roots(chain, centres, mults, radius)
         centres = np.array(centres)
-        orders, mags = _vanishing_orders(chain, centres, 1e-8)
+        orders, mags = _vanishing_orders(chain, centres)
         # the one-point form tested the centres in turn: the first error or mismatch decides
         for polish_error, order, mult in zip(polish_errors, orders, mults):
             error = polish_error or (order if isinstance(order, Exception) else None)
@@ -330,8 +336,8 @@ def find_roots(f: Polynomial, tol: float = 1e-10, residual_tol: float | None = N
             # the first Taylor magnitude is |f(z)| itself
             residuals = _normalized_residuals(f, centres, mags[0].tolist())
             residual = max(residuals)
-            if residual > residual_tol:
-                raise NoConvergence(f"root residual {residual:.3g} above {residual_tol:.3g}")
+            if residual > math.sqrt(ROOT_TOL):
+                raise NoConvergence(f"root residual {residual:.3g} above {math.sqrt(ROOT_TOL):.3g}")
             ranked = sorted(zip(centres.tolist(), mults, residuals), key=lambda r: (r[0].real, r[0].imag))
             return RootSet(
                 tuple(Root(z, m) for z, m, _ in ranked), residual, tuple(res for _, _, res in ranked)
@@ -386,14 +392,9 @@ class ZeroReport:
         }
 
 
-def classify_roots(
-    f: Polynomial,
-    curve: _curves.JordanCurve,
-    band: float | None = None,
-    root_tol: float = 1e-10,
-) -> ZeroReport:
+def classify_roots(f: Polynomial, curve: _curves.JordanCurve, band: float | None = None) -> ZeroReport:
     """Route every root of f through point classification against the curve."""
-    rootset = find_roots(f, tol=root_tol)
+    rootset = find_roots(f)
     locs = _curves.classify_points(curve, rootset.locations(), band)
 
     def subset(kind: str) -> RootSet:
@@ -409,8 +410,8 @@ def classify_roots(
     )
 
 
-def _lift_off_threshold(f: Polynomial, curve: _curves.JordanCurve, band: float, n: int = 1024) -> float:
-    dmax = float(np.max(np.abs(f.derivative()(curve.grid(n))))) if f.degree >= 1 else 0.0
+def _lift_off_threshold(f: Polynomial, curve: _curves.JordanCurve, band: float) -> float:
+    dmax = float(np.max(np.abs(f.derivative()(curve.grid(1024))))) if f.degree >= 1 else 0.0
     return LIFT_OFF_FACTOR * band * dmax
 
 

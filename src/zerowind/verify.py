@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .crossings import CrossingConfig, Line, count_preimages
+from .crossings import Line, count_preimages
 from .curves import DetourCurve, JordanCurve, _detour_at, interior_angle, unit_circle
 from .errors import BoundaryCoefficientZero, SelfCheckFailed
 from .polynomials import Polynomial, ZeroReport, classify_roots, winding_count
@@ -71,27 +71,25 @@ def _instance_descriptor(f: Polynomial, curve: JordanCurve, line: Line) -> dict:
     return {"polynomial": f.to_json(), "curve": curve.to_json(), "line": line.to_json()}
 
 
-def _classify(f: Polynomial, curve: JordanCurve, cfg: CrossingConfig) -> ZeroReport:
-    return classify_roots(f, curve, band=cfg.band, root_tol=cfg.root_tol)
-
-
-def verify_main(f: Polynomial, curve: JordanCurve, line: Line, cfg: CrossingConfig | None = None) -> BoundReport:
+def verify_main(f: Polynomial, curve: JordanCurve, line: Line, *, band: float | None = None) -> BoundReport:
     """Check measured >= 2m + lam on a smooth curve, where every interior angle is pi."""
     if curve.corners:
         raise ValueError("curve has corners; use verify_piecewise")
-    return verify_piecewise(f, curve, line, cfg)
+    return verify_piecewise(f, curve, line, band=band)
 
 
-def verify_piecewise(f: Polynomial, curve: JordanCurve, line: Line, cfg: CrossingConfig | None = None) -> BoundReport:
-    """Check measured >= 2m + sum ceil(lam_j * alpha_j / pi) on a piecewise-smooth curve."""
-    cfg = cfg if cfg is not None else CrossingConfig()
-    report = _classify(f, curve, cfg)
+def verify_piecewise(f: Polynomial, curve: JordanCurve, line: Line, *, band: float | None = None) -> BoundReport:
+    """Check measured >= 2m + sum ceil(lam_j * alpha_j / pi) on a piecewise-smooth curve.
+
+    A zero within ``band`` of the curve (None for the curve's default band) is on it.
+    """
+    report = classify_roots(f, curve, band)
     per_corner = []
     for root, t in zip(report.on_curve.roots, report.on_curve_params):
         alpha = interior_angle(curve, t)
         per_corner.append(CornerTerm(root.multiplicity, alpha, guarded_ceil(root.multiplicity * alpha / np.pi)))
     bound = 2 * report.m + sum(c.ceil_term for c in per_corner)
-    measured = count_preimages(f, curve, line, cfg, report).count
+    measured = count_preimages(f, curve, line, zeros=report).count
     return BoundReport(
         measured=measured,
         bound=bound,
@@ -139,18 +137,23 @@ def verify_detour(
     curve: JordanCurve,
     line: Line,
     eps_schedule=None,
-    cfg: CrossingConfig | None = None,
+    *,
+    band: float | None = None,
 ) -> tuple[DetourReport, DetourCurve]:
-    """Build the detour around f's on-curve zeros and verify counts along it."""
-    cfg = cfg if cfg is not None else CrossingConfig()
-    report = _classify(f, curve, cfg)
+    """Build the detour around f's on-curve zeros and verify counts along it.
+
+    ``band`` (None for each curve's default band) places f's zeros on the
+    curve and also sets the detour construction's and the composite's
+    winding count's band.
+    """
+    report = classify_roots(f, curve, band)
     if report.lam < 1:
         raise ValueError("f has no zeros on the curve; the detour adds nothing")
     # the report already holds the zeros' curve parameters, so they are not located again
     zs = report.on_curve.locations()
-    detour = _detour_at(curve, zs, report.on_curve_params, eps_schedule, curve.checked_band(cfg.band))
-    w = winding_count(f, detour.composite, band=cfg.band)
-    preimages = count_preimages(f, detour.composite, line, cfg, ZeroReport.empty())
+    detour = _detour_at(curve, zs, report.on_curve_params, eps_schedule, curve.checked_band(band))
+    w = winding_count(f, detour.composite, band=band)
+    preimages = count_preimages(f, detour.composite, line, zeros=ZeroReport.empty())
     target = report.m + report.lam
     holds = (w == target) and (preimages.count >= 2 * target)
     rep = DetourReport(
@@ -354,17 +357,17 @@ def _exact_cosine_zero_count(coeffs) -> int:
 
 
 def _checked_trig_count(
-    coeffs: tuple[float, ...], circle_curve: JordanCurve, cfg: CrossingConfig | None, zeros: ZeroReport | None = None
+    coeffs: tuple[float, ...], circle_curve: JordanCurve, band: float | None, zeros: ZeroReport | None = None
 ) -> int:
     """Imaginary-axis preimages of the coefficients' polynomial, cross-checked by the exact count."""
-    count = count_preimages(Polynomial(coeffs), circle_curve, Line.imag_axis(), cfg, zeros).count
+    count = count_preimages(Polynomial(coeffs), circle_curve, Line.imag_axis(), band=band, zeros=zeros).count
     exact = _exact_cosine_zero_count(coeffs)
     if exact != count:
         raise SelfCheckFailed(f"preimage count {count} disagrees with exact cosine-sum count {exact}")
     return count
 
 
-def trig_zero_count(a, which: str = "P", cfg: CrossingConfig | None = None) -> int:
+def trig_zero_count(a, which: str = "P", *, band: float | None = None) -> int:
     """Distinct zeros on [0, 2*pi) of the cosine sum built from coefficients a.
 
     ``which`` selects the coefficient order: "P" uses a as given, "Q" reversed.
@@ -374,12 +377,13 @@ def trig_zero_count(a, which: str = "P", cfg: CrossingConfig | None = None) -> i
     count of the sum's zeros in integer arithmetic, which merges zeros closer
     than the rounding of the coefficients resolves, as the preimage count
     does.  Where it is exact, the coefficients are first scaled by a power of
-    two, which leaves the count unchanged.
+    two, which leaves the count unchanged.  ``band`` (None for the circle's
+    default band) places the polynomial's zeros on the circle.
     """
     coeffs = _unit_scaled(_as_real_coeffs(a))
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
-    return _checked_trig_count(coeffs if which == "P" else coeffs[::-1], unit_circle(), cfg)
+    return _checked_trig_count(coeffs if which == "P" else coeffs[::-1], unit_circle(), band)
 
 
 @dataclass(frozen=True)
@@ -408,24 +412,24 @@ class TrigReport:
         }
 
 
-def verify_trig(a, cfg: CrossingConfig | None = None) -> TrigReport:
+def verify_trig(a, *, band: float | None = None) -> TrigReport:
     """Count zeros of both cosine sums and check the degree identity and the 2n bound.
 
     Also verifies that the on-circle zeros of the polynomial reappear
     conjugated, with equal multiplicities, among the zeros of its reversal.
     Everything is computed on the coefficients scaled by the power of two
     that brings max |a_j| into [0.5, 1) where that scaling is exact, so it
-    changes no zero; the report echoes them as given.
+    changes no zero; the report echoes them as given.  ``band`` (None for
+    the circle's default band) places zeros on the circle for every count.
     """
-    cfg = cfg if cfg is not None else CrossingConfig()
     given = _as_real_coeffs(a)
     coeffs = _unit_scaled(given)
     n = len(coeffs) - 1
     f = Polynomial(coeffs)
     g = reverse_poly(f)
     circle_curve = unit_circle()
-    zf = _classify(f, circle_curve, cfg)
-    zg = _classify(g, circle_curve, cfg)
+    zf = classify_roots(f, circle_curve, band)
+    zg = classify_roots(g, circle_curve, band)
 
     remaining = list(zg.on_curve.roots)
     for root in zf.on_curve.roots:
@@ -440,8 +444,8 @@ def verify_trig(a, cfg: CrossingConfig | None = None) -> TrigReport:
     if remaining:
         raise SelfCheckFailed("reversed polynomial has unmatched on-circle zeros")
 
-    z_p = _checked_trig_count(coeffs, circle_curve, cfg, zf)
-    z_q = _checked_trig_count(coeffs[::-1], circle_curve, cfg, zg)
+    z_p = _checked_trig_count(coeffs, circle_curve, band, zf)
+    z_q = _checked_trig_count(coeffs[::-1], circle_curve, band, zg)
     return TrigReport(
         coeffs=given,
         z_p=z_p,

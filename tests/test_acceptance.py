@@ -22,7 +22,6 @@ import time
 import numpy as np
 
 from zerowind import (
-    CrossingConfig,
     Line,
     Polynomial,
     arg_derivative_probe,

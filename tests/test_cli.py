@@ -193,6 +193,33 @@ class TestHarnessCommand:
         assert rc == 0
         assert out["replay"]["holds"] is True
 
+    @pytest.mark.parametrize(
+        "drop",
+        [
+            lambda inst: inst.pop("curve"),
+            lambda inst: inst["planted"].pop("bound"),
+            lambda inst: inst.update(line=0.3),  # an angle without its {"angle": ...} object
+        ],
+        ids=["no-curve", "no-bound", "bare-line"],
+    )
+    def test_malformed_replay_exits_2(self, tmp_path, drop, capsys, monkeypatch):
+        import zerowind.harness
+
+        def count(*args, **kwargs):
+            raise AssertionError("counted before the whole file was read")
+
+        inst = {
+            "polynomial": {"real_coeffs": [-1.0, 1.0]},
+            "curve": "unit-circle",
+            "line": {"angle": 0.3},
+            "planted": {"m": 0, "lambda": 1, "bound": 1, "on_curve_params": [0.0]},
+        }
+        drop(inst)
+        rf = write_json(tmp_path / "replay.json", inst)
+        monkeypatch.setattr(zerowind.harness, "count_preimages", count)
+        assert cli.main(["harness", "--replay", rf]) == 2
+        assert f"bad replay file {rf}: " in capsys.readouterr().err
+
     def test_needs_exactly_one_input(self, capsys):
         assert cli.main(["harness"]) == 2
         capsys.readouterr()

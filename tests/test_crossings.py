@@ -42,6 +42,18 @@ class TestLine:
         with pytest.raises(ValueError):
             Line.from_json("diagonal")
 
+    def test_tiny_negative_angle_is_zero(self):
+        # -1e-20 % pi rounds to pi itself, which is outside [0, pi)
+        line = Line(-1e-20)
+        assert line.angle == 0.0
+        assert line == Line(0.0)
+        assert line.to_json() == {"angle": 0.0}
+
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    def test_angle_in_half_open_range(self, angle):
+        assert 0.0 <= Line(angle).angle < np.pi
+
     @pytest.mark.parametrize("angle", [np.nan, np.inf, -np.inf])
     def test_non_finite_angle_rejected(self, angle):
         # NaN % pi is NaN and so is inf % pi: such a line has no direction
@@ -177,6 +189,24 @@ class TestCountPreimages:
         # constant polynomial with value on the line: residual identically zero
         with pytest.raises(ValueError):
             count_preimages(Polynomial([2.0]), circle_curve, Line.real_axis())
+
+    def test_band_reaches_classification(self, circle_curve, monkeypatch):
+        # a zero 1e-8 outside the circle: on it within band 1e-7, off it for the
+        # default band of about 2e-9.  On the curve it maps to the origin, on
+        # the imaginary axis; off it, Re(e^{it} - a) = cos t - a < 0 for every t
+        f = Polynomial([-(1.0 + 1e-8), 1.0])
+        lams = []
+
+        def spy(*args):
+            report = classify_roots(*args)
+            lams.append(report.lam)
+            return report
+
+        monkeypatch.setattr(zerowind.crossings, "classify_roots", spy)
+        on = count_preimages(f, circle_curve, Line.imag_axis(), band=1e-7)
+        assert [p.t for p in on.points] == [0.0]
+        assert count_preimages(f, circle_curve, Line.imag_axis()).count == 0
+        assert lams == [1, 0]
 
     def test_injected_params_short_circuit_classification(self, circle_curve, monkeypatch):
         f = Polynomial.from_roots([(-1.0, 2)])

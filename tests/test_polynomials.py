@@ -97,7 +97,7 @@ class TestFindRoots:
 
     def test_expanded_sextic(self):
         f = Polynomial(binomial_shift_coeffs(1.0, 6))  # (z+1)^6
-        rs = find_roots(f, tol=1e-10)
+        rs = find_roots(f)
         assert [(r.multiplicity) for r in rs.roots] == [6]
         assert rs.roots[0].location == pytest.approx(-1.0, abs=1e-9)
         assert rs.residual < 1e-10

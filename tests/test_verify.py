@@ -30,7 +30,6 @@ from zerowind import (
 )
 import zerowind.crossings
 import zerowind.verify
-from zerowind.crossings import CrossingConfig
 from zerowind.verify import _exact_cosine_zero_count, guarded_ceil
 
 from oracles import (
@@ -138,6 +137,17 @@ class TestVerifyPiecewise:
         assert guarded_ceil(1.0 + 5e-10) == 1
         assert guarded_ceil(1.5) == 2
 
+    def test_piecewise_honours_band(self, circle_curve):
+        # a zero 1e-8 outside the circle: on it for band 1e-7, off it for the
+        # default band of about 2e-9.  Only the zero itself meets the imaginary
+        # axis, so on the curve it is the one preimage, against a bound of 1
+        f = Polynomial([-(1.0 + 1e-8), 1.0])
+        rep = verify_piecewise(f, circle_curve, Line.imag_axis(), band=1e-7)
+        assert (rep.m, rep.lam, rep.measured, rep.bound) == (0, 1, 1, 1)
+        assert rep.holds
+        rep = verify_piecewise(f, circle_curve, Line.imag_axis())
+        assert (rep.m, rep.lam, rep.measured, rep.bound) == (0, 0, 0, 0)
+
 
 class TestVerifyDetour:
     def test_simple_boundary_zero(self, circle_curve):
@@ -161,7 +171,7 @@ class TestVerifyDetour:
         # a zero just outside the circle: on it for band 1e-7, off it for the
         # default band of about 2e-9, which the detour must not fall back to
         f = Polynomial([-(1.0 + 1e-8), 1.0])
-        rep, det = verify_detour(f, circle_curve, Line.real_axis(), cfg=CrossingConfig(band=1e-7))
+        rep, det = verify_detour(f, circle_curve, Line.real_axis(), band=1e-7)
         assert (rep.m, rep.lam, rep.winding) == (0, 1, 1)
         assert rep.holds
         assert len(det.excised) == 1
@@ -422,7 +432,7 @@ class TestVerifyTrig:
         assert classify_roots(Polynomial(coeffs), circle_curve).lam == 0
         want = classify_roots(Polynomial(coeffs), circle_curve, band=band).lam
         assert want == 2
-        rep = verify_trig(coeffs, CrossingConfig(band=band))
+        rep = verify_trig(coeffs, band=band)
         assert rep.lam == want
         assert (rep.m_f, rep.m_g) == (0, 0)
         assert rep.identity_holds and rep.bound_holds
