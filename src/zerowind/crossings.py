@@ -86,12 +86,6 @@ class Line:
         return cls(float(obj["angle"]))
 
 
-def line_residual(f: Polynomial, curve: JordanCurve, line: Line, t):
-    """h(t) = Im(e^{-i angle} f(gamma(t))); zero exactly when f(gamma(t)) is on the line."""
-    out = line.residual(f(curve.points(t)))
-    return float(out) if out.ndim == 0 else out
-
-
 @dataclass(frozen=True)
 class PreimagePoint:
     t: float

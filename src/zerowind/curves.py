@@ -393,14 +393,8 @@ class JordanCurve:
     # -- construction -------------------------------------------------
 
     @classmethod
-    def from_segments(
-        cls,
-        segments: Iterable[Segment],
-        *,
-        auto_orient: bool = True,
-        check_simple: bool = True,
-        band: float | None = None,
-    ) -> "JordanCurve":
+    def from_segments(cls, segments: Iterable[Segment]) -> "JordanCurve":
+        """The curve of the chained segments: closed, reversed with a warning if clockwise, and checked simple."""
         segs = tuple(segments)
         if not segs:
             raise ValueError("a curve needs at least one segment")
@@ -425,12 +419,9 @@ class JordanCurve:
 
         curve = cls._assembled(segs, diameter)
         if curve.signed_area() <= 0.0:
-            if not auto_orient:
-                raise ValueError("curve is clockwise")
             warnings.warn("clockwise curve reversed to counterclockwise orientation", stacklevel=2)
             curve = cls._assembled(tuple(s.reversed() for s in reversed(segs)), diameter)
-        if check_simple:
-            _check_simple(curve, band if band is not None else DEFAULT_BAND_FACTOR * diameter)
+        _check_simple(curve)
         return curve
 
     @classmethod
@@ -613,34 +604,33 @@ def _first_harmonic_dominates(seg: Segment) -> bool:
     return bool(2.0 * max(weighted[k - 1], weighted[k + 1]) > (1.0 + _DOMINANCE_SLACK) * weighted.sum())
 
 
-def _check_simple(curve: JordanCurve, band: float) -> None:
-    """Desk-scale simplicity test: non-adjacent segments must not cross, and their 96 samples each must stay apart.
+def _check_simple(curve: JordanCurve) -> None:
+    """Desk-scale simplicity test, one flow for every curve.
 
-    Two straight segments are tested for a proper crossing by the signs of
-    their orientations, which sampling can miss between samples.  A curve of
-    one or two segments has no non-adjacent pair.  If it is made of arcs and
-    lines, its segments meet only at their joints.  A single full-turn trig
-    segment whose first harmonic dominates is simple by
-    ``_first_harmonic_dominates``; any other curve with a trig segment must
-    have a grid polygon that turns once, which rejects a limaçon's inner
-    loop (two turns) and a figure eight (none).
+    A single full-turn trig segment whose first harmonic dominates is
+    simple by ``_first_harmonic_dominates``.  Any other curve with a trig
+    segment, cut into however many pieces, must have a grid polygon that
+    turns once, which rejects a limaçon's inner loop (two turns) and a
+    figure eight (none).  Then non-adjacent segments must not cross, and
+    their 96 samples each must stay a default band apart.  Two straight
+    segments are tested for a proper crossing by the signs of their
+    orientations, which sampling can miss between samples.  A curve of
+    fewer than four segments has no non-adjacent pair.
     """
-    k = len(curve.segments)
-    if k < 3:
-        if k == 1 and _first_harmonic_dominates(curve.segments[0]):
-            return
-        if any(isinstance(seg, TrigSegment) for seg in curve.segments):
-            turns = _turning_number(curve.grid(GRID_SAMPLES))
-            if not abs(turns - 1.0) < 0.5:
-                raise ValueError(f"curve self-intersects (turning number {turns:.3f})")
+    segs = curve.segments
+    if len(segs) == 1 and _first_harmonic_dominates(segs[0]):
         return
+    if any(isinstance(seg, TrigSegment) for seg in segs):
+        turns = _turning_number(curve.grid(GRID_SAMPLES))
+        if not abs(turns - 1.0) < 0.5:
+            raise ValueError(f"curve self-intersects (turning number {turns:.3f})")
+    k, band = len(segs), curve.default_band()
     s = np.linspace(0.0, 1.0, 96)
-    samples = [seg.points(s) for seg in curve.segments]
+    samples = [seg.points(s) for seg in segs]
     for i in range(k):
-        for j in range(i + 1, k):
-            if (j - i) % k in (1, k - 1):
-                continue
-            a, b = curve.segments[i], curve.segments[j]
+        # j runs over the segments after i that do not touch it; the last one touches the first
+        for j in range(i + 2, k - (i == 0)):
+            a, b = segs[i], segs[j]
             if isinstance(a, LineSegment) and isinstance(b, LineSegment) and _lines_cross(a, b):
                 raise ValueError(f"curve self-intersects (segments {i} and {j} cross)")
             dmin = np.min(np.abs(samples[i][:, None] - samples[j][None, :]))
@@ -687,32 +677,22 @@ def trig_curve_from_complex_fourier(coeffs: dict[int, complex]) -> JordanCurve:
     """Closed curve z(t) = sum_m c_m exp(i m t), t in [0, 2*pi), from complex coefficients."""
     if not coeffs:
         raise ValueError("no Fourier coefficients given")
+    # x and y packed flat as [c0, a1, b1, a2, b2, ...]: h > 0 fills slots 2h - 1 (cosine) and 2h (sine)
     kmax = max(abs(m) for m in coeffs)
-    ax = np.zeros(kmax + 1)
-    bx = np.zeros(kmax + 1)
-    ay = np.zeros(kmax + 1)
-    by = np.zeros(kmax + 1)
+    x, y = [0.0] * (2 * kmax + 1), [0.0] * (2 * kmax + 1)
     for m, c in coeffs.items():
         c = complex(c)
-        h = abs(m)
         if m == 0:
-            ax[0] += c.real
-            ay[0] += c.imag
+            x[0] += c.real
+            y[0] += c.imag
             continue
-        sign = 1.0 if m > 0 else -1.0
+        h, sign = abs(m), (1.0 if m > 0 else -1.0)
         # Re(c e^{imt}) = Re(c) cos(ht) - sign*Im(c) sin(ht); Im likewise.
-        ax[h] += c.real
-        bx[h] -= sign * c.imag
-        ay[h] += c.imag
-        by[h] += sign * c.real
-
-    def pack(const, a, b):
-        out = [const]
-        for k in range(1, kmax + 1):
-            out.extend([a[k], b[k]])
-        return tuple(out)
-
-    seg = TrigSegment(pack(ax[0], ax, bx), pack(ay[0], ay, by), 0.0, TWO_PI)
+        x[2 * h - 1] += c.real
+        x[2 * h] -= sign * c.imag
+        y[2 * h - 1] += c.imag
+        y[2 * h] += sign * c.real
+    seg = TrigSegment(tuple(x), tuple(y), 0.0, TWO_PI)
     return JordanCurve.from_segments([seg])
 
 
@@ -934,28 +914,18 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
 
     intervals.sort(key=lambda iv: iv[0])
 
-    arcs = []
-    for idx, (u, v, zj) in enumerate(intervals):
-        th_a = float(np.angle(curve.point(u) - zj))
-        th_b = float(np.angle(curve.point(v) - zj))
-        sweep_ccw = (th_b - th_a) % TWO_PI
-        for sweep in (sweep_ccw, sweep_ccw - TWO_PI):
-            if abs(sweep) >= 1e-9:
-                midpt = zj + eps * np.exp(1j * (th_a + 0.5 * sweep))
-                arcs.append((idx, ArcSegment(zj, eps, th_a, th_a + sweep), midpt))
-    try:
-        locs = classify_points(curve, [midpt for _, _, midpt in arcs], band)
-    except AmbiguousClassification:
-        return None
-
     segs: list[Segment] = []
     spans: list[float] = []
     for idx, (u, v, zj) in enumerate(intervals):
-        chosen = [arc for (i, arc, _), loc in zip(arcs, locs) if i == idx and loc.kind == "outside"]
-        if len(chosen) != 1:
+        # the curve runs counterclockwise with its exterior on its right, so the arc about zj that
+        # stays outside it turns counterclockwise from gamma(u) to gamma(v)
+        th_a = float(np.angle(curve.point(u) - zj))
+        sweep = (float(np.angle(curve.point(v) - zj)) - th_a) % TWO_PI
+        if sweep < 1e-9:
             return None
-        segs.append(chosen[0])
-        spans.append(abs(chosen[0].angle1 - chosen[0].angle0))
+        arc = ArcSegment(zj, eps, th_a, th_a + sweep)
+        segs.append(arc)
+        spans.append(arc.angle1 - arc.angle0)
 
         next_u = intervals[(idx + 1) % len(intervals)][0]
         gap = _forward_gap(v, next_u)
@@ -963,8 +933,11 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
             return None
         segs.extend(_subsegment_span(curve, v, v + gap))
 
+    # a clockwise splice is refused, not reversed: its signed area, summed as signed_area() sums it
+    if sum(seg.area() for seg in segs) <= 0.0:
+        return None
     try:
-        composite = JordanCurve.from_segments(segs, auto_orient=False, check_simple=True, band=band)
+        composite = JordanCurve.from_segments(segs)
     except ValueError:
         return None
 

@@ -17,7 +17,6 @@ from zerowind import (
     classify_roots,
     count_disc_preimages,
     count_preimages,
-    line_residual,
     polygon,
     radial_trig_curve,
     run_harness,
@@ -66,13 +65,14 @@ class TestLine:
 class TestLineResidual:
     def test_identity_map_real_axis(self, circle_curve):
         f = Polynomial([0, 1])
-        assert line_residual(f, circle_curve, Line.real_axis(), 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert line_residual(f, circle_curve, Line.real_axis(), 0.25) == pytest.approx(1.0, abs=1e-12)
+        line = Line.real_axis()
+        assert line.residual(f(circle_curve.points(0.0))) == pytest.approx(0.0, abs=1e-15)
+        assert line.residual(f(circle_curve.points(0.25))) == pytest.approx(1.0, abs=1e-12)
 
     def test_vectorized(self, circle_curve):
         f = Polynomial([1, 2, 3])
         ts = np.linspace(0, 1, 7)
-        vals = line_residual(f, circle_curve, Line(0.4), ts)
+        vals = Line(0.4).residual(f(circle_curve.points(ts)))
         assert vals.shape == (7,)
 
     def test_real_coefficients_give_cosine_sum(self, circle_curve):
@@ -84,7 +84,7 @@ class TestLineResidual:
         f = Polynomial(tuple(coeffs))
         for theta in rng.uniform(0, TWO_PI, size=16):
             want = sum(c * np.cos(j * theta) for j, c in enumerate(coeffs))
-            got = line_residual(f, circle_curve, Line.imag_axis(), theta / TWO_PI)
+            got = Line.imag_axis().residual(f(circle_curve.points(theta / TWO_PI)))
             assert got == pytest.approx(-want, abs=1e-12)
 
 

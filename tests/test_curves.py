@@ -268,9 +268,10 @@ class TestBatchLocation:
         assert classify_points(circle_curve, []) == []
 
     def test_ambiguous_point_in_batch(self):
-        # radial_trig_curve([(1.0, 0.0)], base_radius=0.5), a limaçon, is rejected: only an unchecked build gives it
+        # radial_trig_curve([(1.0, 0.0)], base_radius=0.5), a limaçon, is rejected: only an unchecked build gives it;
+        # its diameter (1.76) only scales the band, so a bound on it does
         seg = TrigSegment((0.5, 0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.5, 0.0, 0.5), 0.0, TWO_PI)
-        limacon = JordanCurve.from_segments([seg], check_simple=False)
+        limacon = JordanCurve._assembled((seg,), 2.0)
         with pytest.raises(AmbiguousClassification) as alone:
             classify_point(limacon, 0.2)
         with pytest.raises(AmbiguousClassification) as batched:
@@ -527,11 +528,6 @@ class TestConstruction:
         assert curve.signed_area() == pytest.approx(-sum(seg.area() for seg in segments), rel=1e-12)
         assert curve.segments[0] == segments[-1].reversed()
 
-    def test_clockwise_rejected_when_not_auto(self):
-        segs = [LineSegment(0, 2j), LineSegment(2j, 2 + 2j), LineSegment(2 + 2j, 2), LineSegment(2, 0)]
-        with pytest.raises(ValueError):
-            JordanCurve.from_segments(segs, auto_orient=False)
-
     def test_open_chain_rejected(self):
         segs = [LineSegment(0, 1), LineSegment(1, 1 + 1j), LineSegment(1 + 1j, 0.5j)]
         with pytest.raises(ValueError):
@@ -572,12 +568,48 @@ class TestConstruction:
         # figure eight x = cos t, y = sin(2t) (1 + cos(t) / 2) / 2, whose larger lobe sets the orientation
         eight = TrigSegment((0.0, 1.0), (0.0, 0.0, 0.125, 0.0, 0.5, 0.0, 0.125), 0.0, TWO_PI)
         with pytest.raises(ValueError, match="turning number -?0.000"):
-            JordanCurve.from_segments([eight], auto_orient=False)
+            JordanCurve.from_segments([eight])
         arc = ArcSegment(0.0, 1.0, 0.0, np.pi)
         half_disc = JordanCurve.from_segments([arc, LineSegment(-1.0, 1.0)])
         trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
         for curve in (unit_circle(), half_disc, trig, square(0.0, 2.0), polygon([0, 2, 2 + 1j, 1 + 1j, 1 + 2j, 2j])):
             assert zerowind.curves._turning_number(curve.grid(GRID_SAMPLES)) == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("k", [2, 3, 4, 6])
+    @pytest.mark.parametrize(
+        "seg",
+        [
+            TrigSegment((0.5, 0.5, 0.0, 0.5, 0.0), (0.0, 0.0, 0.5, 0.0, 0.5), 0.0, TWO_PI),
+            TrigSegment((0.0, 1.0), (0.0, 0.0, 0.125, 0.0, 0.5, 0.0, 0.125), 0.0, TWO_PI),
+        ],
+        ids=["limacon", "eight"],
+    )
+    def test_loops_cut_into_pieces_rejected(self, seg, k):
+        # the same loops in k pieces: once accepted in 3 pieces (both), 4 (the limaçon) and 6 (the eight),
+        # since only curves of one or two segments took the turning number
+        pieces = [seg.subsegment(i / k, (i + 1) / k) for i in range(k)]
+        with pytest.raises(ValueError, match="turning number"):
+            JordanCurve.from_segments(pieces)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="an arc crossing a non-adjacent line between samples, on a grid polygon that turns once, "
+        "is seen only by exact arc/line intersection (ROADMAP item 5)",
+    )
+    def test_arc_crossing_a_line_between_samples_rejected(self):
+        # a clockwise arc from 2 to 2 + 2j bulging left past x = 0, where it crosses the edge from 2j to 0
+        # at y = 1 +- 0.447; the two segments' 96 samples never come within the band
+        sweep_from, sweep_to = np.angle(0.8 - 1j), np.angle(0.8 + 1j) - TWO_PI
+        segs = [
+            LineSegment(0, 2),
+            ArcSegment(1.2 + 1j, abs(0.8 - 1j), sweep_from, sweep_to),
+            LineSegment(2 + 2j, 2j),
+            LineSegment(2j, 0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # it runs clockwise, so it is reversed first
+            with pytest.raises(ValueError, match="self-intersects"):
+                JordanCurve.from_segments(segs)
 
     def test_non_finite_segment_named(self):
         # the NaN circle was built with a NaN diameter; the others were reported as a cusp
@@ -689,7 +721,7 @@ class TestSimplicityCertificate:
         with pytest.raises(ValueError, match="turning number 2"):
             radial_trig_curve([(1.0, 0.0)], base_radius=0.5)
         with pytest.raises(ValueError, match="turning number -?0.000"):
-            JordanCurve.from_segments([eight], auto_orient=False)
+            JordanCurve.from_segments([eight])
         with pytest.raises(ValueError, match="turning number 2"):
             zerowind.curves.trig_curve_from_complex_fourier({2: 1.0})
 
@@ -699,8 +731,7 @@ class TestSimplicityCertificate:
             lambda: radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]),
             lambda: JordanCurve.from_segments([TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, 1.0), 0.0, TWO_PI)]),
             lambda: JordanCurve.from_segments(
-                [TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -0.05), TWO_PI, 0.0)],
-                auto_orient=False,
+                [TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -0.05), TWO_PI, 0.0)]
             ),
         ],
         ids=["radial-trig", "trig-no-trailing-sine", "trig-falling-parameter"],

@@ -40,7 +40,6 @@ from zerowind import (
     TrigSegment,
     build_detour,
     circle,
-    line_residual,
     polygon,
     radial_trig_curve,
     square,
@@ -81,7 +80,7 @@ def _curve(name: str) -> JordanCurve:
     if name == "trig-falling-parameter":
         # y = -sin t - 0.05 sin 3t traversed from t = 2 pi down to 0: counterclockwise with a negative sweep
         seg = TrigSegment((0.0, 1.0, 0.0, 0.1), (0.0, 0.0, -1.0, 0.0, 0.0, 0.0, -0.05), 2 * np.pi, 0.0)
-        return JordanCurve.from_segments([seg], auto_orient=False)
+        return JordanCurve.from_segments([seg])
     return build_detour(trig, [trig.point(0.3)]).composite
 
 
@@ -114,7 +113,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("name", CURVE_NAMES)
     def test_curves_pass_the_simplicity_check(self, name):
         curve = _curve(name)
-        assert JordanCurve.from_segments(curve.segments, auto_orient=False).breaks == curve.breaks
+        assert JordanCurve.from_segments(curve.segments).breaks == curve.breaks
 
     @settings(max_examples=300, deadline=None)
     @given(_params())
@@ -229,8 +228,8 @@ class TestCurveGrid:
 
     @pytest.mark.parametrize("name", CURVE_NAMES)
     def test_sampling_grows_to_the_largest_divisor_asked(self, name):
-        # a fresh copy, so that no earlier test has sampled it; a composite's check would sample it at 8192
-        curve = JordanCurve.from_segments(_curve(name).segments, auto_orient=False, check_simple=False)
+        # a fresh copy built without the simplicity check, which samples a trig curve at 8192, and unsampled by any test
+        curve = JordanCurve._assembled(_curve(name).segments, _curve(name).diameter)
         assert "_sampling" not in curve.__dict__
         small = curve.grid(256)
         assert len(curve._sampling) == 256
@@ -340,7 +339,7 @@ class TestStackedGolden:
     def _residual(name, angle):
         f = Polynomial.from_roots([(0.3 + 0.2j, 1), (1.0, 2), (-0.4j, 1)])
         curve, line = _curve(name), Line(angle)
-        return lambda q: np.abs(line_residual(f, curve, line, q))
+        return lambda q: np.abs(line.residual(f(curve.points(q))))
 
     def test_one_call_per_probe_tree(self):
         lo = np.array([0.01, 0.3, 0.62])
@@ -398,7 +397,7 @@ class TestBatchedSearch:
     @staticmethod
     def _h(name, angle):
         curve, line = _curve(name), Line(angle)
-        return lambda q: line_residual(_F_TEST, curve, line, q)
+        return lambda q: line.residual(_F_TEST(curve.points(q)))
 
     @settings(max_examples=60, deadline=None)
     @given(
