@@ -69,11 +69,13 @@ class ArcSegment:
         The angle of p - center, measured along the sweep from angle0, over
         the sweep's length; off the arc's angular span, the nearer endpoint.
         """
-        sweep = self.angle1 - self.angle0
-        span = abs(sweep)
-        ahead = (np.sign(sweep) * (np.angle(np.asarray(ps) - self.center) - self.angle0)) % TWO_PI
+        span, ahead = abs(self.angle1 - self.angle0), self._ahead(ps)
         past_end = ahead - span
         return np.where(past_end <= 0.0, ahead / span, np.where(past_end < TWO_PI - ahead, 1.0, 0.0))
+
+    def _ahead(self, ps):
+        """The angle of each of ps - center, measured along the sweep from angle0, in [0, 2 pi)."""
+        return (np.sign(self.angle1 - self.angle0) * (np.angle(np.asarray(ps) - self.center) - self.angle0)) % TWO_PI
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
@@ -426,8 +428,11 @@ class JordanCurve:
 
     @classmethod
     def _assembled(cls, segs: tuple[Segment, ...], diameter: float) -> "JordanCurve":
-        """The curve of the chained segments, with its breaks and corners."""
-        lengths = np.array([max(s.rough_length(), 1e-300) for s in segs])
+        """The curve of the chained segments, with its breaks and corners.
+
+        A single segment takes the whole range, (0.0, 1.0), whatever its length.
+        """
+        lengths = np.array([max(s.rough_length(), 1e-300) for s in segs]) if len(segs) > 1 else np.ones(1)
         cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
         cum[-1] = 1.0
         breaks = tuple(cum)
@@ -567,6 +572,34 @@ def _lines_cross(a: LineSegment, b: LineSegment) -> bool:
     return _splits(p, q, r, s) and _splits(r, s, p, q)
 
 
+def _arc_meets_line(arc: ArcSegment, line: LineSegment) -> bool:
+    """True when a point of the straight segment lies on the arc.
+
+    The segment a + s d meets the arc's circle where |a + s d - c|^2 = R^2,
+    a quadratic in s; a real root s in [0, 1] whose point the arc sweeps
+    past is a meeting point.
+    """
+    d, e = line.end_point - line.start_point, line.start_point - arc.center
+    dd, half_b = abs(d) ** 2, (e * d.conjugate()).real
+    disc = half_b * half_b - dd * (abs(e) ** 2 - arc.radius**2)
+    if disc < 0.0:
+        return False
+    s = (-half_b + np.array([-1.0, 1.0]) * np.sqrt(disc)) / dd
+    s = s[(0.0 <= s) & (s <= 1.0)]
+    return bool((arc._ahead(line.points(s)) <= abs(arc.angle1 - arc.angle0)).any())
+
+
+def _segments_cross(a: Segment, b: Segment) -> bool:
+    """True when two straight segments cross properly or an arc meets a straight segment; False for other kinds."""
+    if isinstance(a, LineSegment) and isinstance(b, LineSegment):
+        return _lines_cross(a, b)
+    if isinstance(a, ArcSegment) and isinstance(b, LineSegment):
+        return _arc_meets_line(a, b)
+    if isinstance(a, LineSegment) and isinstance(b, ArcSegment):
+        return _arc_meets_line(b, a)
+    return False
+
+
 def _turning_number(pts: np.ndarray) -> float:
     """Total turn of the closed polygon through pts, edge to edge, in full turns."""
     edges = np.diff(pts, append=pts[:1])
@@ -577,6 +610,20 @@ def _turning_number(pts: np.ndarray) -> float:
 # Relative allowance of the dominant-harmonic certificate, far above the few
 # ulps by which the Laurent coefficients and their weighted sum are rounded.
 _DOMINANCE_SLACK = 1e-9
+
+
+def _first_harmonic(seg: Segment) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """The coefficients of a trig segment sweeping exactly one full turn; None for any other segment.
+
+    They are c_-K .. c_K, their moduli, and the index of the larger of
+    |c_-1| and |c_1| (of c_1 on a tie).  The moduli come from one ``np.abs``
+    over the whole array: a scalar ``abs`` can differ from it in the last bit.
+    """
+    if not isinstance(seg, TrigSegment) or abs(seg.theta1 - seg.theta0) != TWO_PI:
+        return None
+    c = seg._coefficients
+    size, k = np.abs(c), len(c) // 2
+    return c, size, (k + 1 if size[k + 1] >= size[k - 1] else k - 1)
 
 
 def _first_harmonic_dominates(seg: Segment) -> bool:
@@ -594,14 +641,13 @@ def _first_harmonic_dominates(seg: Segment) -> bool:
     for rounding, so a curve at the boundary is not certified, and neither
     is a curve with a NaN or infinite coefficient.
     """
-    if not isinstance(seg, TrigSegment) or abs(seg.theta1 - seg.theta0) != TWO_PI:
+    harmonic = _first_harmonic(seg)
+    if harmonic is None or not np.isfinite(harmonic[0]).all():
         return False
-    c = seg._coefficients
-    if not np.isfinite(c).all():
-        return False
+    c, size, s = harmonic
     k = len(c) // 2
-    weighted = np.abs(np.arange(-k, k + 1)) * np.abs(c)
-    return bool(2.0 * max(weighted[k - 1], weighted[k + 1]) > (1.0 + _DOMINANCE_SLACK) * weighted.sum())
+    weighted = np.abs(np.arange(-k, k + 1)) * size
+    return bool(2.0 * weighted[s] > (1.0 + _DOMINANCE_SLACK) * weighted.sum())
 
 
 def _check_simple(curve: JordanCurve) -> None:
@@ -612,10 +658,12 @@ def _check_simple(curve: JordanCurve) -> None:
     segment, cut into however many pieces, must have a grid polygon that
     turns once, which rejects a limaçon's inner loop (two turns) and a
     figure eight (none).  Then non-adjacent segments must not cross, and
-    their 96 samples each must stay a default band apart.  Two straight
-    segments are tested for a proper crossing by the signs of their
-    orientations, which sampling can miss between samples.  A curve of
-    fewer than four segments has no non-adjacent pair.
+    their 96 samples each must stay a default band apart.  Sampling can
+    miss a crossing between samples, so two straight segments are tested
+    for a proper crossing by the signs of their orientations, and an arc
+    and a straight segment for a common point by the roots of a quadratic
+    (``_segments_cross``).  A curve of fewer than four segments has no
+    non-adjacent pair.
     """
     segs = curve.segments
     if len(segs) == 1 and _first_harmonic_dominates(segs[0]):
@@ -630,8 +678,7 @@ def _check_simple(curve: JordanCurve) -> None:
     for i in range(k):
         # j runs over the segments after i that do not touch it; the last one touches the first
         for j in range(i + 2, k - (i == 0)):
-            a, b = segs[i], segs[j]
-            if isinstance(a, LineSegment) and isinstance(b, LineSegment) and _lines_cross(a, b):
+            if _segments_cross(segs[i], segs[j]):
                 raise ValueError(f"curve self-intersects (segments {i} and {j} cross)")
             dmin = np.min(np.abs(samples[i][:, None] - samples[j][None, :]))
             if dmin < band:
@@ -764,18 +811,74 @@ _ROUNDING_GUARD = 64.0 * np.finfo(float).eps
 def classify_points(curve: JordanCurve, ps: Sequence[complex], band: float | None = None) -> list[PointLocation]:
     """Locate each of ps relative to the curve: on it (within ``band``), inside, or outside.
 
-    Inside/outside is decided by the winding number of the curve around each
-    point, summed in closed form: every segment's argument change (its
-    ``turns``) plus the angle each joint's gap, from a segment's end to the
-    next one's start, subtends.  A point outside the band but within
-    rounding of the curve cannot be placed and is refused.
+    A curve that is one trig segment sweeping exactly one full turn first
+    places what its first-harmonic annulus settles (``_annulus_kinds``).
+    Every other point is located through its nearest curve point: within
+    ``band`` of it, the point is on the curve.  Otherwise inside/outside is
+    decided by the winding number of the curve around the point, summed in
+    closed form: every segment's argument change (its ``turns``) plus the
+    angle each joint's gap, from a segment's end to the next one's start,
+    subtends.  A point outside the band but within rounding of the curve
+    cannot be placed and is refused.  Each point's location does not depend
+    on the rest of the batch.
     """
     band = curve.checked_band(band)
     ps = np.array([complex(p) for p in ps], dtype=complex)
     for p in ps[~np.isfinite(ps)].tolist():
         raise ValueError(f"cannot locate the non-finite point {p}")
-    tstar, dist = nearest_parameter(curve, ps)
     extent = curve.extent()
+    kinds = _annulus_kinds(curve, ps, band, extent)
+    if kinds is None:
+        return _located(curve, ps, band, extent)
+    located = iter(_located(curve, ps[kinds == ""], band, extent))
+    return [PointLocation(kind) if kind else next(located) for kind in kinds.tolist()]
+
+
+def _annulus_kinds(curve: JordanCurve, ps: np.ndarray, band: float, extent: float) -> np.ndarray | None:
+    """"inside" or "outside" for each of ps that the first-harmonic annulus places, "" for the rest.
+
+    With z = sum_k c_k w^k, let c_s be the larger of c_1 and c_-1 and
+    rho = sum_{k not in {0, s}} |c_k|: the curve lies in the annulus
+    |c_s| - rho <= |z - c_0| <= |c_s| + rho.  For r = |p - c_0| below the
+    inner radius, |c_s w^s| exceeds the rest of z - p on the curve, so by
+    Rouché z - p winds as c_s w^s does, nu = s sign(theta1 - theta0) times,
+    and the curve is at least |c_s| - rho - r from p.  For r above the
+    outer radius, |p - c_0| exceeds the rest and the winding is 0, at a
+    distance of at least r - |c_s| - rho.  With nu = 1, the winding 1 is
+    inside and 0 outside.  Any other nu places nothing, and neither does a
+    curve that is not one trig segment sweeping exactly one full turn: for
+    both the result is None.
+
+    A point is placed when that distance bound clears the band and the
+    rounding guard of ``_located`` by an allowance: r, rho and |c_s| are
+    each rounded by a few ulps of extent + |p|, and the curve points that
+    ``_located`` measures by a few K ulps of extent, both far below
+    ``_DOMINANCE_SLACK`` (extent + |p|).  So ``_located`` would find such a
+    point neither on the curve nor within rounding of it, and wherever its
+    polynomial roots are accurate, with the winding of the certificate: the
+    two paths give the same location.
+    """
+    harmonic = _first_harmonic(curve.segments[0]) if len(curve.segments) == 1 else None
+    if harmonic is None:
+        return None
+    c, size, s = harmonic
+    seg, k = curve.segments[0], len(c) // 2
+    if (s - k) * np.sign(seg.theta1 - seg.theta0) != 1:
+        return None
+    kinds, scale = np.full(len(ps), "", dtype=object), np.abs(ps)
+    rho = size.sum() - size[k] - size[s]
+    r = np.abs(ps - c[k])
+    need = np.maximum(band, _ROUNDING_GUARD * np.maximum(extent, scale)) + _DOMINANCE_SLACK * (extent + scale)
+    kinds[size[s] - rho - r > need] = "inside"
+    kinds[r - size[s] - rho > need] = "outside"
+    return kinds
+
+
+def _located(curve: JordanCurve, ps: np.ndarray, band: float, extent: float) -> list[PointLocation]:
+    """``classify_points`` for finite ps by their nearest curve points and closed-form windings."""
+    if not len(ps):
+        return []
+    tstar, dist = nearest_parameter(curve, ps)
     off, (ends, starts) = ps[~(dist < band)], curve._joints
     # a point within rounding of a vertex can divide by zero; the guard below refuses it
     with np.errstate(divide="ignore", invalid="ignore"):

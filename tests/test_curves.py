@@ -31,7 +31,7 @@ from zerowind import (
     verify_trig,
     winding_count,
 )
-from zerowind.curves import GRID_SAMPLES, classify_points
+from zerowind.curves import GRID_SAMPLES, classify_points, nearest_parameter
 from zerowind.harness import HarnessConfig, random_instance, run_harness
 
 from oracles import polygon_interior_angle, sampled_inside
@@ -277,6 +277,8 @@ class TestBatchLocation:
         with pytest.raises(AmbiguousClassification) as batched:
             classify_points(limacon, [5.0, 0.2, -5.0])
         assert str(batched.value) == str(alone.value)
+        # +-5 lie outside its annulus 0 <= |z - 0.5| <= 1 and are placed by it; 0.2 takes the winding path
+        assert str(alone.value) == "winding around (0.2+0j) is 2.000000"
 
     @pytest.mark.parametrize("name", ["trig", "trig-detour"])
     def test_trig_curves_never_search(self, name, monkeypatch):
@@ -298,6 +300,95 @@ class TestBatchLocation:
         report = classify_roots(Polynomial.from_roots([(p, 1) for p in points]), curve)
         assert report.lam == kinds.count("on-curve")
         assert calls == []
+
+
+def _trig_segment(coeffs: dict[int, complex], theta0: float, theta1: float) -> TrigSegment:
+    """The segment of z(t) = sum_m coeffs[m] e^{imt} on [theta0, theta1], unchecked: TrigSegment._laurent inverted."""
+    kmax = max(abs(m) for m in coeffs)
+    c = [complex(coeffs.get(m, 0.0)) for m in range(-kmax, kmax + 1)]
+    x, y = [c[kmax].real], [c[kmax].imag]
+    for k in range(1, kmax + 1):
+        pos, neg = c[kmax + k], c[kmax - k]
+        x += [(pos + neg).real, (neg - pos).imag]
+        y += [(pos + neg).imag, (pos - neg).real]
+    return TrigSegment(tuple(x), tuple(y), theta0, theta1)
+
+
+def _location(curve: JordanCurve, p: complex) -> str:
+    try:
+        return classify_point(curve, p).kind
+    except AmbiguousClassification:
+        return "ambiguous"
+
+
+def _location_by_winding(curve: JordanCurve, p: complex) -> str:
+    """The location of p by its nearest point and closed-form winding alone, without the annulus."""
+    try:
+        return zerowind.curves._located(curve, np.array([p]), curve.default_band(), curve.extent())[0].kind
+    except AmbiguousClassification:
+        return "ambiguous"
+
+
+_part = st.floats(-1.0, 1.0).map(lambda v: 0.0 if abs(v) < 1e-3 else v)
+
+
+class TestAnnulusLocation:
+    """A one-segment full-turn trig curve places the points off its first-harmonic annulus by Rouché's theorem."""
+
+    @given(
+        st.integers(1, 3),
+        st.sampled_from([1, -1]),
+        st.sampled_from([TWO_PI, -TWO_PI]),
+        # parts below 1e-3 are 0: tiny nonzero end coefficients underflow the nearest-point polynomial's
+        # leading coefficient, and np.roots raises LinAlgError there
+        st.lists(st.tuples(_part, _part), min_size=7, max_size=7),
+        # the rest's weight over |c_s|: above 1 the annulus has no inner circle
+        st.floats(0.05, 1.5),
+        st.floats(0.0, TWO_PI),
+        st.floats(0.0, TWO_PI),
+    )
+    @settings(max_examples=80, deadline=None, database=None)
+    def test_same_kinds_as_two_pieces_and_sampled_winding(self, kmax, s, sweep, pairs, weight, phase, direction):
+        coeffs = {k: complex(*pairs[k + 3]) for k in range(-kmax, kmax + 1) if k != s}
+        rest = sum(abs(c) for k, c in coeffs.items() if k != 0)
+        if rest > 0.0:
+            coeffs = {k: c * (weight / rest if k != 0 else 1.0) for k, c in coeffs.items()}
+        coeffs[s] = np.exp(1j * phase)
+        seg = _trig_segment(coeffs, 0.0, sweep)
+        c = seg._coefficients
+        size, k = np.abs(c), len(c) // 2
+        s = 1 if size[k + 1] >= size[k - 1] else -1  # c_-s can outweigh c_s
+        rho = size.sum() - size[k] - size[k + s]
+        r_in, r_out = size[k + s] - rho, size[k + s] + rho
+        diameter = 2.0 * r_out
+        one = JordanCurve._assembled((seg,), diameter)
+        try:
+            two = JordanCurve._assembled((seg.subsegment(0.0, 0.5), seg.subsegment(0.5, 1.0)), diameter)
+        except ValueError:
+            return  # a cusp at the cut: the piecewise curve cannot be built
+        band, unit = one.default_band(), np.exp(1j * direction)
+        offsets = (0.0, 1e-12, -1e-12, band, -band, 1e-3, -1e-3)
+        points = [complex(c[k] + (radius + off) * unit) for radius in (r_in, r_out) for off in offsets]
+        kinds = zerowind.curves._annulus_kinds(one, np.array(points), band, one.extent())
+        if s * np.sign(sweep) != 1:
+            assert kinds is None
+            kinds = [""] * len(points)
+        elif r_in > 2e-3:
+            assert (kinds[offsets.index(-1e-3)], kinds[len(offsets) + offsets.index(1e-3)]) == ("inside", "outside")
+        # where the distance to the curve is the band to rounding, rounding decides on-curve or not: not compared
+        _, dist = nearest_parameter(one, np.array(points))
+        for p, kind, d in zip(points, kinds, dist.tolist()):
+            got = _location(one, p)
+            if kind:
+                assert got == kind == _location_by_winding(one, p)
+            if abs(d - band) > 1e-6 * band:
+                assert _location(two, p) == got
+            if got in ("inside", "outside") and d > 1e-6 * diameter:
+                assert sampled_inside(one, p) == got
+
+    def test_arcs_and_lines_never_reach_the_annulus(self):
+        for curve, points, _ in _located_point_sets()[:3]:
+            assert zerowind.curves._annulus_kinds(curve, np.array(points), curve.default_band(), curve.extent()) is None
 
 
 class TestWorkBudget:
@@ -427,6 +518,23 @@ class TestWorkBudget:
         trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
         f = Polynomial.from_roots([(r, 1) for r in (0.3, -0.5j, 2.0, trig.point(0.3), trig.point(0.7), -3 + 1j)])
         assert self._dispatches(monkeypatch, lambda: classify_roots(f, trig)) <= 1
+
+    def test_classify_roots_off_the_annulus_solves_nothing(self, monkeypatch):
+        # roots at half and twice a trig-perturbed circle's points lie off its annulus 0.96 <= |z - c_0| <= 1.04
+        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        roots = [scale * trig.point(t) for scale in (0.5, 2.0) for t in (0.1, 0.35, 0.6, 0.85)]
+        calls = []
+        for name in ("nearest", "turns"):
+            original = getattr(TrigSegment, name)
+
+            def counted(self, ps, _original=original, _name=name):
+                calls.append(_name)
+                return _original(self, ps)
+
+            monkeypatch.setattr(TrigSegment, name, counted)
+        report = classify_roots(Polynomial.from_roots([(r, 1) for r in roots]), trig)
+        assert (report.m, report.lam, report.outside.total_multiplicity) == (4, 0, 4)
+        assert calls == []
 
     def test_one_complex_exp_per_call(self, monkeypatch):
         # a trig segment is a Laurent polynomial in w = exp(i t): one complex exp, then Horner in w and conj(w)
@@ -591,14 +699,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="turning number"):
             JordanCurve.from_segments(pieces)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an arc crossing a non-adjacent line between samples, on a grid polygon that turns once, "
-        "is seen only by exact arc/line intersection (ROADMAP item 5)",
-    )
     def test_arc_crossing_a_line_between_samples_rejected(self):
         # a clockwise arc from 2 to 2 + 2j bulging left past x = 0, where it crosses the edge from 2j to 0
-        # at y = 1 +- 0.447; the two segments' 96 samples never come within the band
+        # at y = 1 +- 0.447; the two segments' 96 samples never come within the band, so only the
+        # exact arc/line test sees it
         sweep_from, sweep_to = np.angle(0.8 - 1j), np.angle(0.8 + 1j) - TWO_PI
         segs = [
             LineSegment(0, 2),
@@ -608,8 +712,22 @@ class TestConstruction:
         ]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # it runs clockwise, so it is reversed first
-            with pytest.raises(ValueError, match="self-intersects"):
+            with pytest.raises(ValueError, match=r"self-intersects \(segments 0 and 2 cross\)"):
                 JordanCurve.from_segments(segs)
+
+    def test_one_segment_breaks_need_no_length(self, monkeypatch):
+        # a single segment takes the whole parameter range, so its length is never estimated
+        build = [lambda: radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]), unit_circle.__wrapped__]
+        before = [b().breaks for b in build]
+
+        def no_length(self):
+            raise AssertionError("rough_length called")
+
+        monkeypatch.setattr(TrigSegment, "rough_length", no_length)
+        monkeypatch.setattr(ArcSegment, "rough_length", no_length)
+        after = [b().breaks for b in build]
+        assert after == before == [(0.0, 1.0)] * 2
+        assert [[type(x) for x in br] for br in after] == [[type(x) for x in br] for br in before]
 
     def test_non_finite_segment_named(self):
         # the NaN circle was built with a NaN diameter; the others were reported as a cusp

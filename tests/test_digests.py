@@ -34,3 +34,30 @@ def test_report_digest_at_seed_7(name):
         assert out.failure is None, out.failure
         digest.update(canonical(out.report) + b"\n")
     assert digest.hexdigest() == DIGESTS[name]
+
+
+def test_digest_tool_compares_with_a_saved_run(tmp_path, monkeypatch, capsys):
+    # tools/report_digests.py --against: each pool's line against the saved one, exit 1 naming each that differs
+    import importlib.util
+    import os
+
+    # loading the tool sets thread-count variables and puts src/ and perfbench/ on the path: undone after the test
+    monkeypatch.setattr(os, "environ", os.environ.copy())
+    monkeypatch.setattr(sys, "path", sys.path[:])
+    path = Path(__file__).resolve().parent.parent / "tools" / "report_digests.py"
+    spec = importlib.util.spec_from_file_location("report_digests", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    monkeypatch.setattr(tool, "pool_digest", lambda name, seed: (f"{name}-{seed}", 0))
+    saved = tmp_path / "saved.txt"
+    saved.write_text("detour seed=1 sha256=detour-1 failed=0\ndetour seed=2 sha256=detour-2 failed=1\n")
+    args = ["--workloads", "detour", "--against", str(saved)]
+    assert tool.main(args + ["--seeds", "1"]) == 0
+    assert capsys.readouterr().err == ""
+    assert tool.main(args + ["--seeds", "1", "2", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == [f"detour seed={n} sha256=detour-{n} failed=0" for n in (1, 2, 3)]
+    assert [line.split(" differs")[0] for line in err.splitlines()] == [
+        "report_digests: detour seed=2",
+        "report_digests: detour seed=3",
+    ]
