@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 
+from .errors import NoConvergence
+
 TWO_PI = 2.0 * np.pi
 _INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
 # Steps read off one ``fn`` call in golden_min, and the least that one call
@@ -19,6 +21,18 @@ _BISECT_DEPTH = 5
 
 class WindingNotResolved(Exception):
     """Internal: argument steps stayed too large at maximum refinement depth."""
+
+
+def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
+    """Roots of the polynomial with the ascending coefficients ``coeffs``, by np.roots' companion eigenproblem.
+
+    Raises NoConvergence where the eigenproblem fails, as it does on a
+    coefficient that overflowed to inf.
+    """
+    try:
+        return np.roots(coeffs[::-1])
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"companion eigenproblem failed: {exc}") from exc
 
 
 def wrap_angle(a):

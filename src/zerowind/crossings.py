@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numeric import TWO_PI
+from ._numeric import TWO_PI, polynomial_roots
 from .curves import ArcSegment, JordanCurve, LineSegment, circle
 from .errors import BelowNoiseFloor
 from .polynomials import Polynomial, ZeroReport, classify_roots, find_roots
@@ -153,13 +153,16 @@ def _in_range(s: np.ndarray, period: float = np.inf) -> np.ndarray:
 
 def _roots(residual: np.ndarray, floor: float) -> np.ndarray | None:
     """Roots of the ascending coefficients ``residual``; None when they all stay under ``floor``, so h vanishes."""
-    return np.roots(residual[::-1]) if np.any(np.abs(residual) > floor) else None
+    return polynomial_roots(residual) if np.any(np.abs(residual) > floor) else None
 
 
-def _segment_roots(f: Polynomial, seg, u: complex, zeros, floor: float) -> np.ndarray | None:
+def _segment_roots(f: Polynomial, seg, u: complex, zeros, floor: float, solved: dict) -> np.ndarray | None:
     """Local parameters in [0, 1] of the zeros of h on one segment, other than ``zeros``, the (s, k) of f's zeros on it.
 
-    None when h vanishes on the whole segment.
+    None when h vanishes on the whole segment.  On an arc or trig segment the
+    residual's roots on |w| = 1 depend only on its Laurent coefficients and
+    the zeros' (w, k), so ``solved`` keeps them by those: the arcs of one
+    circle share one solve, and each maps the roots through its own sweep.
     """
     if isinstance(seg, LineSegment):
         a = seg.start_point
@@ -173,20 +176,36 @@ def _segment_roots(f: Polynomial, seg, u: complex, zeros, floor: float) -> np.nd
         return _in_range(roots.real[np.abs(roots.imag) < CIRCLE_TOL * (1.0 + np.abs(roots))])
 
     # an arc or trig segment is z = sum_k c_k e^{i k theta}, theta from th0 to th1
-    th0, th1 = (seg.angle0, seg.angle1) if isinstance(seg, ArcSegment) else (seg.theta0, seg.theta1)
-    g = _compose(f, seg._coefficients, len(seg._coefficients) // 2, floor)
+    if isinstance(seg, ArcSegment):
+        th0, th1, coeffs = seg.angle0, seg.angle1, seg._coefficients
+    else:
+        th0, th1, coeffs = seg.theta0, seg.theta1, seg._root_coefficients
     sweep = th1 - th0
+    ws = tuple((np.exp(1j * (th0 + s * sweep)), k) for s, k in zeros)
+    key = (coeffs.tobytes(), ws)
+    if key not in solved:
+        solved[key] = _unit_circle_roots(f, coeffs, u, ws, floor)
+    on_circle = solved[key]
+    if on_circle is None:
+        return None
+    return _in_range((np.sign(sweep) * (np.angle(on_circle) - th0)) % TWO_PI / abs(sweep), TWO_PI / abs(sweep))
+
+
+def _unit_circle_roots(f: Polynomial, coeffs: np.ndarray, u: complex, ws, floor: float) -> np.ndarray | None:
+    """Roots on |w| = 1 of the residual of the Laurent polynomial ``coeffs``, f's zeros ``ws`` as (w, k) divided out.
+
+    None when h vanishes there.
+    """
+    g = _compose(f, coeffs, len(coeffs) // 2, floor)
     c = 1.0 + 0j
-    for s, k in zeros:
-        w = np.exp(1j * (th0 + s * sweep))
+    for w, k in ws:
         for _ in range(k):
             g = _deflate(g, w)
         c *= (-np.conj(w)) ** k
     roots = _roots(u * g - np.conj(u) * c * np.conj(g[::-1]), floor)
     if roots is None:
         return None
-    on_circle = roots[np.abs(np.abs(roots) - 1.0) < CIRCLE_TOL]
-    return _in_range((np.sign(sweep) * (np.angle(on_circle) - th0)) % TWO_PI / abs(sweep), TWO_PI / abs(sweep))
+    return roots[np.abs(np.abs(roots) - 1.0) < CIRCLE_TOL]
 
 
 def _detect(f: Polynomial, curve: JordanCurve, line: Line, zeros: ZeroReport, floor: float) -> list[tuple]:
@@ -198,7 +217,7 @@ def _detect(f: Polynomial, curve: JordanCurve, line: Line, zeros: ZeroReport, fl
     u = np.exp(-1j * line.angle)
     on_curve = [(float(t) % 1.0, r.multiplicity) for r, t in zip(zeros.on_curve.roots, zeros.on_curve_params)]
     cands = [(t, k, True) for t, k in on_curve]
-    stretches = []
+    stretches, solved = [], {}
     br = curve.breaks
     for i, seg in enumerate(curve.segments):
         lo, width = br[i], br[i + 1] - br[i]
@@ -207,7 +226,7 @@ def _detect(f: Polynomial, curve: JordanCurve, line: Line, zeros: ZeroReport, fl
             s = _in_range(np.array([((t - lo) % 1.0) / width]), 1.0 / width)
             if s.size:
                 here.append((float(s[0]), k))
-        roots = _segment_roots(f, seg, u, here, floor)
+        roots = _segment_roots(f, seg, u, here, floor, solved)
         if roots is None:
             stretches.append((lo, width))
             roots = np.array([0.0, 1.0])
@@ -277,11 +296,15 @@ def count_preimages(
         zeros = classify_roots(f, curve, band)
     r_max = max(1.0, curve.extent())
     floor = 64.0 * np.finfo(float).eps * sum(abs(c) * r_max**k for k, c in enumerate(f.coeffs))
-    points = []
-    for t, contact in _cluster(_detect(f, curve, line, zeros, floor)):
-        z = curve.point(t)
-        points.append(PreimagePoint(float(t), complex(z), complex(f(z)), contact))
-    return PreimageSet(tuple(points))
+    found = _cluster(_detect(f, curve, line, zeros, floor))
+    ts = np.array([t for t, _ in found], dtype=float)
+    zs = curve.points(ts)
+    return PreimageSet(
+        tuple(
+            PreimagePoint(t, z, value, contact)
+            for (_, contact), t, z, value in zip(found, ts.tolist(), zs.tolist(), f(zs).tolist())
+        )
+    )
 
 
 def _isolated_root(f: Polynomial, zero: complex, eps: float, what: str, center=None):

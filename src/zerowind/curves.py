@@ -22,7 +22,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._numeric import TWO_PI, bisect_zero, trig_series, trig_series_deriv, wrap_angle
+from ._numeric import TWO_PI, bisect_zero, polynomial_roots, trig_series, trig_series_deriv, wrap_angle
 from .errors import AmbiguousClassification, DetourFailed
 
 # Tangent-direction jump (radians) above which a joint counts as a corner.
@@ -221,6 +221,27 @@ class TrigSegment:
         c0, pos, neg, _, _ = self._laurent
         return np.array(neg[::-1] + (c0,) + pos, dtype=complex)
 
+    @cached_property
+    def _root_coefficients(self) -> np.ndarray:
+        """``_coefficients`` as every root solve takes them: harmonics under eps sum_k |c_k| dropped.
+
+        Such a harmonic moves no curve point by more than its rounding, yet as
+        the leading coefficient of a polynomial it makes np.roots divide by
+        next to nothing: 1e-80 put the roots of a preimage count far off, and
+        a subnormal one overflows the companion matrix.  Dropped harmonics
+        become 0, and then outer pairs c_-K, c_K that are both 0 are cut, so K
+        falls.  A segment with no such harmonic keeps its array.
+        """
+        c = self._coefficients
+        size, k = np.abs(c), len(c) // 2
+        negligible = (0.0 < size) & (size < np.finfo(float).eps * size.sum()) & (np.arange(len(c)) != k)
+        if not negligible.any():
+            return c
+        c = np.where(negligible, 0.0, c)
+        while k > 1 and c[0] == 0.0 and c[-1] == 0.0:
+            c, k = c[1:-1], k - 1
+        return c
+
     def _theta(self, s):
         return self.theta0 + np.asarray(s, dtype=float) * (self.theta1 - self.theta0)
 
@@ -234,13 +255,13 @@ class TrigSegment:
         both ends and every root angle that falls on the segment; the nearest
         one wins.
         """
-        a, sweep = self._coefficients, self.theta1 - self.theta0
+        a, sweep = self._root_coefficients, self.theta1 - self.theta0
         k = len(a) // 2
         da, at_c0 = 1j * np.arange(-k, k + 1) * a, np.arange(len(a)) == k
         out = []
         for p in ps.tolist():
             x = np.convolve(np.conj((a - p * at_c0)[::-1]), da)
-            s = (np.sign(sweep) * (np.angle(np.roots((x + np.conj(x[::-1]))[::-1])) - self.theta0)) % TWO_PI
+            s = (np.sign(sweep) * (np.angle(polynomial_roots(x + np.conj(x[::-1]))) - self.theta0)) % TWO_PI
             s = np.concatenate([[0.0, 1.0], s[s <= abs(sweep)] / abs(sweep)])
             out.append(s[np.argmin(np.abs(self.points(s) - p))])
         return np.array(out)
@@ -253,10 +274,10 @@ class TrigSegment:
         its own argument change along the segment's angles, and w^-K takes
         K sweep / 2 pi off.
         """
-        a = self._coefficients
+        a = self._root_coefficients
         k = len(a) // 2
         at_c0 = np.arange(len(a)) == k
-        roots = [np.roots((a - p * at_c0)[::-1]) for p in ps.tolist()]
+        roots = [polynomial_roots(a - p * at_c0) for p in ps.tolist()]
         owner = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
         per_root = _unit_arc_turns(np.concatenate([np.empty(0, dtype=complex)] + roots), self.theta0, self.theta1)
         return np.bincount(owner, per_root, minlength=len(roots)) - k * (self.theta1 - self.theta0) / TWO_PI
@@ -407,8 +428,7 @@ class JordanCurve:
         for i, pts in enumerate(probes):
             if not np.isfinite(pts).all():
                 raise ValueError(f"segment {i} has a non-finite point")
-        probe = np.concatenate(probes)
-        diameter = float(np.max(np.abs(probe[:, None] - probe[None, :])))
+        diameter = _diameter(np.concatenate(probes))
         if diameter <= 0.0:
             raise ValueError("degenerate curve")
         closure_tol = 1e-9 * diameter
@@ -540,6 +560,26 @@ class JordanCurve:
         if isinstance(obj, str):
             return curve_from_alias(obj)
         return cls.from_segments(segment_from_json(s) for s in obj["segments"])
+
+
+# Rows per block of the diameter's distance table.
+_DIAMETER_BLOCK = 64
+
+
+def _diameter(pts: np.ndarray) -> float:
+    """The largest |p_i - p_j| over all pairs of pts, as the float the full n x n table gives.
+
+    Each block of rows is measured against itself and the rows after it: the
+    upper triangle, with 64 n values at a time instead of n^2.  fl(a - b) =
+    -fl(b - a) and abs ignores the sign, so the pairs left out repeat the
+    floats of those kept.
+    """
+    return float(
+        max(
+            np.abs(pts[i : i + _DIAMETER_BLOCK, np.newaxis] - pts[np.newaxis, i:]).max()
+            for i in range(0, len(pts), _DIAMETER_BLOCK)
+        )
+    )
 
 
 def _find_corners(segs: tuple[Segment, ...], breaks: tuple[float, ...]) -> tuple[CornerInfo, ...]:
@@ -1019,11 +1059,12 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
 
     segs: list[Segment] = []
     spans: list[float] = []
-    for idx, (u, v, zj) in enumerate(intervals):
+    ends = curve.points(np.array([(u, v) for u, v, _ in intervals])).tolist()
+    for idx, ((u, v, zj), (at_u, at_v)) in enumerate(zip(intervals, ends)):
         # the curve runs counterclockwise with its exterior on its right, so the arc about zj that
         # stays outside it turns counterclockwise from gamma(u) to gamma(v)
-        th_a = float(np.angle(curve.point(u) - zj))
-        sweep = (float(np.angle(curve.point(v) - zj)) - th_a) % TWO_PI
+        th_a = float(np.angle(at_u - zj))
+        sweep = (float(np.angle(at_v - zj)) - th_a) % TWO_PI
         if sweep < 1e-9:
             return None
         arc = ArcSegment(zj, eps, th_a, th_a + sweep)

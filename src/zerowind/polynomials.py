@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import curves as _curves
-from ._numeric import WindingNotResolved, adaptive_winding
+from ._numeric import WindingNotResolved, adaptive_winding, polynomial_roots
 from .errors import DegreeZero, NoConvergence, NonIntegerWinding, ZeroOnCurve
 
 # min sampled |f| must exceed LIFT_OFF_FACTOR * band * max sampled |f'| for
@@ -302,10 +302,7 @@ def find_roots(f: Polynomial) -> RootSet:
     """
     if f.degree < 1:
         raise ValueError("root finding needs degree >= 1")
-    try:
-        raw = np.roots(np.array(f.coeffs[::-1], dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"companion eigenproblem failed: {exc}") from exc
+    raw = polynomial_roots(np.array(f.coeffs, dtype=complex))
     if len(raw) != f.degree or not np.all(np.isfinite(raw)):
         raise NoConvergence("companion eigenproblem returned an invalid root set")
 

@@ -6,6 +6,8 @@ combinatorics, brute-force dense scans instead of adaptive refinement, and
 exact vector geometry for polygon angles.  The ``reference_*`` and ``full_*``
 functions are plain forms of library kernels, most of them verbatim copies of
 earlier, slower forms, which the faster forms must match bit for bit.
+``full_matrix_diameter`` is the diameter over the whole distance table, and
+``pointwise_preimage_values`` evaluates preimages one point at a time.
 ``reference_laurent_points`` and ``reference_laurent_derivs`` build a trig
 segment's Laurent coefficients one harmonic at a time; the earlier cosine and
 sine series, ``reference_trig_series``, stay as a second float oracle, checked
@@ -452,3 +454,22 @@ def sampled_inside(curve, p: complex) -> str:
     if abs(turns - w) > 0.01 or w not in (0, 1):
         raise AmbiguousClassification(f"winding around {p} is {turns:.6f}")
     return "inside" if w == 1 else "outside"
+
+
+def segment_probes(segments) -> np.ndarray:
+    """Each segment's points at 64 evenly spaced local parameters, segment after segment: what a curve's diameter is taken over."""
+    return np.concatenate([seg.points(np.linspace(0.0, 1.0, 64)) for seg in segments])
+
+
+def full_matrix_diameter(points) -> float:
+    """The largest entry of the full n x n table of |p_i - p_j|, as ``JordanCurve.from_segments`` took its diameter before it was blocked."""
+    return float(np.max(np.abs(points[:, None] - points[None, :])))
+
+
+def pointwise_preimage_values(f, curve, ts) -> list[tuple[float, complex, complex]]:
+    """(t, gamma(t), f(gamma(t))) for each t, one ``curve.point`` and one ``f`` call per point, as ``count_preimages`` first did."""
+    out = []
+    for t in ts:
+        z = curve.point(t)
+        out.append((float(t), complex(z), complex(f(z))))
+    return out

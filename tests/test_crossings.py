@@ -21,10 +21,12 @@ from zerowind import (
     radial_trig_curve,
     run_harness,
     square,
+    trig_curve_from_complex_fourier,
+    unit_circle,
 )
 from zerowind.harness import HarnessConfig
 
-from oracles import dense_line_crossing_count, sympy_segment_residual_roots
+from oracles import dense_line_crossing_count, pointwise_preimage_values, sympy_segment_residual_roots
 
 TWO_PI = 2 * np.pi
 
@@ -295,6 +297,84 @@ class TestRootCount:
         assert run_harness(cfg).min_slack == 1
         monkeypatch.setattr(zerowind.crossings, "MERGE_RADIUS", 1e-9)
         assert run_harness(cfg).min_slack == 2
+
+
+def _three_mark_composite() -> JordanCurve:
+    """The unit circle rerouted around three points: three splice arcs and four arcs of the base circle.
+
+    The stretch from the last mark to the first passes t = 0, where the
+    circle's one segment begins, so it is cut in two.
+    """
+    marks = [np.exp(1j * a) for a in (0.5, 2.5, 4.5)]
+    return build_detour(unit_circle(), marks, eps_schedule=[0.1]).composite
+
+
+def _bits(rows) -> bytes:
+    return np.array([complex(x) for row in rows for x in row]).tobytes()
+
+
+class TestSharedAndBatchedWork:
+    """One residual solve per circle, and one evaluation of the curve and of f per count."""
+
+    def test_arcs_of_one_circle_share_one_solve(self, monkeypatch):
+        composite = _three_mark_composite()
+        base = [seg for seg in composite.segments if seg.radius == 1.0]
+        assert (len(composite.segments), len(base)) == (7, 4)
+        f = Polynomial.from_roots([0.2, -0.5j, 1.5 + 0.3j])
+        original, calls = np.roots, []
+
+        def counted(p):
+            calls.append(1)
+            return original(p)
+
+        monkeypatch.setattr(np, "roots", counted)
+        pre = count_preimages(f, composite, Line(0.3), zeros=ZeroReport.empty())
+        # one solve for the base circle's four arcs and one per splice arc; one per segment took 7
+        assert len(calls) == 4
+        assert pre.count == dense_line_crossing_count(f, composite, Line(0.3), samples=200_000)
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # f = z meets the real axis at the diamond's corners, t = 0 and the break 0.5
+            (polygon([1, 1j, -1, -1j]), (0.0, 1.0), 0.0),
+            # 1e-12 lower, just past the break 0.5 and at t just under 1.0
+            (polygon([1, 1j, -1, -1j]), (1e-12j, 1.0), 0.0),
+            (square(0.3j, 2.0), (0.4, -1.1, 0.2j, 1.0), 0.7),
+            (unit_circle(), (0.0,) * 5 + (1.0,), 0.25),
+            (radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]), (-0.1, 0.3j, 0.0, 1.0), 1.2),
+            ("composite", (0.1, -0.3, 0.0, 0.5j, 1.0), 0.3),
+        ],
+        ids=["corners", "break-and-end", "square", "circle", "trig", "composite"],
+    )
+    def test_batched_points_equal_the_pointwise_ones(self, case):
+        curve, coeffs, angle = case
+        curve = _three_mark_composite() if curve == "composite" else curve
+        f = Polynomial(coeffs)
+        pre = count_preimages(f, curve, Line(angle))
+        assert pre.count > 0
+        ts = [p.t for p in pre.points]
+        got = [(p.t, p.z, p.value) for p in pre.points]
+        assert _bits(got) == _bits(pointwise_preimage_values(f, curve, ts))
+
+    def test_the_break_and_end_cases_reach_both(self):
+        diamond = polygon([1, 1j, -1, -1j])
+        assert [p.t for p in count_preimages(Polynomial((0.0, 1.0)), diamond, Line(0.0)).points] == [0.0, 0.5]
+        ts = [p.t for p in count_preimages(Polynomial((1e-12j, 1.0)), diamond, Line(0.0)).points]
+        assert 0.5 < ts[0] < 0.5 + 1e-9 and 1.0 - 1e-9 < ts[1] < 1.0
+
+
+class TestNegligibleHarmonics:
+    """A harmonic under the rounding of sum_k |c_k| takes no part in the root solves."""
+
+    @pytest.mark.parametrize("tiny", [1e-20, 1e-40, 1e-80, 1e-160, 5e-324])
+    def test_count_around_the_ellipse(self, tiny):
+        # the ellipse winds once around f's root 0.3, so the line meets f's image twice;
+        # a top harmonic of 1e-80 or 1e-160 gave 0, and a subnormal one raised LinAlgError
+        f, line = Polynomial((-0.3, 1.0)), Line(0.4)
+        ellipse = trig_curve_from_complex_fourier({1: 1.0, -1: 0.3})
+        assert count_preimages(f, ellipse, line).count == 2
+        assert count_preimages(f, trig_curve_from_complex_fourier({1: 1.0, -1: 0.3, 2: tiny}), line).count == 2
 
 
 class TestDiscPreimages:

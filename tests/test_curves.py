@@ -4,7 +4,7 @@ from functools import cache
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zerowind._numeric
@@ -12,9 +12,11 @@ import zerowind.curves
 from zerowind import (
     AmbiguousClassification,
     ArcSegment,
+    DetourFailed,
     JordanCurve,
     Line,
     LineSegment,
+    NoConvergence,
     Polynomial,
     TrigSegment,
     build_detour,
@@ -26,6 +28,7 @@ from zerowind import (
     polygon,
     radial_trig_curve,
     square,
+    trig_curve_from_complex_fourier,
     unit_circle,
     verify_detour,
     verify_trig,
@@ -34,7 +37,7 @@ from zerowind import (
 from zerowind.curves import GRID_SAMPLES, classify_points, nearest_parameter
 from zerowind.harness import HarnessConfig, random_instance, run_harness
 
-from oracles import polygon_interior_angle, sampled_inside
+from oracles import full_matrix_diameter, polygon_interior_angle, sampled_inside, segment_probes
 
 TWO_PI = 2 * np.pi
 
@@ -389,6 +392,90 @@ class TestAnnulusLocation:
     def test_arcs_and_lines_never_reach_the_annulus(self):
         for curve, points, _ in _located_point_sets()[:3]:
             assert zerowind.curves._annulus_kinds(curve, np.array(points), curve.default_band(), curve.extent()) is None
+
+
+class TestNegligibleHarmonics:
+    """A harmonic under the rounding of sum_k |c_k| takes no part in nearest points or windings."""
+
+    def test_every_point_of_the_ellipse_is_located(self):
+        # the ellipse x = 1.3 cos t, y = 0.7 sin t; 1e-185 and 1e-130 underflowed
+        # the nearest-point polynomial's leading coefficient, and np.roots raised LinAlgError
+        ellipse = trig_curve_from_complex_fourier({1: 1.0, -1: 0.3, 2: 1e-185, -2: 1e-130j})
+        got = classify_points(ellipse, [0.3, 0.9, 1.9, 1.3, -0.7j])
+        assert [loc.kind for loc in got] == ["inside", "inside", "outside", "on-curve", "on-curve"]
+        assert (got[3].t, got[4].t) == (0.0, 0.75)
+
+    def test_winding_of_the_cut_curve(self):
+        # z = e^{-it} + 0.5i e^{it} + 4e-185i e^{2it}, t from 0 to -2 pi, runs counterclockwise;
+        # the roots of w^2 (z - 0.499) put the winding of the cut curve around 0.499 at -1
+        seg = _trig_segment({-1: 1.0, 1: 0.5j, 2: 4e-185j}, 0.0, -TWO_PI)
+        whole = JordanCurve.from_segments([seg])
+        cut = JordanCurve.from_segments([seg.subsegment(0.0, 0.5), seg.subsegment(0.5, 1.0)])
+        for curve in (whole, cut):
+            assert _location_by_winding(curve, 0.499) == "inside"
+            assert _location_by_winding(curve, 1.6) == "outside"
+
+    def test_segments_without_them_keep_their_coefficients(self):
+        seg = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]).segments[0]
+        assert seg._root_coefficients is seg._coefficients
+        ellipse = trig_curve_from_complex_fourier({1: 1.0, -1: 0.3, 2: 1e-80}).segments[0]
+        assert ellipse._root_coefficients.tolist() == ellipse._coefficients[1:-1].tolist()  # c_-1, c_0, c_1
+
+    def test_underflowing_nearest_point_polynomial_raises_a_typed_error(self):
+        # no harmonic is negligible here, but the products of 1e-158 coefficients underflow
+        tiny = trig_curve_from_complex_fourier({1: 1e-158, -1: 3e-159, 2: 1e-159})
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoConvergence):
+            classify_points(tiny, [9e-159])
+
+
+class TestDiameter:
+    """The blocked diameter is the float of the full distance table."""
+
+    @staticmethod
+    @st.composite
+    def _circle_chains(draw):
+        """1 to 12 arcs, chords and trig arcs between increasing angles on one circle: a convex, counterclockwise curve."""
+        n = draw(st.integers(1, 12))
+        center = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+        radius = draw(st.floats(0.01, 5.0))
+        gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=n, max_size=n)))
+        angles = draw(st.floats(0.0, TWO_PI)) + TWO_PI * np.concatenate([[0.0], np.cumsum(gaps)]) / gaps.sum()
+        kinds = draw(st.lists(st.sampled_from(["arc", "line", "trig"]), min_size=n, max_size=n))
+        if n < 3 and "arc" not in kinds and "trig" not in kinds:
+            kinds[0] = "arc"  # two chords between the same two points enclose nothing
+        segs = []
+        for kind, a0, a1 in zip(kinds, angles[:-1].tolist(), angles[1:].tolist()):
+            if kind == "arc":
+                segs.append(ArcSegment(center, radius, a0, a1))
+            elif kind == "line":
+                segs.append(LineSegment(center + radius * np.exp(1j * a0), center + radius * np.exp(1j * a1)))
+            else:
+                segs.append(TrigSegment((center.real, radius, 0.0), (center.imag, 0.0, radius), a0, a1))
+        return segs
+
+    @given(_circle_chains())
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_chains_of_arcs_lines_and_trig_segments(self, segs):
+        assert JordanCurve.from_segments(segs).diameter == full_matrix_diameter(segment_probes(segs))
+
+    @given(st.sampled_from(["circle", "square"]), st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3))
+    @settings(max_examples=30, deadline=None, database=None)
+    def test_detour_composites(self, kind, ts):
+        curve = circle(0.3 - 0.2j, 1.3) if kind == "circle" else square(0.1j, 2.0)
+        zs = list(dict.fromkeys(curve.points(np.array(ts)).tolist()))
+        try:
+            composite = build_detour(curve, zs).composite
+        except DetourFailed:
+            assume(False)
+        assert composite.diameter == full_matrix_diameter(segment_probes(composite.segments))
+
+    @given(st.integers(1, 300), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None, database=None)
+    def test_any_number_of_points(self, n, seed):
+        # from_segments always probes 64 points per segment; other sizes end in a partial block
+        rng = np.random.default_rng(seed)
+        pts = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert zerowind.curves._diameter(pts) == full_matrix_diameter(pts)
 
 
 class TestWorkBudget:
