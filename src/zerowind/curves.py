@@ -77,6 +77,10 @@ class ArcSegment:
         """The angle of each of ps - center, measured along the sweep from angle0, in [0, 2 pi)."""
         return (np.sign(self.angle1 - self.angle0) * (np.angle(np.asarray(ps) - self.center) - self.angle0)) % TWO_PI
 
+    def _sweeps(self, ps):
+        """True for each of ps whose angle about the center the arc sweeps past."""
+        return self._ahead(ps) <= abs(self.angle1 - self.angle0)
+
     @cached_property
     def _coefficients(self) -> np.ndarray:
         """The arc z = c + R w as the coefficients 0, c, R of w z(w), ascending in w = e^{i angle}."""
@@ -372,6 +376,8 @@ def _segment_end(seg) -> complex:
 
 
 def segment_from_json(obj: dict) -> Segment:
+    if not isinstance(obj, dict):
+        raise ValueError(f"a segment must be a JSON object, not {obj!r}")
     kind = obj.get("kind")
     if kind == "arc":
         return ArcSegment(complex(*obj["center"]), float(obj["radius"]), float(obj["from"]), float(obj["to"]))
@@ -598,18 +604,15 @@ def _find_corners(segs: tuple[Segment, ...], breaks: tuple[float, ...]) -> tuple
     return tuple(corners)
 
 
-def _splits(p: complex, q: complex, r: complex, s: complex) -> bool:
-    """True when r and s lie strictly on opposite sides of the line through p and q."""
-    d = q - p
-    a = d.real * (r - p).imag - d.imag * (r - p).real
-    b = d.real * (s - p).imag - d.imag * (s - p).real
-    return (a < 0.0 < b) or (b < 0.0 < a)
+def _lines_meet(a: LineSegment, b: LineSegment) -> bool:
+    """True when two straight segments share a point.
 
-
-def _lines_cross(a: LineSegment, b: LineSegment) -> bool:
-    """True when two straight segments cross properly: each one's ends lie strictly on both sides of the other."""
-    p, q, r, s = a.start_point, a.end_point, b.start_point, b.end_point
-    return _splits(p, q, r, s) and _splits(r, s, p, q)
+    The ends of each are not both strictly on one side of the other's line, and the bounding boxes overlap, which
+    settles collinear segments and keeps apart pieces of one slanted side that rounding puts ulps off each other's line.
+    """
+    ends = np.array([[a.start_point, a.end_point], [b.start_point, b.end_point]])
+    sides = [np.sign(((q - p).conjugate() * (ends[1 - i] - p)).imag).prod() for i, (p, q) in enumerate(ends)]
+    return max(sides) <= 0.0 and all(xy.min(axis=1).max() <= xy.max(axis=1).min() for xy in (ends.real, ends.imag))
 
 
 def _arc_meets_line(arc: ArcSegment, line: LineSegment) -> bool:
@@ -626,18 +629,35 @@ def _arc_meets_line(arc: ArcSegment, line: LineSegment) -> bool:
         return False
     s = (-half_b + np.array([-1.0, 1.0]) * np.sqrt(disc)) / dd
     s = s[(0.0 <= s) & (s <= 1.0)]
-    return bool((arc._ahead(line.points(s)) <= abs(arc.angle1 - arc.angle0)).any())
+    return bool(arc._sweeps(line.points(s)).any())
 
 
-def _segments_cross(a: Segment, b: Segment) -> bool:
-    """True when two straight segments cross properly or an arc meets a straight segment; False for other kinds."""
-    if isinstance(a, LineSegment) and isinstance(b, LineSegment):
-        return _lines_cross(a, b)
+def _arcs_meet(a: ArcSegment, b: ArcSegment) -> bool:
+    """True when two arcs share a point.
+
+    Arcs of one circle meet when an end of one lies on the other's sweep.  Other circles, centres D apart along the unit
+    vector u, meet at c_a + (x +- i y) u, x = (R_a^2 - R_b^2 + D^2) / 2D, y^2 = R_a^2 - x^2 >= 0, if both arcs sweep it.
+    """
+    if a.center == b.center:
+        ends = (0.0, 1.0)
+        return a.radius == b.radius and bool(a._sweeps(b.points(ends)).any() or b._sweeps(a.points(ends)).any())
+    d = b.center - a.center
+    x = (a.radius**2 - b.radius**2 + abs(d) ** 2) / (2.0 * abs(d))
+    if x * x > a.radius**2:
+        return False
+    ps = a.center + (x + np.array([-1j, 1j]) * np.sqrt(a.radius**2 - x * x)) * (d / abs(d))
+    return bool((a._sweeps(ps) & b._sweeps(ps)).any())
+
+
+def _segments_meet(a: Segment, b: Segment) -> bool:
+    """True when two straight segments or arcs share a point; False when either is a trig segment."""
+    if isinstance(a, LineSegment) and isinstance(b, ArcSegment):
+        a, b = b, a
+    if isinstance(a, ArcSegment) and isinstance(b, ArcSegment):
+        return _arcs_meet(a, b)
     if isinstance(a, ArcSegment) and isinstance(b, LineSegment):
         return _arc_meets_line(a, b)
-    if isinstance(a, LineSegment) and isinstance(b, ArcSegment):
-        return _arc_meets_line(b, a)
-    return False
+    return isinstance(a, LineSegment) and isinstance(b, LineSegment) and _lines_meet(a, b)
 
 
 def _turning_number(pts: np.ndarray) -> float:
@@ -691,19 +711,16 @@ def _first_harmonic_dominates(seg: Segment) -> bool:
 
 
 def _check_simple(curve: JordanCurve) -> None:
-    """Desk-scale simplicity test, one flow for every curve.
+    """Simplicity test, one flow for every curve.
 
     A single full-turn trig segment whose first harmonic dominates is
     simple by ``_first_harmonic_dominates``.  Any other curve with a trig
     segment, cut into however many pieces, must have a grid polygon that
     turns once, which rejects a limaçon's inner loop (two turns) and a
-    figure eight (none).  Then non-adjacent segments must not cross, and
-    their 96 samples each must stay a default band apart.  Sampling can
-    miss a crossing between samples, so two straight segments are tested
-    for a proper crossing by the signs of their orientations, and an arc
-    and a straight segment for a common point by the roots of a quadratic
-    (``_segments_cross``).  A curve of fewer than four segments has no
-    non-adjacent pair.
+    figure eight (none).  Then no two non-adjacent segments may share a
+    point, decided exactly for arcs and straight segments by ``_segments_meet``
+    (a pair with a trig segment is not tested).  A curve of fewer than four
+    segments has no non-adjacent pair.
     """
     segs = curve.segments
     if len(segs) == 1 and _first_harmonic_dominates(segs[0]):
@@ -712,17 +729,12 @@ def _check_simple(curve: JordanCurve) -> None:
         turns = _turning_number(curve.grid(GRID_SAMPLES))
         if not abs(turns - 1.0) < 0.5:
             raise ValueError(f"curve self-intersects (turning number {turns:.3f})")
-    k, band = len(segs), curve.default_band()
-    s = np.linspace(0.0, 1.0, 96)
-    samples = [seg.points(s) for seg in segs]
+    k = len(segs)
     for i in range(k):
         # j runs over the segments after i that do not touch it; the last one touches the first
         for j in range(i + 2, k - (i == 0)):
-            if _segments_cross(segs[i], segs[j]):
+            if _segments_meet(segs[i], segs[j]):
                 raise ValueError(f"curve self-intersects (segments {i} and {j} cross)")
-            dmin = np.min(np.abs(samples[i][:, None] - samples[j][None, :]))
-            if dmin < band:
-                raise ValueError(f"curve nearly self-intersects (segments {i} and {j}, distance {dmin:.3g})")
 
 
 # ---------------------------------------------------------------------------
@@ -1105,7 +1117,7 @@ def build_detour(
 
     Tries each radius in the schedule until the discs are pairwise disjoint,
     each disc boundary crosses the curve exactly twice, and the spliced curve
-    is closed, simple at sample resolution, positively oriented, and strictly
+    is closed, simple, positively oriented, and strictly
     encloses every listed point.  Raises ValueError when a point is listed
     twice or lies off the curve, and DetourFailed when the schedule is
     exhausted.

@@ -44,16 +44,17 @@ class HarnessConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "HarnessConfig":
-        known = {"trials", "max_degree", "curve_family", "seed"}
-        extra = set(obj) - known
+        if not isinstance(obj, dict):
+            raise ValueError(f"a harness config must be a JSON object, not {obj!r}")
+        extra = set(obj) - {"trials", "max_degree", "curve_family", "seed"}
         if extra:
             raise ValueError(f"unknown harness config keys: {sorted(extra)}")
-        return cls(
-            trials=int(obj.get("trials", 100)),
-            max_degree=int(obj.get("max_degree", 6)),
-            curve_family=str(obj.get("curve_family", "circle")),
-            seed=int(obj.get("seed", 0)),
-        )
+        counts = {key: obj.get(key, getattr(cls, key)) for key in ("trials", "max_degree", "seed")}
+        for key, value in counts.items():
+            if not (type(value) is int or type(value) is float and value.is_integer()):
+                raise ValueError(f"{key} must be an integer, not {value!r}")
+        family = str(obj.get("curve_family", cls.curve_family))
+        return cls(curve_family=family, **{key: int(value) for key, value in counts.items()})
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,9 @@ the earlier nearest-point search, which the closed forms on every segment kind
 must match up to rounding.  The termwise cosine scan is the rule of an earlier
 sampled zero count, and ``sympy_cosine_zero_count`` counts the same zeros by
 sympy's exact real-root isolation, as ``sympy_segment_residual_roots`` does
-for the line residual on one straight segment.
+for the line residual on one straight segment.  ``dense_chain`` and
+``polyline_chain_meeting`` decide whether a closed chain of arcs and straight
+pieces meets itself from 8193 samples per piece, with no library code.
 """
 
 from __future__ import annotations
@@ -473,3 +475,91 @@ def pointwise_preimage_values(f, curve, ts) -> list[tuple[float, complex, comple
         z = curve.point(t)
         out.append((float(t), complex(z), complex(f(z))))
     return out
+
+
+def dense_chain(pieces, samples: int = 8192) -> list[np.ndarray]:
+    """Dense polylines of a closed chain of straight pieces and circular arcs, one per piece.
+
+    Each piece is (start, end, sweep).  Sweep 0 is the straight segment; any
+    other sweep is the arc that turns by it (counterclockwise when positive)
+    about the centre c = (end - start e^{i sweep}) / (1 - e^{i sweep}), which
+    maps start to end.  Each polyline has samples + 1 points and keeps the
+    exact start and end.
+    """
+    s = np.linspace(0.0, 1.0, samples + 1)
+    lines = []
+    for start, end, sweep in pieces:
+        if sweep == 0.0:
+            pts = start + s * (end - start)
+        else:
+            turn = np.exp(1j * sweep)
+            c = (end - start * turn) / (1.0 - turn)
+            pts = c + (start - c) * np.exp(1j * sweep * s)
+        pts[0], pts[-1] = start, end
+        lines.append(pts)
+    return lines
+
+
+def _side(o, a, b):
+    """The sign of the cross product (a - o) x (b - o): which side of the line through o and a b lies on."""
+    return np.sign((a - o).real * (b - o).imag - (a - o).imag * (b - o).real)
+
+
+def _point_to_edge(x, p, q):
+    """The distance from each x to the closed edge from p to q."""
+    d = q - p
+    t = np.clip(((x - p).real * d.real + (x - p).imag * d.imag) / (d.real**2 + d.imag**2), 0.0, 1.0)
+    return np.abs(x - (p + t * d))
+
+
+def _blocks(pts, size):
+    """The polyline cut into runs of ``size`` edges, with each run's bounding box as (low, high) corner arrays."""
+    runs = [pts[i : i + size + 1] for i in range(0, len(pts) - 1, size)]
+    low = np.array([[r.real.min(), r.imag.min()] for r in runs])
+    high = np.array([[r.real.max(), r.imag.max()] for r in runs])
+    return runs, low, high
+
+
+def polyline_chain_meeting(polylines, near: float = 1e-3, size: int = 64) -> tuple[bool, float]:
+    """Whether two non-adjacent polylines of a closed chain share a point, and how near the others come.
+
+    Returns (meets, closest): meets is True when an edge of one polyline and
+    an edge of a non-adjacent one share a point, that is, each edge's ends
+    lie on both sides of the other's line or on it and their bounding boxes
+    overlap.  closest is the least distance between non-adjacent polylines
+    that share no point, the least of the end-to-edge distances of their
+    edges, or ``near`` when none comes within ``near``.  Only runs of
+    ``size`` edges whose boxes come within ``near`` of each other are
+    compared edge by edge.
+    """
+    k = len(polylines)
+    blocks = [_blocks(pts, size) for pts in polylines]
+    meets, closest = False, near
+    for i in range(k):
+        for j in range(i + 2, k - (i == 0)):
+            (runs_a, low_a, high_a), (runs_b, low_b, high_b) = blocks[i], blocks[j]
+            gap = np.maximum(0.0, np.maximum(low_a[:, None] - high_b[None], low_b[None] - high_a[:, None]))
+            pair_meets, pair_closest = False, near
+            for a, b in np.argwhere(np.hypot(gap[..., 0], gap[..., 1]) < near):
+                ra, rb = runs_a[a], runs_b[b]
+                p, q = ra[:-1, None], ra[1:, None]
+                r, s = rb[None, :-1], rb[None, 1:]
+                boxes = np.ones(p.shape[0:1] + r.shape[1:], dtype=bool)
+                for part in (np.real, np.imag):
+                    boxes &= np.maximum(np.minimum(part(p), part(q)), np.minimum(part(r), part(s))) <= np.minimum(
+                        np.maximum(part(p), part(q)), np.maximum(part(r), part(s))
+                    )
+                touch = (_side(p, q, r) * _side(p, q, s) <= 0) & (_side(r, s, p) * _side(r, s, q) <= 0) & boxes
+                if touch.any():
+                    pair_meets = True
+                    break
+                ends = np.minimum(
+                    np.minimum(_point_to_edge(p, r, s), _point_to_edge(q, r, s)),
+                    np.minimum(_point_to_edge(r, p, q), _point_to_edge(s, p, q)),
+                )
+                pair_closest = min(pair_closest, float(ends.min()))
+            if pair_meets:
+                meets = True
+            else:
+                closest = min(closest, pair_closest)
+    return meets, closest

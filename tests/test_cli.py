@@ -199,8 +199,9 @@ class TestHarnessCommand:
             lambda inst: inst.pop("curve"),
             lambda inst: inst["planted"].pop("bound"),
             lambda inst: inst.update(line=0.3),  # an angle without its {"angle": ...} object
+            lambda inst: inst.update(curve={"segments": [1]}),  # a segment that is not an object
         ],
-        ids=["no-curve", "no-bound", "bare-line"],
+        ids=["no-curve", "no-bound", "bare-line", "number-segment"],
     )
     def test_malformed_replay_exits_2(self, tmp_path, drop, capsys, monkeypatch):
         import zerowind.harness
@@ -219,6 +220,19 @@ class TestHarnessCommand:
         monkeypatch.setattr(zerowind.harness, "count_preimages", count)
         assert cli.main(["harness", "--replay", rf]) == 2
         assert f"bad replay file {rf}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config, reason",
+        [
+            ([], "a harness config must be a JSON object, not []"),
+            ({"trials": 1.5}, "trials must be an integer, not 1.5"),
+        ],
+        ids=["list", "fractional-trials"],
+    )
+    def test_malformed_config_exits_2(self, tmp_path, config, reason, capsys):
+        # the list crashed with an AttributeError (exit 1, read as a violation); 1.5 trials ran one
+        assert cli.main(["harness", "--config", write_json(tmp_path / "h.json", config)]) == 2
+        assert f"bad harness config: {reason}" in capsys.readouterr().err
 
     def test_needs_exactly_one_input(self, capsys):
         assert cli.main(["harness"]) == 2
@@ -330,6 +344,13 @@ class TestInputErrors:
             cli.main(argv + ["--poly", cube_poly])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("segments", [[1], "ab"], ids=["number", "string"])
+    def test_segment_not_an_object_exits_2(self, tmp_path, cube_poly, segments, capsys):
+        # each segment was read with .get, so these crashed with an AttributeError (exit 1)
+        curve = write_json(tmp_path / "curve.json", {"segments": segments})
+        assert cli.main(["count-zeros", "--poly", cube_poly, "--curve", curve]) == 2
+        assert "a segment must be a JSON object" in capsys.readouterr().err
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

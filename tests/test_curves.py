@@ -37,7 +37,14 @@ from zerowind import (
 from zerowind.curves import GRID_SAMPLES, classify_points, nearest_parameter
 from zerowind.harness import HarnessConfig, random_instance, run_harness
 
-from oracles import full_matrix_diameter, polygon_interior_angle, sampled_inside, segment_probes
+from oracles import (
+    dense_chain,
+    full_matrix_diameter,
+    polygon_interior_angle,
+    polyline_chain_meeting,
+    sampled_inside,
+    segment_probes,
+)
 
 TWO_PI = 2 * np.pi
 
@@ -701,6 +708,31 @@ class TestInteriorAngle:
         assert stadium.corners == ()
 
 
+def _arc(start: complex, end: complex, sweep: float) -> ArcSegment:
+    """The arc from start to end that turns by sweep (counterclockwise when positive) about its centre."""
+    turn = np.exp(1j * sweep)
+    c = (end - start * turn) / (1.0 - turn)
+    return ArcSegment(c, abs(start - c), np.angle(start - c), np.angle(start - c) + sweep)
+
+
+def _edges(vertices) -> list[LineSegment]:
+    return [LineSegment(vertices[i - 1], vertices[i]) for i in range(1, len(vertices))] + [
+        LineSegment(vertices[-1], vertices[0])
+    ]
+
+
+@st.composite
+def _closed_chains(draw):
+    """4-8 pieces between vertices at increasing angles around 0, each straight or an arc turning by up to 5.5."""
+    k = draw(st.integers(4, 8))
+    gaps = np.array(draw(st.lists(st.floats(0.2, 1.0), min_size=k, max_size=k)))
+    radii = draw(st.lists(st.floats(0.3, 1.7), min_size=k, max_size=k))
+    verts = [r * np.exp(1j * a) for r, a in zip(radii, TWO_PI * np.cumsum(gaps) / gaps.sum())]
+    sweep = st.one_of(st.just(0.0), st.floats(0.3, 5.5), st.floats(-5.5, -0.3))
+    sweeps = draw(st.lists(sweep, min_size=k, max_size=k))
+    return [(verts[i], verts[(i + 1) % k], s) for i, s in enumerate(sweeps)]
+
+
 class TestConstruction:
     def test_clockwise_auto_reversed_with_warning(self):
         with pytest.warns(UserWarning):
@@ -729,11 +761,64 @@ class TestConstruction:
             JordanCurve.from_segments(segs)
 
     @pytest.mark.filterwarnings("ignore:clockwise curve reversed")
-    @pytest.mark.parametrize("vertices", [[0, 2 + 1j, 2, 1j], [0, 1 + 1j, 1, 1j]], ids=["crossed", "bowtie"])
-    def test_crossing_edges_rejected(self, vertices):
-        # the crossings fall between the 96 samples per edge, which once let both through
-        with pytest.raises(ValueError, match="self-intersects"):
-            polygon(vertices)
+    @pytest.mark.parametrize(
+        "segments",
+        [
+            _edges([0, 2 + 1j, 2, 1j]),
+            _edges([0, 1 + 1j, 1, 1j]),
+            [_arc(0, 1 + 1j, 0.3), LineSegment(1 + 1j, 1), _arc(1, 1j, 0.3), LineSegment(1j, 0)],
+            _edges([0, 2, 2 + 2j, 1 + 2j, 1, 0.5 + 2j, 2j]),
+            _edges([0, 1, 1 + 1j, 0, -1, -1 - 1j]),
+            [
+                ArcSegment(0, 1.0, -np.pi / 4, np.pi / 4),
+                LineSegment(np.exp(0.25j * np.pi), 2 + np.exp(0.75j * np.pi)),
+                ArcSegment(2, 1.0, 0.75 * np.pi, 1.25 * np.pi),
+                LineSegment(2 + np.exp(1.25j * np.pi), np.exp(-0.25j * np.pi)),
+            ],
+            [
+                ArcSegment(0, 1.0, 0.0, np.pi),
+                LineSegment(-1, np.exp(0.75j * np.pi)),
+                ArcSegment(0, 1.0, 0.75 * np.pi, 0.25 * np.pi),
+                LineSegment(np.exp(0.25j * np.pi), 1),
+            ],
+        ],
+        ids=["crossed", "bowtie", "arc-bowtie", "t-touch", "repeated-vertex", "tangent-arcs", "one-circle-overlap"],
+    )
+    def test_crossing_edges_rejected(self, segments):
+        # non-adjacent segments that share a point: the two arcs of the arc bowtie cross between the 96
+        # samples per segment that were once compared; the vertex 1 of the t-touch lies on the edge from 0 to
+        # 2; the repeated vertex 0 was caught only by two samples coinciding; the arcs about 0 and 2 touch at
+        # 1; the second arc about 0 runs back over the first
+        with pytest.raises(ValueError, match=r"self-intersects \(segments \d+ and \d+ cross\)"):
+            JordanCurve.from_segments(segments)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(_closed_chains())
+    def test_rejected_exactly_when_dense_polylines_meet(self, pieces):
+        # the oracle samples each piece at 8193 points; a chain whose non-adjacent pieces come within 1e-6
+        # without meeting is too close to touching for the polylines to settle
+        meets, closest = polyline_chain_meeting(dense_chain(pieces))
+        assume(closest >= 1e-6)
+        segs = [LineSegment(p, q) if sweep == 0.0 else _arc(p, q, sweep) for p, q, sweep in pieces]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a clockwise chain is reversed first
+            try:
+                JordanCurve.from_segments(segs)
+                rejected = False
+            except ValueError as exc:
+                assume("cusp" not in str(exc))
+                assert "self-intersects (segments" in str(exc)
+                rejected = True
+        assert rejected == meets
+
+    def test_two_detours_on_one_slanted_side_build(self):
+        # three pieces of the side from 0 to 3 + i, which rounding puts ulps off each other's line, are
+        # non-adjacent pairs of the composite; they must not read as meeting
+        base = polygon([0, 3 + 1j, 2 + 3j, -1 + 2j])
+        marks = [0.3 * (3 + 1j), 0.7 * (3 + 1j)]
+        composite = build_detour(base, marks).composite
+        assert sum(isinstance(seg, LineSegment) for seg in composite.segments) == 6
+        assert [loc.kind for loc in classify_points(composite, marks)] == ["inside", "inside"]
 
     def test_simple_shapes_still_build(self, unit_square, lshape):
         stadium = JordanCurve.from_segments(

@@ -61,3 +61,43 @@ def test_digest_tool_compares_with_a_saved_run(tmp_path, monkeypatch, capsys):
         "report_digests: detour seed=2",
         "report_digests: detour seed=3",
     ]
+
+
+def test_pair_tool_ends_with_a_json_record(tmp_path, monkeypatch, capsys):
+    # tools/bench_pairs.py: alternating pairs, then one JSON object with every run and each metric's verdicts
+    import importlib.util
+    import json
+
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("bench_pairs", root / "tools" / "bench_pairs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    names = [m["name"] for m in json.loads((root / "BENCHMARK.json").read_text())["end_to_end"]]
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        # the change does 10% more operations per second, and every other metric the same
+        calls.append((checkout.name, workload, seed))
+        ops = (100.0 + seed) * (1.1 if checkout.name == "change" else 1.0)
+        values = {name: ops if name == "ops_per_s" else 2.0 for name in names}
+        return {"correct": True, "failed": 0, "attempted": 10, "seed": seed,
+                "metrics": {name: {"value": v} for name, v in values.items()}}
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "head_commit", lambda checkout: f"{checkout.name}-head")
+    seeds = [str(s) for s in range(1, 11)]
+    args = [str(tmp_path / "parent"), str(tmp_path / "change"), "--workload", "detour", "--seeds", *seeds]
+    assert tool.main(args) == 0
+    record = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert [side for side, _, _ in calls[:4]] == ["parent", "change", "change", "parent"]
+    assert record["workload"] == "detour" and record["seeds"] == list(range(1, 11))
+    assert record["commits"] == {"parent": "parent-head", "change": "change-head"}
+    assert [run["seed"] for run in record["runs"]["parent"]] == list(range(1, 11))
+    assert len(record["runs"]["change"]) == 10
+    by_name = {m["metric"]: m for m in record["metrics"]}
+    assert list(by_name) == names
+    ops = by_name["ops_per_s"]
+    assert ops["parent"]["median"] == 105.5 and ops["change"]["median"] == pytest.approx(116.05)
+    assert (ops["won"], ops["lost"], ops["gain_holds"], ops["within_bound"]) == (10, 0, True, True)
+    tie = by_name["latency_p50_ms"]
+    assert (tie["won"], tie["lost"], tie["gain_holds"], tie["within_bound"]) == (0, 0, False, True)

@@ -15,6 +15,13 @@ one line gives each side's median and quartiles, the pairs the change won
 * ``within bound``: the change's median is not worse than the parent's by
   more than the metric's bound.
 
+When every run printed a result, the last line of standard output is one
+JSON object, the record of the comparison: the workload, the run length,
+the seeds, each checkout's ``git rev-parse HEAD`` (null where that fails),
+every run's result object in run order per side, and per metric both
+sides' quartiles and median, the pairs won and lost, and the two verdicts.
+Save it with ``| tail -n 1 > BENCH_<n>.json``.
+
 The exit status is 1 when a run printed no result or reported
 ``correct: false``, and 0 otherwise.  The runs take the host's full
 attention: start nothing else while they go.  This tool is not part of the
@@ -44,6 +51,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
     return json.loads(lines[-1])
 
 
+def head_commit(checkout: Path) -> str | None:
+    """``git rev-parse HEAD`` in checkout, or None where git gives none."""
+    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
+    return proc.stdout.strip() if proc.returncode == 0 else None
+
+
 def quartiles(values: list[float]) -> tuple[float, float, float]:
     """The first quartile, median and third quartile of values (one value stands for all three)."""
     if len(values) == 1:
@@ -52,8 +65,8 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summary(name: str, better: str, bound: float, parent: list[float], change: list[float]) -> str:
-    """One metric's line: both sides' quartiles, the pairs won, and the gain and bound verdicts."""
+def summary(name: str, better: str, bound: float, parent: list[float], change: list[float]) -> tuple[str, dict]:
+    """One metric's line and record: both sides' quartiles, the pairs won, and the gain and bound verdicts."""
     sign = 1.0 if better == "higher" else -1.0
     won = sum(sign * (c - p) > 0.0 for p, c in zip(parent, change))
     lost = sum(sign * (c - p) < 0.0 for p, c in zip(parent, change))
@@ -62,9 +75,13 @@ def summary(name: str, better: str, bound: float, parent: list[float], change: l
     holds = won >= 0.9 * len(parent) and gain > p3 - p1
     within = -gain <= bound * abs(pm)
     rel = gain / abs(pm) if pm else float("nan")
-    return (f"{name}: parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
+    line = (f"{name}: parent {pm:.4g} [{p1:.4g}, {p3:.4g}]  change {cm:.4g} [{c1:.4g}, {c3:.4g}]  "
             f"better by {rel:+.1%}  won {won}/{len(parent)} (lost {lost})  parent IQR {p3 - p1:.3g}  "
             f"gain {'holds' if holds else 'not shown'}  {'within' if within else 'BEYOND'} the {bound:.0%} bound")
+    record = {"metric": name, "better": better, "bound": bound,
+              "parent": {"q1": p1, "median": pm, "q3": p3}, "change": {"q1": c1, "median": cm, "q3": c3},
+              "pairs": len(parent), "won": won, "lost": lost, "gain_holds": holds, "within_bound": within}
+    return line, record
 
 
 def main(argv=None) -> int:
@@ -97,10 +114,17 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         print(f"{side} failed {sum(r['failed'] for r in results[side])} of "
               f"{sum(r['attempted'] for r in results[side])} operations")
+    metrics = []
     for metric in spec["end_to_end"]:
         name = metric["name"]
         values = {side: [r["metrics"][name]["value"] for r in results[side]] for side in results}
-        print(summary(name, metric["better"], float(metric["bound"]), values["parent"], values["change"]))
+        line, record = summary(name, metric["better"], float(metric["bound"]), values["parent"], values["change"])
+        print(line)
+        metrics.append(record)
+    record = {"workload": args.workload, "run_seconds": seconds, "seeds": args.seeds,
+              "commits": {side: head_commit(path) for side, path in sides.items()},
+              "runs": results, "metrics": metrics}
+    print(json.dumps(record, sort_keys=True))
     return status
 
 
