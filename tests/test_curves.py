@@ -715,10 +715,9 @@ def _arc(start: complex, end: complex, sweep: float) -> ArcSegment:
     return ArcSegment(c, abs(start - c), np.angle(start - c), np.angle(start - c) + sweep)
 
 
-def _edges(vertices) -> list[LineSegment]:
-    return [LineSegment(vertices[i - 1], vertices[i]) for i in range(1, len(vertices))] + [
-        LineSegment(vertices[-1], vertices[0])
-    ]
+def _edges(vertices: list[complex]) -> list[LineSegment]:
+    """The closed polygon's edges, as ``polygon`` chains them."""
+    return [LineSegment(v, w) for v, w in zip(vertices, vertices[1:] + vertices[:1])]
 
 
 @st.composite
