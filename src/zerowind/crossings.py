@@ -241,9 +241,10 @@ def _detect(f: Polynomial, curve: JordanCurve, line: Line, zeros: ZeroReport, fl
 def _cluster(cands: list[tuple[float, int, bool]]) -> list[tuple[float, str]]:
     """Merge candidates within MERGE_RADIUS of each other, cyclically, into (t, contact) points.
 
-    A group with a zero of f sits at the zero; any other at its roots' mean.
-    Its contact is transversal where its total order is odd (h changes
-    sign), else tangential, or zero-of-f where only a zero of f is there.
+    A group with a zero of f sits at the zero, a lone root at its own t, and
+    any other group at its roots' mean.  Its contact is transversal where its
+    total order is odd (h changes sign), else tangential, or zero-of-f where
+    only a zero of f is there.
     """
     if not cands:
         return []
@@ -262,6 +263,8 @@ def _cluster(cands: list[tuple[float, int, bool]]) -> list[tuple[float, str]]:
         zero_ts = [t for t, _, is_zero in group if is_zero]
         if zero_ts:
             t = zero_ts[0]
+        elif len(group) == 1:
+            t = group[0][0]
         else:
             first = group[0][0]
             t = (first + float(np.mean([(s - first + 0.5) % 1.0 - 0.5 for s, _, _ in group]))) % 1.0

@@ -446,7 +446,11 @@ class JordanCurve:
                 raise ValueError(f"segments {i} and {(i + 1) % k} do not join (gap {gap:.3g})")
 
         curve = cls._assembled(segs, diameter)
-        if curve.signed_area() <= 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing area is refused below, not warned about
+            area = curve.signed_area()
+        if not np.isfinite(area):
+            raise ValueError(f"curve area {area} is not finite, so its orientation is unknown")
+        if area <= 0.0:
             warnings.warn("clockwise curve reversed to counterclockwise orientation", stacklevel=2)
             curve = cls._assembled(tuple(s.reversed() for s in reversed(segs)), diameter)
         _check_simple(curve)
@@ -672,14 +676,22 @@ def _turning_number(pts: np.ndarray) -> float:
 _DOMINANCE_SLACK = 1e-9
 
 
+def _sweep(seg: Segment) -> float:
+    """The signed angle of w = e^{i theta} that an arc or trig segment sweeps; 0.0 for a straight segment."""
+    if isinstance(seg, ArcSegment):
+        return seg.angle1 - seg.angle0
+    return seg.theta1 - seg.theta0 if isinstance(seg, TrigSegment) else 0.0
+
+
 def _first_harmonic(seg: Segment) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The coefficients of a trig segment sweeping exactly one full turn; None for any other segment.
+    """The coefficients of an arc or trig segment sweeping exactly one full turn; None for any other segment.
 
     They are c_-K .. c_K, their moduli, and the index of the larger of
-    |c_-1| and |c_1| (of c_1 on a tie).  The moduli come from one ``np.abs``
-    over the whole array: a scalar ``abs`` can differ from it in the last bit.
+    |c_-1| and |c_1| (of c_1 on a tie); a full circle c + R w gives 0, c, R.
+    The moduli come from one ``np.abs`` over the whole array: a scalar
+    ``abs`` can differ from it in the last bit.
     """
-    if not isinstance(seg, TrigSegment) or abs(seg.theta1 - seg.theta0) != TWO_PI:
+    if abs(_sweep(seg)) != TWO_PI:
         return None
     c = seg._coefficients
     size, k = np.abs(c), len(c) // 2
@@ -713,8 +725,8 @@ def _first_harmonic_dominates(seg: Segment) -> bool:
 def _check_simple(curve: JordanCurve) -> None:
     """Simplicity test, one flow for every curve.
 
-    A single full-turn trig segment whose first harmonic dominates is
-    simple by ``_first_harmonic_dominates``.  Any other curve with a trig
+    A single full-turn arc, or trig segment whose first harmonic dominates,
+    is simple by ``_first_harmonic_dominates``.  Any other curve with a trig
     segment, cut into however many pieces, must have a grid polygon that
     turns once, which rejects a limaçon's inner loop (two turns) and a
     figure eight (none).  Then no two non-adjacent segments may share a
@@ -863,8 +875,8 @@ _ROUNDING_GUARD = 64.0 * np.finfo(float).eps
 def classify_points(curve: JordanCurve, ps: Sequence[complex], band: float | None = None) -> list[PointLocation]:
     """Locate each of ps relative to the curve: on it (within ``band``), inside, or outside.
 
-    A curve that is one trig segment sweeping exactly one full turn first
-    places what its first-harmonic annulus settles (``_annulus_kinds``).
+    A full circle, or a curve of one trig segment sweeping exactly one turn,
+    first places what its first-harmonic annulus settles (``_annulus_kinds``).
     Every other point is located through its nearest curve point: within
     ``band`` of it, the point is on the curve.  Otherwise inside/outside is
     decided by the winding number of the curve around the point, summed in
@@ -893,13 +905,14 @@ def _annulus_kinds(curve: JordanCurve, ps: np.ndarray, band: float, extent: floa
     rho = sum_{k not in {0, s}} |c_k|: the curve lies in the annulus
     |c_s| - rho <= |z - c_0| <= |c_s| + rho.  For r = |p - c_0| below the
     inner radius, |c_s w^s| exceeds the rest of z - p on the curve, so by
-    Rouché z - p winds as c_s w^s does, nu = s sign(theta1 - theta0) times,
+    Rouché z - p winds as c_s w^s does, nu = s times the sweep's sign,
     and the curve is at least |c_s| - rho - r from p.  For r above the
     outer radius, |p - c_0| exceeds the rest and the winding is 0, at a
     distance of at least r - |c_s| - rho.  With nu = 1, the winding 1 is
     inside and 0 outside.  Any other nu places nothing, and neither does a
-    curve that is not one trig segment sweeping exactly one full turn: for
-    both the result is None.
+    curve that is not one arc or trig segment sweeping exactly one full turn:
+    for both the result is None.  A full circle has rho = 0: its annulus is
+    the circle, and a point is placed wherever it clears the allowance below.
 
     A point is placed when that distance bound clears the band and the
     rounding guard of ``_located`` by an allowance: r, rho and |c_s| are
@@ -915,7 +928,7 @@ def _annulus_kinds(curve: JordanCurve, ps: np.ndarray, band: float, extent: floa
         return None
     c, size, s = harmonic
     seg, k = curve.segments[0], len(c) // 2
-    if (s - k) * np.sign(seg.theta1 - seg.theta0) != 1:
+    if (s - k) * np.sign(_sweep(seg)) != 1:
         return None
     kinds, scale = np.full(len(ps), "", dtype=object), np.abs(ps)
     rho = size.sum() - size[k] - size[s]

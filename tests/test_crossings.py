@@ -364,6 +364,35 @@ class TestSharedAndBatchedWork:
         assert 0.5 < ts[0] < 0.5 + 1e-9 and 1.0 - 1e-9 < ts[1] < 1.0
 
 
+def _mean_placement(group: list[float]) -> float:
+    """Where ``_cluster`` put a group of segment roots before lone roots kept their own t: the wrapped mean."""
+    first = group[0]
+    return (first + float(np.mean([(s - first + 0.5) % 1.0 - 0.5 for s in group]))) % 1.0
+
+
+class TestLoneCandidates:
+    """A group of one segment root sits at that root's t, the bits the mean gave it."""
+
+    @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None, database=None)
+    def test_same_bits_as_the_mean(self, ts):
+        ts = sorted(set(ts))
+        # keep t values more than the merge radius apart, cyclically, so each is its own group
+        lone = [t for i, t in enumerate(ts) if i == 0 or t - ts[i - 1] > 2 * zerowind.crossings.MERGE_RADIUS]
+        lone = [t for t in lone if t == lone[0] or lone[0] + 1.0 - t > 2 * zerowind.crossings.MERGE_RADIUS]
+        got = zerowind.crossings._cluster([(t, 1, False) for t in lone])
+        assert [t.hex() for t, _ in got] == [_mean_placement([t]).hex() for t in lone]
+        assert {contact for _, contact in got} == {"transversal"}
+
+    @pytest.mark.parametrize("t", [0.0, 5e-324, 1e-300, 0.1, 0.5, float(np.nextafter(1.0, 0.0))])
+    def test_ends_of_the_period(self, t):
+        assert zerowind.crossings._cluster([(t, 1, False)])[0][0].hex() == _mean_placement([t]).hex()
+
+    def test_groups_of_two_still_take_the_mean(self):
+        pair = [0.3, 0.3 + 5e-8]
+        assert zerowind.crossings._cluster([(t, 1, False) for t in pair]) == [(_mean_placement(pair), "tangential")]
+
+
 class TestNegligibleHarmonics:
     """A harmonic under the rounding of sum_k |c_k| takes no part in the root solves."""
 

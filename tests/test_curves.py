@@ -396,9 +396,41 @@ class TestAnnulusLocation:
             if got in ("inside", "outside") and d > 1e-6 * diameter:
                 assert sampled_inside(one, p) == got
 
-    def test_arcs_and_lines_never_reach_the_annulus(self):
-        for curve, points, _ in _located_point_sets()[:3]:
-            assert zerowind.curves._annulus_kinds(curve, np.array(points), curve.default_band(), curve.extent()) is None
+    @given(
+        st.integers(-30, 30),
+        st.complex_numbers(max_magnitude=2.0),
+        st.floats(0.1, 2.0),
+        st.lists(st.floats(0.0, TWO_PI), min_size=7, max_size=7),
+    )
+    @settings(max_examples=80, deadline=None, database=None)
+    def test_circles_place_points_as_the_winding_does(self, k, centre, radius, directions):
+        # scaling by 2^k is exact, so the circle's coefficients 0, c, R are the drawn ones times 2^k
+        centre, radius = centre * 2.0**k, radius * 2.0**k
+        curve = circle(centre, radius)
+        band = curve.default_band()
+        offsets = (0.0, 1e-12 * radius, -1e-12 * radius, band, -band, 1e-3 * radius, -1e-3 * radius)
+        points = [centre + (radius + off) * np.exp(1j * d) for off, d in zip(offsets, directions)]
+        kinds = zerowind.curves._annulus_kinds(curve, np.array(points), band, curve.extent())
+        # on-curve and near points go to the nearest-point path; the points 1e-3 R off are placed
+        assert kinds.tolist() == [""] * 5 + ["outside", "inside"]
+        for p, kind in zip(points[5:], kinds[5:]):
+            assert _location_by_winding(curve, p) == kind == sampled_inside(curve, p)
+
+    def test_only_full_circles_reach_the_annulus(self):
+        def kinds(curve, points):
+            return zerowind.curves._annulus_kinds(curve, np.array(points), curve.default_band(), curve.extent())
+
+        circle_points = [0.2 + 0.1j, 1.5 - 0.3j, np.exp(0.7j), 1.0]
+        assert kinds(unit_circle(), circle_points).tolist() == ["inside", "outside", "", ""]
+        assert kinds(circle(0.3 + 0.2j, 0.5), [0.3 + 0.2j, 2.0, 0.8 + 0.2j]).tolist() == ["inside", "outside", ""]
+        # a clockwise circle winds -1 times, so its certificate places nothing
+        assert kinds(JordanCurve._assembled((ArcSegment(0.0, 1.0, TWO_PI, 0.0),), 2.0), circle_points) is None
+        halves = JordanCurve.from_segments([ArcSegment(0.0, 1.0, 0.0, np.pi), ArcSegment(0.0, 1.0, np.pi, TWO_PI)])
+        half_disc = JordanCurve.from_segments([ArcSegment(0.0, 1.0, 0.0, np.pi), LineSegment(-1.0, 1.0)])
+        for curve in (halves, half_disc):
+            assert kinds(curve, circle_points) is None
+        for curve, points, _ in _located_point_sets()[1:3]:  # the square and the L-shape
+            assert kinds(curve, points) is None
 
 
 class TestNegligibleHarmonics:
@@ -628,6 +660,22 @@ class TestWorkBudget:
             monkeypatch.setattr(TrigSegment, name, counted)
         report = classify_roots(Polynomial.from_roots([(r, 1) for r in roots]), trig)
         assert (report.m, report.lam, report.outside.total_multiplicity) == (4, 0, 4)
+        assert calls == []
+
+    def test_cosine_sum_roots_on_the_unit_circle_need_no_nearest_point(self, monkeypatch):
+        # the roots of a cosine sum's polynomial and of its reversal, none on the circle, are placed by the annulus
+        calls = []
+        original = zerowind.curves.nearest_parameter
+
+        def counted(curve, ps):
+            calls.append(len(ps))
+            return original(curve, ps)
+
+        monkeypatch.setattr(zerowind.curves, "nearest_parameter", counted)
+        coeffs = [0.7, -0.2, 0.45, -0.9, 0.3, 0.55]
+        for f in (Polynomial(coeffs), Polynomial(coeffs[::-1])):
+            report = classify_roots(f, unit_circle())
+            assert (report.lam, report.m + report.outside.total_multiplicity) == (0, 5)
         assert calls == []
 
     def test_one_complex_exp_per_call(self, monkeypatch):
@@ -900,6 +948,16 @@ class TestConstruction:
         assert after == before == [(0.0, 1.0)] * 2
         assert [[type(x) for x in br] for br in after] == [[type(x) for x in br] for br in before]
 
+    def test_overflowing_area_refused(self):
+        # the 1e155 curve's area overflows to -inf; it was reversed as clockwise and stored clockwise
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="curve area -inf is not finite"):
+                trig_curve_from_complex_fourier({1: 1e155, -1: 3e154, 2: 1e154})
+            curve = trig_curve_from_complex_fourier({1: 1e150, -1: 3e149, 2: 1e149})
+        assert curve.signed_area() > 0.0
+        assert sampled_inside(curve, 5e149) == "inside"
+
     def test_non_finite_segment_named(self):
         # the NaN circle was built with a NaN diameter; the others were reported as a cusp
         cases = [
@@ -1042,7 +1100,11 @@ class TestSimplicityCertificate:
         assert not dominates(cardioid(0.5 * (1.0 - 1e-12)))
         assert dominates(cardioid(0.5 * (1.0 - 1e-6)))
         assert not dominates(TrigSegment((0.0, 1.0, 0.0), (0.0, 0.0, 1.0), 0.0, np.pi))
-        assert not dominates(ArcSegment(0.0, 1.0, 0.0, TWO_PI))
+        # a full circle c + R w has no harmonic besides R; a partial arc is not certified
+        assert dominates(ArcSegment(0.0, 1.0, 0.0, TWO_PI))
+        assert dominates(ArcSegment(0.3 - 2j, 0.01, TWO_PI, 0.0))
+        assert not dominates(ArcSegment(0.0, 1.0, 0.0, np.pi))
+        assert not dominates(ArcSegment(0.0, 1.0, 0.0, 0.999 * TWO_PI))
         for bad in (float("nan"), float("inf")):
             assert not dominates(TrigSegment((0.0, 1.0, 0.0, bad), (0.0, 0.0, 1.0), 0.0, TWO_PI))
             assert not dominates(TrigSegment((bad, 1.0, 0.0), (0.0, 0.0, 1.0), 0.0, TWO_PI))

@@ -129,6 +129,19 @@ class TestFindRoots:
             if abs(z.imag) > 1e-7:
                 assert any(abs(w - z.conjugate()) < 1e-6 for w in locs)
 
+    @pytest.mark.xfail(
+        raises=NoConvergence,
+        strict=True,
+        reason=(
+            "ROADMAP item 1: no fixed cluster radius separates the triple root at 0 from the simple roots "
+            "+-0.0078i; a certified cluster test would"
+        ),
+    )
+    def test_triple_root_beside_a_close_simple_pair(self):
+        # z^3 (z^2 + 2^-14), found by test_real_coefficients_conjugate_closed
+        rs = find_roots(Polynomial([0.0, 0.0, 0.0, 6.103515625e-05, 0.0, 1.0]))
+        assert sorted(r.multiplicity for r in rs.roots) == [1, 1, 3]
+
     def test_degree_zero_rejected(self):
         with pytest.raises(ValueError):
             find_roots(Polynomial([2.0]))
