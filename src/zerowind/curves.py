@@ -60,26 +60,15 @@ class ArcSegment:
             raise ValueError("arc sweeps more than one full turn")
 
     def points(self, s):
-        ang = self.angle0 + np.asarray(s, dtype=float) * (self.angle1 - self.angle0)
-        return self.center + self.radius * np.exp(1j * ang)
+        return _arc_points(self.center, self.radius, self.angle0, self.angle1 - self.angle0, s)
 
     def nearest(self, ps):
-        """Local parameter in [0, 1] of the arc point nearest each of ps.
-
-        The angle of p - center, measured along the sweep from angle0, over
-        the sweep's length; off the arc's angular span, the nearer endpoint.
-        """
-        span, ahead = abs(self.angle1 - self.angle0), self._ahead(ps)
-        past_end = ahead - span
-        return np.where(past_end <= 0.0, ahead / span, np.where(past_end < TWO_PI - ahead, 1.0, 0.0))
-
-    def _ahead(self, ps):
-        """The angle of each of ps - center, measured along the sweep from angle0, in [0, 2 pi)."""
-        return (np.sign(self.angle1 - self.angle0) * (np.angle(np.asarray(ps) - self.center) - self.angle0)) % TWO_PI
+        """Local parameter in [0, 1] of the arc point nearest each of ps (see ``_arc_nearest``)."""
+        return _arc_nearest(self.center, self.angle0, self.angle1 - self.angle0, ps)
 
     def _sweeps(self, ps):
         """True for each of ps whose angle about the center the arc sweeps past."""
-        return self._ahead(ps) <= abs(self.angle1 - self.angle0)
+        return _arc_ahead(self.center, self.angle0, self.angle1 - self.angle0, ps) <= abs(self.angle1 - self.angle0)
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
@@ -88,7 +77,7 @@ class ArcSegment:
 
     def turns(self, ps):
         """Argument change of z - p along the arc, in turns, for each of ps (none on the arc)."""
-        return _unit_arc_turns((ps - self.center) / self.radius, self.angle0, self.angle1)
+        return _unit_arc_turns((ps - self.center) / self.radius, self.angle0, self.angle1 - self.angle0)
 
     def extent(self):
         """A bound on every coordinate of the arc."""
@@ -101,9 +90,7 @@ class ArcSegment:
         return 0.5 * (r * r * (self.angle1 - self.angle0) + r * (np.conj(self.center) * chord).imag)
 
     def derivs(self, s):
-        sweep = self.angle1 - self.angle0
-        ang = self.angle0 + np.asarray(s, dtype=float) * sweep
-        return 1j * sweep * self.radius * np.exp(1j * ang)
+        return _arc_derivs(self.radius, self.angle0, self.angle1 - self.angle0, s)
 
     def subsegment(self, s0, s1):
         sweep = self.angle1 - self.angle0
@@ -283,8 +270,9 @@ class TrigSegment:
         at_c0 = np.arange(len(a)) == k
         roots = [polynomial_roots(a - p * at_c0) for p in ps.tolist()]
         owner = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
-        per_root = _unit_arc_turns(np.concatenate([np.empty(0, dtype=complex)] + roots), self.theta0, self.theta1)
-        return np.bincount(owner, per_root, minlength=len(roots)) - k * (self.theta1 - self.theta0) / TWO_PI
+        sweep = self.theta1 - self.theta0
+        per_root = _unit_arc_turns(np.concatenate([np.empty(0, dtype=complex)] + roots), self.theta0, sweep)
+        return np.bincount(owner, per_root, minlength=len(roots)) - k * sweep / TWO_PI
 
     def extent(self):
         """A bound on every coordinate of the segment: |c_0| + sum_k |c_k|."""
@@ -351,28 +339,122 @@ class TrigSegment:
 Segment = Union[ArcSegment, LineSegment, TrigSegment]
 
 
-def _unit_arc_turns(r: np.ndarray, theta0: float, theta1: float) -> np.ndarray:
-    """Argument change of e^{it} - r as t runs from theta0 to theta1, in turns, for each r off that arc.
+# ---------------------------------------------------------------------------
+# arc kernels
+#
+# Each arc formula, written once.  An ``ArcSegment`` calls them with its own
+# fields; an ``_ArcTable`` with its columns, so one expression evaluates every
+# arc of a curve.  The operations are elementwise, so each arc's floats have
+# the same bits either way.
+
+
+def _arc_points(center, radius, angle0, sweep, s):
+    """c + R e^{i (a0 + s sweep)} at local parameter(s) s."""
+    return center + radius * np.exp(1j * (angle0 + np.asarray(s, dtype=float) * sweep))
+
+
+def _arc_derivs(radius, angle0, sweep, s):
+    """d/ds of ``_arc_points``: i sweep R e^{i (a0 + s sweep)}."""
+    return 1j * sweep * radius * np.exp(1j * (angle0 + np.asarray(s, dtype=float) * sweep))
+
+
+def _arc_ahead(center, angle0, sweep, ps):
+    """The angle of each of ps - center, measured along the sweep from angle0, in [0, 2 pi)."""
+    return (np.sign(sweep) * (np.angle(np.asarray(ps) - center) - angle0)) % TWO_PI
+
+
+def _arc_nearest(center, angle0, sweep, ps):
+    """Local parameter in [0, 1] of the arc point nearest each of ps.
+
+    The angle of p - center, measured along the sweep from angle0, over the
+    sweep's length; off the arc's angular span, the nearer endpoint.
+    """
+    span, ahead = np.abs(sweep), _arc_ahead(center, angle0, sweep, ps)
+    past_end = ahead - span
+    return np.where(past_end <= 0.0, ahead / span, np.where(past_end < TWO_PI - ahead, 1.0, 0.0))
+
+
+def _unit_arc_turns(r: np.ndarray, theta0, sweep) -> np.ndarray:
+    """Argument change of e^{it} - r as t runs from theta0 over sweep, in turns, for each r off that arc.
 
     The sweep is cut into pieces of at most pi.  Each piece adds its chord's
     angle, and 2 pi more in the sweep's direction where r lies in the unit
     disc on the arc's side of the chord: there the chord's angle has the sign
-    opposite to the sweep's.
+    opposite to the sweep's.  For arcs given as columns (theta0 and sweep of
+    shape (k, 1), r of shape (k, n)) each row is its own arc's; an arc cut into
+    fewer pieces than the most pads its chords with -0.0, which adds nothing.
     """
-    sweep = theta1 - theta0
-    pieces = int(np.ceil(abs(sweep) / np.pi))
-    verts = np.exp(1j * (theta0 + sweep * np.arange(pieces + 1) / pieces))[:, np.newaxis]
-    chord = np.angle((verts[1:] - r) / (verts[:-1] - r))
-    missed = (chord * sweep < 0.0) & (np.abs(r) < 1.0)
-    return (chord.sum(axis=0) + np.sign(sweep) * TWO_PI * missed.sum(axis=0)) / TWO_PI
+    sweep = np.asarray(sweep)
+    pieces = np.ceil(np.abs(sweep) / np.pi).astype(int)
+    most = int(pieces.max())
+    verts = np.exp(1j * (theta0 + sweep * np.arange(most + 1) / pieces))[..., np.newaxis]
+    r = r[..., np.newaxis, :]
+    chord = np.angle((verts[..., 1:, :] - r) / (verts[..., :-1, :] - r))
+    if (pieces < most).any():
+        chord = np.where((np.arange(most) >= pieces)[..., np.newaxis], -0.0, chord)
+    missed = (chord * sweep[..., np.newaxis] < 0.0) & (np.abs(r) < 1.0)
+    return (chord.sum(axis=-2) + np.sign(sweep) * TWO_PI * missed.sum(axis=-2)) / TWO_PI
 
 
-def _segment_start(seg) -> complex:
-    return complex(seg.points(0.0))
+@dataclass(frozen=True, eq=False)
+class _ArcTable:
+    """The arcs of a curve of two or more arcs, as columns: centres, radii, start angles and sweeps.
+
+    It answers ``points``, ``derivs``, ``nearest`` and ``turns`` as an
+    ``ArcSegment`` does, for every row at once.  Indexing gathers rows: an
+    index array gives one arc per parameter, and ``[:, np.newaxis]`` puts
+    each arc in a row of its own, against which a batch of parameters or
+    points broadcasts.
+    """
+
+    center: np.ndarray
+    radius: np.ndarray
+    angle0: np.ndarray
+    sweep: np.ndarray
+
+    @classmethod
+    def of(cls, segs: Sequence[Segment]) -> _ArcTable | None:
+        """The table of segs when they are two or more arcs; None for any other chain."""
+        if len(segs) < 2 or not all(isinstance(seg, ArcSegment) for seg in segs):
+            return None
+        return cls(
+            np.array([seg.center for seg in segs], dtype=complex),
+            np.array([seg.radius for seg in segs], dtype=float),
+            np.array([seg.angle0 for seg in segs], dtype=float),
+            np.array([seg.angle1 - seg.angle0 for seg in segs], dtype=float),
+        )
+
+    def __getitem__(self, rows) -> _ArcTable:
+        return _ArcTable(self.center[rows], self.radius[rows], self.angle0[rows], self.sweep[rows])
+
+    def points(self, s):
+        return _arc_points(self.center, self.radius, self.angle0, self.sweep, s)
+
+    def derivs(self, s):
+        return _arc_derivs(self.radius, self.angle0, self.sweep, s)
+
+    def nearest(self, ps):
+        return _arc_nearest(self.center, self.angle0, self.sweep, ps)
+
+    def turns(self, ps):
+        return _unit_arc_turns((ps - self.center) / self.radius, self.angle0, self.sweep)
 
 
-def _segment_end(seg) -> complex:
-    return complex(seg.points(1.0))
+def _segment_rows(segs: Sequence[Segment], arcs: _ArcTable | None, method: str, s) -> np.ndarray:
+    """``getattr(seg, method)(s)`` for each of segs, stacked: one row, or one value for a scalar s, per segment.
+
+    ``arcs`` is the segments' arc table or None; a table answers for all of
+    them in one expression, with each arc in a row of its own.
+    """
+    if arcs is None:
+        return np.array([getattr(seg, method)(s) for seg in segs])
+    return getattr(arcs[:, np.newaxis] if np.ndim(s) else arcs, method)(s)
+
+
+def _joint_points(segs: Sequence[Segment], arcs: _ArcTable | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's end and the next segment's start."""
+    starts = _segment_rows(segs, arcs, "points", 0.0)
+    return _segment_rows(segs, arcs, "points", 1.0), np.concatenate((starts[1:], starts[:1]))
 
 
 def segment_from_json(obj: dict) -> Segment:
@@ -428,24 +510,24 @@ class JordanCurve:
         if not segs:
             raise ValueError("a curve needs at least one segment")
 
+        arcs = _ArcTable.of(segs)
         # a non-finite segment is reported below, not warned about here
         with np.errstate(invalid="ignore", over="ignore"):
-            probes = [s.points(np.linspace(0.0, 1.0, 64)) for s in segs]
-        for i, pts in enumerate(probes):
-            if not np.isfinite(pts).all():
-                raise ValueError(f"segment {i} has a non-finite point")
-        diameter = _diameter(np.concatenate(probes))
+            probes = _segment_rows(segs, arcs, "points", np.linspace(0.0, 1.0, 64))
+        for i in np.flatnonzero(~np.isfinite(probes).all(axis=1))[:1].tolist():
+            raise ValueError(f"segment {i} has a non-finite point")
+        diameter = _diameter(probes.ravel())
         if diameter <= 0.0:
             raise ValueError("degenerate curve")
         closure_tol = 1e-9 * diameter
 
-        k = len(segs)
-        for i in range(k):
-            gap = abs(_segment_end(segs[i]) - _segment_start(segs[(i + 1) % k]))
+        ends, starts = (pts.tolist() for pts in _joint_points(segs, arcs))
+        for i, (end, start) in enumerate(zip(ends, starts)):
+            gap = abs(end - start)
             if gap > closure_tol:
-                raise ValueError(f"segments {i} and {(i + 1) % k} do not join (gap {gap:.3g})")
+                raise ValueError(f"segments {i} and {(i + 1) % len(segs)} do not join (gap {gap:.3g})")
 
-        curve = cls._assembled(segs, diameter)
+        curve = cls._assembled(segs, diameter, arcs, starts[-1:] + starts[:-1])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing area is refused below, not warned about
             area = curve.signed_area()
         if not np.isfinite(area):
@@ -457,16 +539,29 @@ class JordanCurve:
         return curve
 
     @classmethod
-    def _assembled(cls, segs: tuple[Segment, ...], diameter: float) -> "JordanCurve":
+    def _assembled(
+        cls,
+        segs: tuple[Segment, ...],
+        diameter: float,
+        arcs: _ArcTable | None = None,
+        starts: list[complex] | None = None,
+    ) -> "JordanCurve":
         """The curve of the chained segments, with its breaks and corners.
 
-        A single segment takes the whole range, (0.0, 1.0), whatever its length.
+        ``arcs`` and ``starts``, the segments' arc table (which the curve
+        keeps) and their start points, are taken from the segments when not
+        given.  A single segment takes the whole range, (0.0, 1.0), whatever
+        its length.
         """
+        arcs = _ArcTable.of(segs) if arcs is None else arcs
+        starts = _segment_rows(segs, arcs, "points", 0.0).tolist() if starts is None else starts
         lengths = np.array([max(s.rough_length(), 1e-300) for s in segs]) if len(segs) > 1 else np.ones(1)
         cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
         cum[-1] = 1.0
         breaks = tuple(cum)
-        return cls(segs, breaks, _find_corners(segs, breaks), diameter)
+        curve = cls(segs, breaks, _find_corners(segs, breaks, arcs, starts), diameter)
+        curve.__dict__["_arcs"] = arcs
+        return curve
 
     # -- evaluation ----------------------------------------------------
 
@@ -480,6 +575,11 @@ class JordanCurve:
         br = np.asarray(self.breaks)
         return br[:-1], br[1:] - br[:-1], br[1:-1]
 
+    @cached_property
+    def _arcs(self) -> _ArcTable | None:
+        """The arc table of a curve of two or more arcs, None for any other curve; built on first use."""
+        return _ArcTable.of(self.segments)
+
     def _dispatch(self, t, per_segment):
         ts = np.asarray(t, dtype=float)
         scalar = ts.ndim == 0
@@ -491,15 +591,27 @@ class JordanCurve:
         else:
             # t % 1.0 can round up to 1.0; searchsorted still gives the last segment
             idx = np.searchsorted(inner, ts, side="right")
-            out = np.empty(ts.shape, dtype=complex)
-            for i, seg in enumerate(self.segments):
-                mask = idx == i
-                if mask.any():
-                    out[mask] = per_segment(seg, (ts[mask] - starts[i]) / widths[i], widths[i])
+            if self._arcs is not None:
+                # each t with its own arc's row of the table: one expression for all of them
+                s, w = (ts - starts[idx]) / widths[idx], widths[idx]
+                out = np.asarray(per_segment(self._arcs[idx], s, w), dtype=complex)
+            else:
+                out = np.empty(ts.shape, dtype=complex)
+                for i, seg in enumerate(self.segments):
+                    mask = idx == i
+                    if mask.any():
+                        out[mask] = per_segment(seg, (ts[mask] - starts[i]) / widths[i], widths[i])
         return out[0] if scalar else out
 
     def points(self, t):
-        """Curve points at global parameter(s) t (wrapped modulo 1)."""
+        """Curve points at global parameter(s) t (wrapped modulo 1).
+
+        Each t goes to the segment whose break range holds it.  A curve of two
+        or more arcs evaluates them all from its arc table in one expression,
+        each t with its own arc's centre, radius and angles; any other curve
+        evaluates each segment on its own share of the ts.  The bits are the
+        same either way.
+        """
         return self._dispatch(t, lambda seg, s, w: seg.points(s))
 
     def grid(self, n: int) -> np.ndarray:
@@ -525,9 +637,8 @@ class JordanCurve:
     @cached_property
     def _joints(self) -> tuple[np.ndarray, np.ndarray]:
         """Each segment's end and the next segment's start, as columns, built on first use."""
-        ends = [_segment_end(seg) for seg in self.segments]
-        starts = [_segment_start(seg) for seg in self.segments[1:] + self.segments[:1]]
-        return np.array(ends)[:, np.newaxis], np.array(starts)[:, np.newaxis]
+        ends, starts = _joint_points(self.segments, self._arcs)
+        return ends[:, np.newaxis], starts[:, np.newaxis]
 
     def derivs(self, t):
         """d(curve)/dt at global parameter(s) t; one-sided from the right at joints."""
@@ -592,19 +703,21 @@ def _diameter(pts: np.ndarray) -> float:
     )
 
 
-def _find_corners(segs: tuple[Segment, ...], breaks: tuple[float, ...]) -> tuple[CornerInfo, ...]:
-    k = len(segs)
+def _find_corners(
+    segs: tuple[Segment, ...], breaks: tuple[float, ...], arcs: _ArcTable | None, starts: list[complex]
+) -> tuple[CornerInfo, ...]:
+    """The joints where the tangent turns by more than CORNER_TOL; ``starts`` holds each segment's start point."""
+    ends = _segment_rows(segs, arcs, "derivs", 1.0)
+    incoming = np.concatenate((ends[-1:], ends[:-1]))
+    outgoing = _segment_rows(segs, arcs, "derivs", 0.0)
     corners = []
-    for i in range(k):
-        incoming = complex(segs[i - 1].derivs(1.0))
-        outgoing = complex(segs[i].derivs(0.0))
-        turn = float(wrap_angle(np.angle(outgoing) - np.angle(incoming)))
+    for i, turn in enumerate(wrap_angle(np.angle(outgoing) - np.angle(incoming)).tolist()):
         if abs(turn) <= CORNER_TOL:
             continue
         interior = np.pi - turn
         if not 0.0 < interior < TWO_PI:
             raise ValueError(f"cusp at segment joint {i} (turn {turn:.6f} rad)")
-        corners.append(CornerInfo(breaks[i], _segment_start(segs[i]), interior))
+        corners.append(CornerInfo(breaks[i], starts[i], interior))
     return tuple(corners)
 
 
@@ -855,11 +968,19 @@ def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, n
 
     Each segment gives its nearest point in closed form (its ``nearest``),
     and the nearest segment wins (the first on ties).  A segment end maps
-    exactly to the next break, so a corner gets its break.
+    exactly to the next break, so a corner gets its break.  A curve of two
+    or more arcs takes every arc's nearest points and their distances from
+    its arc table, one row per arc, in one expression each, with the bits
+    that each arc gives on its own.
     """
     br = np.asarray(curve.breaks)
-    s = np.array([seg.nearest(ps) for seg in curve.segments])
-    gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
+    arcs = curve._arcs
+    if arcs is None:
+        s = np.array([seg.nearest(ps) for seg in curve.segments])
+        gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
+    else:
+        s = arcs[:, np.newaxis].nearest(ps)
+        gaps = np.abs(arcs[:, np.newaxis].points(s) - ps)
     i = np.argmin(gaps, axis=0)
     si = s[i, np.arange(len(ps))]
     t = np.where(si == 1.0, br[i + 1], br[i] + si * (br[i + 1] - br[i])) % 1.0
@@ -944,11 +1065,8 @@ def _located(curve: JordanCurve, ps: np.ndarray, band: float, extent: float) -> 
     if not len(ps):
         return []
     tstar, dist = nearest_parameter(curve, ps)
-    off, (ends, starts) = ps[~(dist < band)], curve._joints
-    # a point within rounding of a vertex can divide by zero; the guard below refuses it
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gaps = np.angle((starts - off) / (ends - off)).sum(axis=0) / TWO_PI
-        turns = iter((sum(seg.turns(off) for seg in curve.segments) + gaps).tolist())
+    off = ps[~(dist < band)]
+    turns = iter(_windings(curve, off).tolist() if len(off) else ())
     out = []
     for p, t, d in zip(ps.tolist(), tstar.tolist(), dist.tolist()):
         if d < band:
@@ -962,6 +1080,20 @@ def _located(curve: JordanCurve, ps: np.ndarray, band: float, extent: float) -> 
             raise AmbiguousClassification(f"winding around {p} is {winding:.6f}")
         out.append(PointLocation("inside" if w == 1 else "outside"))
     return out
+
+
+def _windings(curve: JordanCurve, ps: np.ndarray) -> np.ndarray:
+    """The winding number of the curve around each of ps, summed in closed form.
+
+    Every segment's ``turns``, added over the segments left to right, plus
+    the angle each joint's gap subtends, from a segment's end to the next
+    one's start.
+    """
+    ends, starts = curve._joints
+    # a point within rounding of a vertex can divide by zero; the caller's guard refuses it
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.angle((starts - ps) / (ends - ps)).sum(axis=0) / TWO_PI
+        return sum(_segment_rows(curve.segments, curve._arcs, "turns", ps)) + gaps
 
 
 def classify_point(curve: JordanCurve, p: complex, band: float | None = None) -> PointLocation:

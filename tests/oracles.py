@@ -8,6 +8,9 @@ functions are plain forms of library kernels, most of them verbatim copies of
 earlier, slower forms, which the faster forms must match bit for bit.
 ``full_matrix_diameter`` is the diameter over the whole distance table, and
 ``pointwise_preimage_values`` evaluates preimages one point at a time.
+``reference_nearest_parameter``, ``reference_joints``, ``reference_windings``,
+``reference_breaks`` and ``reference_corners`` take every segment on its own,
+as each curve did before a curve of several arcs was evaluated as one table.
 ``reference_laurent_points`` and ``reference_laurent_derivs`` build a trig
 segment's Laurent coefficients one harmonic at a time; the earlier cosine and
 sine series, ``reference_trig_series``, stay as a second float oracle, checked
@@ -250,6 +253,55 @@ def reference_derivs(curve, t):
         return seg.derivs(s) / w
 
     return reference_dispatch(curve, t, per_segment)
+
+
+def reference_nearest_parameter(curve, ps):
+    """``nearest_parameter`` as every curve took it before arc tables: each segment's ``nearest`` on its own."""
+    br = np.asarray(curve.breaks)
+    s = np.array([seg.nearest(ps) for seg in curve.segments])
+    gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
+    i = np.argmin(gaps, axis=0)
+    si = s[i, np.arange(len(ps))]
+    t = np.where(si == 1.0, br[i + 1], br[i] + si * (br[i + 1] - br[i])) % 1.0
+    return t, np.abs(reference_points(curve, t) - ps)
+
+
+def reference_joints(segments):
+    """Each segment's end and the next segment's start, one segment at a time."""
+    ends = [complex(seg.points(1.0)) for seg in segments]
+    starts = [complex(seg.points(0.0)) for seg in segments[1:] + segments[:1]]
+    return np.array(ends), np.array(starts)
+
+
+def reference_windings(curve, ps):
+    """The closed-form winding sum before arc tables: each segment's ``turns`` left to right, plus the joint gaps."""
+    ends, starts = (pts[:, np.newaxis] for pts in reference_joints(curve.segments))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gaps = np.angle((starts - ps) / (ends - ps)).sum(axis=0) / TWO_PI
+        return sum(seg.turns(ps) for seg in curve.segments) + gaps
+
+
+def reference_breaks(segments) -> tuple:
+    """The break points of a chain: 0.0, the cumulative rough lengths over their sum, 1.0."""
+    lengths = np.array([max(s.rough_length(), 1e-300) for s in segments]) if len(segments) > 1 else np.ones(1)
+    cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
+    cum[-1] = 1.0
+    return tuple(cum)
+
+
+def reference_corners(segments, breaks, corner_tol: float = 1e-6) -> list[tuple[float, complex, float]]:
+    """(parameter, location, interior angle) at each joint whose one-sided tangents turn by more than corner_tol.
+
+    One joint at a time: the tangent angles of the segment before and after,
+    their difference wrapped to (-pi, pi], and pi minus it for the angle.
+    """
+    corners = []
+    for i, seg in enumerate(segments):
+        incoming, outgoing = complex(segments[i - 1].derivs(1.0)), complex(seg.derivs(0.0))
+        turn = float(np.pi - (np.pi - (np.angle(outgoing) - np.angle(incoming))) % TWO_PI)
+        if abs(turn) > corner_tol:
+            corners.append((breaks[i], complex(seg.points(0.0)), np.pi - turn))
+    return corners
 
 
 def full_golden_min(fn, lo, hi):

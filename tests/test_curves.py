@@ -531,7 +531,10 @@ class TestWorkBudget:
     nearest points and windings on trig segments taken from Laurent roots
     instead of a scan, a golden refine and a sampled winding, the last
     takes 1.  With the detour's crossings bisected in one call that
-    predicts its path, the second takes 19.
+    predicts its path, the second takes 19.  A detour composite of a
+    circle, all arcs, is then answered from its arc table: one dispatch
+    still evaluates all the points of a batch, and building, evaluating and
+    locating points on it evaluates no arc on its own.
 
     Separately, every grid scan and winding pass reads the curve's one
     cached sampling, and orientation samples nothing, so a curve is
@@ -580,6 +583,40 @@ class TestWorkBudget:
     def test_verify_detour(self, monkeypatch):
         f = Polynomial.from_roots([(1.0, 2), (0.3, 1)])
         assert self._dispatches(monkeypatch, lambda: verify_detour(f, unit_circle(), Line(0.3))) <= 19
+
+    def test_detour_composites_evaluate_no_arc_alone(self, monkeypatch):
+        # only the simplicity test's pair decisions, not counted here, still take the composite's arcs two at a time
+        f = Polynomial.from_roots([(1.0, 1), (1j, 1), (0.3, 1)])
+        _, detour = verify_detour(f, circle(0.0, 1.0), Line(0.3))
+        segs = detour.composite.segments
+        assert len(segs) == 4 and all(isinstance(seg, ArcSegment) for seg in segs)
+        calls, counting = [], [True]
+        for name in ("points", "nearest", "turns", "derivs"):
+            original = getattr(ArcSegment, name)
+
+            def counted(self, arg, _original=original, _name=name):
+                if counting[0]:
+                    calls.append(_name)
+                return _original(self, arg)
+
+            monkeypatch.setattr(ArcSegment, name, counted)
+        check_simple = zerowind.curves._check_simple
+
+        def uncounted(curve):
+            counting[0] = False
+            try:
+                return check_simple(curve)
+            finally:
+                counting[0] = True
+
+        monkeypatch.setattr(zerowind.curves, "_check_simple", uncounted)
+        curve = JordanCurve.from_segments(segs)
+        curve.points(np.arange(2048) / 2048)
+        curve.derivs(np.arange(2048) / 2048)
+        zs = [z for z, _ in detour.excised]
+        locations = classify_points(curve, zs + [0.0, 5.0, curve.point(0.3)])
+        assert [loc.kind for loc in locations] == ["inside", "inside", "inside", "outside", "on-curve"]
+        assert calls == []
 
     def test_unit_circle_sampled_once_per_process(self, monkeypatch):
         def run():

@@ -18,6 +18,7 @@ against the shoelace sum of fine chords.
 import os
 import subprocess
 import sys
+import warnings
 from functools import cache
 from pathlib import Path
 from unittest import mock
@@ -25,7 +26,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import zerowind.curves
@@ -33,6 +34,7 @@ import zerowind.polynomials
 from zerowind import (
     AmbiguousClassification,
     ArcSegment,
+    DetourFailed,
     JordanCurve,
     Line,
     LineSegment,
@@ -53,8 +55,15 @@ from oracles import (
     chord_area,
     full_bisect_zero,
     full_golden_min,
+    full_matrix_diameter,
+    reference_breaks,
+    reference_corners,
     reference_derivs,
+    reference_joints,
+    reference_nearest_parameter,
     reference_points,
+    reference_windings,
+    segment_probes,
     reference_trig_series,
     reference_trig_series_deriv,
     scan_nearest_parameter,
@@ -975,6 +984,148 @@ class TestScalarParity:
                 assert _bits(got[j]) == _bits(np.array([g(complex(z)) for z in zs])), (n, j)
                 if j < n:
                     g = g.derivative()
+
+
+def _arc_through(a: complex, b: complex, bulge: float) -> ArcSegment:
+    """The arc from a to b whose middle lies bulge |b - a| / 2 to the right of the chord, or to the left when negative.
+
+    Past a bulge of 1 (a half circle) the arc sweeps more than pi.
+    """
+    half, right = abs(b - a) / 2.0, -1j * (b - a) / abs(b - a)
+    h = bulge * half
+    radius = (half * half + h * h) / (2.0 * abs(h))
+    center = (a + b) / 2.0 + (h - np.sign(h) * radius) * right
+    a0 = float(np.angle(a - center))
+    sweep = (float(np.angle(b - center)) - a0) % TWO_PI
+    return ArcSegment(center, radius, a0, a0 + (sweep if h > 0 else sweep - TWO_PI))
+
+
+@st.composite
+def _arc_chain(draw):
+    """A closed chain of two or more arcs.
+
+    Rounded polygons (outward bulges, some past a half circle, and inward
+    ones, which turn clockwise), circles cut into arcs, and detour
+    composites of either at a random radius; each possibly reversed.
+    """
+    centre = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+    size = draw(st.floats(0.05, 4.0))
+    kind = draw(st.sampled_from(["rounded", "cut", "detour", "cut-detour"]))
+    count = draw(st.integers(2, 5))
+    gaps = np.array(draw(st.lists(st.floats(0.1, 1.0), min_size=count, max_size=count)))
+    turned = np.cumsum(np.concatenate([[0.0], gaps[:-1]])) * TWO_PI / gaps.sum()
+    cuts = (draw(st.floats(-TWO_PI, TWO_PI)) + turned).tolist()
+    if kind == "rounded":
+        verts = [centre + size * np.exp(1j * c) for c in cuts]
+        outward = st.floats(0.05, 1.6) if count < 4 else st.floats(0.05, 0.9)
+        bulges = [draw(st.one_of(outward, st.floats(-0.3, -0.05)) if count > 2 else outward) for _ in verts]
+        segs = [_arc_through(verts[i], verts[(i + 1) % count], bulges[i]) for i in range(count)]
+    else:
+        ends = cuts + [cuts[0] + TWO_PI]
+        segs = [ArcSegment(centre, size, ends[i], ends[i + 1]) for i in range(count)]
+        if kind != "cut":
+            base = circle(centre, size) if kind == "detour" else JordanCurve.from_segments(segs)
+            marks = [centre + size * np.exp(1j * c) for c in cuts[: draw(st.integers(1, count))]]
+            eps = draw(st.floats(1e-4, 0.3)) * size
+            try:
+                segs = list(build_detour(base, marks, eps_schedule=[eps]).composite.segments)
+            except (DetourFailed, ValueError):
+                assume(False)
+    return [seg.reversed() for seg in reversed(segs)] if draw(st.booleans()) else segs
+
+
+@st.composite
+def _open_arc_chain(draw):
+    """Two to six arcs, unclosed, of either direction and any sweep up to a full turn (or a hair past it)."""
+    segs = []
+    for _ in range(draw(st.integers(2, 6))):
+        centre = complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-3.0, 3.0)))
+        a0 = draw(st.one_of(st.just(0.0), st.floats(-10.0, 10.0)))
+        sweep = draw(st.one_of(st.floats(1e-3, TWO_PI), st.sampled_from([np.pi, TWO_PI, np.nextafter(TWO_PI, 7.0)])))
+        sign = draw(st.sampled_from([1.0, -1.0]))
+        segs.append(ArcSegment(centre, draw(st.floats(0.01, 3.0)), a0, a0 + sign * sweep))
+    widths = np.cumsum(draw(st.lists(st.floats(0.1, 1.0), min_size=len(segs), max_size=len(segs))))
+    breaks = tuple(np.concatenate([[0.0], widths[:-1] / widths[-1], [1.0]]))
+    return JordanCurve(tuple(segs), breaks, (), 1.0)
+
+
+def _probe_points(curve: JordanCurve, draw) -> np.ndarray:
+    """Points near and far, on the curve, at its joints and at its arcs' centres."""
+    lo, hi = curve.points(np.linspace(0.0, 1.0, 97)), []
+    span = max(np.ptp(lo.real), np.ptp(lo.imag), 1e-3)
+    for _ in range(draw(st.integers(1, 8))):
+        t = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([float(b) for b in curve.breaks])))
+        where = draw(st.sampled_from(["on", "near", "far", "centre", "joint"]))
+        if where == "on":
+            hi.append(curve.point(t))
+        elif where == "near":
+            off = draw(st.sampled_from([1e-12, 1e-6, 1e-2])) * span * np.exp(1j * draw(st.floats(0, 7)))
+            hi.append(curve.point(t) + off)
+        elif where == "far":
+            hi.append(complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))) * span + lo.mean())
+        elif where == "centre":
+            hi.append(complex(draw(st.sampled_from([seg.center for seg in curve.segments]))))
+        else:
+            hi.append(complex(draw(st.sampled_from(list(curve._joints[0][:, 0])))))
+    return np.array(hi, dtype=complex)
+
+
+def _corner_bits(corners) -> bytes:
+    floats = np.array([(c[0], c[2]) for c in corners], dtype=float)
+    return _bits(floats) + _bits(np.array([c[1] for c in corners], dtype=complex))
+
+
+class TestArcTable:
+    """A curve of two or more arcs, evaluated as one arc table, gives each arc's own bits.
+
+    ``tests/oracles.py`` takes the segments one at a time, as every curve did
+    before: points and derivatives by the masked per-segment dispatch,
+    nearest points, the winding sum (segment turns added left to right, then
+    the joint gaps), the joints, and the breaks, corners and diameter of the
+    curve built.  Arcs past a half turn are cut into two chord pieces and a
+    hair past a full turn into three, so the table pads the shorter arcs.
+    """
+
+    @staticmethod
+    def _check_evaluation(curve: JordanCurve, ts: np.ndarray, ps: np.ndarray) -> None:
+        assert curve._arcs is not None
+        assert _bits(curve.points(ts)) == _bits(reference_points(curve, ts))
+        assert _bits(curve.derivs(ts)) == _bits(reference_derivs(curve, ts))
+        assert _bits(curve.points(ts[0])) == _bits(reference_points(curve, ts[0]))
+        got, want = nearest_parameter(curve, ps), reference_nearest_parameter(curve, ps)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        for batch in (ps, ps[:1]):
+            assert _bits(zerowind.curves._windings(curve, batch)) == _bits(reference_windings(curve, batch))
+        ends, starts = reference_joints(curve.segments)
+        assert _bits(curve._joints[0]) == _bits(ends[:, np.newaxis])
+        assert _bits(curve._joints[1]) == _bits(starts[:, np.newaxis])
+
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(_arc_chain(), st.lists(_param, min_size=1, max_size=12), st.data())
+    def test_closed_chains_match_the_segments(self, segs, ts, data):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a clockwise chain is reversed with a warning
+            try:
+                curve = JordanCurve.from_segments(segs)
+            except ValueError:
+                assume(False)
+        ts = np.array(ts, dtype=float)
+        assert curve.diameter == full_matrix_diameter(segment_probes(segs))
+        assert _bits(np.array(curve.breaks)) == _bits(np.array(reference_breaks(curve.segments)))
+        corners = [(c.parameter, c.location, c.interior_angle) for c in curve.corners]
+        assert _corner_bits(corners) == _corner_bits(reference_corners(curve.segments, curve.breaks))
+        self._check_evaluation(curve, ts, _probe_points(curve, data.draw))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(_open_arc_chain(), st.lists(_param, min_size=1, max_size=12), st.data())
+    def test_open_chains_match_the_segments(self, curve, ts, data):
+        self._check_evaluation(curve, np.array(ts, dtype=float), _probe_points(curve, data.draw))
+
+    def test_only_curves_of_several_arcs_have_a_table(self):
+        assert unit_circle()._arcs is None and circle(1.0, 2.0)._arcs is None
+        assert square(0.0, 2.0)._arcs is None and _curve("composite-detour")._arcs is None
+        assert _closed_form_curve("stadium")._arcs is None
+        assert _closed_form_curve("circle-detour")._arcs is not None
 
 
 _IMPORT_PROBE = """

@@ -17,18 +17,22 @@ one line gives each side's median and quartiles, the pairs the change won
 
 When every run printed a result, the last line of standard output is one
 JSON object, the record of the comparison: the workload, the run length,
-the seeds, each checkout's ``git rev-parse HEAD`` (null where that fails),
-every run's result object in run order per side, and per metric both
+the seeds, each checkout's ``git rev-parse HEAD`` (null where that fails)
+and ``src_sha256``, the hash of its ``src/zerowind/*.py`` that each run's
+provenance line prints, every run's result object in run order per side
+(with the ``src_sha256`` of its provenance line added), and per metric both
 sides' quartiles and median, the pairs won and lost, and the two verdicts.
 Save it with ``| tail -n 1 > BENCH_<n>.json``.
 
-The exit status is 1 when a run printed no result or reported
-``correct: false``, and 0 otherwise.  The runs take the host's full
-attention: start nothing else while they go.  This tool is not part of the
-test suite.
+The exit status is 2, before any run, when both checkouts hold the same
+sources; 1 when a run printed no result, reported ``correct: false`` or ran
+other sources than its checkout held at the start; and 0 otherwise.  The
+runs take the host's full attention: start nothing else while they go.
+This tool is not part of the test suite.
 """
 
 import argparse
+import hashlib
 import json
 import statistics
 import subprocess
@@ -39,7 +43,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict | None:
-    """The result object of one untraced run in ``checkout``, or None when it printed none."""
+    """The result of one untraced run in ``checkout`` plus its provenance's ``src_sha256``; None when it printed none."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -48,7 +52,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict |
         print(f"bench_pairs: {checkout} seed {seed} exited {proc.returncode}: {proc.stderr.strip()[-500:]}",
               file=sys.stderr)
         return None
-    return json.loads(lines[-1])
+    prov = next((json.loads(ln.split(" ", 1)[1]) for ln in lines if ln.startswith("provenance ")), {})
+    return {**json.loads(lines[-1]), "src_sha256": prov.get("src_sha256")}
+
+
+def source_hash(checkout: Path) -> str:
+    """The ``src_sha256`` of checkout's sources, as ``perfbench/bench.py``'s provenance hashes them."""
+    src = hashlib.sha256()
+    for path in sorted((checkout / "src" / "zerowind").glob("*.py")):
+        src.update(path.name.encode() + b"\0" + path.read_bytes())
+    return src.hexdigest()
 
 
 def head_commit(checkout: Path) -> str | None:
@@ -95,6 +108,10 @@ def main(argv=None) -> int:
     seconds = float(spec["run_seconds"])
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    sources = {side: source_hash(path) for side, path in sides.items()}
+    if sources["parent"] == sources["change"]:
+        print(f"bench_pairs: both checkouts hold the same sources (src_sha256 {sources['parent']})", file=sys.stderr)
+        return 2
     results: dict[str, list[dict]] = {"parent": [], "change": []}
     status = 0
     for i, seed in enumerate(args.seeds):
@@ -105,6 +122,10 @@ def main(argv=None) -> int:
                 status = 1
             if out is None:
                 return status
+            if out["src_sha256"] != sources[side]:
+                print(f"bench_pairs: {sides[side]} ran sources {out['src_sha256']}, not {sources[side]}",
+                      file=sys.stderr)
+                status = 1
             results[side].append(out)
             shown = " ".join(f"{k}={v['value']:.4g}" for k, v in out["metrics"].items())
             print(f"pair {i + 1} seed {seed} {side}: failed {out['failed']}/{out['attempted']} "
@@ -122,7 +143,7 @@ def main(argv=None) -> int:
         print(line)
         metrics.append(record)
     record = {"workload": args.workload, "run_seconds": seconds, "seeds": args.seeds,
-              "commits": {side: head_commit(path) for side, path in sides.items()},
+              "commits": {side: head_commit(path) for side, path in sides.items()}, "src_sha256": sources,
               "runs": results, "metrics": metrics}
     print(json.dumps(record, sort_keys=True))
     return status
