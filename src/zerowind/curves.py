@@ -514,20 +514,21 @@ class JordanCurve:
         # a non-finite segment is reported below, not warned about here
         with np.errstate(invalid="ignore", over="ignore"):
             probes = _segment_rows(segs, arcs, "points", np.linspace(0.0, 1.0, 64))
-        for i in np.flatnonzero(~np.isfinite(probes).all(axis=1))[:1].tolist():
-            raise ValueError(f"segment {i} has a non-finite point")
+        bad = np.flatnonzero(~np.isfinite(probes).all(axis=1))
+        if len(bad):
+            raise ValueError(f"segment {bad[0]} has a non-finite point")
         diameter = _diameter(probes.ravel())
         if diameter <= 0.0:
             raise ValueError("degenerate curve")
         closure_tol = 1e-9 * diameter
 
-        ends, starts = (pts.tolist() for pts in _joint_points(segs, arcs))
-        for i, (end, start) in enumerate(zip(ends, starts)):
+        ends, next_starts = (pts.tolist() for pts in _joint_points(segs, arcs))
+        for i, (end, start) in enumerate(zip(ends, next_starts)):
             gap = abs(end - start)
             if gap > closure_tol:
                 raise ValueError(f"segments {i} and {(i + 1) % len(segs)} do not join (gap {gap:.3g})")
 
-        curve = cls._assembled(segs, diameter, arcs, starts[-1:] + starts[:-1])
+        curve = cls._assembled(segs, diameter, arcs, next_starts[-1:] + next_starts[:-1])
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing area is refused below, not warned about
             area = curve.signed_area()
         if not np.isfinite(area):

@@ -618,6 +618,23 @@ class TestWorkBudget:
         assert [loc.kind for loc in locations] == ["inside", "inside", "inside", "outside", "on-curve"]
         assert calls == []
 
+    def test_on_curve_batches_sum_no_winding(self, monkeypatch):
+        # a batch of on-curve points, as a detour's base curve locates, sums no joint gaps or segment turns
+        calls = []
+        original = zerowind.curves._windings
+
+        def counted(curve, ps):
+            calls.append(len(ps))
+            return original(curve, ps)
+
+        monkeypatch.setattr(zerowind.curves, "_windings", counted)
+        curve = square(0.3, 2.0)
+        locations = classify_points(curve, [curve.point(0.1), curve.point(0.7)])
+        assert [loc.kind for loc in locations] == ["on-curve", "on-curve"]
+        assert calls == []
+        assert [loc.kind for loc in classify_points(curve, [curve.point(0.1), 0.3])] == ["on-curve", "inside"]
+        assert calls == [1]
+
     def test_unit_circle_sampled_once_per_process(self, monkeypatch):
         def run():
             verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55])
