@@ -12,7 +12,8 @@ probes, and a curve's ``grid(n)`` reads its points off one cached sampling
 of up to 8192 points; both rely on NumPy giving each element the same bits in
 any array, which the last class here checks directly.  Bisection also walks
 a path it predicts by the secant, and closed-form segment areas are checked
-against the shoelace sum of fine chords.
+against the shoelace sum of fine chords.  A curve of several arcs, evaluated
+as one arc table, must give the bits of its arcs taken one at a time.
 """
 
 import os
@@ -62,11 +63,11 @@ from oracles import (
     reference_joints,
     reference_nearest_parameter,
     reference_points,
-    reference_windings,
-    segment_probes,
     reference_trig_series,
     reference_trig_series_deriv,
+    reference_windings,
     scan_nearest_parameter,
+    segment_probes,
 )
 
 CURVE_NAMES = ("circle", "square", "lshape", "radial-trig", "trig-no-trailing-sine", "composite-detour")
@@ -1051,23 +1052,23 @@ def _open_arc_chain(draw):
 
 def _probe_points(curve: JordanCurve, draw) -> np.ndarray:
     """Points near and far, on the curve, at its joints and at its arcs' centres."""
-    lo, hi = curve.points(np.linspace(0.0, 1.0, 97)), []
-    span = max(np.ptp(lo.real), np.ptp(lo.imag), 1e-3)
+    samples, out = curve.points(np.linspace(0.0, 1.0, 97)), []
+    span = max(np.ptp(samples.real), np.ptp(samples.imag), 1e-3)
     for _ in range(draw(st.integers(1, 8))):
         t = draw(st.one_of(st.floats(0.0, 1.0), st.sampled_from([float(b) for b in curve.breaks])))
         where = draw(st.sampled_from(["on", "near", "far", "centre", "joint"]))
         if where == "on":
-            hi.append(curve.point(t))
+            out.append(curve.point(t))
         elif where == "near":
             off = draw(st.sampled_from([1e-12, 1e-6, 1e-2])) * span * np.exp(1j * draw(st.floats(0, 7)))
-            hi.append(curve.point(t) + off)
+            out.append(curve.point(t) + off)
         elif where == "far":
-            hi.append(complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))) * span + lo.mean())
+            out.append(complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))) * span + samples.mean())
         elif where == "centre":
-            hi.append(complex(draw(st.sampled_from([seg.center for seg in curve.segments]))))
+            out.append(complex(draw(st.sampled_from([seg.center for seg in curve.segments]))))
         else:
-            hi.append(complex(draw(st.sampled_from(list(curve._joints[0][:, 0])))))
-    return np.array(hi, dtype=complex)
+            out.append(complex(draw(st.sampled_from(list(curve._joints[0][:, 0])))))
+    return np.array(out, dtype=complex)
 
 
 def _corner_bits(corners) -> bytes:
