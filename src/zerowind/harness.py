@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -19,6 +20,32 @@ from .polynomials import Polynomial
 from .verify import guarded_ceil
 
 _FAMILIES = ("circle", "trig-perturbed", "square", "lshape")
+_ATTEMPTS = 200  # placements tried before a request is refused
+
+# Generator.choice's draws without its argument checks, which take most of
+# its time: choice(n) is integers(0, n), and choice with weights p takes the
+# first index whose cumulative weight, normalised as choice normalises it,
+# exceeds one random().  The values and the generator's states are choice's.
+_MULTIPLICITIES = (1, 1, 1, 1, 2, 2, 3)
+_REGIONS = ("inside", "on", "outside")
+_REGION_CDF = np.array([0.4, 0.3, 0.3]).cumsum()
+_REGION_CDF /= _REGION_CDF[-1]
+
+
+def _multiplicity(rng: np.random.Generator) -> int:
+    """A root's multiplicity before capping: 1, 2 or 3 with weights 4, 2 and 1."""
+    return _MULTIPLICITIES[rng.integers(0, len(_MULTIPLICITIES))]
+
+
+def _region(rng: np.random.Generator) -> str:
+    """A site's region: inside, on or outside, with weights 0.4, 0.3 and 0.3."""
+    return _REGIONS[_REGION_CDF.searchsorted(rng.random(), side="right")]
+
+
+@cache
+def _circle_sites() -> tuple[complex, ...]:
+    """The unit circle's points at t = k / 720, k = 0 .. 719, as ``unit_circle().point(k / 720)`` gives them."""
+    return tuple(complex(z) for z in unit_circle().points(np.arange(720) / 720.0))
 
 
 @dataclass(frozen=True)
@@ -101,16 +128,22 @@ class _Family:
         self.kind = kind
         self.geom = geom
 
+    def _site(self, k) -> complex:
+        """The curve point at t = k / 720: the unit circle's from its cached table, a trig curve's evaluated."""
+        if self.kind == "circle":
+            return _circle_sites()[k]
+        return complex(self.curve.point(k / 720.0))
+
     def inside_point(self) -> complex:
         rng = self.rng
         if self.kind in ("circle", "trig-perturbed"):
-            t = rng.integers(0, 720) / 720.0
-            return complex((0.25 + 0.55 * rng.random()) * self.curve.point(t))
+            k = rng.integers(0, 720)
+            return complex((0.25 + 0.55 * rng.random()) * self._site(k))
         if self.kind == "square":
             c, s = self.geom
             return c + complex(rng.uniform(-0.3, 0.3) * s, rng.uniform(-0.3, 0.3) * s)
         s, shift = self.geom
-        cell = self.rng.choice(3)
+        cell = rng.integers(0, 3)
         anchors = [0.5 + 0.5j, 1.5 + 0.5j, 0.5 + 1.5j]
         jitter = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
         return shift + s * (anchors[cell] + jitter)
@@ -118,30 +151,30 @@ class _Family:
     def outside_point(self) -> complex:
         rng = self.rng
         if self.kind in ("circle", "trig-perturbed"):
-            t = rng.integers(0, 720) / 720.0
-            return complex((1.3 + 1.2 * rng.random()) * self.curve.point(t))
+            k = rng.integers(0, 720)
+            return complex((1.3 + 1.2 * rng.random()) * self._site(k))
         if self.kind == "square":
             c, s = self.geom
             ang = rng.uniform(0.0, 2 * np.pi)
             return c + s * (1.0 + rng.uniform(0.2, 1.0)) * complex(np.cos(ang), np.sin(ang))
         s, shift = self.geom
         picks = [1.6 + 1.6j, -0.6 - 0.6j, 2.8 + 0.4j, 0.4 + 2.8j, 1.4 + 1.8j]
-        base = picks[rng.choice(len(picks))]
+        base = picks[rng.integers(0, len(picks))]
         return shift + s * (base + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)))
 
     def boundary_site(self) -> tuple[complex, float, float]:
         """(point on the curve, exact interior angle there, curve parameter)."""
         rng = self.rng
         if self.kind in ("circle", "trig-perturbed"):
-            t = rng.integers(0, 720) / 720.0
-            return complex(self.curve.point(t)), np.pi, float(t)
+            k = rng.integers(0, 720)
+            return self._site(k), np.pi, float(k / 720.0)
         # polygon families: choose a corner or an edge point
         corners = self.curve.corners
         if rng.random() < 0.5:
-            c = corners[rng.choice(len(corners))]
+            c = corners[rng.integers(0, len(corners))]
             return c.location, c.interior_angle, c.parameter
         k = len(self.curve.segments)
-        i = int(rng.choice(k))
+        i = int(rng.integers(0, k))
         frac = rng.integers(2, 9) / 10.0  # interior of the edge, rational offset
         br = self.curve.breaks
         t = br[i] + frac * (br[i + 1] - br[i])
@@ -181,16 +214,16 @@ def random_instance(
     family = _make_family(cfg.curve_family, rng)
     degree = int(rng.integers(1, cfg.max_degree + 1))
 
-    for _attempt in range(200):
+    for _attempt in range(_ATTEMPTS):
         placed: list[tuple[complex, int, str, float | None, float | None]] = []
         total = 0
         need_on = min_on_curve
         while total < degree:
-            mult = int(min(degree - total, rng.choice([1, 1, 1, 1, 2, 2, 3]), max_multiplicity))
+            mult = int(min(degree - total, _multiplicity(rng), max_multiplicity))
             if need_on > 0:
                 region = "on"
             else:
-                region = str(rng.choice(["inside", "on", "outside"], p=[0.4, 0.3, 0.3]))
+                region = _region(rng)
             if region == "inside":
                 z, alpha, t = family.inside_point(), None, None
             elif region == "outside":
@@ -204,7 +237,9 @@ def random_instance(
         if all(abs(locs[i] - locs[j]) >= separation for i in range(len(locs)) for j in range(i + 1, len(locs))):
             break
     else:
-        raise RuntimeError("could not place separated roots")
+        raise ValueError(
+            f"could not place separated roots: degree {degree}, separation {separation}, {_ATTEMPTS} attempts"
+        )
 
     lead = rng.uniform(0.6, 1.8) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
     f = Polynomial.from_roots([(z, mult) for z, mult, _, _, _ in placed], leading=lead)

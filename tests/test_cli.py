@@ -234,6 +234,13 @@ class TestHarnessCommand:
         assert cli.main(["harness", "--config", write_json(tmp_path / "h.json", config)]) == 2
         assert f"bad harness config: {reason}" in capsys.readouterr().err
 
+    def test_unplaceable_request_exits_2(self, tmp_path, capsys):
+        # 65 roots 0.2 apart do not fit the circle's sites: an untyped RuntimeError once exited 1 with a traceback
+        config = {"trials": 1, "max_degree": 80, "curve_family": "circle", "seed": 3}
+        assert cli.main(["harness", "--config", write_json(tmp_path / "h.json", config)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: could not place separated roots: degree 65, separation 0.2, 200 attempts\n"
+
     def test_needs_exactly_one_input(self, capsys):
         assert cli.main(["harness"]) == 2
         capsys.readouterr()

@@ -1,9 +1,12 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zerowind import classify_roots
+from zerowind.curves import JordanCurve, unit_circle
 from zerowind.harness import (
     HarnessConfig,
     PlantedInstance,
@@ -12,6 +15,8 @@ from zerowind.harness import (
     replay,
     run_harness,
 )
+
+FAMILIES = ("circle", "trig-perturbed", "square", "lshape")
 
 
 class TestConfig:
@@ -73,6 +78,11 @@ class TestRuns:
         b = run_harness(HarnessConfig(trials=12, curve_family="trig-perturbed", seed=5))
         assert json.dumps(a.to_json(), sort_keys=True) == json.dumps(b.to_json(), sort_keys=True)
 
+    def test_unplaceable_request_is_a_value_error(self):
+        # the seed-3 degree is 65: that many roots 0.2 apart do not fit the circle's sites
+        with pytest.raises(ValueError, match="^could not place separated roots: degree 65, separation 0.2, 200 attempts$"):
+            run_harness(HarnessConfig(trials=1, max_degree=80, curve_family="circle", seed=3))
+
     def test_sharp_instances_exist(self):
         # equality cases must appear, not just strict inequality
         rep = run_harness(HarnessConfig(trials=40, max_degree=4, curve_family="circle", seed=2))
@@ -99,3 +109,93 @@ class TestReplay:
         )
         blob = json.dumps(inst.to_json(), sort_keys=True)
         assert json.loads(blob)["planted"]["lambda"] == inst.lam
+
+
+class TestDraws:
+    """The planted instances are fixed per seed: the values and generator states that Generator.choice gave."""
+
+    def test_replacements_draw_what_choice_draws(self):
+        # random_instance draws choice(n) as integers(0, n), the multiplicities and the weighted regions as below
+        from zerowind.harness import _multiplicity, _region
+
+        for seed in range(50):
+            ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+            for _ in range(10):
+                assert _multiplicity(ours) == theirs.choice([1, 1, 1, 1, 2, 2, 3])
+                assert _region(ours) == theirs.choice(["inside", "on", "outside"], p=[0.4, 0.3, 0.3])
+                for n in range(3, 8):
+                    assert ours.integers(0, n) == theirs.choice(n)
+            assert ours.random() == theirs.random()
+
+    def test_circle_sites_are_the_scalar_points(self):
+        # bit for bit, signed zeros included
+        from zerowind.harness import _circle_sites
+
+        bits = [(z.real.hex(), z.imag.hex()) for z in _circle_sites()]
+        curve = unit_circle()
+        expected = [(z.real.hex(), z.imag.hex()) for z in (curve.point(np.int64(k) / 720.0) for k in range(720))]
+        assert bits == expected
+        assert all(type(z) is complex for z in _circle_sites())
+
+
+class TestPinnedInstances:
+    """Every family's instances under the option sets in use, pinned by one digest over seeds 0-99."""
+
+    # sha256 of every request below in order: the instance's canonical JSON, or for a request that cannot be
+    # placed the words its refusal starts with, then the generator's next random()
+    INSTANCES_SHA256 = "7c4c08ea067ad94cfc9d48d60534b24a894bd044a392a4eaafd48d262d3d1e08"
+    OPTION_SETS = ({}, {"min_on_curve": 1}, {"min_on_curve": 1, "max_multiplicity": 1, "separation": 0.7})
+    UNPLACEABLE = "could not place separated roots"
+
+    def test_seeds_0_to_99(self):
+        digest, refused = hashlib.sha256(), 0
+        for family in FAMILIES:
+            cfg = HarnessConfig(trials=1, curve_family=family)
+            for options in self.OPTION_SETS:
+                for seed in range(100):
+                    rng = np.random.default_rng(seed)
+                    try:
+                        inst = random_instance(rng, cfg, **options)
+                    except (RuntimeError, ValueError) as exc:  # RuntimeError before the refusal was typed
+                        assert str(exc).startswith(self.UNPLACEABLE)
+                        digest.update(self.UNPLACEABLE.encode())
+                        refused += 1
+                    else:
+                        digest.update(json.dumps(inst.to_json(), sort_keys=True, separators=(",", ":")).encode())
+                    digest.update(b" %r\n" % rng.random())
+        assert refused == 4  # L-shapes at separation 0.7
+        assert digest.hexdigest() == self.INSTANCES_SHA256
+
+
+class TestWorkBudget:
+    """Drawing planted instances calls no Generator.choice and evaluates no scalar curve point.
+
+    Generating the ``detour`` benchmark's seed-1 pool took 8,836 ``choice``
+    calls, about 8 us each, mostly argument checks, and 5,068 scalar
+    ``JordanCurve.point`` calls on the shared unit circle, about 12 us each.
+    The draws are now made with ``integers`` and ``random`` directly, and the
+    circle's sites come from one cached table.
+    """
+
+    def test_detour_pool(self, monkeypatch):
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import WORKLOADS
+
+        calls = {"choice": 0, "point": 0}
+
+        class CountingGenerator(np.random.Generator):
+            def choice(self, *args, **kwargs):
+                calls["choice"] += 1
+                return super().choice(*args, **kwargs)
+
+        point = JordanCurve.point
+
+        def counted_point(self, t):
+            calls["point"] += 1
+            return point(self, t)
+
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: CountingGenerator(np.random.PCG64(seed)))
+        monkeypatch.setattr(JordanCurve, "point", counted_point)
+        pool = WORKLOADS["detour"].inputs(1, WORKLOADS["detour"].pool_size)
+        assert len(pool) == 240
+        assert calls == {"choice": 0, "point": 0}
