@@ -80,7 +80,8 @@ class TestRuns:
 
     def test_unplaceable_request_is_a_value_error(self):
         # the seed-3 degree is 65: that many roots 0.2 apart do not fit the circle's sites
-        with pytest.raises(ValueError, match="^could not place separated roots: degree 65, separation 0.2, 200 attempts$"):
+        message = "^could not place separated roots: degree 65, separation 0.2, 200 attempts$"
+        with pytest.raises(ValueError, match=message):
             run_harness(HarnessConfig(trials=1, max_degree=80, curve_family="circle", seed=3))
 
     def test_sharp_instances_exist(self):
