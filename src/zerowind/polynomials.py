@@ -31,6 +31,11 @@ ROOT_TOL = 1e-10
 TAYLOR_TOL = 1e-8
 
 
+def _derivative_overflow(order: int, power: int, coeff: complex) -> NoConvergence:
+    """The error for a derivative coefficient that overflows: z^power's in f^(order), (power + 1) * coeff."""
+    return NoConvergence(f"coefficient of z^{power} in derivative {order} overflows: {power + 1} * {coeff!r}")
+
+
 @dataclass(frozen=True)
 class Polynomial:
     """Complex coefficients in ascending degree; the leading coefficient is nonzero."""
@@ -62,7 +67,13 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         if self.degree == 0:
             raise DegreeZero("cannot differentiate a constant into a representable polynomial")
-        return Polynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k > 0))
+        coeffs = tuple(k * c for k, c in enumerate(self.coeffs) if k > 0)
+        try:
+            return Polynomial(coeffs)
+        except ValueError:
+            # self's coefficients are finite, so a non-finite one here is a product that overflowed
+            k = next(k for k, c in enumerate(coeffs) if not (math.isfinite(c.real) and math.isfinite(c.imag)))
+            raise _derivative_overflow(1, k, self.coeffs[k + 1]) from None
 
     def scaled(self, factor: complex) -> "Polynomial":
         if factor == 0:
@@ -124,124 +135,151 @@ class RootSet:
 # float and complex arithmetic, and sums keep their left-to-right order.
 # Where the scalar form raised, the point keeps that exception, and
 # find_roots raises it when its in-order walk over the points reaches it,
-# an OverflowError as NoConvergence.
+# an OverflowError as NoConvergence.  What depends on f alone (the derivative
+# chain, the factorials, the raw roots' distances) is built once per call,
+# and a Horner pass evaluates only the chain rows its caller reads.
 
 
 def _derivative_chain(f: Polynomial) -> np.ndarray:
-    """Coefficients of f, f', ..., f^(n), built once: row j holds f^(j)'s, ascending and zero-padded.
+    """Coefficients of f, f', ..., f^(n), built once: row j holds f^(j)'s from its leading one down, zero-padded.
 
     Each row is the one before it differentiated as ``Polynomial.derivative``
-    does it, ``k * c`` in Python complex arithmetic.
+    does it, ``k * c`` in Python complex arithmetic.  A coefficient that
+    overflows raises NoConvergence naming it.
     """
     n = f.degree
     rows = []
     coeffs = list(f.coeffs)
     for j in range(n + 1):
-        rows.append(coeffs + [0j] * j)
+        rows.append(coeffs[::-1] + [0j] * j)
         coeffs = [k * c for k, c in enumerate(coeffs) if k > 0]
     chain = np.array(rows, dtype=complex)
-    if not np.isfinite(chain).all():
-        raise ValueError("coefficients must be finite")
+    finite = np.isfinite(chain)
+    if not finite.all():
+        # f's own coefficients are finite, so the first non-finite entry is a product that overflowed
+        j, col = divmod(int(finite.argmin()), n + 1)
+        raise _derivative_overflow(j, n - j - col, complex(chain[j - 1, col]))
     return chain
 
 
-def _chain_values(chain: np.ndarray, zs: np.ndarray) -> np.ndarray:
-    """f^(j)(z) with j down the rows and the points zs across the columns.
+def _chain_values(chain: np.ndarray, zs: np.ndarray, rows: int | None = None) -> np.ndarray:
+    """f^(j)(z) with j = 0..rows-1 down the rows (all n + 1 by default) and the points zs across the columns.
 
-    One Horner pass for the whole chain: the row of f^(j), of degree n - j,
-    joins at its leading coefficient and then takes the steps
-    ``acc * z + c`` that ``Polynomial.__call__`` takes.  The rows run end to
-    end in one flat array and every product is a new array: NumPy's complex
-    multiply can round a broadcast or in-place operand differently from
-    one flat operand into a fresh output.
+    One Horner pass for those rows: the row of f^(j), of degree n - j,
+    starts at its leading coefficient and takes the steps ``acc * z + c``
+    that ``Polynomial.__call__`` takes.  Every row starts at once, so the
+    rows still stepping are the first ones and those of lower degree finish
+    first.  The rows run end to end in one flat array and every product is
+    a new array: NumPy's complex multiply can round a broadcast or in-place
+    operand differently from one flat operand into a fresh output.  Its
+    additions round alike in place or not.
     """
     n, width = len(chain) - 1, len(zs)
-    z_rows = np.empty((n + 1, width), dtype=complex)
+    rows = n + 1 if rows is None else rows
+    z_rows = np.empty((rows, width), dtype=complex)
     z_rows[:] = zs
     z_rows = z_rows.reshape(-1)
-    c_rows = np.repeat(chain, width, axis=0)
-    acc = np.empty((n + 1) * width, dtype=complex)
-    for k in range(n, -1, -1):
-        top = (n - k) * width
-        acc[:top] = acc[:top] * z_rows[:top] + c_rows[:top, k]
-        acc[top : top + width] = chain[n - k, k]
-    return acc.reshape(n + 1, width)
+    # c_cols[s] holds every row's s-th coefficient from the top, once for each point
+    c_cols = np.repeat(chain[:rows].T, width, axis=1)
+    acc = c_cols[0]
+    for s in range(1, n + 1):
+        top = min(rows, n + 1 - s) * width
+        if top == len(acc):
+            # every row still steps: the whole arrays, and the sum added into the fresh product
+            acc = acc * z_rows
+            acc += c_cols[s]
+        else:
+            acc[:top] = acc[:top] * z_rows[:top] + c_cols[s, :top]
+    return acc.reshape(rows, width)
 
 
-def _moduli(zs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """|z| for each of zs as Python's complex abs gives it, and where that abs raises: finite parts, overflowing modulus."""
-    mods = np.hypot(zs.real, zs.imag)
-    return mods, np.isinf(mods) & np.isfinite(zs)
-
-
-def _taylor_magnitudes(chain: np.ndarray, zs: np.ndarray) -> tuple[np.ndarray, list[OverflowError | None]]:
-    """|f^(j)(z)| / j! scaled by (1+|z|)^j, for j = 0..degree down the rows and each of zs across.
-
-    With them, per column, the OverflowError that the one-point form raised
-    first, if any: Python's abs of z or of some f^(j)(z), or a power
-    (1+|z|)^j, that overflows.  A column with one has no magnitudes to read.
-    """
-    z_mods, z_over = _moduli(zs)
-    mods, over = _moduli(_chain_values(chain, zs))
+def _factorials(n: int) -> np.ndarray:
+    """0!, 1!, ..., n! in a column, as the float products the one-point form took."""
     facts = [1.0]
-    for j in range(1, len(chain)):
+    for j in range(1, n + 1):
         facts.append(facts[-1] * j)
-    powers = np.ones(mods.shape)
+    return np.array(facts)[:, np.newaxis]
+
+
+def _vanishing_orders(
+    chain: np.ndarray, zs: list[complex], facts: np.ndarray
+) -> tuple[list[int | Exception], list[float]]:
+    """Each point's vanishing order, or the exception the one-point test raised there; and |f(z)| at each point.
+
+    The order is the first j whose Taylor magnitude |f^(j)(z)| / j! scaled
+    by (1+|z|)^j exceeds TAYLOR_TOL times the largest one; ``facts`` holds
+    the factorials in a column.  A point where the one-point form's Python
+    abs of z or of some f^(j)(z), or a power (1+|z|)^j, overflowed gets the
+    OverflowError it raised first.
+    """
+    vals = _chain_values(chain, np.array(zs, dtype=complex))
+    mods = np.hypot(vals.real, vals.imag)
+    powers: list[list[float]] = []
     errors: list[OverflowError | None] = []
-    for i, (s, z_overflows, overflows) in enumerate(zip((1.0 + z_mods).tolist(), z_over.tolist(), over.T.tolist())):
-        error = OverflowError("absolute value too large") if z_overflows else None
-        for j in range(len(chain) if error is None else 0):
-            if overflows[j]:
-                error = OverflowError("absolute value too large")
-                break
-            try:
-                powers[j, i] = s**j
-            except OverflowError as exc:
-                error = exc
-                break
-        errors.append(error)
-    return mods / np.array(facts)[:, np.newaxis] * powers, errors
-
-
-def _vanishing_orders(chain: np.ndarray, zs: np.ndarray) -> tuple[list[int | Exception], np.ndarray]:
-    """Each point's vanishing order, or the exception the one-point test raised there; and the Taylor magnitudes."""
-    mags, errors = _taylor_magnitudes(chain, zs)
+    for i, (z, unbounded) in enumerate(zip(zs, np.isinf(mods).any(axis=0).tolist())):
+        try:
+            s = 1.0 + abs(z)
+            if unbounded:
+                # the one-point form took each |f^(j)(z)| before (1+|z|)^j, and Python's abs raises where np.hypot gave inf from finite parts
+                for j, v in enumerate(vals[:, i].tolist()):
+                    abs(v)
+                    s**j
+            powers.append([s**j for j in range(len(chain))])
+            errors.append(None)
+        except OverflowError as exc:
+            powers.append([1.0] * len(chain))
+            errors.append(exc)
+    mags = mods / facts * np.array(powers).T
     top = mags.max(axis=0)
     above = mags > TAYLOR_TOL * top
-    first = above.argmax(axis=0).tolist()
     out: list[int | Exception] = []
-    for i, t in enumerate(top.tolist()):
-        if errors[i] is not None:
-            out.append(errors[i])
+    for error, t, some, first in zip(errors, top.tolist(), above.any(axis=0).tolist(), above.argmax(axis=0).tolist()):
+        if error is not None:
+            out.append(error)
         elif t == 0.0:
             out.append(NoConvergence("all Taylor magnitudes vanished"))
-        elif not above[first[i], i]:
+        elif not some:
             out.append(NoConvergence("no Taylor magnitude above tolerance"))
         else:
-            out.append(first[i])
-    return out, mags
+            out.append(first)
+    # the first Taylor magnitude is |f(z)| itself
+    return out, mods[0].tolist()
 
 
 def vanishing_order(f: Polynomial, z: complex) -> int:
     """Smallest j whose scaled Taylor magnitude at z rises above TAYLOR_TOL (relative)."""
-    (order,), _ = _vanishing_orders(_derivative_chain(f), np.array([complex(z)]))
+    z = complex(z)
+    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+        raise ValueError(f"no vanishing order at the non-finite point {z}")
+    (order,), _ = _vanishing_orders(_derivative_chain(f), [z], _factorials(f.degree))
     if isinstance(order, Exception):
         raise order
     return order
 
 
-def _cluster_labels(points: np.ndarray, radius: float) -> np.ndarray:
-    """Each point's single-linkage cluster under |p - q| <= radius, labelled by the cluster's first index."""
-    diff = points[:, np.newaxis] - points[np.newaxis, :]
-    # NumPy's scalar abs, which the one-point form took here, overflows to inf without raising
-    near = np.hypot(diff.real, diff.imag) <= radius
-    label = np.arange(len(points))
+def _clusters(raw: np.ndarray, near: np.ndarray) -> tuple[list[complex], list[int]]:
+    """The single-linkage clusters of the raw roots under the symmetric relation ``near``, in order of their first points.
+
+    Each comes as its centre, the mean of its points, and its size.
+    """
+    n = len(raw)
+    if np.count_nonzero(near) == n:
+        # no two raw roots are near; a one-point mean is the point plus 0.0, which turns a -0.0 part into 0.0
+        return (raw + 0.0).tolist(), [1] * n
+    label = np.arange(n)
     # each point takes its neighbours' smallest label until the labels settle
     while True:
-        nxt = np.where(near, label, len(points)).min(axis=1)
+        nxt = np.where(near, label, n).min(axis=1)
         if (nxt == label).all():
-            return label
+            break
         label = nxt
+    heads = np.flatnonzero(label == np.arange(n)).tolist()
+    mults = np.bincount(label)[heads].tolist()
+    centres = (raw[heads] + 0.0).tolist()
+    for i, (head, mult) in enumerate(zip(heads, mults)):
+        if mult > 1:
+            centres[i] = complex(raw[label == head].mean())
+    return centres, mults
 
 
 def _polish_roots(
@@ -252,23 +290,24 @@ def _polish_roots(
     A centre stops at a zero derivative or at a step longer than
     max(radius, 1e-6), as the one-point polish did, or where the length of
     its step overflows, which the one-point polish raised; that error is
-    returned for the centre.
+    returned for the centre.  Each pass evaluates the chain rows up to the
+    highest multiplicity and no further.
     """
     limit = max(radius, 1e-6)
     out = list(zs)
     errors: list[OverflowError | None] = [None] * len(out)
     live = list(range(len(out)))
+    rows = max(mults) + 1
     for _ in range(3):
         if not live:
             break
-        vals = _chain_values(chain, np.array([out[i] for i in live]))
-        rows = np.array([mults[i] for i in live])
-        cols = np.arange(len(live))
+        vals = _chain_values(chain, np.array([out[i] for i in live], dtype=complex), rows).tolist()
         kept = []
-        for i, g, d in zip(live, vals[rows - 1, cols].tolist(), vals[rows, cols].tolist()):
+        for col, i in enumerate(live):
+            d = vals[mults[i]][col]
             if d == 0:
                 continue
-            step = g / d
+            step = vals[mults[i] - 1][col] / d
             try:
                 too_long = abs(step) > limit
             except OverflowError as exc:
@@ -282,12 +321,18 @@ def _polish_roots(
     return out, errors
 
 
-def _normalized_residuals(f: Polynomial, zs: np.ndarray, abs_f: list[float]) -> list[float]:
-    """|f(z)| over sum_k |a_k| max(1, |z|)^k for each of zs, given each |f(z)|, in the one-point form's Python arithmetic."""
+def _normalized_residuals(abs_coeffs: list[float], zs: list[complex], abs_f: list[float]) -> list[float]:
+    """|f(z)| over sum_k |a_k| max(1, |z|)^k for each of zs, given each |f(z)| and the |a_k|, in the one-point form's Python arithmetic.
+
+    The root test took Python's abs of each z already, so it does not
+    overflow here.  Where max(1, |z|) is 1 every power is 1.0, so the
+    denominator is the plain sum of the |a_k|.
+    """
+    at_one = sum(abs_coeffs)
     out = []
-    for a, m in zip(abs_f, _moduli(zs)[0].tolist()):
-        base = max(1.0, m)
-        out.append(a / sum(abs(c) * base**k for k, c in enumerate(f.coeffs)))
+    for a, z in zip(abs_f, zs):
+        base = max(1.0, abs(z))
+        out.append(a / (at_one if base == 1.0 else sum(c * base**k for k, c in enumerate(abs_coeffs))))
     return out
 
 
@@ -297,29 +342,25 @@ def find_roots(f: Polynomial) -> RootSet:
     Raw roots come from the companion-matrix eigenproblem; clusters within
     radius ROOT_TOL**(1/k) are merged for increasing k until the Taylor-based
     vanishing order at each centroid matches the cluster size.  The
-    derivative chain is built once, and each radius polishes and tests all
-    centroids at once.
+    derivative chain, the factorials and the raw roots' distances are built
+    once, and each radius polishes and tests all centroids at once.
     """
     if f.degree < 1:
         raise ValueError("root finding needs degree >= 1")
     raw = polynomial_roots(np.array(f.coeffs, dtype=complex))
-    if len(raw) != f.degree or not np.all(np.isfinite(raw)):
+    if len(raw) != f.degree or not np.isfinite(raw).all():
         raise NoConvergence("companion eigenproblem returned an invalid root set")
 
     chain = _derivative_chain(f)
+    facts = _factorials(f.degree)
+    diff = raw[:, np.newaxis] - raw[np.newaxis, :]
+    # NumPy's scalar abs, which the one-point form took here, overflows to inf without raising
+    dist = np.hypot(diff.real, diff.imag)
     for k_cluster in range(1, f.degree + 1):
         radius = ROOT_TOL ** (1.0 / k_cluster)
-        label = _cluster_labels(raw, radius)
-        heads = np.flatnonzero(label == np.arange(len(raw)))
-        mults = np.bincount(label)[heads].tolist()
-        # a one-point mean is the point plus 0.0, which turns a -0.0 part into 0.0
-        centres = (raw[heads] + 0.0).tolist()
-        for i, (head, mult) in enumerate(zip(heads, mults)):
-            if mult > 1:
-                centres[i] = complex(raw[label == head].mean())
+        centres, mults = _clusters(raw, dist <= radius)
         centres, polish_errors = _polish_roots(chain, centres, mults, radius)
-        centres = np.array(centres)
-        orders, mags = _vanishing_orders(chain, centres)
+        orders, abs_f = _vanishing_orders(chain, centres, facts)
         # the one-point form tested the centres in turn: the first error or mismatch decides
         for polish_error, order, mult in zip(polish_errors, orders, mults):
             error = polish_error or (order if isinstance(order, Exception) else None)
@@ -330,12 +371,12 @@ def find_roots(f: Polynomial) -> RootSet:
             if order != mult:
                 break
         else:
-            # the first Taylor magnitude is |f(z)| itself
-            residuals = _normalized_residuals(f, centres, mags[0].tolist())
+            # the |a_k| are taken here, after every overflow the tests above raise
+            residuals = _normalized_residuals([abs(c) for c in f.coeffs], centres, abs_f)
             residual = max(residuals)
             if residual > math.sqrt(ROOT_TOL):
                 raise NoConvergence(f"root residual {residual:.3g} above {math.sqrt(ROOT_TOL):.3g}")
-            ranked = sorted(zip(centres.tolist(), mults, residuals), key=lambda r: (r[0].real, r[0].imag))
+            ranked = sorted(zip(centres, mults, residuals), key=lambda r: (r[0].real, r[0].imag))
             return RootSet(
                 tuple(Root(z, m) for z, m, _ in ranked), residual, tuple(res for _, _, res in ranked)
             )

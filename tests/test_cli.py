@@ -167,6 +167,15 @@ class TestCountZeros:
         assert "NoConvergence" in capsys.readouterr().err
         assert rc == 3
 
+    @pytest.mark.parametrize("cmd", ["count-zeros", "winding"])
+    def test_overflowing_derivative_exits_3(self, tmp_path, capsys, cmd):
+        # 2 * 1e308 overflows in f': it exited 2, blaming a finite input
+        poly = write_json(tmp_path / "p.json", {"real_coeffs": [1, 0, 1e308]})
+        rc = cli.main([cmd, "--poly", poly, "--curve", "unit-circle"])
+        err = capsys.readouterr().err
+        assert "NoConvergence" in err and "coefficient of z^1 in derivative 1 overflows" in err
+        assert rc == 3
+
 
 class TestHarnessCommand:
     def test_config_run(self, tmp_path, capsys):

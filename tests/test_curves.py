@@ -856,6 +856,56 @@ class TestConstruction:
         assert curve.signed_area() == pytest.approx(-sum(seg.area() for seg in segments), rel=1e-12)
         assert curve.segments[0] == segments[-1].reversed()
 
+    @staticmethod
+    def _joint_cases() -> dict:
+        """Segment chains of every kind: lines, arcs with lines, arc tables, and trig pieces with arcs."""
+        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        f = Polynomial.from_roots([(1.0, 1), (1j, 1), (0.3, 1)])
+        stadium = [LineSegment(-1 - 1j, 1 - 1j), ArcSegment(1.0, 1.0, -np.pi / 2, np.pi / 2),
+                   LineSegment(1 + 1j, -1 + 1j), ArcSegment(-1.0, 1.0, np.pi / 2, 3 * np.pi / 2)]
+        return {
+            "pentagon": polygon([np.exp(2j * np.pi * k / 5) * (1 + 0.3 * np.sin(k)) for k in range(5)]).segments,
+            "clockwise-square": [seg.reversed() for seg in reversed(square(0.3, 2.0).segments)],
+            "stadium": stadium,
+            "half-disc": [ArcSegment(0.0, 1.0, 0.0, np.pi), LineSegment(-1.0, 1.0)],
+            "circle-detour": verify_detour(f, circle(0.0, 1.0), Line(0.3))[1].composite.segments,
+            "square-detour": build_detour(square(0.3, 2.0), [square(0.3, 2.0).point(0.1)]).composite.segments,
+            "trig": trig.segments,
+            "trig-detour": build_detour(trig, [trig.point(0.3), trig.point(0.7)]).composite.segments,
+        }
+
+    def test_joints_are_each_segments_ends(self):
+        # from_segments reads an arc's or a line's ends from its probes, and evaluates a trig piece's alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clockwise square is reversed with a warning
+            for name, segs in self._joint_cases().items():
+                curve = JordanCurve.from_segments(segs)
+                ends = np.array([complex(seg.points(1.0)) for seg in curve.segments])
+                starts = np.array([complex(seg.points(0.0)) for seg in curve.segments])
+                assert curve._joints[0].tobytes() == ends[:, np.newaxis].tobytes(), name
+                assert curve._joints[1].tobytes() == np.roll(starts, -1)[:, np.newaxis].tobytes(), name
+                for corner in curve.corners:
+                    at = starts[curve.breaks.index(corner.parameter)]
+                    assert np.array(corner.location).tobytes() == np.array(at).tobytes(), name
+
+    def test_arc_and_line_joints_take_no_evaluation(self, monkeypatch):
+        # linspace(0, 1, 64) holds 0.0 and 1.0, so the probes' first and last columns are the joints; a curve that
+        # keeps its orientation keeps them
+        cases = self._joint_cases()
+        scalar, rows = [], zerowind.curves._segment_rows
+
+        def counted(segs, arcs, method, s):
+            if method == "points" and np.ndim(s) == 0:
+                scalar.append(s)
+            return rows(segs, arcs, method, s)
+
+        monkeypatch.setattr(zerowind.curves, "_segment_rows", counted)
+        for name in ("pentagon", "stadium", "half-disc", "circle-detour", "square-detour"):
+            curve = JordanCurve.from_segments(cases[name])
+            assert scalar == [] and "_joints" in curve.__dict__, name
+        curve = JordanCurve.from_segments(cases["trig-detour"])
+        assert scalar == [0.0, 1.0] and "_joints" in curve.__dict__
+
     def test_open_chain_rejected(self):
         segs = [LineSegment(0, 1), LineSegment(1, 1 + 1j), LineSegment(1 + 1j, 0.5j)]
         with pytest.raises(ValueError):

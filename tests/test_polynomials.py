@@ -12,12 +12,18 @@ from zerowind import (
     classify_roots,
     find_roots,
     logderiv_integral,
+    unit_circle,
     vanishing_order,
     winding_count,
 )
 import zerowind.polynomials as poly_mod
 
 import math
+import warnings
+from pathlib import Path
+
+from zerowind.harness import random_instance
+from zerowind.verify import _as_real_coeffs, _unit_scaled, reverse_poly
 
 from oracles import binomial_shift_coeffs, naive_poly_eval, scalar_find_roots, scalar_vanishing_order
 
@@ -71,6 +77,11 @@ class TestDerivative:
     def test_constant_raises(self):
         with pytest.raises(DegreeZero):
             Polynomial([5]).derivative()
+
+    def test_overflowing_coefficient_is_no_convergence(self):
+        # 2 * 1e308 overflows: the derivative is not representable, which is not a fault of the finite input
+        with pytest.raises(NoConvergence, match=r"^coefficient of z\^1 in derivative 1 overflows: 2 \* \(1e\+308\+0j\)$"):
+            Polynomial([1, 0, 1e308]).derivative()
 
     def test_binomial_power_chain(self):
         # (z+1)^5 -> 5(z+1)^4, compared through expanded coefficients
@@ -156,6 +167,31 @@ class TestFindRoots:
         assert vanishing_order(f, 2.0) == 4
         assert vanishing_order(f, 0.0) == 1
         assert vanishing_order(f, 1.0) == 0
+
+    @pytest.mark.parametrize(
+        "coeffs, message",
+        [
+            ([1, 0, 1e308], r"coefficient of z\^1 in derivative 1 overflows: 2 \* \(1e\+308\+0j\)"),
+            ([0, 0, 0, 0, 1e307], r"coefficient of z\^1 in derivative 3 overflows: 2 \* \(1\.2e\+308\+0j\)"),
+            ([1, 1e308, 1e308j, 5, 1e307], r"coefficient of z\^1 in derivative 1 overflows: 2 \* 1e\+308j"),
+        ],
+    )
+    def test_overflowing_derivative_is_no_convergence(self, coeffs, message):
+        # the derivative chain names the first coefficient that overflows; it was a ValueError that blamed the input
+        f = Polynomial(coeffs)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # np.roots may overflow on the way
+            for find in (find_roots, lambda g: classify_roots(g, unit_circle())):
+                with pytest.raises(NoConvergence, match=f"^{message}$"):
+                    find(f)
+
+    @pytest.mark.parametrize("z", [complex(np.inf, 0.0), complex(np.nan, 0.0), complex(1.0, -np.inf), np.inf])
+    def test_vanishing_order_refuses_a_non_finite_point(self, z):
+        # it warned and then raised NoConvergence: no Taylor magnitude above tolerance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite point"):
+                vanishing_order(Polynomial([1, 1]), z)
 
 
 def _bits(x) -> bytes:
@@ -272,6 +308,61 @@ class TestFindRootsOracle:
         assert derivatives == []
 
 
+def _pool_polynomials(monkeypatch) -> list[Polynomial]:
+    """The polynomials whose roots the benchmark's seed-1 pools ask for, in pool order.
+
+    Each cosine sum's scaled polynomial and its reversal (``cosine-sums``),
+    each planted trial's (``planted-trig``) and each planted instance's
+    (``detour``): 1,200 polynomials of degree 1 to 8.
+    """
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from workloads import WORKLOADS
+
+    polys = []
+    cosine = WORKLOADS["cosine-sums"]
+    for a in cosine.inputs(1, cosine.pool_size):
+        f = Polynomial(_unit_scaled(_as_real_coeffs(a)))
+        polys += [f, reverse_poly(f)]
+    planted = WORKLOADS["planted-trig"]
+    for cfg in planted.inputs(1, planted.pool_size):
+        # run_harness's one trial draws its instance first
+        polys.append(random_instance(np.random.default_rng(cfg.seed), cfg).polynomial)
+    detour = WORKLOADS["detour"]
+    polys += [inst.polynomial for inst in detour.inputs(1, detour.pool_size)]
+    return polys
+
+
+class TestFindRootsPools:
+    """``find_roots`` against the one-point form, bit for bit, on the polynomials the benchmark roots (about 2 s).
+
+    The pools hold mostly simple roots, so the polish reads only f and f';
+    planted roots of multiplicity 4 and 5 make it read the chain's rows up
+    to f^(5), and the Taylor test every row.
+    """
+
+    def test_seed_1_pools(self, monkeypatch):
+        polys = _pool_polynomials(monkeypatch)
+        assert len(polys) == 1200
+        for f in polys:
+            assert _outcome(_library_find, f) == _oracle_outcome(f), f.coeffs
+
+    @pytest.mark.parametrize(
+        "roots",
+        [
+            [(0.3, 5), (-0.5j, 4)],
+            [(1.0, 4), (0.2 + 0.1j, 1)],
+            [(0.9j, 5), (-1.1, 1), (0.4, 2)],
+            [(np.exp(0.7j), 4), (0.5 * np.exp(2.1j), 3), (1.7, 1)],
+            [(-0.25 + 0.5j, 5), (0.8, 5)],
+        ],
+    )
+    def test_high_multiplicities(self, roots):
+        f = Polynomial.from_roots(roots)
+        got = _outcome(_library_find, f)
+        assert got == _oracle_outcome(f)
+        assert sorted(m for _, m, _ in got[0]) == sorted(m for _, m in roots)
+
+
 class TestClassifyRoots:
     def test_zero_and_boundary(self, circle_curve):
         report = classify_roots(Polynomial.from_roots([0.0, 1.0]), circle_curve)
@@ -325,6 +416,11 @@ class TestWinding:
             f = Polynomial.from_roots(roots)
             inside = sum(1 for z in roots if abs(z) < 1)
             assert winding_count(f, circle_curve) == inside
+
+    def test_overflowing_derivative_is_no_convergence(self, circle_curve):
+        # the lift-off threshold differentiates f: 2 * 1e308 overflows
+        with pytest.raises(NoConvergence, match="derivative 1 overflows"):
+            winding_count(Polynomial([1, 0, 1e308]), circle_curve)
 
     def test_non_integer_guard(self, monkeypatch, circle_curve):
         monkeypatch.setattr(
