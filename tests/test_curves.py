@@ -859,17 +859,17 @@ class TestConstruction:
     @staticmethod
     def _joint_cases() -> dict:
         """Segment chains of every kind: lines, arcs with lines, arc tables, and trig pieces with arcs."""
-        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        trig, sq = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]), square(0.3, 2.0)
         f = Polynomial.from_roots([(1.0, 1), (1j, 1), (0.3, 1)])
         stadium = [LineSegment(-1 - 1j, 1 - 1j), ArcSegment(1.0, 1.0, -np.pi / 2, np.pi / 2),
                    LineSegment(1 + 1j, -1 + 1j), ArcSegment(-1.0, 1.0, np.pi / 2, 3 * np.pi / 2)]
         return {
             "pentagon": polygon([np.exp(2j * np.pi * k / 5) * (1 + 0.3 * np.sin(k)) for k in range(5)]).segments,
-            "clockwise-square": [seg.reversed() for seg in reversed(square(0.3, 2.0).segments)],
+            "clockwise-square": [seg.reversed() for seg in reversed(sq.segments)],
             "stadium": stadium,
             "half-disc": [ArcSegment(0.0, 1.0, 0.0, np.pi), LineSegment(-1.0, 1.0)],
             "circle-detour": verify_detour(f, circle(0.0, 1.0), Line(0.3))[1].composite.segments,
-            "square-detour": build_detour(square(0.3, 2.0), [square(0.3, 2.0).point(0.1)]).composite.segments,
+            "square-detour": build_detour(sq, [sq.point(0.1)]).composite.segments,
             "trig": trig.segments,
             "trig-detour": build_detour(trig, [trig.point(0.3), trig.point(0.7)]).composite.segments,
         }
