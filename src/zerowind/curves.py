@@ -451,24 +451,10 @@ def _segment_rows(segs: Sequence[Segment], arcs: _ArcTable | None, method: str, 
     return getattr(arcs[:, np.newaxis] if np.ndim(s) else arcs, method)(s)
 
 
-def _joint_points(
-    segs: Sequence[Segment], arcs: _ArcTable | None, probes: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each segment's end and the next segment's start.
-
-    ``probes``, each segment's points at s = linspace(0, 1, m) in a row,
-    hold both for arcs and lines: that grid holds 0.0 and 1.0 exactly, and
-    their points there have the same bits from an array as alone, since each
-    complex product in them has a real factor.  A trig segment's complex
-    Horner products round differently in an array, so its ends are
-    evaluated alone.
-    """
-    if probes is not None and all(isinstance(seg, (ArcSegment, LineSegment)) for seg in segs):
-        starts, ends = probes[:, 0], probes[:, -1]
-    else:
-        starts = _segment_rows(segs, arcs, "points", 0.0)
-        ends = _segment_rows(segs, arcs, "points", 1.0)
-    return ends, np.concatenate((starts[1:], starts[:1]))
+def _joint_points(segs: Sequence[Segment], arcs: _ArcTable | None) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's end and the next segment's start."""
+    starts = _segment_rows(segs, arcs, "points", 0.0)
+    return _segment_rows(segs, arcs, "points", 1.0), np.concatenate((starts[1:], starts[:1]))
 
 
 def segment_from_json(obj: dict) -> Segment:
@@ -536,7 +522,7 @@ class JordanCurve:
             raise ValueError("degenerate curve")
         closure_tol = 1e-9 * diameter
 
-        joints = _joint_points(segs, arcs, probes)
+        joints = _joint_points(segs, arcs)
         ends, next_starts = (pts.tolist() for pts in joints)
         for i, (end, start) in enumerate(zip(ends, next_starts)):
             gap = abs(end - start)

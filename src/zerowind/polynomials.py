@@ -156,8 +156,10 @@ def _derivative_chain(f: Polynomial) -> np.ndarray:
     chain = np.array(rows, dtype=complex)
     finite = np.isfinite(chain)
     if not finite.all():
-        # f's own coefficients are finite, so the first non-finite entry is a product that overflowed
-        j, col = divmod(int(finite.argmin()), n + 1)
+        # f's own coefficients are finite, so a non-finite entry is a product that overflowed: name the first
+        # derivative's lowest power, as Polynomial.derivative does
+        j = int(finite.all(axis=1).argmin())
+        col = n - int(finite[j, ::-1].argmin())
         raise _derivative_overflow(j, n - j - col, complex(chain[j - 1, col]))
     return chain
 
@@ -325,14 +327,12 @@ def _normalized_residuals(abs_coeffs: list[float], zs: list[complex], abs_f: lis
     """|f(z)| over sum_k |a_k| max(1, |z|)^k for each of zs, given each |f(z)| and the |a_k|, in the one-point form's Python arithmetic.
 
     The root test took Python's abs of each z already, so it does not
-    overflow here.  Where max(1, |z|) is 1 every power is 1.0, so the
-    denominator is the plain sum of the |a_k|.
+    overflow here.
     """
-    at_one = sum(abs_coeffs)
     out = []
     for a, z in zip(abs_f, zs):
         base = max(1.0, abs(z))
-        out.append(a / (at_one if base == 1.0 else sum(c * base**k for k, c in enumerate(abs_coeffs))))
+        out.append(a / sum(c * base**k for k, c in enumerate(abs_coeffs)))
     return out
 
 

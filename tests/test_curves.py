@@ -875,7 +875,7 @@ class TestConstruction:
         }
 
     def test_joints_are_each_segments_ends(self):
-        # from_segments reads an arc's or a line's ends from its probes, and evaluates a trig piece's alone
+        # the joints from_segments keeps, and the corner locations, are each segment's own scalar ends
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the clockwise square is reversed with a warning
             for name, segs in self._joint_cases().items():
@@ -888,23 +888,13 @@ class TestConstruction:
                     at = starts[curve.breaks.index(corner.parameter)]
                     assert np.array(corner.location).tobytes() == np.array(at).tobytes(), name
 
-    def test_arc_and_line_joints_take_no_evaluation(self, monkeypatch):
-        # linspace(0, 1, 64) holds 0.0 and 1.0, so the probes' first and last columns are the joints; a curve that
-        # keeps its orientation keeps them
-        cases = self._joint_cases()
-        scalar, rows = [], zerowind.curves._segment_rows
-
-        def counted(segs, arcs, method, s):
-            if method == "points" and np.ndim(s) == 0:
-                scalar.append(s)
-            return rows(segs, arcs, method, s)
-
-        monkeypatch.setattr(zerowind.curves, "_segment_rows", counted)
-        for name in ("pentagon", "stadium", "half-disc", "circle-detour", "square-detour"):
-            curve = JordanCurve.from_segments(cases[name])
-            assert scalar == [] and "_joints" in curve.__dict__, name
-        curve = JordanCurve.from_segments(cases["trig-detour"])
-        assert scalar == [0.0, 1.0] and "_joints" in curve.__dict__
+    def test_joints_are_kept(self):
+        # from_segments evaluates the joints to check closure and keeps them when it does not reverse the curve
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clockwise square is reversed with a warning
+            for name, segs in self._joint_cases().items():
+                curve = JordanCurve.from_segments(segs)
+                assert ("_joints" in curve.__dict__) == (name != "clockwise-square"), name
 
     def test_open_chain_rejected(self):
         segs = [LineSegment(0, 1), LineSegment(1, 1 + 1j), LineSegment(1 + 1j, 0.5j)]

@@ -975,24 +975,27 @@ class TestScalarParity:
     @pytest.mark.parametrize("width", range(1, 10))
     def test_chain_values_are_horner_per_point(self, width):
         # every leading run of rows, as the polish reads them, and leading coefficients with a -0.0 part, which a
-        # zero-padded Horner step 0 z + lead could turn into 0.0: each row must start at its own leading coefficient
+        # zero-padded Horner step 0 z + lead could turn into 0.0: each row must start at its own leading coefficient.
+        # The drawn points are checked as drawn, and again with -0.0 imaginary parts.
         rng = np.random.default_rng(width)
         for n in (1, 2, 5, 9):
             coeffs = tuple(rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1))
+            drawn = rng.normal(size=width) + 1j * rng.normal(size=width)
             for lead in (coeffs[-1], complex(-1.5, -0.0), complex(1.5, -0.0), complex(-0.0, -2.0)):
                 f = Polynomial(coeffs[:-1] + (lead,))
                 chain = zerowind.polynomials._derivative_chain(f)
-                zs = rng.normal(size=width) + 1j * rng.normal(size=width)
-                zs.imag[::2] = -0.0
-                want, g = [], f
-                for j in range(n + 1):
-                    want.append(_bits(np.array([g(complex(z)) for z in zs])))
-                    if j < n:
-                        g = g.derivative()
-                for rows in (None, *range(1, n + 2)):
-                    got = zerowind.polynomials._chain_values(chain, zs, rows)
-                    assert len(got) == (n + 1 if rows is None else rows)
-                    assert [_bits(row) for row in got] == want[: len(got)], (n, lead, rows)
+                on_axis = drawn.copy()
+                on_axis.imag = -0.0
+                for zs in (drawn, on_axis):
+                    want, g = [], f
+                    for j in range(n + 1):
+                        want.append(_bits(np.array([g(complex(z)) for z in zs])))
+                        if j < n:
+                            g = g.derivative()
+                    for rows in (None, *range(1, n + 2)):
+                        got = zerowind.polynomials._chain_values(chain, zs, rows)
+                        assert len(got) == (n + 1 if rows is None else rows)
+                        assert [_bits(row) for row in got] == want[: len(got)], (n, lead, rows)
 
 
 def _arc_through(a: complex, b: complex, bulge: float) -> ArcSegment:

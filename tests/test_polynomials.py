@@ -174,14 +174,19 @@ class TestFindRoots:
             ([1, 0, 1e308], r"coefficient of z\^1 in derivative 1 overflows: 2 \* \(1e\+308\+0j\)"),
             ([0, 0, 0, 0, 1e307], r"coefficient of z\^1 in derivative 3 overflows: 2 \* \(1\.2e\+308\+0j\)"),
             ([1, 1e308, 1e308j, 5, 1e307], r"coefficient of z\^1 in derivative 1 overflows: 2 \* 1e\+308j"),
+            ([0, 0, 1e308, 1e308], r"coefficient of z\^1 in derivative 1 overflows: 2 \* \(1e\+308\+0j\)"),
         ],
     )
     def test_overflowing_derivative_is_no_convergence(self, coeffs, message):
-        # the derivative chain names the first coefficient that overflows; it was a ValueError that blamed the input
+        # the derivative chain names the first derivative's lowest overflowing coefficient, as Polynomial.derivative
+        # does for f' (so winding_count and count-zeros blame the same one); it was a ValueError that blamed the input
         f = Polynomial(coeffs)
+        finds = [find_roots, lambda g: classify_roots(g, unit_circle())]
+        if "derivative 1 " in message:
+            finds += [Polynomial.derivative, lambda g: winding_count(g, unit_circle())]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # np.roots may overflow on the way
-            for find in (find_roots, lambda g: classify_roots(g, unit_circle())):
+            for find in finds:
                 with pytest.raises(NoConvergence, match=f"^{message}$"):
                     find(f)
 
