@@ -24,15 +24,37 @@ class WindingNotResolved(Exception):
 
 
 def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
-    """Roots of the polynomial with the ascending coefficients ``coeffs``, by np.roots' companion eigenproblem.
+    """Roots of the polynomial with the ascending coefficients ``coeffs``: ``np.roots(coeffs[::-1])``, bit for bit.
 
-    Raises NoConvergence where the eigenproblem fails, as it does on a
-    coefficient that overflowed to inf.
+    The roots are the eigenvalues of the companion matrix (Edelman and
+    Murakami, Math. Comp. 64, 1995), built as np.roots builds it: leading and
+    trailing zero coefficients are stripped, row 0 is -p[1:] / p[0] over the
+    descending p that is left, the subdiagonal holds ones, and each stripped
+    trailing zero is a root 0 appended at the end.  Only np.roots' generic
+    array handling is skipped, a third or more of its call at degree 4 and
+    below.  Raises NoConvergence where the eigenproblem fails, as it does on
+    a coefficient that is inf or NaN.
     """
-    try:
-        return np.roots(coeffs[::-1])
-    except np.linalg.LinAlgError as exc:
-        raise NoConvergence(f"companion eigenproblem failed: {exc}") from exc
+    p = coeffs[::-1]
+    nonzero = p.nonzero()[0]
+    if not nonzero.size:
+        return np.array([])
+    trailing = len(p) - 1 - nonzero[-1]
+    p = p[nonzero[0] : nonzero[-1] + 1]
+    if p.dtype.kind not in "fc":
+        p = p.astype(float)
+    n = len(p) - 1
+    if n:
+        a = np.zeros((n, n), dtype=p.dtype)
+        a[0] = -p[1:] / p[0]
+        a.flat[n :: n + 1] = 1
+        try:
+            roots = np.linalg.eigvals(a)
+        except np.linalg.LinAlgError as exc:
+            raise NoConvergence(f"companion eigenproblem failed: {exc}") from exc
+    else:
+        roots = np.array([])
+    return np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
 
 
 def wrap_angle(a):

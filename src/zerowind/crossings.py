@@ -26,6 +26,7 @@ tangency that rounding splits into two roots is counted once.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,11 +97,29 @@ class PreimagePoint:
 
 @dataclass(frozen=True)
 class PreimageSet:
-    points: tuple[PreimagePoint, ...]
+    """The distinct preimages of one count: each one's curve parameter t and contact, in increasing t.
+
+    ``points`` evaluates them on its first read, with one ``curve.points``
+    call over every t and one call of f, the floats of one call per point.
+    A caller that reads only ``count`` evaluates nothing.
+    """
+
+    f: Polynomial
+    curve: JordanCurve
+    found: tuple[tuple[float, str], ...]
 
     @property
     def count(self) -> int:
-        return len(self.points)
+        return len(self.found)
+
+    @cached_property
+    def points(self) -> tuple[PreimagePoint, ...]:
+        ts = np.array([t for t, _ in self.found], dtype=float)
+        zs = self.curve.points(ts)
+        return tuple(
+            PreimagePoint(t, z, value, contact)
+            for (_, contact), t, z, value in zip(self.found, ts.tolist(), zs.tolist(), self.f(zs).tolist())
+        )
 
     def to_json(self) -> dict:
         return {
@@ -299,15 +318,7 @@ def count_preimages(
         zeros = classify_roots(f, curve, band)
     r_max = max(1.0, curve.extent())
     floor = 64.0 * np.finfo(float).eps * sum(abs(c) * r_max**k for k, c in enumerate(f.coeffs))
-    found = _cluster(_detect(f, curve, line, zeros, floor))
-    ts = np.array([t for t, _ in found], dtype=float)
-    zs = curve.points(ts)
-    return PreimageSet(
-        tuple(
-            PreimagePoint(t, z, value, contact)
-            for (_, contact), t, z, value in zip(found, ts.tolist(), zs.tolist(), f(zs).tolist())
-        )
-    )
+    return PreimageSet(f, curve, tuple(_cluster(_detect(f, curve, line, zeros, floor))))
 
 
 def _isolated_root(f: Polynomial, zero: complex, eps: float, what: str, center=None):

@@ -217,11 +217,12 @@ class TrigSegment:
         """``_coefficients`` as every root solve takes them: harmonics under eps sum_k |c_k| dropped.
 
         Such a harmonic moves no curve point by more than its rounding, yet as
-        the leading coefficient of a polynomial it makes np.roots divide by
-        next to nothing: 1e-80 put the roots of a preimage count far off, and
-        a subnormal one overflows the companion matrix.  Dropped harmonics
-        become 0, and then outer pairs c_-K, c_K that are both 0 are cut, so K
-        falls.  A segment with no such harmonic keeps its array.
+        the leading coefficient of a polynomial it makes the companion matrix
+        of ``polynomial_roots`` divide by next to nothing: 1e-80 put the roots
+        of a preimage count far off, and a subnormal one overflows that
+        matrix.  Dropped harmonics become 0, and then outer pairs c_-K, c_K
+        that are both 0 are cut, so K falls.  A segment with no such harmonic
+        keeps its array.
         """
         c = self._coefficients
         size, k = np.abs(c), len(c) // 2

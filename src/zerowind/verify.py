@@ -357,11 +357,11 @@ def _exact_cosine_zero_count(coeffs) -> int:
 
 
 def _checked_trig_count(
-    coeffs: tuple[float, ...], circle_curve: JordanCurve, band: float | None, zeros: ZeroReport | None = None
+    f: Polynomial, circle_curve: JordanCurve, band: float | None, zeros: ZeroReport | None = None
 ) -> int:
-    """Imaginary-axis preimages of the coefficients' polynomial, cross-checked by the exact count."""
-    count = count_preimages(Polynomial(coeffs), circle_curve, Line.imag_axis(), band=band, zeros=zeros).count
-    exact = _exact_cosine_zero_count(coeffs)
+    """Imaginary-axis preimages of the real polynomial f, cross-checked by the exact count of its coefficients."""
+    count = count_preimages(f, circle_curve, Line.imag_axis(), band=band, zeros=zeros).count
+    exact = _exact_cosine_zero_count([c.real for c in f.coeffs])
     if exact != count:
         raise SelfCheckFailed(f"preimage count {count} disagrees with exact cosine-sum count {exact}")
     return count
@@ -383,7 +383,7 @@ def trig_zero_count(a, which: str = "P", *, band: float | None = None) -> int:
     coeffs = _unit_scaled(_as_real_coeffs(a))
     if which not in ("P", "Q"):
         raise ValueError("which must be 'P' or 'Q'")
-    return _checked_trig_count(coeffs if which == "P" else coeffs[::-1], unit_circle(), band)
+    return _checked_trig_count(Polynomial(coeffs if which == "P" else coeffs[::-1]), unit_circle(), band)
 
 
 @dataclass(frozen=True)
@@ -444,8 +444,8 @@ def verify_trig(a, *, band: float | None = None) -> TrigReport:
     if remaining:
         raise SelfCheckFailed("reversed polynomial has unmatched on-circle zeros")
 
-    z_p = _checked_trig_count(coeffs, circle_curve, band, zf)
-    z_q = _checked_trig_count(coeffs[::-1], circle_curve, band, zg)
+    z_p = _checked_trig_count(f, circle_curve, band, zf)
+    z_q = _checked_trig_count(g, circle_curve, band, zg)
     return TrigReport(
         coeffs=given,
         z_p=z_p,

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import zerowind.crossings
+import zerowind.harness
+import zerowind.verify
 from zerowind import (
     ArcSegment,
     BelowNoiseFloor,
@@ -23,6 +27,8 @@ from zerowind import (
     square,
     trig_curve_from_complex_fourier,
     unit_circle,
+    verify_detour,
+    verify_trig,
 )
 from zerowind.harness import HarnessConfig
 
@@ -314,20 +320,20 @@ def _bits(rows) -> bytes:
 
 
 class TestSharedAndBatchedWork:
-    """One residual solve per circle, and one evaluation of the curve and of f per count."""
+    """One residual solve per circle, and one evaluation of the curve and of f per count, on the first read of its points."""
 
     def test_arcs_of_one_circle_share_one_solve(self, monkeypatch):
         composite = _three_mark_composite()
         base = [seg for seg in composite.segments if seg.radius == 1.0]
         assert (len(composite.segments), len(base)) == (7, 4)
         f = Polynomial.from_roots([0.2, -0.5j, 1.5 + 0.3j])
-        original, calls = np.roots, []
+        original, calls = zerowind.crossings.polynomial_roots, []
 
-        def counted(p):
+        def counted(c):
             calls.append(1)
-            return original(p)
+            return original(c)
 
-        monkeypatch.setattr(np, "roots", counted)
+        monkeypatch.setattr(zerowind.crossings, "polynomial_roots", counted)
         pre = count_preimages(f, composite, Line(0.3), zeros=ZeroReport.empty())
         # one solve for the base circle's four arcs and one per splice arc; one per segment took 7
         assert len(calls) == 4
@@ -362,6 +368,78 @@ class TestSharedAndBatchedWork:
         assert [p.t for p in count_preimages(Polynomial((0.0, 1.0)), diamond, Line(0.0)).points] == [0.0, 0.5]
         ts = [p.t for p in count_preimages(Polynomial((1e-12j, 1.0)), diamond, Line(0.0)).points]
         assert 0.5 < ts[0] < 0.5 + 1e-9 and 1.0 - 1e-9 < ts[1] < 1.0
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            (square(0.3j, 2.0), (0.4, -1.1, 0.2j, 1.0), 0.7),
+            (unit_circle(), (0.0,) * 5 + (1.0,), 0.25),
+            (radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]), (-0.1, 0.3j, 0.0, 1.0), 1.2),
+            ("composite", (0.1, -0.3, 0.0, 0.5j, 1.0), 0.3),
+            (unit_circle(), (3.0, 0.1), np.pi / 2),  # no preimage at all
+        ],
+        ids=["square", "circle", "trig", "composite", "none"],
+    )
+    def test_json_is_the_eager_build(self, case):
+        # the points are evaluated on the first read, whichever that is, with the floats an eager build gave them
+        curve, coeffs, angle = case
+        curve = _three_mark_composite() if curve == "composite" else curve
+        f = Polynomial(coeffs)
+        counted = count_preimages(f, curve, Line(angle))
+        ts = np.array([t for t, _ in counted.found], dtype=float)
+        zs = curve.points(ts)
+        eager = {
+            "count": len(ts),
+            "points": [
+                {"t": t, "z": [z.real, z.imag], "value": [v.real, v.imag], "contact": contact}
+                for (_, contact), t, z, v in zip(counted.found, ts.tolist(), zs.tolist(), f(zs).tolist())
+            ],
+        }
+        assert json.dumps(counted.to_json()) == json.dumps(eager)
+        points_first = count_preimages(f, curve, Line(angle))
+        assert points_first.points == counted.points
+        assert json.dumps(points_first.to_json()) == json.dumps(eager)
+
+    @pytest.mark.parametrize("caller", ["verify_trig", "run_harness", "verify_detour"])
+    def test_counts_evaluate_no_preimage_points(self, monkeypatch, caller):
+        # callers read only the count, so nothing after _cluster evaluates the curve or f
+        tail, clustered = [], []
+        cluster, points, call = zerowind.crossings._cluster, JordanCurve.points, Polynomial.__call__
+
+        def counted_cluster(cands):
+            clustered.append(True)
+            return cluster(cands)
+
+        def counted_points(self, t):
+            if clustered and clustered[-1]:
+                tail.append("points")
+            return points(self, t)
+
+        def counted_call(self, z):
+            if clustered and clustered[-1]:
+                tail.append("f")
+            return call(self, z)
+
+        for module in (zerowind.verify, zerowind.harness):
+            def closed(*args, _count=module.count_preimages, **kwargs):
+                try:
+                    return _count(*args, **kwargs)
+                finally:
+                    clustered.append(False)
+
+            monkeypatch.setattr(module, "count_preimages", closed)
+        monkeypatch.setattr(zerowind.crossings, "_cluster", counted_cluster)
+        monkeypatch.setattr(JordanCurve, "points", counted_points)
+        monkeypatch.setattr(Polynomial, "__call__", counted_call)
+        if caller == "verify_trig":
+            assert verify_trig([0.7, -0.2, 0.45, -0.9, 0.3, 0.55]).bound_holds
+        elif caller == "run_harness":
+            assert run_harness(HarnessConfig(trials=2, max_degree=5, curve_family="trig-perturbed", seed=3)).all_hold
+        else:
+            f = Polynomial.from_roots([(1.0, 1), (0.4j, 1), (-0.3, 1)])
+            assert verify_detour(f, unit_circle(), Line(0.3))[0].holds
+        assert clustered.count(True) == {"verify_trig": 2, "run_harness": 2, "verify_detour": 1}[caller]
+        assert tail == []
 
 
 def _mean_placement(group: list[float]) -> float:

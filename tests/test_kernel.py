@@ -13,7 +13,8 @@ of up to 8192 points; both rely on NumPy giving each element the same bits in
 any array, which the last class here checks directly.  Bisection also walks
 a path it predicts by the secant, and closed-form segment areas are checked
 against the shoelace sum of fine chords.  A curve of several arcs, evaluated
-as one arc table, must give the bits of its arcs taken one at a time.
+as one arc table, must give the bits of its arcs taken one at a time, and the
+companion-matrix root kernel must give the bytes of ``np.roots``.
 """
 
 import os
@@ -30,6 +31,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import zerowind.crossings
 import zerowind.curves
 import zerowind.polynomials
 from zerowind import (
@@ -39,16 +41,18 @@ from zerowind import (
     JordanCurve,
     Line,
     LineSegment,
+    NoConvergence,
     Polynomial,
     TrigSegment,
     build_detour,
     circle,
+    count_preimages,
     polygon,
     radial_trig_curve,
     square,
     unit_circle,
 )
-from zerowind._numeric import _BISECT_DEPTH, _GOLDEN_DEPTH, bisect_zero, golden_min
+from zerowind._numeric import _BISECT_DEPTH, _GOLDEN_DEPTH, bisect_zero, golden_min, polynomial_roots
 from zerowind.curves import GRID_SAMPLES, TWO_PI, classify_points, nearest_parameter
 from zerowind.harness import HarnessConfig, random_instance
 
@@ -996,6 +1000,82 @@ class TestScalarParity:
                         got = zerowind.polynomials._chain_values(chain, zs, rows)
                         assert len(got) == (n + 1 if rows is None else rows)
                         assert [_bits(row) for row in got] == want[: len(got)], (n, lead, rows)
+
+
+def _companion_cases() -> list[np.ndarray]:
+    """Ascending coefficient vectors for the root kernel: random real and complex ones of degree 0-64, and edge cases."""
+    rng = np.random.default_rng(26)
+    cases = []
+    for n in range(65):
+        scale = np.geomspace(1e-3, 1e3, n + 1)
+        cases.append(rng.normal(size=n + 1) * scale)
+        cases.append((rng.normal(size=n + 1) + 1j * rng.normal(size=n + 1)) * scale[::-1])
+    z = rng.normal(size=6) + 1j * rng.normal(size=6)
+    cases += [
+        np.array([0.0, 0.0, 1.5, -2.0, 0.25]),  # trailing zeros of the descending vector: roots 0
+        np.array([1.5, -2.0, 0.25, 0.0, 0.0]),  # leading zeros: stripped
+        np.concatenate([[0j, -0.0j], z, [0j]]),
+        np.array([0.0, -0.0, 3.0, 0.0]),  # a single nonzero
+        np.array([2.5]),
+        np.array([-1j]),
+        np.zeros(4),  # all zeros
+        np.zeros(3, dtype=complex),
+        np.array([0.0]),
+        np.array([3, -4, 2]),  # integers are solved as floats: -p[1:] / p[0] is 2, -1.5
+        z.imag,  # a strided view
+        np.array([1.0, 2.0, np.inf]),  # an inf leading coefficient zeroes the companion row
+        np.array([1.0, np.inf, 2.0]),
+        np.array([np.nan, 1.0, 2.0]),
+        np.array([1.0 + 0j, 2.0, complex(0.0, np.inf)]),
+        np.array([1.0, np.nan + 0j, 2.0 - 1j]),
+    ]
+    return cases
+
+
+class TestCompanionRoots:
+    """``polynomial_roots(c)`` is ``np.roots(c[::-1])``: the same dtype, shape and bytes, or the same failure."""
+
+    @staticmethod
+    def _check(c):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # inf / inf and the like, on both sides alike
+            try:
+                want = np.roots(c[::-1])
+            except np.linalg.LinAlgError as exc:
+                with pytest.raises(NoConvergence) as got:
+                    polynomial_roots(c)
+                assert str(got.value) == f"companion eigenproblem failed: {exc}"
+                return
+            got = polynomial_roots(c)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), c
+        assert got.tobytes() == want.tobytes(), c
+
+    def test_vectors(self):
+        for c in _companion_cases():
+            self._check(c)
+
+    def test_every_solve_of_some_counts(self, monkeypatch):
+        # the residuals of line segments are real, those of arcs and trig segments complex; a trig segment's nearest
+        # points and turns solve its own polynomials, and the root finder solves f itself
+        seen, original = [], zerowind.crossings.polynomial_roots
+
+        def recorded(c):
+            seen.append(np.array(c))
+            return original(c)
+
+        for module in (zerowind.crossings, zerowind.curves, zerowind.polynomials):
+            monkeypatch.setattr(module, "polynomial_roots", recorded)
+        trig = radial_trig_curve([(0.02, -0.01), (0.0, 0.015)])
+        f = Polynomial.from_roots([0.3 + 0.2j, -0.5j, 1.5, trig.point(0.3)])
+        for curve in (square(0.1j, 1.6), unit_circle(), trig):
+            count_preimages(f, curve, Line(0.3))
+        for seg in trig.segments:
+            seg.nearest(np.array([0.2 + 1.1j, -0.9]))
+            seg.turns(np.array([0.1, 2.0 - 0.5j]))
+        kinds = {c.dtype.kind for c in seen}
+        assert kinds == {"f", "c"} and len(seen) > 10
+        for c in seen:
+            self._check(c)
 
 
 def _arc_through(a: complex, b: complex, bulge: float) -> ArcSegment:
