@@ -242,9 +242,12 @@ def _detect(f: Polynomial, curve: JordanCurve, line: Line, zeros: ZeroReport, fl
         lo, width = br[i], br[i + 1] - br[i]
         here = []
         for t, k in on_curve:
-            s = _in_range(np.array([((t - lo) % 1.0) / width]), 1.0 / width)
-            if s.size:
-                here.append((float(s[0]), k))
+            # _in_range for one parameter: s is at least 0, and just under the period lies before the start
+            s = ((t - lo) % 1.0) / width
+            if s >= 1.0 / width - _END_SLACK:
+                here.append((0.0, k))
+            elif s <= 1.0 + _END_SLACK:
+                here.append((float(min(s, 1.0)), k))
         roots = _segment_roots(f, seg, u, here, floor, solved)
         if roots is None:
             stretches.append((lo, width))

@@ -35,13 +35,46 @@ DEFAULT_BAND_FACTOR = 1e-9
 # points with n dividing it is a strided view of the one sampling cached.
 GRID_SAMPLES = 8192
 
+# The local parameters at which ``JordanCurve.from_segments`` probes each
+# segment for finite points and the curve's diameter.
+_PROBES = np.linspace(0.0, 1.0, 64)
+_PROBES.flags.writeable = False
+
+# The breaks of a curve of one segment, as NumPy floats like every curve's.
+_WHOLE_RANGE = (np.float64(0.0), np.float64(1.0))
+
 
 # ---------------------------------------------------------------------------
 # segments
 
 
+class _HarmonicFacts:
+    """What an arc or trig segment, a Laurent polynomial in w = e^{i theta}, computes once from its ``_coefficients``.
+
+    Each fact is built on first use and kept; threads that race on it only
+    repeat the work.
+    """
+
+    @cached_property
+    def _moduli(self) -> np.ndarray:
+        """|c_k| for each of ``_coefficients``, from one ``np.abs`` over the array (a scalar ``abs`` can differ)."""
+        return np.abs(self._coefficients)
+
+    @cached_property
+    def _first_harmonic(self) -> tuple[np.ndarray, np.ndarray, int] | None:
+        """The coefficients c_-K .. c_K, their moduli and the index of the larger of |c_-1| and |c_1| (of c_1 on a tie).
+
+        None unless the segment sweeps exactly one full turn.  A full circle
+        c + R w gives 0, c, R.
+        """
+        if abs(_sweep(self)) != TWO_PI:
+            return None
+        size, k = self._moduli, len(self._coefficients) // 2
+        return self._coefficients, size, (k + 1 if size[k + 1] >= size[k - 1] else k - 1)
+
+
 @dataclass(frozen=True)
-class ArcSegment:
+class ArcSegment(_HarmonicFacts):
     """Circular arc, swept from angle0 to angle1 (negative sweep = clockwise)."""
 
     center: complex
@@ -167,7 +200,7 @@ class LineSegment:
 
 
 @dataclass(frozen=True)
-class TrigSegment:
+class TrigSegment(_HarmonicFacts):
     """x(t) + i y(t) with x, y finite cosine/sine series, t on [theta0, theta1].
 
     Coefficients are packed flat as [c0, a1, b1, a2, b2, ...], meaning
@@ -224,8 +257,8 @@ class TrigSegment:
         that are both 0 are cut, so K falls.  A segment with no such harmonic
         keeps its array.
         """
-        c = self._coefficients
-        size, k = np.abs(c), len(c) // 2
+        c, size = self._coefficients, self._moduli
+        k = len(c) // 2
         negligible = (0.0 < size) & (size < np.finfo(float).eps * size.sum()) & (np.arange(len(c)) != k)
         if not negligible.any():
             return c
@@ -277,7 +310,7 @@ class TrigSegment:
 
     def extent(self):
         """A bound on every coordinate of the segment: |c_0| + sum_k |c_k|."""
-        return float(np.abs(self._coefficients).sum())
+        return float(self._moduli.sum())
 
     def area(self) -> float:
         """Half of the integral of Im(conj(z) dz) along the segment.
@@ -288,10 +321,10 @@ class TrigSegment:
         otherwise.  That holds on any range, reversed and partial ones too.
         """
         c = self._coefficients
-        k = np.arange(len(c)) - len(c) // 2
-        d = k - k[:, np.newaxis]
-        off = np.exp(1j * d * self.theta1) - np.exp(1j * d * self.theta0)
-        weights = np.where(d == 0, 1j * k * (self.theta1 - self.theta0), k * off / np.where(d == 0, 1, d))
+        k, i_steps, gather, diagonal, divisor = _area_table(len(c))
+        # one exp per harmonic difference k - j, gathered into the table
+        off = (np.exp(i_steps * self.theta1) - np.exp(i_steps * self.theta0))[gather]
+        weights = np.where(diagonal, 1j * k * (self.theta1 - self.theta0), k * off / divisor)
         return 0.5 * float((np.conj(c) @ weights @ c).imag)
 
     def points(self, s):
@@ -338,6 +371,22 @@ class TrigSegment:
 
 
 Segment = Union[ArcSegment, LineSegment, TrigSegment]
+
+
+@cache
+def _area_table(n: int) -> tuple[np.ndarray, ...]:
+    """What ``TrigSegment.area`` takes from its n = 2K + 1 harmonics alone, read-only.
+
+    They are k = -K .. K; i d for each difference d = -2K .. 2K; the index
+    into those differences of k - j at row j, column k; the diagonal k = j;
+    and k - j with 1 on the diagonal, the divisor off it.
+    """
+    k = np.arange(n) - n // 2
+    d = k - k[:, np.newaxis]
+    table = (k, 1j * np.arange(1 - n, n), d + n - 1, d == 0, np.where(d == 0, 1, d))
+    for a in table:
+        a.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -514,7 +563,7 @@ class JordanCurve:
         arcs = _ArcTable.of(segs)
         # a non-finite segment is reported below, not warned about here
         with np.errstate(invalid="ignore", over="ignore"):
-            probes = _segment_rows(segs, arcs, "points", np.linspace(0.0, 1.0, 64))
+            probes = _segment_rows(segs, arcs, "points", _PROBES)
         bad = np.flatnonzero(~np.isfinite(probes).all(axis=1))
         if len(bad):
             raise ValueError(f"segment {bad[0]} has a non-finite point")
@@ -560,10 +609,13 @@ class JordanCurve:
         """
         arcs = _ArcTable.of(segs) if arcs is None else arcs
         starts = _segment_rows(segs, arcs, "points", 0.0).tolist() if starts is None else starts
-        lengths = np.array([max(s.rough_length(), 1e-300) for s in segs]) if len(segs) > 1 else np.ones(1)
-        cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
-        cum[-1] = 1.0
-        breaks = tuple(cum)
+        if len(segs) == 1:
+            breaks = _WHOLE_RANGE
+        else:
+            lengths = np.array([max(s.rough_length(), 1e-300) for s in segs])
+            cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
+            cum[-1] = 1.0
+            breaks = tuple(cum)
         curve = cls(segs, breaks, _find_corners(segs, breaks, arcs, starts), diameter)
         curve.__dict__["_arcs"] = arcs
         return curve
@@ -666,6 +718,11 @@ class JordanCurve:
 
     def extent(self) -> float:
         """A bound on every coordinate of the curve: the largest of its segments' ``extent()``."""
+        return self._extent
+
+    @cached_property
+    def _extent(self) -> float:
+        """``extent()``, taken on first use and kept."""
         return float(max(seg.extent() for seg in self.segments))
 
     def checked_band(self, band: float | None) -> float:
@@ -801,21 +858,6 @@ def _sweep(seg: Segment) -> float:
     return seg.theta1 - seg.theta0 if isinstance(seg, TrigSegment) else 0.0
 
 
-def _first_harmonic(seg: Segment) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """The coefficients of an arc or trig segment sweeping exactly one full turn; None for any other segment.
-
-    They are c_-K .. c_K, their moduli, and the index of the larger of
-    |c_-1| and |c_1| (of c_1 on a tie); a full circle c + R w gives 0, c, R.
-    The moduli come from one ``np.abs`` over the whole array: a scalar
-    ``abs`` can differ from it in the last bit.
-    """
-    if abs(_sweep(seg)) != TWO_PI:
-        return None
-    c = seg._coefficients
-    size, k = np.abs(c), len(c) // 2
-    return c, size, (k + 1 if size[k + 1] >= size[k - 1] else k - 1)
-
-
 def _first_harmonic_dominates(seg: Segment) -> bool:
     """True when seg sweeps one full turn and its first harmonic proves the closed curve simple.
 
@@ -831,7 +873,7 @@ def _first_harmonic_dominates(seg: Segment) -> bool:
     for rounding, so a curve at the boundary is not certified, and neither
     is a curve with a NaN or infinite coefficient.
     """
-    harmonic = _first_harmonic(seg)
+    harmonic = seg._first_harmonic
     if harmonic is None or not np.isfinite(harmonic[0]).all():
         return False
     c, size, s = harmonic
@@ -903,14 +945,22 @@ def square(center: complex, side: float) -> JordanCurve:
 
 
 def trig_curve_from_complex_fourier(coeffs: dict[int, complex]) -> JordanCurve:
-    """Closed curve z(t) = sum_m c_m exp(i m t), t in [0, 2*pi), from complex coefficients."""
+    """Closed curve z(t) = sum_m c_m exp(i m t), t in [0, 2*pi), from complex coefficients.
+
+    Each key m is an integer, or a float with an integer value, which counts
+    as that integer; any other key is refused.
+    """
     if not coeffs:
         raise ValueError("no Fourier coefficients given")
-    # x and y packed flat as [c0, a1, b1, a2, b2, ...]: h > 0 fills slots 2h - 1 (cosine) and 2h (sine)
-    kmax = max(abs(m) for m in coeffs)
-    x, y = [0.0] * (2 * kmax + 1), [0.0] * (2 * kmax + 1)
+    terms = []
     for m, c in coeffs.items():
-        c = complex(c)
+        if not (isinstance(m, (int, np.integer)) or isinstance(m, (float, np.floating)) and float(m).is_integer()):
+            raise ValueError(f"Fourier coefficient key {m!r} is not an integer")
+        terms.append((int(m), complex(c)))
+    # x and y packed flat as [c0, a1, b1, a2, b2, ...]: h > 0 fills slots 2h - 1 (cosine) and 2h (sine)
+    kmax = max(abs(m) for m, _ in terms)
+    x, y = [0.0] * (2 * kmax + 1), [0.0] * (2 * kmax + 1)
+    for m, c in terms:
         if m == 0:
             x[0] += c.real
             y[0] += c.imag
@@ -973,23 +1023,31 @@ def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, n
 
     Each segment gives its nearest point in closed form (its ``nearest``),
     and the nearest segment wins (the first on ties).  A segment end maps
-    exactly to the next break, so a corner gets its break.  A curve of two
-    or more arcs takes every arc's nearest points and their distances from
-    its arc table, one row per arc, in one expression each, with the bits
-    that each arc gives on its own.
+    exactly to the next break, so a corner gets its break.  A curve of one
+    segment takes its nearest points without measuring them against any
+    other, and their distances from the segment itself, whose breaks are
+    (0.0, 1.0).  A curve of two or more arcs takes every arc's nearest points
+    and their distances from its arc table, one row per arc, in one
+    expression each, with the bits that each arc gives on its own.
     """
     br = np.asarray(curve.breaks)
     arcs = curve._arcs
-    if arcs is None:
-        s = np.array([seg.nearest(ps) for seg in curve.segments])
-        gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
+    one = len(curve.segments) == 1
+    if one:
+        # an argmin over one row is 0
+        i, si = 0, curve.segments[0].nearest(ps)
     else:
-        s = arcs[:, np.newaxis].nearest(ps)
-        gaps = np.abs(arcs[:, np.newaxis].points(s) - ps)
-    i = np.argmin(gaps, axis=0)
-    si = s[i, np.arange(len(ps))]
+        if arcs is None:
+            s = np.array([seg.nearest(ps) for seg in curve.segments])
+            gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
+        else:
+            s = arcs[:, np.newaxis].nearest(ps)
+            gaps = np.abs(arcs[:, np.newaxis].points(s) - ps)
+        i = np.argmin(gaps, axis=0)
+        si = s[i, np.arange(len(ps))]
     t = np.where(si == 1.0, br[i + 1], br[i] + si * (br[i + 1] - br[i])) % 1.0
-    return t, np.abs(curve.points(t) - ps)
+    # t lies in [0, 1), where the points of a curve of one segment are the segment's own
+    return t, np.abs((curve.segments[0] if one else curve).points(t) - ps)
 
 
 # A point this close to a curve, relative to the largest coordinate
@@ -1049,7 +1107,7 @@ def _annulus_kinds(curve: JordanCurve, ps: np.ndarray, band: float, extent: floa
     polynomial roots are accurate, with the winding of the certificate: the
     two paths give the same location.
     """
-    harmonic = _first_harmonic(curve.segments[0]) if len(curve.segments) == 1 else None
+    harmonic = curve.segments[0]._first_harmonic if len(curve.segments) == 1 else None
     if harmonic is None:
         return None
     c, size, s = harmonic

@@ -60,6 +60,8 @@ class HarnessConfig:
             raise ValueError(f"curve_family must be one of {_FAMILIES}")
         if self.trials < 1 or self.max_degree < 1:
             raise ValueError("trials and max_degree must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
 
     def to_json(self) -> dict:
         return {
@@ -120,7 +122,16 @@ def _lshape_vertices(scale: float, shift: complex) -> list[complex]:
 
 
 class _Family:
-    """A curve plus site generators returning (point, interior_angle_or_None, param_or_None)."""
+    """A curve and its planting sites.
+
+    Each site method draws one site as (point, at, scale, alpha, t).  A point
+    that the draws fix, or that the unit circle's cached table gives, comes
+    as ``point``.  Any other point is None there: it is the curve point at
+    parameter ``at``, times ``scale`` unless that is None, and
+    ``random_instance`` evaluates all of those of a placement attempt in one
+    call.  alpha and t, the exact interior angle and the curve parameter of
+    an on-curve site, are None off the curve.
+    """
 
     def __init__(self, curve: JordanCurve, rng: np.random.Generator, kind: str, geom):
         self.curve = curve
@@ -128,65 +139,69 @@ class _Family:
         self.kind = kind
         self.geom = geom
 
-    def _site(self, k) -> complex:
-        """The curve point at t = k / 720: the unit circle's from its cached table, a trig curve's evaluated."""
+    def _ray_site(self, low: float, width: float) -> tuple:
+        """The curve point at t = k / 720, scaled by a draw from [low, low + width)."""
+        k = self.rng.integers(0, 720)
+        scale = low + width * self.rng.random()
         if self.kind == "circle":
-            return _circle_sites()[k]
-        return complex(self.curve.point(k / 720.0))
+            return complex(scale * _circle_sites()[k]), None, None, None, None
+        return None, k / 720.0, scale, None, None
 
-    def inside_point(self) -> complex:
+    def inside_point(self) -> tuple:
         rng = self.rng
         if self.kind in ("circle", "trig-perturbed"):
-            k = rng.integers(0, 720)
-            return complex((0.25 + 0.55 * rng.random()) * self._site(k))
+            return self._ray_site(0.25, 0.55)
         if self.kind == "square":
             c, s = self.geom
-            return c + complex(rng.uniform(-0.3, 0.3) * s, rng.uniform(-0.3, 0.3) * s)
+            return c + complex(rng.uniform(-0.3, 0.3) * s, rng.uniform(-0.3, 0.3) * s), None, None, None, None
         s, shift = self.geom
         cell = rng.integers(0, 3)
         anchors = [0.5 + 0.5j, 1.5 + 0.5j, 0.5 + 1.5j]
         jitter = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        return shift + s * (anchors[cell] + jitter)
+        return shift + s * (anchors[cell] + jitter), None, None, None, None
 
-    def outside_point(self) -> complex:
+    def outside_point(self) -> tuple:
         rng = self.rng
         if self.kind in ("circle", "trig-perturbed"):
-            k = rng.integers(0, 720)
-            return complex((1.3 + 1.2 * rng.random()) * self._site(k))
+            return self._ray_site(1.3, 1.2)
         if self.kind == "square":
             c, s = self.geom
             ang = rng.uniform(0.0, 2 * np.pi)
-            return c + s * (1.0 + rng.uniform(0.2, 1.0)) * complex(np.cos(ang), np.sin(ang))
+            return c + s * (1.0 + rng.uniform(0.2, 1.0)) * complex(np.cos(ang), np.sin(ang)), None, None, None, None
         s, shift = self.geom
         picks = [1.6 + 1.6j, -0.6 - 0.6j, 2.8 + 0.4j, 0.4 + 2.8j, 1.4 + 1.8j]
         base = picks[rng.integers(0, len(picks))]
-        return shift + s * (base + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1)))
+        return shift + s * (base + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))), None, None, None, None
 
-    def boundary_site(self) -> tuple[complex, float, float]:
-        """(point on the curve, exact interior angle there, curve parameter)."""
+    def boundary_site(self) -> tuple:
+        """A site on the curve, with its exact interior angle and curve parameter."""
         rng = self.rng
         if self.kind in ("circle", "trig-perturbed"):
             k = rng.integers(0, 720)
-            return self._site(k), np.pi, float(k / 720.0)
+            if self.kind == "circle":
+                return _circle_sites()[k], None, None, np.pi, float(k / 720.0)
+            t = k / 720.0
+            return None, t, None, np.pi, float(t)
         # polygon families: choose a corner or an edge point
         corners = self.curve.corners
         if rng.random() < 0.5:
             c = corners[rng.integers(0, len(corners))]
-            return c.location, c.interior_angle, c.parameter
+            return c.location, None, None, c.interior_angle, c.parameter
         k = len(self.curve.segments)
         i = int(rng.integers(0, k))
         frac = rng.integers(2, 9) / 10.0  # interior of the edge, rational offset
         br = self.curve.breaks
         t = br[i] + frac * (br[i + 1] - br[i])
-        return complex(self.curve.point(t)), np.pi, float(t)
+        return None, t, None, np.pi, float(t)
 
 
 def _make_family(kind: str, rng: np.random.Generator) -> _Family:
     if kind == "circle":
         return _Family(unit_circle(), rng, kind, None)
     if kind == "trig-perturbed":
-        harmonics = [(rng.uniform(-0.03, 0.03), rng.uniform(-0.03, 0.03)) for _ in range(3)]
-        return _Family(radial_trig_curve(harmonics), rng, kind, None)
+        # one draw of six gives the values and the generator state of six scalar draws
+        ab = rng.uniform(-0.03, 0.03, size=6).tolist()
+        return _Family(radial_trig_curve(list(zip(ab[::2], ab[1::2]))), rng, kind, None)
     if kind == "square":
         c = complex(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25))
         s = rng.uniform(1.4, 2.2)
@@ -215,7 +230,8 @@ def random_instance(
     degree = int(rng.integers(1, cfg.max_degree + 1))
 
     for _attempt in range(_ATTEMPTS):
-        placed: list[tuple[complex, int, str, float | None, float | None]] = []
+        placed: list[tuple[complex | None, int, str, float | None, float | None]] = []
+        pending = []  # (index in placed, at, scale) of each site whose point the curve gives
         total = 0
         need_on = min_on_curve
         while total < degree:
@@ -225,14 +241,21 @@ def random_instance(
             else:
                 region = _region(rng)
             if region == "inside":
-                z, alpha, t = family.inside_point(), None, None
+                z, at, scale, alpha, t = family.inside_point()
             elif region == "outside":
-                z, alpha, t = family.outside_point(), None, None
+                z, at, scale, alpha, t = family.outside_point()
             else:
-                z, alpha, t = family.boundary_site()
+                z, at, scale, alpha, t = family.boundary_site()
                 need_on -= 1
+            if z is None:
+                pending.append((len(placed), at, scale))
             placed.append((z, mult, region, alpha, t))
             total += mult
+        if pending:
+            # every site of the attempt is drawn first; one evaluation gives each the bits of one curve.point
+            zs = family.curve.points(np.array([at for _, at, _ in pending])).tolist()
+            for (i, _, scale), z in zip(pending, zs):
+                placed[i] = (z if scale is None else complex(scale * z),) + placed[i][1:]
         locs = [p[0] for p in placed]
         if all(abs(locs[i] - locs[j]) >= separation for i in range(len(locs)) for j in range(i + 1, len(locs))):
             break

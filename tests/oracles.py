@@ -10,7 +10,10 @@ earlier, slower forms, which the faster forms must match bit for bit.
 ``pointwise_preimage_values`` evaluates preimages one point at a time.
 ``reference_nearest_parameter``, ``reference_joints``, ``reference_windings``,
 ``reference_breaks`` and ``reference_corners`` take every segment on its own,
-as each curve did before a curve of several arcs was evaluated as one table.
+as each curve did before a curve of several arcs was evaluated as one table;
+``reference_nearest_parameter`` also measures a one-segment curve's nearest
+points before it picks that segment.  ``full_matrix_trig_area`` takes one exponential per entry of a trig
+segment's area table.
 ``reference_laurent_points`` and ``reference_laurent_derivs`` build a trig
 segment's Laurent coefficients one harmonic at a time; the earlier cosine and
 sine series, ``reference_trig_series``, stay as a second float oracle, checked
@@ -513,6 +516,16 @@ def sampled_inside(curve, p: complex) -> str:
 def segment_probes(segments) -> np.ndarray:
     """Each segment's points at 64 evenly spaced local parameters, segment after segment: what a curve's diameter is taken over."""
     return np.concatenate([seg.points(np.linspace(0.0, 1.0, 64)) for seg in segments])
+
+
+def full_matrix_trig_area(seg) -> float:
+    """``TrigSegment.area`` as it was before its exponentials were gathered: one exp per entry of the full table."""
+    c = seg._coefficients
+    k = np.arange(len(c)) - len(c) // 2
+    d = k - k[:, np.newaxis]
+    off = np.exp(1j * d * seg.theta1) - np.exp(1j * d * seg.theta0)
+    weights = np.where(d == 0, 1j * k * (seg.theta1 - seg.theta0), k * off / np.where(d == 0, 1, d))
+    return 0.5 * float((np.conj(c) @ weights @ c).imag)
 
 
 def full_matrix_diameter(points) -> float:

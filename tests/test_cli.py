@@ -243,6 +243,14 @@ class TestHarnessCommand:
         assert cli.main(["harness", "--config", write_json(tmp_path / "h.json", config)]) == 2
         assert f"bad harness config: {reason}" in capsys.readouterr().err
 
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        # both forms failed inside NumPy with "expected non-negative integer"
+        message = "seed must be a non-negative integer, not -1"
+        assert cli.main(["harness", "--config", write_json(tmp_path / "h.json", {"trials": 1, "seed": -1})]) == 2
+        assert f"bad harness config: {message}" in capsys.readouterr().err
+        assert cli.main(["harness", "--config", write_json(tmp_path / "ok.json", {"trials": 1}), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_unplaceable_request_exits_2(self, tmp_path, capsys):
         # 65 roots 0.2 apart do not fit the circle's sites: an untyped RuntimeError once exited 1 with a traceback
         config = {"trials": 1, "max_degree": 80, "curve_family": "circle", "seed": 3}

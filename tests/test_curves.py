@@ -1,3 +1,4 @@
+import re
 import sys
 import warnings
 from functools import cache
@@ -1072,6 +1073,17 @@ class TestConstruction:
     def test_empty_fourier_coefficients_rejected(self):
         with pytest.raises(ValueError, match="no Fourier coefficients given"):
             zerowind.curves.trig_curve_from_complex_fourier({})
+
+    def test_integer_valued_fourier_keys(self):
+        # {1: 1.0, 2.0: 0.1} raised an untyped TypeError: a float key indexed the packed series
+        want = trig_curve_from_complex_fourier({1: 1.0, 2: 0.1, -1: 0.05j}).segments
+        for coeffs in ({1: 1.0, 2.0: 0.1, -1: 0.05j}, {np.int64(1): 1.0, np.float64(2.0): 0.1, -1.0: 0.05j}):
+            assert trig_curve_from_complex_fourier(coeffs).segments == want
+
+    @pytest.mark.parametrize("key", [2.5, float("nan"), float("inf"), "2", None, 2j])
+    def test_other_fourier_keys_refused(self, key):
+        with pytest.raises(ValueError, match=re.escape(f"Fourier coefficient key {key!r} is not an integer")):
+            trig_curve_from_complex_fourier({1: 1.0, key: 0.1})
 
     @pytest.mark.parametrize("family", ["circle", "trig-perturbed", "square", "lshape"])
     def test_harness_families_still_build(self, family):

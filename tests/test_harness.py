@@ -32,6 +32,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             HarnessConfig(curve_family="hexagon")
 
+    @pytest.mark.parametrize("seed", [-1, -(2**63)])
+    def test_negative_seed_rejected(self, seed):
+        # it was accepted, and run_harness then failed inside NumPy: "expected non-negative integer"
+        message = f"^seed must be a non-negative integer, not {seed}$"
+        with pytest.raises(ValueError, match=message):
+            HarnessConfig(seed=seed)
+        with pytest.raises(ValueError, match=message):
+            HarnessConfig.from_json({"seed": seed})
+        assert HarnessConfig(seed=0).seed == 0
+
 
 class TestInstanceGeneration:
     def test_planted_counts_match_classifier(self):
@@ -116,7 +126,8 @@ class TestDraws:
     """The planted instances are fixed per seed: the values and generator states that Generator.choice gave."""
 
     def test_replacements_draw_what_choice_draws(self):
-        # random_instance draws choice(n) as integers(0, n), the multiplicities and the weighted regions as below
+        # random_instance draws choice(n) as integers(0, n), the multiplicities and the weighted regions as below,
+        # and six scalar uniform draws as one of size 6
         from zerowind.harness import _multiplicity, _region
 
         for seed in range(50):
@@ -126,6 +137,8 @@ class TestDraws:
                 assert _region(ours) == theirs.choice(["inside", "on", "outside"], p=[0.4, 0.3, 0.3])
                 for n in range(3, 8):
                     assert ours.integers(0, n) == theirs.choice(n)
+            # a trig-perturbed curve's six harmonic coefficients come from one draw
+            assert ours.uniform(-0.03, 0.03, size=6).tolist() == [theirs.uniform(-0.03, 0.03) for _ in range(6)]
             assert ours.random() == theirs.random()
 
     def test_circle_sites_are_the_scalar_points(self):
@@ -175,8 +188,53 @@ class TestWorkBudget:
     calls, about 8 us each, mostly argument checks, and 5,068 scalar
     ``JordanCurve.point`` calls on the shared unit circle, about 12 us each.
     The draws are now made with ``integers`` and ``random`` directly, and the
-    circle's sites come from one cached table.
+    circle's sites come from one cached table.  Any other family evaluates
+    the sites of one placement attempt in one ``points`` call.
     """
+
+    def test_planted_trig_pool(self, monkeypatch):
+        # each trial evaluated its planted sites one scalar point at a time, 2.8 points per trial on this pool
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        import zerowind.harness
+        from workloads import WORKLOADS
+
+        wl = WORKLOADS["planted-trig"]
+        pool = wl.inputs(1, wl.pool_size)
+        point, points, multiplicity = JordanCurve.point, JordanCurve.points, zerowind.harness._multiplicity
+        scalar, sizes, sites = [], [], []
+
+        def counted_point(self, t):
+            scalar.append(t)
+            return point(self, t)
+
+        def counted_points(self, t):
+            sizes.append(np.size(t))
+            return points(self, t)
+
+        def counted_multiplicity(rng):
+            sites.append(1)  # one draw per site
+            return multiplicity(rng)
+
+        monkeypatch.setattr(JordanCurve, "point", counted_point)
+        for cfg in pool:
+            assert run_harness(cfg).all_hold
+        assert scalar == []
+
+        # with one placement attempt per draw, the attempt's sites take one points call and nothing else does
+        monkeypatch.setattr(zerowind.harness, "_ATTEMPTS", 1)
+        monkeypatch.setattr(zerowind.harness, "_multiplicity", counted_multiplicity)
+        monkeypatch.setattr(JordanCurve, "points", counted_points)
+        placed = 0
+        for cfg in pool:
+            sizes.clear()
+            sites.clear()
+            try:
+                random_instance(np.random.default_rng(cfg.seed), cfg)
+                placed += 1
+            except ValueError:  # its first attempt placed no separated roots
+                pass
+            assert sizes == [len(sites)]
+        assert placed > 400
 
     def test_detour_pool(self, monkeypatch):
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))

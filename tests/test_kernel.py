@@ -13,8 +13,11 @@ of up to 8192 points; both rely on NumPy giving each element the same bits in
 any array, which the last class here checks directly.  Bisection also walks
 a path it predicts by the secant, and closed-form segment areas are checked
 against the shoelace sum of fine chords.  A curve of several arcs, evaluated
-as one arc table, must give the bits of its arcs taken one at a time, and the
-companion-matrix root kernel must give the bytes of ``np.roots``.
+as one arc table, must give the bits of its arcs taken one at a time, and so
+must a curve of one segment, located without comparing segments.  A trig
+segment's area, its exponentials gathered into one table, must be the float
+of the full table, and the companion-matrix root kernel must give the bytes
+of ``np.roots``.
 """
 
 import os
@@ -61,6 +64,7 @@ from oracles import (
     full_bisect_zero,
     full_golden_min,
     full_matrix_diameter,
+    full_matrix_trig_area,
     reference_breaks,
     reference_corners,
     reference_derivs,
@@ -1218,6 +1222,66 @@ class TestArcTable:
         assert square(0.0, 2.0)._arcs is None and _curve("composite-detour")._arcs is None
         assert _closed_form_curve("stadium")._arcs is None
         assert _closed_form_curve("circle-detour")._arcs is not None
+
+
+class TestOneSegmentCurves:
+    """A curve of one segment is built and located with less work and the same bits.
+
+    ``nearest_parameter`` takes the one segment's nearest points without
+    measuring them, and their distances from the segment itself;
+    ``reference_nearest_parameter`` measures them, picks the segment by
+    argmin and evaluates the curve.  ``TrigSegment.area`` takes one
+    exponential per harmonic difference; ``full_matrix_trig_area`` one per
+    entry of its table.
+    """
+
+    NAMES = ("circle", "radial-trig", "trig-no-trailing-sine", "trig-falling-parameter")
+
+    @staticmethod
+    def _points(curve: JordanCurve, rng: np.random.Generator) -> np.ndarray:
+        """Points on the curve, nudged within its band, moved off it along the normal, and its segment's ends."""
+        ts = rng.uniform(0.0, 1.0, 60)
+        on, normal = curve.points(ts), 1j * curve.derivs(ts) / np.abs(curve.derivs(ts))
+        nudged = on + 1e-13 * normal * rng.uniform(-1.0, 1.0, 60)
+        off = on + normal * rng.choice([-1.0, 1.0], 60) * 10.0 ** rng.uniform(-6.0, -0.5, 60)
+        ends = curve.segments[0].points(np.array([0.0, 1.0]))
+        return np.concatenate([on, nudged, off, ends])
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_location_matches_the_reference(self, name):
+        curve = _curve(name)
+        ps = self._points(curve, np.random.default_rng(len(name)))
+        got, want = nearest_parameter(curve, ps), reference_nearest_parameter(curve, ps)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        band = curve.default_band()
+        for loc, t, d in zip(classify_points(curve, ps), want[0].tolist(), want[1].tolist()):
+            if d < band:
+                assert loc.kind == "on-curve" and loc.t.hex() == t.hex()
+            else:
+                assert loc.kind != "on-curve"
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_segment_end_maps_to_zero(self, name):
+        # the segment's point at s = 1.0 is nearest there, and t = 1.0 wraps to 0.0
+        curve = _curve(name)
+        p = curve.segments[0].points(np.array([1.0]))
+        assert curve.segments[0].nearest(p)[0] == 1.0
+        t, _ = nearest_parameter(curve, p)
+        assert _bits(t) == _bits(reference_nearest_parameter(curve, p)[0]) == _bits(np.zeros(1))
+        loc = classify_points(curve, p)[0]
+        assert loc.kind == "on-curve" and loc.t.hex() == (0.0).hex()
+
+    def test_area_is_the_full_table(self):
+        rng = np.random.default_rng(27)
+        for _ in range(300):
+            kmax = int(rng.integers(1, 7))
+            cx, cy = (tuple(rng.normal(size=int(rng.integers(1, 2 * kmax + 2)))) for _ in range(2))
+            t0, t1 = rng.uniform(-10.0, 10.0, 2)
+            full, partial = TrigSegment(cx, cy, 0.0, TWO_PI), TrigSegment(cx, cy, t0, t1)
+            segs = [full, full.reversed(), TrigSegment(cx, cy, TWO_PI, 0.0), partial, partial.reversed()]
+            segs.append(full.subsegment(*np.sort(rng.uniform(0.0, 1.0, 2))))
+            for seg in segs:
+                assert seg.area().hex() == full_matrix_trig_area(seg).hex()
 
 
 _IMPORT_PROBE = """
