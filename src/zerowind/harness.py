@@ -78,12 +78,16 @@ class HarnessConfig:
         extra = set(obj) - {"trials", "max_degree", "curve_family", "seed"}
         if extra:
             raise ValueError(f"unknown harness config keys: {sorted(extra)}")
-        counts = {key: obj.get(key, getattr(cls, key)) for key in ("trials", "max_degree", "seed")}
-        for key, value in counts.items():
-            if not (type(value) is int or type(value) is float and value.is_integer()):
-                raise ValueError(f"{key} must be an integer, not {value!r}")
+        counts = {key: _json_int(key, obj.get(key, getattr(cls, key))) for key in ("trials", "max_degree", "seed")}
         family = str(obj.get("curve_family", cls.curve_family))
-        return cls(curve_family=family, **{key: int(value) for key, value in counts.items()})
+        return cls(curve_family=family, **counts)
+
+
+def _json_int(key: str, value) -> int:
+    """A JSON integer: an int, or a float with an integer value; a bool, a string or a fraction is refused."""
+    if not (type(value) is int or type(value) is float and value.is_integer()):
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -353,7 +357,7 @@ def replay(instance_json: dict) -> dict:
     f = Polynomial.from_json(instance_json["polynomial"])
     curve = JordanCurve.from_json(instance_json["curve"])
     line = Line.from_json(instance_json["line"])
-    bound = int(instance_json["planted"]["bound"])
+    bound = _json_int("bound", instance_json["planted"]["bound"])
     measured = count_preimages(f, curve, line).count
     return {"measured": measured, "bound": bound, "holds": measured >= bound}
 

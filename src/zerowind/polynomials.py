@@ -97,9 +97,14 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Polynomial":
-        if "real_coeffs" in obj:
-            return cls(tuple(complex(float(c)) for c in obj["real_coeffs"]))
-        return cls(tuple(complex(re, im) for re, im in obj["coeffs"]))
+        return cls(_json_coeffs(obj))
+
+
+def _json_coeffs(obj: dict) -> tuple[complex, ...]:
+    """A polynomial file's coefficients as it lists them, in ascending degree, trailing zeros kept."""
+    if "real_coeffs" in obj:
+        return tuple(complex(float(c)) for c in obj["real_coeffs"])
+    return tuple(complex(re, im) for re, im in obj["coeffs"])
 
 
 @dataclass(frozen=True)

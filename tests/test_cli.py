@@ -141,6 +141,15 @@ class TestTrigCheck:
         capsys.readouterr()
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "poly", [{"real_coeffs": [1.0, 2.0, 0.0]}, {"coeffs": [[1, 0], [2, 0], [0, 0]]}], ids=["real", "complex"]
+    )
+    def test_coefficients_taken_as_listed(self, tmp_path, poly, capsys):
+        # the trailing zero was dropped, and the degree-1 sum [1.0, 2.0] reported with exit 0
+        rc = cli.main(["trig-check", "--poly", write_json(tmp_path / "p.json", poly)])
+        assert capsys.readouterr() == ("", "error: first and last coefficients must be nonzero\n")
+        assert rc == 2
+
     def test_complex_coefficient_exits_2(self, tmp_path, capsys):
         poly = write_json(tmp_path / "p.json", {"coeffs": [[1, 0], [2, 0.5]]})
         rc = cli.main(["trig-check", "--poly", poly])
@@ -257,6 +266,18 @@ class TestHarnessCommand:
         assert cli.main(["harness", "--config", write_json(tmp_path / "h.json", config)]) == 2
         err = capsys.readouterr().err
         assert err == "error: could not place separated roots: degree 65, separation 0.2, 200 attempts\n"
+
+    def test_replay_refuses_seed(self, tmp_path, capsys):
+        # the seed was silently ignored, with exit 0
+        inst = {
+            "polynomial": {"real_coeffs": [-1.0, 1.0]},
+            "curve": "unit-circle",
+            "line": {"angle": 0.3},
+            "planted": {"m": 0, "lambda": 1, "bound": 1, "on_curve_params": [0.0]},
+        }
+        rf = write_json(tmp_path / "replay.json", inst)
+        assert cli.main(["harness", "--replay", rf, "--seed", "3"]) == 2
+        assert capsys.readouterr() == ("", "error: --seed goes with --config only\n")
 
     def test_needs_exactly_one_input(self, capsys):
         assert cli.main(["harness"]) == 2
@@ -375,6 +396,36 @@ class TestInputErrors:
         curve = write_json(tmp_path / "curve.json", {"segments": segments})
         assert cli.main(["count-zeros", "--poly", cube_poly, "--curve", curve]) == 2
         assert "a segment must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, obj",
+        [
+            (["count-zeros", "--curve", "unit-circle", "--poly"], {"real_coeffs": [1, 10**400]}),
+            (
+                ["count-zeros", "--poly", "CUBE", "--curve"],
+                {"segments": [{"kind": "arc", "center": [0, 0], "radius": 10**400, "from": 0, "to": 6.3}]},
+            ),
+            (["trig-check", "--poly"], {"coeffs": [[1, 0], [10**400, 0]]}),
+            (["crossings", "--poly", "CUBE", "--curve", "unit-circle", "--line"], {"angle": 10**400}),
+            (
+                ["harness", "--replay"],
+                {
+                    "polynomial": {"real_coeffs": [-1.0, 10**400]},
+                    "curve": "unit-circle",
+                    "line": {"angle": 0.3},
+                    "planted": {"m": 0, "lambda": 1, "bound": 1, "on_curve_params": [0.0]},
+                },
+            ),
+        ],
+        ids=["count-zeros", "arc-radius", "trig-check", "crossings-line", "harness-replay"],
+    )
+    def test_oversized_integer_exits_2(self, tmp_path, cube_poly, argv, obj, capsys):
+        # a JSON integer too large for a float ended in an OverflowError traceback and exit 1
+        path = write_json(tmp_path / "big.json", obj)
+        rc = cli.main([cube_poly if a == "CUBE" else a for a in argv] + [path])
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad ") and path in err and "int too large to convert to float" in err
+        assert rc == 2
 
     def test_malformed_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -128,6 +128,18 @@ class TestCountPreimages:
         assert pre.points[0].contact == "tangential"
         assert pre.points[0].t == pytest.approx(0.0, abs=1e-6)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 2: a crossing at a break is a root of both segments' residuals, "
+            "so its group's total order is 2 and reads as even"
+        ),
+    )
+    def test_corner_crossings_are_transversal(self):
+        # f(z) = z on the diamond: the real axis crosses it at the corners 1 and -1
+        pre = count_preimages(Polynomial((0, 1)), polygon([1, 1j, -1, -1j]), Line(0.0))
+        assert [(p.t, p.contact) for p in pre.points] == [(0.0, "transversal"), (0.5, "transversal")]
+
     def test_transversal_pair(self, circle_curve):
         pre = count_preimages(Polynomial([-1, 1]), circle_curve, Line.real_axis())
         assert pre.count == 2

@@ -1029,6 +1029,38 @@ class TestConstruction:
             with pytest.raises(ValueError, match=r"self-intersects \(segments 0 and 2 cross\)"):
                 JordanCurve.from_segments(segs)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 5: its two loops turn opposite ways, so the turning number is 1; "
+            "only a simple-polygon test on the grid would refuse it"
+        ),
+    )
+    def test_trig_curve_crossing_itself_rejected(self):
+        # its grid polygon crosses itself twice, near t = 0.053/0.957 and t = 0.406/0.451
+        with pytest.raises(ValueError):
+            trig_curve_from_complex_fourier(
+                {1: 1.0, -3: -0.176 - 0.316j, -2: -0.156 + 0.01j, 2: -0.581 - 0.055j, 3: -0.311 - 0.183j}
+            )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 5: adjacent segments are not tested beyond their joint",
+    )
+    def test_arc_crossing_its_adjacent_line_rejected(self):
+        # the arc leaves the edge from 0 to 2 at its end and sweeps back across it at 0.4
+        centre, radius = 1.2 + 0.5j, abs(0.8 - 0.5j)
+        segs = [
+            LineSegment(0, 2),
+            ArcSegment(centre, radius, np.angle(0.8 - 0.5j), -np.pi),
+            LineSegment(centre - radius, -1 + 1j),
+            LineSegment(-1 + 1j, 0),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # it runs clockwise, so it is reversed first
+            with pytest.raises(ValueError):
+                JordanCurve.from_segments(segs)
+
     def test_one_segment_breaks_need_no_length(self, monkeypatch):
         # a single segment takes the whole parameter range, so its length is never estimated
         build = [lambda: radial_trig_curve([(0.02, -0.01), (0.0, 0.015)]), unit_circle.__wrapped__]

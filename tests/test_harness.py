@@ -121,6 +121,22 @@ class TestReplay:
         blob = json.dumps(inst.to_json(), sort_keys=True)
         assert json.loads(blob)["planted"]["lambda"] == inst.lam
 
+    @pytest.mark.parametrize("bound", [7.5, "7", True], ids=["fraction", "string", "bool"])
+    def test_bound_read_as_a_config_integer(self, bound):
+        # they were compared as int(bound): 7, 7 and 1
+        inst = {
+            "polynomial": {"real_coeffs": [-1.0, 1.0]},
+            "curve": "unit-circle",
+            "line": {"angle": 0.3},
+            "planted": {"m": 0, "lambda": 1, "bound": bound, "on_curve_params": [0.0]},
+        }
+        with pytest.raises(ValueError, match=f"^bound must be an integer, not {bound!r}$"):
+            replay(inst)
+        with pytest.raises(ValueError, match=f"^trials must be an integer, not {bound!r}$"):
+            HarnessConfig.from_json({"trials": bound})
+        inst["planted"]["bound"] = 7.0
+        assert replay(inst) == {"measured": 2, "bound": 7, "holds": False}
+
 
 class TestDraws:
     """The planted instances are fixed per seed: the values and generator states that Generator.choice gave."""

@@ -15,6 +15,7 @@ from zerowind import (
     SelfCheckFailed,
     ZeroReport,
     build_detour,
+    circle,
     classify_roots,
     count_preimages,
     find_roots,
@@ -97,6 +98,23 @@ class TestVerifyMain:
     def test_per_corner_reduces_to_multiplicities(self, circle_curve):
         rep = verify_main(Polynomial.from_roots([(1j, 2)]), circle_curve, Line(0.3))
         assert [(c.multiplicity, c.ceil_term) for c in rep.per_corner] == [(2, 2)]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason=(
+            "ROADMAP item 3: the three roots' spread falls under ROOT_TOL**(1/3), an absolute radius, "
+            "so find_roots merges them into one triple root at their centroid"
+        ),
+    )
+    def test_report_invariant_under_power_of_two_scaling(self):
+        def report(s):
+            f = Polynomial.from_roots([(0.4j * s, 1), (1.7 * s, 1), (-0.5 * s, 1)])
+            rep = verify_main(f, circle(0, s), Line(0.3))
+            return rep.m, rep.bound, rep.holds
+
+        assert report(1.0) == (2, 4, True)
+        # at s = 2^-14 the report reads (3, 6, False): a bound violation that is not there
+        assert report(2.0**-14) == (2, 4, True)
 
 
 class TestVerifyPiecewise:
