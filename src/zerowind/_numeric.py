@@ -10,13 +10,6 @@ from .errors import NoConvergence
 
 TWO_PI = 2.0 * np.pi
 _INV_GOLD = (np.sqrt(5.0) - 1.0) / 2.0
-# Steps read off one ``fn`` call in golden_min, and the least that one call
-# serves in bisect_zero, which also follows a predicted path below them.  A
-# call on a handful of points costs mostly NumPy overhead, so a call that
-# serves several steps saves most of it.  Deeper trees ran no faster on the
-# benchmark's workloads and evaluate more probes that no step uses.
-_GOLDEN_DEPTH = 3
-_BISECT_DEPTH = 5
 
 
 class WindingNotResolved(Exception):
@@ -63,67 +56,24 @@ def wrap_angle(a):
     return np.pi - (np.pi - a) % TWO_PI
 
 
-def _same_bits(a, b) -> bool:
-    """True when two arrays hold the same float bit patterns (so -0.0 differs from 0.0 and NaN equals itself)."""
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def _columns(lo, hi):
-    """Brackets as flat float columns: (lo, hi, their common shape, the column indices)."""
-    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
-    return lo.reshape(-1), hi.reshape(-1), lo.shape, np.arange(lo.size)
-
-
 def golden_min(fn, lo, hi):
     """Vectorized golden-section minimization of ``fn`` over [lo, hi], elementwise (80 steps).
 
-    Each call of ``fn`` serves ``_GOLDEN_DEPTH`` steps.  From the current
-    bracket it builds the tree of brackets those steps can reach: a bracket's
-    probes are c = hi - g (hi - lo) and d = lo + g (hi - lo), its children are
-    [lo, d] and [c, hi], and level j of the tree holds 2^j brackets.  One call
-    evaluates the probes of every bracket above the leaves, stacked on a
-    leading axis, and the steps walk the tree by ``fn(c) < fn(d)``.  Every
-    probe is the float a step-by-step search computes, so the result is bit
-    for bit that of 80 steps with one ``fn`` call each.
-
-    ``fn`` must be pure and elementwise: each output element depends only on
-    the input element at the same place, and broadcasting it over a leading
-    axis gives the same bits.
-
-    Stops early once a step leaves (lo, hi) bit for bit unchanged: every
-    later step would repeat it, and the result equals that of all 80 steps.
+    Each step evaluates its probes c = hi - g (hi - lo) and d = lo + g (hi - lo)
+    in one call of ``fn``, stacked on a leading axis, and keeps [lo, d] where
+    fn(c) < fn(d), else [c, hi].  ``fn`` must be pure and elementwise: each
+    output element depends only on the input element at the same place, and
+    broadcasting it over a leading axis gives the same bits.  No library code
+    calls it; the benchmark's traced run still names it.
     """
-    lo, hi, shape, cols = _columns(lo, hi)
-    left = 80
-    while left > 0:
-        depth = min(_GOLDEN_DEPTH, left)
-        left -= depth
-        # bracket r of level j splits into bracket r ([lo, d]) and bracket r + 2^j ([c, hi]) of level j + 1
-        los, his, cs, ds = [lo[np.newaxis]], [hi[np.newaxis]], [], []
-        for j in range(depth):
-            step = _INV_GOLD * (his[j] - los[j])
-            cs.append(his[j] - step)
-            ds.append(los[j] + step)
-            if j + 1 < depth:
-                los.append(np.concatenate([los[j], cs[j]]))
-                his.append(np.concatenate([ds[j], his[j]]))
-        probes = np.concatenate(cs + ds)
-        inner = len(probes) // 2
-        fcd = np.asarray(fn(probes.reshape((2 * inner,) + shape))).reshape(2 * inner, lo.size)
-        # row (2^j - 1) + r holds bracket r of level j
-        go_high = ~(fcd[:inner] < fcd[inner:])
-        node = np.zeros(lo.size, dtype=np.intp)
-        for j in range(depth - 1):
-            node = node + go_high[(1 << j) - 1 + node, cols] * (1 << j)
-        # the last step, as a step-by-step search takes it
-        j = depth - 1
-        keep_low = ~go_high[(1 << j) - 1 + node, cols]
-        prev_lo, prev_hi = los[j][node, cols], his[j][node, cols]
-        lo = np.where(keep_low, prev_lo, cs[j][node, cols])
-        hi = np.where(keep_low, ds[j][node, cols], prev_hi)
-        if _same_bits(lo, prev_lo) and _same_bits(hi, prev_hi):
-            break
-    return 0.5 * (lo.reshape(shape) + hi.reshape(shape))
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    for _ in range(80):
+        step = _INV_GOLD * (hi - lo)
+        c, d = hi - step, lo + step
+        fc, fd = np.asarray(fn(np.stack([c, d])))
+        keep_low = fc < fd
+        lo, hi = np.where(keep_low, lo, c), np.where(keep_low, d, hi)
+    return 0.5 * (lo + hi)
 
 
 def bisect_zero(fn, lo, hi, iters=52):
@@ -136,17 +86,13 @@ def bisect_zero(fn, lo, hi, iters=52):
     where ``sign(fn(mid)) == sign(fn(lo_0))`` and ``fn(mid) != 0``.
 
     The first call evaluates both ends of every bracket.  Each later call
-    evaluates, for every bracket still going:
-    - the dyadic grid of its next ``_BISECT_DEPTH`` steps, each point the
-      midpoint of its two neighbours, so that every call serves at least
-      that many steps;
-    - below the grid cell that holds the secant (regula falsi) root of
-      fn(lo) and fn(hi), the midpoints that bisection visits if the root
-      lies where the secant puts it.
-    The steps walk the grid, then that predicted path while the signs agree
-    with it.  The first step that disagrees takes the side its sign gives,
-    and the next call starts from there.  The prediction only chooses which
-    probes to evaluate, never a step, so it cannot change the result.
+    evaluates, for every bracket still going, the midpoints that bisection
+    visits over all its remaining steps if the root lies where the secant
+    (regula falsi) of fn(lo) and fn(hi) puts it.  The steps follow that
+    path while the signs agree with it; the first step that disagrees takes
+    the side its sign gives, and the next call starts from there, so each
+    call serves at least one step.  The prediction only chooses which probes
+    to evaluate, never a step, so it cannot change the result.
 
     ``fn`` must be pure and elementwise, as for :func:`golden_min`; the
     probes of all brackets go to it stacked on a leading axis.
@@ -154,7 +100,8 @@ def bisect_zero(fn, lo, hi, iters=52):
     A bracket stops early, with the result of all ``iters`` steps, once its
     midpoint equals one of its ends.
     """
-    lo, hi, shape, _ = _columns(lo, hi)
+    lo, hi = np.broadcast_arrays(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    shape, lo, hi = lo.shape, lo.reshape(-1), hi.reshape(-1)
     ends = np.asarray(fn(np.stack([lo, hi]).reshape((2,) + shape)), dtype=float).reshape(2, lo.size)
     brackets = [_Bracket(*col, iters) for col in zip(lo.tolist(), hi.tolist(), *ends.tolist())]
     while any(b.left for b in brackets):
@@ -180,9 +127,6 @@ class _Bracket:
         self.sign = 1.0 if flo > 0.0 else -1.0 if flo < 0.0 else 0.0
         self.left = 0 if self._settled() else max(steps, 0)
 
-    def _keeps_right(self, v) -> bool:
-        return self.sign * v > 0.0
-
     def _settled(self) -> bool:
         """True once the midpoint equals an end: every later step leaves 0.5 * (lo + hi) as it is.
 
@@ -201,41 +145,21 @@ class _Bracket:
         return min(max(frac, 0.0), 1.0) if frac == frac else 0.5
 
     def probes(self) -> list:
-        """The points of the next pass: the grid of the next steps, then the predicted path below it."""
-        depth = min(_BISECT_DEPTH, self.left)
-        n = 1 << depth
-        grid = [self.lo] * n + [self.hi]
-        for w in (n >> j for j in range(depth)):
-            for i in range(w // 2, n, w):
-                grid[i] = 0.5 * (grid[i - w // 2] + grid[i + w // 2])
-        frac = self._secant() * n
-        cell = min(int(frac), n - 1)
-        mids, rights = _predicted_path(grid[cell], grid[cell + 1], frac - cell, self.left - depth)
-        self._plan = depth, grid, cell, mids, rights
-        return grid[1:n] + mids
+        """The points of the next pass: the predicted path over the whole bracket and every step left."""
+        self._mids, self._rights = _predicted_path(self.lo, self.hi, self._secant(), self.left)
+        return self._mids
 
     def walk(self, vals: list) -> None:
-        """Take the pass's steps, given fn at the points :meth:`probes` returned."""
-        depth, grid, cell, mids, rights = self._plan
-        n = 1 << depth
-        at = [self.flo] + vals[: n - 1] + [self.fhi]
-        # from [grid[a], grid[a + 2w]] a step moves to the right half where fn(grid[a + w]) keeps it
-        a = 0
-        for w in (n >> j for j in range(1, depth + 1)):
-            if self._keeps_right(at[a + w]):
-                a += w
-        self.lo, self.hi, self.flo, self.fhi = grid[a], grid[a + 1], at[a], at[a + 1]
-        self.left -= depth
-        if a == cell:
-            for mid, fmid, right in zip(mids, vals[n - 1 :], rights):
-                self.left -= 1
-                went_right = self._keeps_right(fmid)
-                if went_right:
-                    self.lo, self.flo = mid, fmid
-                else:
-                    self.hi, self.fhi = mid, fmid
-                if went_right != right:
-                    break
+        """Take the pass's steps, given fn at the points of :meth:`probes`, up to the first one mispredicted."""
+        for mid, fmid, right in zip(self._mids, vals, self._rights):
+            self.left -= 1
+            went_right = self.sign * fmid > 0.0
+            if went_right:
+                self.lo, self.flo = mid, fmid
+            else:
+                self.hi, self.fhi = mid, fmid
+            if went_right != right:
+                break
         if self._settled():
             self.left = 0
 

@@ -15,6 +15,7 @@ points end up strictly inside the new curve.
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -680,8 +681,11 @@ class JordanCurve:
         (i * m / n) / m, and evaluation is elementwise, so the bits are those
         of ``points(np.arange(n) / n)``.  Any other n evaluates that
         expression.  Threads that race may evaluate a sampling twice or keep
-        the smaller one, which repeats work but never changes a bit.
+        the smaller one, which repeats work but never changes a bit.  An n
+        that is not an integer >= 1 raises ValueError.
         """
+        if not (isinstance(n, numbers.Integral) and n >= 1):
+            raise ValueError(f"grid size n must be an integer >= 1, not {n!r}")
         cached = self.__dict__.get("_sampling")
         if cached is not None and len(cached) % n == 0:
             return cached[:: len(cached) // n]

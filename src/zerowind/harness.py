@@ -229,7 +229,10 @@ def random_instance(
     Each root's side of the curve is known by construction (interior sites are
     drawn well inside, exterior sites well outside, boundary sites exactly on
     the curve), so m, lam, and the corner bound are exact ground truth.
+    A ``max_multiplicity`` below 1 raises ValueError before any draw.
     """
+    if not max_multiplicity >= 1:
+        raise ValueError(f"max_multiplicity must be at least 1, not {max_multiplicity!r}")
     family = _make_family(cfg.curve_family, rng)
     degree = int(rng.integers(1, cfg.max_degree + 1))
 

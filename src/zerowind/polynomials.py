@@ -10,6 +10,7 @@ at the cluster centroid.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,10 +83,16 @@ class Polynomial:
 
     @classmethod
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
-        """Build leading * prod (z - r)^mult from (root, multiplicity) pairs or plain roots."""
+        """Build leading * prod (z - r)^mult from (root, multiplicity) pairs or plain roots.
+
+        A multiplicity must be an integer >= 1, or a float with such a value;
+        any other raises ValueError.
+        """
         coeffs = np.array([complex(leading)])
         for item in roots:
             r, mult = item if isinstance(item, tuple) else (item, 1)
+            if not (isinstance(mult, numbers.Real) and mult >= 1 and mult % 1 == 0):
+                raise ValueError(f"multiplicity of root {r!r} must be an integer >= 1, not {mult!r}")
             for _ in range(int(mult)):
                 coeffs = np.convolve(coeffs, np.array([-complex(r), 1.0]))
         return cls(tuple(coeffs))

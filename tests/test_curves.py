@@ -26,6 +26,7 @@ from zerowind import (
     classify_roots,
     curve_from_alias,
     interior_angle,
+    logderiv_integral,
     polygon,
     radial_trig_curve,
     square,
@@ -78,6 +79,19 @@ class TestSampling:
                 assert gap < 1e-12
             # wrap evaluation is exact by construction
             assert abs(curve.point(0.0) - curve.point(1.0)) < 1e-12
+
+    @pytest.mark.parametrize("n", [0, -4, 2.5, 8.0])
+    def test_grid_refuses_a_size_that_is_not_an_integer_from_1(self, n):
+        # before reading or writing the cache: a fresh curve caches nothing, and a cached sampling is not sliced
+        curve = circle(0.5, 2.0)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            curve.grid(n)
+        assert "_sampling" not in curve.__dict__
+        assert curve.grid(8192)[::2048].tolist() == curve.points(np.arange(4) / 4).tolist()
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            curve.grid(n)
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            logderiv_integral(Polynomial([0, 1]), curve, n)
 
     def test_tangent_is_global_derivative(self, circle_curve):
         t = 3 / 16

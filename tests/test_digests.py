@@ -8,7 +8,9 @@ hashes their canonical JSON reports, as ``perfbench/run.py`` does for its
 added; a change that moves any float in any of these reports fails here.
 The whole seed-1 pool of each workload, every input a timed run cycles
 through, is pinned too, by the line ``tools/report_digests.py --seeds 1``
-prints for it.
+prints for it.  The seed-7 run also pins the searches' traffic:
+``golden_min`` has no caller, and on ``detour`` ``bisect_zero`` calls its
+``fn`` at most 4 times per call.
 """
 
 import hashlib
@@ -16,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import zerowind._numeric
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -28,8 +32,40 @@ DIGESTS = {
 }
 
 
+def _wrap_everywhere(monkeypatch, name, wrapper):
+    """Replace ``zerowind._numeric.<name>`` by ``wrapper(original)`` in every zerowind module that holds it."""
+    original = getattr(zerowind._numeric, name)
+    wrapped = wrapper(original)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("zerowind") and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, wrapped)
+
+
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_report_digest_at_seed_7(name):
+def test_report_digest_at_seed_7(name, monkeypatch):
+    # and the searches' traffic: golden_min has no caller, and bisect_zero's fn calls per bisection stay few
+    golden, bisections, fn_calls = [], [], []
+
+    def count_golden(original):
+        def counted(*args, **kwargs):
+            golden.append(1)
+            return original(*args, **kwargs)
+
+        return counted
+
+    def count_bisect(original):
+        def counted(fn, *args, **kwargs):
+            def counted_fn(q):
+                fn_calls.append(1)
+                return fn(q)
+
+            bisections.append(1)
+            return original(counted_fn, *args, **kwargs)
+
+        return counted
+
+    _wrap_everywhere(monkeypatch, "golden_min", count_golden)
+    _wrap_everywhere(monkeypatch, "bisect_zero", count_bisect)
     wl = WORKLOADS[name]
     digest = hashlib.sha256()
     for item in wl.inputs(7, wl.trace_ops):
@@ -37,6 +73,10 @@ def test_report_digest_at_seed_7(name):
         assert out.failure is None, out.failure
         digest.update(canonical(out.report) + b"\n")
     assert digest.hexdigest() == DIGESTS[name]
+    assert golden == []
+    if name == "detour":
+        # 146 fn calls over 40 bisect_zero calls: both ends, then mostly one call on the predicted paths
+        assert bisections and len(fn_calls) <= 4 * len(bisections)
 
 
 # tools/report_digests.py --seeds 1: the sha256 of each whole pool's canonical reports, none of them failed

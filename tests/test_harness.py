@@ -68,6 +68,15 @@ class TestInstanceGeneration:
             inst = random_instance(rng, cfg)
             assert 1 <= inst.polynomial.degree <= 5
 
+    @pytest.mark.parametrize("max_multiplicity", [0, -1, 0.5])
+    def test_refuses_multiplicities_below_1(self, max_multiplicity):
+        # at max_multiplicity < 1 no root could be planted, and the draws never ended; now refused before any draw
+        rng = np.random.default_rng(5)
+        cfg = HarnessConfig(trials=1, max_degree=4, curve_family="circle", seed=0)
+        with pytest.raises(ValueError, match="max_multiplicity must be at least 1"):
+            random_instance(rng, cfg, max_multiplicity=max_multiplicity)
+        assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
     def test_smooth_bound_reduces(self):
         rng = np.random.default_rng(4)
         cfg = HarnessConfig(trials=1, max_degree=6, curve_family="circle", seed=0)

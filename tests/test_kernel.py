@@ -6,13 +6,14 @@ loops that always run every step and call ``fn`` once or twice per step, and
 the nearest-point scan and refine that closed-form nearest points on every
 segment kind replaced.  Trig segments are checked bit for bit against a plain
 Laurent sum that builds its coefficients one harmonic at a time, and within a
-rounding bound against ``mpmath``, as is the earlier cosine/sine series.  The
-searches now read several steps off one call of ``fn`` on a stacked array of
-probes, and a curve's ``grid(n)`` reads its points off one cached sampling
-of up to 8192 points; both rely on NumPy giving each element the same bits in
-any array, which the last class here checks directly.  Bisection also walks
-a path it predicts by the secant, and closed-form segment areas are checked
-against the shoelace sum of fine chords.  A curve of several arcs, evaluated
+rounding bound against ``mpmath``, as is the earlier cosine/sine series.
+Golden-section search evaluates both probes of a step in one call of ``fn``
+on a stacked array, bisection reads several steps off one call on the path
+it predicts by the secant, and a curve's ``grid(n)`` reads its points off one
+cached sampling of up to 8192 points; all rely on NumPy giving each element
+the same bits in any array, which the last class here checks directly.
+Closed-form segment areas are checked against the shoelace sum of fine
+chords.  A curve of several arcs, evaluated
 as one arc table, must give the bits of its arcs taken one at a time, and so
 must a curve of one segment, located without comparing segments.  A trig
 segment's area, its exponentials gathered into one table, must be the float
@@ -55,7 +56,7 @@ from zerowind import (
     square,
     unit_circle,
 )
-from zerowind._numeric import _BISECT_DEPTH, _GOLDEN_DEPTH, bisect_zero, golden_min, polynomial_roots
+from zerowind._numeric import bisect_zero, golden_min, polynomial_roots
 from zerowind.curves import GRID_SAMPLES, TWO_PI, classify_points, nearest_parameter
 from zerowind.harness import HarnessConfig, random_instance
 
@@ -276,10 +277,6 @@ def _counted(fn):
     return wrapped, calls
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
 _bracket = st.tuples(st.floats(-2.0, 2.0), st.floats(1e-6, 0.5))
 
 
@@ -317,7 +314,7 @@ class TestEarlyStop:
         full, full_calls = _counted(fn)
         assert _bits(golden_min(early, lo, hi)) == _bits(full_golden_min(full, lo, hi))
         assert len(full_calls) == 160
-        assert len(early_calls) <= _ceil_div(80, _GOLDEN_DEPTH)
+        assert early_calls == [(2, 1)] * 80
 
         # where the circle crosses |z - 1| = 0.5, bracketed on the detour's 8192-point grid
         curve = unit_circle()
@@ -331,22 +328,21 @@ class TestEarlyStop:
         hi = lo + 1.0 / 8192
         assert _bits(bisect_zero(early, lo, hi)) == _bits(full_bisect_zero(full, lo, hi))
         assert len(full_calls) == 53
-        assert len(early_calls) <= 1 + _ceil_div(52, _BISECT_DEPTH)
-        # both ends, then the grid and the secant-predicted path, which the gap follows for many steps at a time
+        # both ends, then the secant-predicted path, which the gap follows for many steps at a time
         assert len(early_calls) <= 4
 
     def test_minimiser_at_zero_takes_every_step(self):
         # the bracket keeps shrinking around 0 through ever smaller floats, so no step is a fixed point:
-        # all 80 steps run, read off one call per golden tree
+        # all 80 steps run, one call each on the stacked probes
         fn = _circle_distance(1.0)
         lo, hi = np.array([-0.01, -0.003]), np.array([0.02, 0.004])
         early, early_calls = _counted(fn)
         assert _bits(golden_min(early, lo, hi)) == _bits(full_golden_min(fn, lo, hi))
-        assert len(early_calls) == _ceil_div(80, _GOLDEN_DEPTH)
+        assert early_calls == [(2, 2)] * 80
 
 
 class TestStackedGolden:
-    """``golden_min`` evaluates the probes of several steps in one call, with the bits of one call per probe."""
+    """``golden_min`` evaluates both probes of a step in one call, with the bits of one call per probe."""
 
     @staticmethod
     def _trig_distance(ps):
@@ -364,10 +360,8 @@ class TestStackedGolden:
         hi = lo + 0.004
         fn, shapes = _counted(self._trig_distance(_curve("radial-trig").points(lo + 0.002) + 1e-3))
         golden_min(fn, lo, hi)
-        # each call evaluates the two probes of each of the 2^K - 1 brackets that a K-step tree splits;
-        # these brackets reach their fixed point before the 80th step, so no call is a shorter last tree
-        assert 0 < len(shapes) < _ceil_div(80, _GOLDEN_DEPTH)
-        assert set(shapes) == {(2 * (2**_GOLDEN_DEPTH - 1), 3)}
+        # each of the 80 steps evaluates the probes c and d of every bracket, stacked on a leading axis
+        assert shapes == [(2, 3)] * 80
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(_bracket, min_size=1, max_size=5), st.floats(-0.05, 0.05))
@@ -410,7 +404,7 @@ def _flip_brackets(fn, n: int, shift: float = 0.0):
 
 
 class TestBatchedSearch:
-    """``bisect_zero`` and ``golden_min`` read K steps off one evaluated grid or tree, with the bits of K calls."""
+    """``bisect_zero`` reads several steps off one evaluated path and ``golden_min`` stacks its probes, bit for bit."""
 
     @staticmethod
     def _h(name, angle):
@@ -513,8 +507,8 @@ class TestBatchedSearch:
         assert _bits(golden_min(fn, lo, hi)) == _bits(full_golden_min(fn, lo, hi))
 
     @pytest.mark.parametrize("iters", [7, 48])
-    def test_one_call_per_dyadic_grid(self, iters):
-        # both ends once, then per call each bracket's grid of its next K steps and the predicted path below it
+    def test_one_call_per_predicted_path(self, iters):
+        # both ends once, then per call each bracket's predicted path over all the steps it has left
         curve = unit_circle()
         lo = np.array([0.01, 0.2, 0.45])
         hi = lo + 0.05
@@ -524,10 +518,10 @@ class TestBatchedSearch:
 
         fn, shapes = _counted(gap)
         assert _bits(bisect_zero(fn, lo, hi, iters)) == _bits(full_bisect_zero(gap, lo, hi, iters))
-        assert 2 <= len(shapes) <= 1 + _ceil_div(iters, _BISECT_DEPTH)
+        assert 2 <= len(shapes) <= 1 + iters
         assert shapes[0] == (2, 3)
-        # the first pass holds every bracket's full grid and its whole predicted path
-        assert shapes[1] == (2 ** min(iters, _BISECT_DEPTH) - 1 + max(iters - _BISECT_DEPTH, 0), 3)
+        # the first pass holds every bracket's whole predicted path
+        assert shapes[1] == (iters, 3)
         assert all(len(shape) == 2 and shape[1] == 3 for shape in shapes)
 
 
@@ -537,7 +531,7 @@ class TestPredictedBisection:
     Noise at the level of a few ulps makes fn change sign many times near
     its root, where the secant is no guide; an exact zero or a NaN at a
     probe, and a zero fn(lo), are the sign tests' edge cases.  Each case
-    also keeps the bound of one call for the ends plus one per K steps.
+    also keeps the bound of one call for the ends plus one per step.
     """
 
     ITERS = [-1, 0, 1, 5, 6, 47, 52, 60]
@@ -546,7 +540,7 @@ class TestPredictedBisection:
     def _check(fn, lo, hi, iters):
         counted, calls = _counted(fn)
         assert _bits(bisect_zero(counted, lo, hi, iters)) == _bits(full_bisect_zero(fn, lo, hi, iters))
-        assert len(calls) <= 1 + _ceil_div(iters, _BISECT_DEPTH)
+        assert len(calls) <= 1 + max(iters, 0)
         return len(calls)
 
     @staticmethod

@@ -68,6 +68,17 @@ class TestPolynomialType:
         for f in (Polynomial([1, 2.5, -3]), Polynomial([1j, 2, 1 - 1j])):
             assert Polynomial.from_json(f.to_json()) == f
 
+    @pytest.mark.parametrize("mult", [2.5, 0, -1, 0.0, float("nan"), "2"])
+    def test_from_roots_refuses_a_multiplicity_that_is_not_an_integer_from_1(self, mult):
+        # 2.5 built a double root, and 0 or -1 dropped the root
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            Polynomial.from_roots([(0.5, 1), (1.0, mult)])
+
+    def test_from_roots_takes_an_integer_valued_multiplicity(self):
+        want = Polynomial.from_roots([(0.5, 1), (1.0, 2)])
+        assert Polynomial.from_roots([(0.5, 1.0), (1.0, 2.0)]) == want
+        assert Polynomial.from_roots([(0.5, np.int64(1)), (1.0, np.float64(2.0))]) == want
+
 
 class TestDerivative:
     def test_examples(self):
