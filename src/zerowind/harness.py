@@ -9,7 +9,7 @@ failure is recorded and serialized for replay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cache
 
 import numpy as np
@@ -56,6 +56,8 @@ class HarnessConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for key in ("trials", "max_degree", "seed"):
+            object.__setattr__(self, key, _integer(key, getattr(self, key)))
         if self.curve_family not in _FAMILIES:
             raise ValueError(f"curve_family must be one of {_FAMILIES}")
         if self.trials < 1 or self.max_degree < 1:
@@ -64,28 +66,21 @@ class HarnessConfig:
             raise ValueError(f"seed must be a non-negative integer, not {self.seed}")
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "max_degree": self.max_degree,
-            "curve_family": self.curve_family,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, obj: dict) -> "HarnessConfig":
         if not isinstance(obj, dict):
             raise ValueError(f"a harness config must be a JSON object, not {obj!r}")
-        extra = set(obj) - {"trials", "max_degree", "curve_family", "seed"}
-        if extra:
+        if extra := set(obj) - set(cls.__dataclass_fields__):
             raise ValueError(f"unknown harness config keys: {sorted(extra)}")
-        counts = {key: _json_int(key, obj.get(key, getattr(cls, key))) for key in ("trials", "max_degree", "seed")}
-        family = str(obj.get("curve_family", cls.curve_family))
-        return cls(curve_family=family, **counts)
+        return cls(**obj)
 
 
-def _json_int(key: str, value) -> int:
-    """A JSON integer: an int, or a float with an integer value; a bool, a string or a fraction is refused."""
-    if not (type(value) is int or type(value) is float and value.is_integer()):
+def _integer(key: str, value) -> int:
+    """A Python or NumPy integer other than a bool, or a float with an integer value, as an int; else refused."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integral or isinstance(value, float) and value.is_integer()):
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return int(value)
 
@@ -103,118 +98,96 @@ class PlantedInstance:
     on_curve_params: tuple[float, ...]
 
     def to_json(self) -> dict:
-        return {
-            "polynomial": self.polynomial.to_json(),
-            "curve": self.curve.to_json(),
-            "line": self.line.to_json(),
-            "planted": {
-                "m": self.m,
-                "lambda": self.lam,
-                "bound": self.bound,
-                "on_curve_params": list(self.on_curve_params),
-            },
-        }
+        planted = {"m": self.m, "lambda": self.lam, "bound": self.bound, "on_curve_params": list(self.on_curve_params)}
+        return {"polynomial": self.polynomial.to_json(), "curve": self.curve.to_json(), "line": self.line.to_json(),
+                "planted": planted}
 
 
 # ---------------------------------------------------------------------------
-# curve families and planting sites
+# curve families and planting sites: a family draws its curve, then one
+# (site, alpha) per root with ``site(region)``.  A site is (point, t, scale):
+# the point itself, or None for ``scale * curve(t)``, or ``curve(t)`` where
+# scale is None.  alpha is the exact interior angle of a site on the curve,
+# which is at parameter t; off the curve alpha is None.
+
+_LSHAPE = (0 + 0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 0 + 2j)
+_LSHAPE_CELLS = (0.5 + 0.5j, 1.5 + 0.5j, 0.5 + 1.5j)  # inside sites: a cell's centre, moved by up to 0.2
+_LSHAPE_OUTSIDE = (1.6 + 1.6j, -0.6 - 0.6j, 2.8 + 0.4j, 0.4 + 2.8j, 1.4 + 1.8j)  # moved by up to 0.1
 
 
-def _lshape_vertices(scale: float, shift: complex) -> list[complex]:
-    base = [0 + 0j, 2 + 0j, 2 + 1j, 1 + 1j, 1 + 2j, 0 + 2j]
-    return [shift + scale * v for v in base]
+class _Rays:
+    """The unit circle, or a circle perturbed by three harmonics: every site is on the ray through t = k / 720."""
+
+    def __init__(self, rng: np.random.Generator, perturbed: bool):
+        self.rng, self.perturbed, self.curve = rng, perturbed, unit_circle()
+        if perturbed:  # one draw of six gives the values and the generator state of six scalar draws
+            ab = rng.uniform(-0.03, 0.03, size=6).tolist()
+            self.curve = radial_trig_curve(list(zip(ab[::2], ab[1::2])))
+
+    def _ray(self, k, scale: float | None) -> tuple:
+        """The site ``scale * curve(k / 720)``; the circle's point is read from its table at once."""
+        if self.perturbed:
+            return None, k / 720.0, scale
+        z = _circle_sites()[k]
+        return (z if scale is None else complex(scale * z)), k / 720.0, None
+
+    def site(self, region: str) -> tuple:
+        k = int(self.rng.integers(0, 720))  # a Python int: k / 720 is the same float, sooner
+        if region == "on":
+            return self._ray(k, None), np.pi
+        low, width = (0.25, 0.55) if region == "inside" else (1.3, 1.2)
+        return self._ray(k, low + width * self.rng.random()), None
 
 
-class _Family:
-    """A curve and its planting sites.
+class _Polygon:
+    """A polygon family: a site on the curve is a corner or a rational point inside an edge, with even odds."""
 
-    Each site method draws one site as (point, at, scale, alpha, t).  A point
-    that the draws fix, or that the unit circle's cached table gives, comes
-    as ``point``.  Any other point is None there: it is the curve point at
-    parameter ``at``, times ``scale`` unless that is None, and
-    ``random_instance`` evaluates all of those of a placement attempt in one
-    call.  alpha and t, the exact interior angle and the curve parameter of
-    an on-curve site, are None off the curve.
-    """
-
-    def __init__(self, curve: JordanCurve, rng: np.random.Generator, kind: str, geom):
-        self.curve = curve
-        self.rng = rng
-        self.kind = kind
-        self.geom = geom
-
-    def _ray_site(self, low: float, width: float) -> tuple:
-        """The curve point at t = k / 720, scaled by a draw from [low, low + width)."""
-        k = self.rng.integers(0, 720)
-        scale = low + width * self.rng.random()
-        if self.kind == "circle":
-            return complex(scale * _circle_sites()[k]), None, None, None, None
-        return None, k / 720.0, scale, None, None
-
-    def inside_point(self) -> tuple:
-        rng = self.rng
-        if self.kind in ("circle", "trig-perturbed"):
-            return self._ray_site(0.25, 0.55)
-        if self.kind == "square":
-            c, s = self.geom
-            return c + complex(rng.uniform(-0.3, 0.3) * s, rng.uniform(-0.3, 0.3) * s), None, None, None, None
-        s, shift = self.geom
-        cell = rng.integers(0, 3)
-        anchors = [0.5 + 0.5j, 1.5 + 0.5j, 0.5 + 1.5j]
-        jitter = complex(rng.uniform(-0.2, 0.2), rng.uniform(-0.2, 0.2))
-        return shift + s * (anchors[cell] + jitter), None, None, None, None
-
-    def outside_point(self) -> tuple:
-        rng = self.rng
-        if self.kind in ("circle", "trig-perturbed"):
-            return self._ray_site(1.3, 1.2)
-        if self.kind == "square":
-            c, s = self.geom
-            ang = rng.uniform(0.0, 2 * np.pi)
-            return c + s * (1.0 + rng.uniform(0.2, 1.0)) * complex(np.cos(ang), np.sin(ang)), None, None, None, None
-        s, shift = self.geom
-        picks = [1.6 + 1.6j, -0.6 - 0.6j, 2.8 + 0.4j, 0.4 + 2.8j, 1.4 + 1.8j]
-        base = picks[rng.integers(0, len(picks))]
-        return shift + s * (base + complex(rng.uniform(-0.1, 0.1), rng.uniform(-0.1, 0.1))), None, None, None, None
-
-    def boundary_site(self) -> tuple:
-        """A site on the curve, with its exact interior angle and curve parameter."""
-        rng = self.rng
-        if self.kind in ("circle", "trig-perturbed"):
-            k = rng.integers(0, 720)
-            if self.kind == "circle":
-                return _circle_sites()[k], None, None, np.pi, float(k / 720.0)
-            t = k / 720.0
-            return None, t, None, np.pi, float(t)
-        # polygon families: choose a corner or an edge point
-        corners = self.curve.corners
+    def site(self, region: str) -> tuple:
+        if region != "on":
+            return (self.point(region), None, None), None
+        rng, curve = self.rng, self.curve
         if rng.random() < 0.5:
-            c = corners[rng.integers(0, len(corners))]
-            return c.location, None, None, c.interior_angle, c.parameter
-        k = len(self.curve.segments)
-        i = int(rng.integers(0, k))
-        frac = rng.integers(2, 9) / 10.0  # interior of the edge, rational offset
-        br = self.curve.breaks
-        t = br[i] + frac * (br[i + 1] - br[i])
-        return None, t, None, np.pi, float(t)
+            c = curve.corners[rng.integers(0, len(curve.corners))]
+            return (c.location, c.parameter, None), c.interior_angle
+        i, br = int(rng.integers(0, len(curve.segments))), curve.breaks
+        frac = int(rng.integers(2, 9)) / 10.0
+        return (None, br[i] + frac * (br[i + 1] - br[i]), None), np.pi
 
 
-def _make_family(kind: str, rng: np.random.Generator) -> _Family:
-    if kind == "circle":
-        return _Family(unit_circle(), rng, kind, None)
-    if kind == "trig-perturbed":
-        # one draw of six gives the values and the generator state of six scalar draws
-        ab = rng.uniform(-0.03, 0.03, size=6).tolist()
-        return _Family(radial_trig_curve(list(zip(ab[::2], ab[1::2]))), rng, kind, None)
-    if kind == "square":
-        c = complex(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25))
-        s = rng.uniform(1.4, 2.2)
-        return _Family(square(c, s), rng, kind, (c, s))
-    if kind == "lshape":
-        s = rng.uniform(0.6, 1.1)
-        shift = complex(rng.uniform(-0.2, 0.2) - s, rng.uniform(-0.2, 0.2) - s)
-        return _Family(polygon(_lshape_vertices(s, shift)), rng, kind, (s, shift))
-    raise ValueError(kind)
+class _Square(_Polygon):
+    """A square of side 1.4 to 2.2 whose centre is within 0.25 of the origin on each axis."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.center = complex(rng.uniform(-0.25, 0.25), rng.uniform(-0.25, 0.25))
+        self.side = rng.uniform(1.4, 2.2)
+        self.curve = square(self.center, self.side)
+
+    def point(self, region: str) -> complex:
+        rng, c, s = self.rng, self.center, self.side
+        if region == "inside":
+            return c + complex(rng.uniform(-0.3, 0.3) * s, rng.uniform(-0.3, 0.3) * s)
+        ang = rng.uniform(0.0, 2 * np.pi)
+        return c + s * (1.0 + rng.uniform(0.2, 1.0)) * complex(np.cos(ang), np.sin(ang))
+
+
+class _LShape(_Polygon):
+    """Three unit cells in an L, scaled by 0.6 to 1.1 and shifted to lie about the origin."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng = rng
+        self.scale = rng.uniform(0.6, 1.1)
+        self.shift = complex(rng.uniform(-0.2, 0.2) - self.scale, rng.uniform(-0.2, 0.2) - self.scale)
+        self.curve = polygon([self.shift + self.scale * v for v in _LSHAPE])
+
+    def point(self, region: str) -> complex:
+        rng = self.rng
+        bases, d = (_LSHAPE_CELLS, 0.2) if region == "inside" else (_LSHAPE_OUTSIDE, 0.1)
+        base = bases[rng.integers(0, len(bases))]
+        return self.shift + self.scale * (base + complex(rng.uniform(-d, d), rng.uniform(-d, d)))
+
+
+_POLYGONS = {"square": _Square, "lshape": _LShape}
 
 
 def random_instance(
@@ -228,42 +201,36 @@ def random_instance(
 
     Each root's side of the curve is known by construction (interior sites are
     drawn well inside, exterior sites well outside, boundary sites exactly on
-    the curve), so m, lam, and the corner bound are exact ground truth.
-    A ``max_multiplicity`` below 1 raises ValueError before any draw.
+    the curve), so m, lam, and the corner bound are exact ground truth.  The
+    first ``min_on_curve`` roots go on the curve, all of them when the drawn
+    degree is smaller.  A ``max_multiplicity`` below 1, a ``min_on_curve``
+    that is not an integer of at least 0, or a NaN or negative ``separation``
+    raises ValueError before any draw.
     """
     if not max_multiplicity >= 1:
         raise ValueError(f"max_multiplicity must be at least 1, not {max_multiplicity!r}")
-    family = _make_family(cfg.curve_family, rng)
+    if _integer("min_on_curve", min_on_curve) < 0:
+        raise ValueError(f"min_on_curve must be at least 0, not {min_on_curve!r}")
+    if not separation >= 0:
+        raise ValueError(f"separation must be at least 0, not {separation!r}")
+    kind = cfg.curve_family
+    family = _POLYGONS[kind](rng) if kind in _POLYGONS else _Rays(rng, perturbed=kind == "trig-perturbed")
     degree = int(rng.integers(1, cfg.max_degree + 1))
 
     for _attempt in range(_ATTEMPTS):
-        placed: list[tuple[complex | None, int, str, float | None, float | None]] = []
-        pending = []  # (index in placed, at, scale) of each site whose point the curve gives
+        sites, roots = [], []  # each root's site, and its record (multiplicity, region, alpha)
         total = 0
-        need_on = min_on_curve
         while total < degree:
             mult = int(min(degree - total, _multiplicity(rng), max_multiplicity))
-            if need_on > 0:
-                region = "on"
-            else:
-                region = _region(rng)
-            if region == "inside":
-                z, at, scale, alpha, t = family.inside_point()
-            elif region == "outside":
-                z, at, scale, alpha, t = family.outside_point()
-            else:
-                z, at, scale, alpha, t = family.boundary_site()
-                need_on -= 1
-            if z is None:
-                pending.append((len(placed), at, scale))
-            placed.append((z, mult, region, alpha, t))
+            region = "on" if len(roots) < min_on_curve else _region(rng)
+            site, alpha = family.site(region)
+            sites.append(site)
+            roots.append((mult, region, alpha))
             total += mult
-        if pending:
-            # every site of the attempt is drawn first; one evaluation gives each the bits of one curve.point
-            zs = family.curve.points(np.array([at for _, at, _ in pending])).tolist()
-            for (i, _, scale), z in zip(pending, zs):
-                placed[i] = (z if scale is None else complex(scale * z),) + placed[i][1:]
-        locs = [p[0] for p in placed]
+        # every site of the attempt is drawn first; one evaluation gives each the bits of one curve.point
+        at = [t for z, t, _ in sites if z is None]
+        zs = iter(family.curve.points(np.array(at)).tolist() if at else ())
+        locs = [z if z is not None else next(zs) if s is None else complex(s * next(zs)) for z, _, s in sites]
         if all(abs(locs[i] - locs[j]) >= separation for i in range(len(locs)) for j in range(i + 1, len(locs))):
             break
     else:
@@ -272,18 +239,16 @@ def random_instance(
         )
 
     lead = rng.uniform(0.6, 1.8) * np.exp(1j * rng.uniform(0.0, 2 * np.pi))
-    f = Polynomial.from_roots([(z, mult) for z, mult, _, _, _ in placed], leading=lead)
-
-    m = sum(mult for _, mult, region, _, _ in placed if region == "inside")
-    lam = 0
-    corner_sum = 0
+    f = Polynomial.from_roots([(z, mult) for z, (mult, _, _) in zip(locs, roots)], leading=lead)
+    m = lam = corner_sum = 0
     on_params = []
-    for _, mult, region, alpha, t in placed:
-        if region != "on":
-            continue
-        lam += mult
-        corner_sum += guarded_ceil(mult * alpha / np.pi)
-        on_params.append(float(t))
+    for (_, t, _), (mult, region, alpha) in zip(sites, roots):
+        if region == "inside":
+            m += mult
+        elif region == "on":
+            lam += mult
+            corner_sum += guarded_ceil(mult * alpha / np.pi)
+            on_params.append(float(t))
 
     return PlantedInstance(
         polynomial=f,
@@ -335,20 +300,14 @@ def measure_instance(inst: PlantedInstance) -> int:
 def run_harness(cfg: HarnessConfig, min_on_curve: int = 0) -> HarnessReport:
     rng = np.random.default_rng(cfg.seed)
     violations: list[dict] = []
-    min_slack = None
+    slacks: list[int] = []
     for _ in range(cfg.trials):
         inst = random_instance(rng, cfg, min_on_curve=min_on_curve)
         measured = measure_instance(inst)
         if measured < inst.bound:
             violations.append({"instance": inst.to_json(), "measured": measured, "bound": inst.bound})
-        slack = measured - inst.bound
-        min_slack = slack if min_slack is None else min(min_slack, slack)
-    return HarnessReport(
-        config=cfg,
-        trials=cfg.trials,
-        violations=tuple(violations),
-        min_slack=int(min_slack if min_slack is not None else 0),
-    )
+        slacks.append(measured - inst.bound)
+    return HarnessReport(config=cfg, trials=cfg.trials, violations=tuple(violations), min_slack=min(slacks))
 
 
 def replay(instance_json: dict) -> dict:
@@ -360,7 +319,7 @@ def replay(instance_json: dict) -> dict:
     f = Polynomial.from_json(instance_json["polynomial"])
     curve = JordanCurve.from_json(instance_json["curve"])
     line = Line.from_json(instance_json["line"])
-    bound = _json_int("bound", instance_json["planted"]["bound"])
+    bound = _integer("bound", instance_json["planted"]["bound"])
     measured = count_preimages(f, curve, line).count
     return {"measured": measured, "bound": bound, "holds": measured >= bound}
 

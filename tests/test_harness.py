@@ -1,12 +1,13 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from zerowind import classify_roots
-from zerowind.curves import JordanCurve, unit_circle
+from zerowind.curves import JordanCurve, classify_points, unit_circle
 from zerowind.harness import (
     HarnessConfig,
     PlantedInstance,
@@ -15,6 +16,7 @@ from zerowind.harness import (
     replay,
     run_harness,
 )
+from zerowind.polynomials import Polynomial
 
 FAMILIES = ("circle", "trig-perturbed", "square", "lshape")
 
@@ -41,6 +43,25 @@ class TestConfig:
         with pytest.raises(ValueError, match=message):
             HarnessConfig.from_json({"seed": seed})
         assert HarnessConfig(seed=0).seed == 0
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("max_degree", 2.5), ("trials", True), ("seed", "3"), ("max_degree", np.bool_(True))],
+        ids=["fraction", "bool", "string", "numpy-bool"],
+    )
+    def test_counts_follow_the_integer_rule(self, key, value):
+        # max_degree=2.5 drew degrees 1-2 and echoed 2.5, and trials=True echoed true
+        message = f"^{re.escape(f'{key} must be an integer, not {value!r}')}$"
+        with pytest.raises(ValueError, match=message):
+            HarnessConfig(**{key: value})
+
+    def test_integer_counts_stored_as_python_ints(self):
+        # NumPy integers were stored as given, and json.dumps refused the report: "int64 is not JSON serializable"
+        cfg = HarnessConfig(trials=np.int64(2), max_degree=np.int32(3), curve_family="square", seed=np.uint64(5))
+        assert cfg == HarnessConfig(trials=2, max_degree=3.0, curve_family="square", seed=5)
+        assert all(type(v) is int for v in (cfg.trials, cfg.max_degree, cfg.seed))
+        report = json.loads(json.dumps(run_harness(cfg).to_json()))
+        assert report["config"] == {"trials": 2, "max_degree": 3, "curve_family": "square", "seed": 5}
 
 
 class TestInstanceGeneration:
@@ -76,6 +97,33 @@ class TestInstanceGeneration:
         with pytest.raises(ValueError, match="max_multiplicity must be at least 1"):
             random_instance(rng, cfg, max_multiplicity=max_multiplicity)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            ({"min_on_curve": -5}, "min_on_curve must be at least 0, not -5"),
+            ({"min_on_curve": 1.5}, "min_on_curve must be an integer, not 1.5"),
+            ({"min_on_curve": "1"}, "min_on_curve must be an integer, not '1'"),
+            ({"separation": float("nan")}, "separation must be at least 0, not nan"),
+            ({"separation": -0.1}, "separation must be at least 0, not -0.1"),
+        ],
+        ids=["negative-on-curve", "fractional-on-curve", "string-on-curve", "nan-separation", "negative-separation"],
+    )
+    def test_refuses_bad_placement_arguments(self, options, message):
+        # -5 was accepted, 1.5 put two roots on the curve, and a NaN separation failed every attempt with two or
+        # more sites: here it planted a single triple root
+        rng = np.random.default_rng(0)
+        cfg = HarnessConfig(trials=1, max_degree=3, curve_family="circle", seed=0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            random_instance(rng, cfg, **options)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_min_on_curve_above_the_degree_puts_every_root_on(self, family):
+        cfg = HarnessConfig(trials=1, max_degree=1, curve_family=family, seed=0)
+        for seed in range(10):
+            inst = random_instance(np.random.default_rng(seed), cfg, min_on_curve=3)
+            assert (inst.m, inst.lam, len(inst.on_curve_params)) == (0, 1, 1)
 
     def test_smooth_bound_reduces(self):
         rng = np.random.default_rng(4)
@@ -283,3 +331,38 @@ class TestWorkBudget:
         pool = WORKLOADS["detour"].inputs(1, WORKLOADS["detour"].pool_size)
         assert len(pool) == 240
         assert calls == {"choice": 0, "point": 0}
+
+
+class TestOnCurveParams:
+    """Each planted parameter t names an on-curve site: the polynomial vanishes at curve.point(t), on the curve."""
+
+    def test_every_on_curve_site_has_its_parameter(self, monkeypatch):
+        planted = []  # the (root, multiplicity) pairs each instance's polynomial is built from
+        from_roots = Polynomial.from_roots.__func__
+
+        def recorded(cls, roots, leading=1.0):
+            planted.append(list(roots))
+            return from_roots(cls, roots, leading)
+
+        monkeypatch.setattr(Polynomial, "from_roots", classmethod(recorded))
+        checked = 0
+        for family in FAMILIES:
+            cfg = HarnessConfig(trials=1, curve_family=family)
+            for options in TestPinnedInstances.OPTION_SETS:
+                for seed in range(50):
+                    planted.clear()
+                    try:
+                        inst = random_instance(np.random.default_rng(seed), cfg, **options)
+                    except ValueError:  # L-shapes at separation 0.7 are refused at some seeds
+                        continue
+                    (roots,) = planted
+                    kinds = [loc.kind for loc in classify_points(inst.curve, [z for z, _ in roots])]
+                    on = [mult for (_, mult), kind in zip(roots, kinds) if kind == "on-curve"]
+                    assert (len(inst.on_curve_params), inst.lam) == (len(on), sum(on))
+                    points = [inst.curve.point(t) for t in inst.on_curve_params]
+                    assert all(loc.kind == "on-curve" for loc in classify_points(inst.curve, points))
+                    scale = sum(abs(c) for c in inst.polynomial.coeffs)
+                    for z in points:
+                        assert abs(inst.polynomial(z)) <= 64 * np.finfo(float).eps * scale
+                    checked += len(points)
+        assert checked > 700

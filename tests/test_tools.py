@@ -1,4 +1,5 @@
-"""tools/tier1_check.py reads each test's outcome from pytest's JUnit XML report."""
+"""tools/tier1_check.py reads each test's outcome from pytest's JUnit XML report; tools/bench_pairs.py names a
+checkout by its commit only when its sources are committed."""
 
 import importlib.util
 import subprocess
@@ -36,9 +37,9 @@ SUITE = textwrap.dedent(
 )
 
 
-def _tool():
-    path = Path(__file__).resolve().parent.parent / "tools" / "tier1_check.py"
-    spec = importlib.util.spec_from_file_location("tier1_check", path)
+def _tool(name: str = "tier1_check"):
+    path = Path(__file__).resolve().parent.parent / "tools" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     return tool
@@ -64,3 +65,23 @@ def test_outcomes_and_problems(tmp_path):
         "test_suite::test_other failed",
         "test_suite::test_errors error",
     ]
+
+
+def test_head_commit_only_for_committed_sources(tmp_path):
+    # a checkout with uncommitted changes under src/ was recorded under its base commit
+    def git(*args):
+        cmd = ["git", "-c", "user.name=t", "-c", "user.email=t@t", "-c", "commit.gpgsign=false", *args]
+        return subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, check=True).stdout.strip()
+
+    head_commit = _tool("bench_pairs").head_commit
+    (tmp_path / "src").mkdir()
+    source = tmp_path / "src" / "mod.py"
+    source.write_text("X = 1\n")
+    git("init", "-q")
+    git("add", "-A")
+    git("commit", "-q", "-m", "base")
+    assert head_commit(tmp_path) == git("rev-parse", "HEAD")
+    (tmp_path / "notes.txt").write_text("outside src/\n")
+    assert head_commit(tmp_path) == git("rev-parse", "HEAD")
+    source.write_text("X = 2\n")
+    assert head_commit(tmp_path) is None

@@ -17,11 +17,13 @@ one line gives each side's median and quartiles, the pairs the change won
 
 When every run printed a result, the last line of standard output is one
 JSON object, the record of the comparison: the workload, the run length,
-the seeds, each checkout's ``git rev-parse HEAD`` (null where that fails)
-and ``src_sha256``, the hash of its ``src/zerowind/*.py`` that each run's
-provenance line prints, every run's result object in run order per side
-(with the ``src_sha256`` of its provenance line added), and per metric both
-sides' quartiles and median, the pairs won and lost, and the two verdicts.
+the seeds, each checkout's ``git rev-parse HEAD`` (null where that fails,
+and null where ``git status --porcelain -- src`` lists any change, so that a
+hash names only the sources committed under it) and ``src_sha256``, the
+hash of its ``src/zerowind/*.py`` that each run's provenance line prints,
+every run's result object in run order per side (with the ``src_sha256``
+of its provenance line added), and per metric both sides' quartiles and
+median, the pairs won and lost, and the two verdicts.
 Save it with ``| tail -n 1 > BENCH_<n>.json``.
 
 The exit status is 2, before any run, when both checkouts hold the same
@@ -65,7 +67,10 @@ def source_hash(checkout: Path) -> str:
 
 
 def head_commit(checkout: Path) -> str | None:
-    """``git rev-parse HEAD`` in checkout, or None where git gives none."""
+    """``git rev-parse HEAD`` in checkout; None where git gives none or where ``src/`` differs from that commit."""
+    status = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=checkout, capture_output=True, text=True)
+    if status.returncode != 0 or status.stdout.strip():
+        return None
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return proc.stdout.strip() if proc.returncode == 0 else None
 
