@@ -203,11 +203,11 @@ def random_instance(
     drawn well inside, exterior sites well outside, boundary sites exactly on
     the curve), so m, lam, and the corner bound are exact ground truth.  The
     first ``min_on_curve`` roots go on the curve, all of them when the drawn
-    degree is smaller.  A ``max_multiplicity`` below 1, a ``min_on_curve``
-    that is not an integer of at least 0, or a NaN or negative ``separation``
-    raises ValueError before any draw.
+    degree is smaller.  A ``max_multiplicity`` that is not an integer of at
+    least 1, a ``min_on_curve`` that is not an integer of at least 0, or a NaN
+    or negative ``separation`` raises ValueError before any draw.
     """
-    if not max_multiplicity >= 1:
+    if _integer("max_multiplicity", max_multiplicity) < 1:
         raise ValueError(f"max_multiplicity must be at least 1, not {max_multiplicity!r}")
     if _integer("min_on_curve", min_on_curve) < 0:
         raise ValueError(f"min_on_curve must be at least 0, not {min_on_curve!r}")

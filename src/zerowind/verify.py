@@ -13,6 +13,7 @@ zero counts of cosine sums.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -239,52 +240,59 @@ def _primitive(p: list[int]) -> list[int]:
     return [a // g for a in p] if g > 1 else p
 
 
-def _sturm_next(a: list[int], b: list[int]) -> list[int]:
-    """The primitive part of -rem(a, b), from the pseudo-remainder lc(b)^k a mod b, k = deg a - deg b + 1.
-
-    Dividing out lc(b)^k and the content multiplies the remainder by a
-    positive factor once the sign of lc(b)^k is undone, so the sign changes
-    of the sequence are those of the Sturm sequence.
-    """
-    lead, r = b[0], list(a)
-    k = len(a) - len(b) + 1
-    for i in range(k):
-        q = r[i]
-        r[i + 1 :] = [lead * c for c in r[i + 1 :]]
-        r[i + 1 : i + len(b)] = [c - q * d for c, d in zip(r[i + 1 : i + len(b)], b[1:])]
-    rem = r[k:]
-    if lead > 0 or k % 2 == 0:
-        rem = [-c for c in rem]
-    return _primitive(rem)
+@functools.cache
+def _chebyshev_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """The monomial coefficients of T_0..T_n, lowest degree first, from T_{j+1} = 2x T_j - T_{j-1}."""
+    rows, prev, cur = [], (0, 1), (1,)  # T_{-1} = T_1 = x, T_0 = 1
+    for _ in range(n + 1):
+        rows.append(cur)
+        nxt = [0] + [2 * t for t in cur]
+        for i, t in enumerate(prev):
+            nxt[i] -= t
+        prev, cur = cur, tuple(nxt)
+    return tuple(rows)
 
 
-def _value(p: list[int], x: int) -> int:
-    """p(x), coefficients highest degree first."""
-    v = 0
-    for a in p:
-        v = v * x + a
-    return v
-
-
-def _sign_changes(seq: list[list[int]], x: int) -> int:
-    """Sign changes of the sequence's values at x = 1 or x = -1, zeros skipped."""
-    signs = [v > 0 for v in (_value(p, x) for p in seq) if v]
-    return sum(s != t for s, t in zip(signs, signs[1:]))
-
-
-def _sturm_count(p: list[int]) -> tuple[int, bool]:
+def _sturm_count(p: list[int], dp: list[int]) -> tuple[int, bool]:
     """Distinct roots of p in (-1, 1), for p(1), p(-1) != 0, and whether p is square-free.
 
-    The Sturm sequence of p and p', each remainder's primitive part in place
-    of the remainder: its sign changes at -1 and at 1 differ by the count,
-    and it ends in a constant exactly when p has no multiple root.
+    dp is the primitive part of p'.  The Sturm sequence of p and p', each
+    remainder's primitive part in place of the remainder: its sign changes at
+    -1 and at 1 differ by the count, and it ends in a constant exactly when p
+    has no multiple root.  Each remainder comes from the pseudo-remainder
+    lc(b)^k a mod b, k = deg a - deg b + 1; dividing out lc(b)^k and the
+    content multiplies it by a positive factor once the sign of lc(b)^k is
+    undone, so the sign changes are those of the Sturm sequence.
     """
-    deg = len(p) - 1
-    seq, a, b = [p], p, _primitive([c * (deg - i) for i, c in enumerate(p[:-1])])
+    seq, a, b = [p], p, dp
     while b:
         seq.append(b)
-        a, b = b, _sturm_next(a, b)
-    return _sign_changes(seq, -1) - _sign_changes(seq, 1), len(seq[-1]) == 1
+        if len(b) == 1:
+            break
+        lead, k = b[0], len(a) - len(b) + 1
+        if k == 2:  # -lead^2 a mod b in one pass, the usual step
+            q, la0, l2 = lead * a[1] - a[0] * b[1], lead * a[0], lead * lead
+            rem = [q * u - l2 * v + la0 * w for u, v, w in zip(b[1:], a[2:], b[2:] + [0])]
+        else:
+            r = list(a)
+            for i in range(k):
+                q = r[i]
+                r[i + 1 :] = [lead * c for c in r[i + 1 :]]
+                r[i + 1 : i + len(b)] = [c - q * d for c, d in zip(r[i + 1 : i + len(b)], b[1:])]
+            rem = r[k:]
+            if lead > 0 or k % 2 == 0:
+                rem = [-c for c in rem]
+        a, b = b, _primitive(rem)
+    # signs at 1 from the sum of the coefficients, at -1 from the alternating sum
+    at_one = [v > 0 for v in map(sum, seq) if v]
+    at_minus_one = [(v > 0) == (len(q) % 2 == 1) for q in seq if (v := sum(q[::2]) - sum(q[1::2]))]
+    below, above = (sum(s != t for s, t in zip(signs, signs[1:])) for signs in (at_minus_one, at_one))
+    return below - above, len(seq[-1]) == 1
+
+
+def _derivative(p: list[int]) -> list[int]:
+    """The primitive part of p'; p * 2^b and p + c share it, so it serves every level of one sum."""
+    return _primitive([c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])])
 
 
 def _exact_cosine_zero_count(coeffs) -> int:
@@ -313,19 +321,14 @@ def _exact_cosine_zero_count(coeffs) -> int:
     ratios = [float(c).as_integer_ratio() for c in coeffs]
     den = max(d for _, d in ratios)
     p = [0] * len(ratios)  # lowest degree first, until reversed below
-    prev, cur = [0, 1], [1]  # T_{-1} = T_1 = x, T_0 = 1
     eta = 0  # sum |c_j| over the rounded c_j, times den as p is
-    for num, d in ratios:
+    for (num, d), row in zip(ratios, _chebyshev_rows(len(ratios) - 1)):
         a = num * (den // d)
         m = abs(num)
         if m.bit_length() - (m & -m).bit_length() + 1 > _EXACT_BITS:  # significant bits
             eta += abs(a)
-        for i, t in enumerate(cur):
+        for i, t in enumerate(row):
             p[i] += a * t
-        nxt = [0] + [2 * t for t in cur]
-        for i, t in enumerate(prev):
-            nxt[i] -= t
-        prev, cur = cur, nxt
     p = p[::-1]
     while p and p[0] == 0:
         p = p[1:]
@@ -339,15 +342,16 @@ def _exact_cosine_zero_count(coeffs) -> int:
             ends += q is not None
             while q is not None:
                 p, q = q, _deflate(q, r)
-        return 2 * _sturm_count(p)[0] + ends
+        return 2 * _sturm_count(p, _derivative(p))[0] + ends
+    dp = _derivative(p)
+    at_one, at_minus_one = sum(p), (sum(p[::2]) - sum(p[1::2])) * (-1) ** (len(p) - 1)
     for bits in range(_CLUSTER_LEVEL_BITS, _CLUSTER_LEVEL_BITS + 64):
         scaled = [c << bits for c in p]
         count = 0
         for level in (eta, -eta):
-            g = scaled[:-1] + [scaled[-1] - level]
-            if _value(g, 1) == 0 or _value(g, -1) == 0:
+            if at_one << bits == level or at_minus_one << bits == level:  # p << bits - level vanishes at 1 or -1
                 break
-            roots, square_free = _sturm_count(g)
+            roots, square_free = _sturm_count(scaled[:-1] + [scaled[-1] - level], dp)
             if not square_free:  # p touches the level
                 break
             count += roots

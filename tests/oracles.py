@@ -25,6 +25,9 @@ sympy's exact real-root isolation, as ``sympy_segment_residual_roots`` does
 for the line residual on one straight segment.  ``dense_chain`` and
 ``polyline_chain_meeting`` decide whether a closed chain of arcs and straight
 pieces meets itself from 8193 samples per piece, with no library code.
+``reference_exact_cosine_zero_count`` is the exact integer count of a cosine
+sum's zeros as it was before its kernel was fused, with its helpers, copied
+verbatim; the library's count must match it count for count.
 """
 
 from __future__ import annotations
@@ -628,3 +631,151 @@ def polyline_chain_meeting(polylines, near: float = 1e-3, size: int = 64) -> tup
             else:
                 closest = min(closest, pair_closest)
     return meets, closest
+
+
+# ---------------------------------------------------------------------------
+# the exact cosine count as it was before its kernel was fused: every
+# pseudo-remainder in the general loop, values by Horner's rule, and one
+# derivative per Sturm sequence.  The library's kernel must give the same
+# count, or raise the same exception with the same message, on every input.
+
+# A coefficient with at most _EXACT_BITS significant bits is taken as exact
+# (integers, short dyadics); any other as rounded to the nearest float, off by
+# at most 2^-53 of itself.  The exact count resolves the cosine sum to 2^-44
+# of the rounded coefficients' sum of magnitudes, 2^9 times the rounding bound.
+_EXACT_BITS = 40
+_CLUSTER_LEVEL_BITS = 44
+
+
+def _deflate(p: list[int], r: int) -> list[int] | None:
+    """p / (x - r) by synthetic division, coefficients highest degree first; None when r is not a root."""
+    acc, quotient = 0, []
+    for a in p:
+        acc = a + r * acc
+        quotient.append(acc)
+    return quotient[:-1] if acc == 0 else None
+
+
+def _primitive(p: list[int]) -> list[int]:
+    """p without leading zeros, divided by the gcd of its coefficients (a positive factor)."""
+    while p and p[0] == 0:
+        p = p[1:]
+    g = math.gcd(*p)
+    return [a // g for a in p] if g > 1 else p
+
+
+def _sturm_next(a: list[int], b: list[int]) -> list[int]:
+    """The primitive part of -rem(a, b), from the pseudo-remainder lc(b)^k a mod b, k = deg a - deg b + 1.
+
+    Dividing out lc(b)^k and the content multiplies the remainder by a
+    positive factor once the sign of lc(b)^k is undone, so the sign changes
+    of the sequence are those of the Sturm sequence.
+    """
+    lead, r = b[0], list(a)
+    k = len(a) - len(b) + 1
+    for i in range(k):
+        q = r[i]
+        r[i + 1 :] = [lead * c for c in r[i + 1 :]]
+        r[i + 1 : i + len(b)] = [c - q * d for c, d in zip(r[i + 1 : i + len(b)], b[1:])]
+    rem = r[k:]
+    if lead > 0 or k % 2 == 0:
+        rem = [-c for c in rem]
+    return _primitive(rem)
+
+
+def _value(p: list[int], x: int) -> int:
+    """p(x), coefficients highest degree first."""
+    v = 0
+    for a in p:
+        v = v * x + a
+    return v
+
+
+def _sign_changes(seq: list[list[int]], x: int) -> int:
+    """Sign changes of the sequence's values at x = 1 or x = -1, zeros skipped."""
+    signs = [v > 0 for v in (_value(p, x) for p in seq) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _sturm_count(p: list[int]) -> tuple[int, bool]:
+    """Distinct roots of p in (-1, 1), for p(1), p(-1) != 0, and whether p is square-free.
+
+    The Sturm sequence of p and p', each remainder's primitive part in place
+    of the remainder: its sign changes at -1 and at 1 differ by the count,
+    and it ends in a constant exactly when p has no multiple root.
+    """
+    deg = len(p) - 1
+    seq, a, b = [p], p, _primitive([c * (deg - i) for i, c in enumerate(p[:-1])])
+    while b:
+        seq.append(b)
+        a, b = b, _sturm_next(a, b)
+    return _sign_changes(seq, -1) - _sign_changes(seq, 1), len(seq[-1]) == 1
+
+
+def reference_exact_cosine_zero_count(coeffs) -> int:
+    """Zeros of P(t) = sum_j c_j cos(j t) on [0, 2*pi), counted exactly in integer arithmetic.
+
+    Independent of the curve/preimage machinery.  With x = cos t the sum is
+    the polynomial p(x) = sum_j c_j T_j(x); each root of p in (-1, 1) is cos t
+    at two t, the root 1 at t = 0 and the root -1 at t = pi.  Floats are
+    dyadic rationals, so a common power of two turns the coefficients into
+    ints, and everything after is exact, starting with the monomial
+    coefficients of p from T_{j+1} = 2x T_j - T_{j-1}.
+
+    When every coefficient is exact (at most 40 significant bits), the count
+    is of the distinct zeros: p is divided by x - 1 and x + 1 while they
+    divide it, and a Sturm sequence counts the distinct roots left in
+    (-1, 1).  Otherwise P is known only to within its rounding, and the
+    count is resolved to eta = 2^-44 sum |c_j| over the rounded c_j: it is
+    the number of arcs of t on which |P| <= eta, one per zero of any order,
+    and one per cluster of zeros and touches that the rounding could have
+    split, merged or lifted off (a decimal root at z = 1 is one).  Each arc
+    ends where P crosses eta or -eta, so the count is the number of roots of
+    p - eta and p + eta in (-1, 1); where eta is a critical value of p, or
+    |p(1)| or |p(-1)|, a crossing is not clean and eta is halved until none
+    is.
+    """
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    den = max(d for _, d in ratios)
+    p = [0] * len(ratios)  # lowest degree first, until reversed below
+    prev, cur = [0, 1], [1]  # T_{-1} = T_1 = x, T_0 = 1
+    eta = 0  # sum |c_j| over the rounded c_j, times den as p is
+    for num, d in ratios:
+        a = num * (den // d)
+        m = abs(num)
+        if m.bit_length() - (m & -m).bit_length() + 1 > _EXACT_BITS:  # significant bits
+            eta += abs(a)
+        for i, t in enumerate(cur):
+            p[i] += a * t
+        nxt = [0] + [2 * t for t in cur]
+        for i, t in enumerate(prev):
+            nxt[i] -= t
+        prev, cur = cur, nxt
+    p = p[::-1]
+    while p and p[0] == 0:
+        p = p[1:]
+    if not p:
+        raise ValueError("cosine sum vanishes identically")
+
+    if not eta:
+        ends = 0
+        for r in (1, -1):
+            q = _deflate(p, r)
+            ends += q is not None
+            while q is not None:
+                p, q = q, _deflate(q, r)
+        return 2 * _sturm_count(p)[0] + ends
+    for bits in range(_CLUSTER_LEVEL_BITS, _CLUSTER_LEVEL_BITS + 64):
+        scaled = [c << bits for c in p]
+        count = 0
+        for level in (eta, -eta):
+            g = scaled[:-1] + [scaled[-1] - level]
+            if _value(g, 1) == 0 or _value(g, -1) == 0:
+                break
+            roots, square_free = _sturm_count(g)
+            if not square_free:  # p touches the level
+                break
+            count += roots
+        else:
+            return count
+    raise ValueError("no clean resolution for the cosine sum")

@@ -89,12 +89,20 @@ class TestInstanceGeneration:
             inst = random_instance(rng, cfg)
             assert 1 <= inst.polynomial.degree <= 5
 
-    @pytest.mark.parametrize("max_multiplicity", [0, -1, 0.5])
-    def test_refuses_multiplicities_below_1(self, max_multiplicity):
+    @pytest.mark.parametrize(
+        "max_multiplicity, message",
+        [
+            (0, "max_multiplicity must be at least 1, not 0"),
+            (-1, "max_multiplicity must be at least 1, not -1"),
+            (0.5, "max_multiplicity must be an integer, not 0.5"),
+        ],
+        ids=["0", "-1", "0.5"],
+    )
+    def test_refuses_multiplicities_below_1(self, max_multiplicity, message):
         # at max_multiplicity < 1 no root could be planted, and the draws never ended; now refused before any draw
         rng = np.random.default_rng(5)
         cfg = HarnessConfig(trials=1, max_degree=4, curve_family="circle", seed=0)
-        with pytest.raises(ValueError, match="max_multiplicity must be at least 1"):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             random_instance(rng, cfg, max_multiplicity=max_multiplicity)
         assert rng.bit_generator.state == np.random.default_rng(5).bit_generator.state
 
@@ -106,12 +114,25 @@ class TestInstanceGeneration:
             ({"min_on_curve": "1"}, "min_on_curve must be an integer, not '1'"),
             ({"separation": float("nan")}, "separation must be at least 0, not nan"),
             ({"separation": -0.1}, "separation must be at least 0, not -0.1"),
+            ({"max_multiplicity": 2.9}, "max_multiplicity must be an integer, not 2.9"),
+            ({"max_multiplicity": True}, "max_multiplicity must be an integer, not True"),
+            ({"max_multiplicity": "2"}, "max_multiplicity must be an integer, not '2'"),
         ],
-        ids=["negative-on-curve", "fractional-on-curve", "string-on-curve", "nan-separation", "negative-separation"],
+        ids=[
+            "negative-on-curve",
+            "fractional-on-curve",
+            "string-on-curve",
+            "nan-separation",
+            "negative-separation",
+            "fractional-multiplicity",
+            "bool-multiplicity",
+            "string-multiplicity",
+        ],
     )
     def test_refuses_bad_placement_arguments(self, options, message):
         # -5 was accepted, 1.5 put two roots on the curve, and a NaN separation failed every attempt with two or
-        # more sites: here it planted a single triple root
+        # more sites: here it planted a single triple root.  A multiplicity of 2.9 planted at most double roots,
+        # True counted as 1, and '2' raised TypeError
         rng = np.random.default_rng(0)
         cfg = HarnessConfig(trials=1, max_degree=3, curve_family="circle", seed=0)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

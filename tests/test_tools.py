@@ -1,5 +1,5 @@
-"""tools/tier1_check.py reads each test's outcome from pytest's JUnit XML report; tools/bench_pairs.py names a
-checkout by its commit only when its sources are committed."""
+"""tools/tier1_check.py reads each test's outcome and the slowest tests from pytest's JUnit XML report;
+tools/bench_pairs.py names a checkout by its commit only when its sources are committed."""
 
 import importlib.util
 import subprocess
@@ -9,10 +9,12 @@ from pathlib import Path
 
 SUITE = textwrap.dedent(
     """
+    import time
+
     import pytest
 
     def test_ok():
-        pass
+        time.sleep(0.3)
 
     def test_criterion_01_lambda_sharpness():
         assert DOCUMENTED_01
@@ -65,6 +67,14 @@ def test_outcomes_and_problems(tmp_path):
         "test_suite::test_other failed",
         "test_suite::test_errors error",
     ]
+
+
+def test_slowest_tests(tmp_path):
+    result = _run(tmp_path, documented_01=True, other=True)
+    slow = _tool().slowest(str(tmp_path / "out.xml"))
+    assert len(slow) == 5 and slow[0][0] == "test_suite::test_ok" and slow[0][1] >= 0.3
+    assert [seconds for _, seconds in slow] == sorted((seconds for _, seconds in slow), reverse=True)
+    assert {test for test, _ in slow} <= set(result)
 
 
 def test_head_commit_only_for_committed_sources(tmp_path):

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,9 +34,11 @@ import zerowind.crossings
 import zerowind.verify
 from zerowind.verify import _exact_cosine_zero_count, guarded_ceil
 
+import oracles
 from oracles import (
     dense_cosine_zero_count,
     dense_line_crossing_count,
+    reference_exact_cosine_zero_count,
     sympy_cosine_zero_count,
     termwise_cosine_zero_count,
 )
@@ -598,3 +601,96 @@ class TestDirectCosineScan:
             tracemalloc.stop()
         assert big == []
         assert peak < 1 << 21
+
+
+def _outcome(count, coeffs):
+    """The count of coeffs, or the type and message of what it raised."""
+    try:
+        return count(coeffs)
+    except Exception as exc:  # noqa: BLE001 - the exception itself is compared
+        return type(exc), str(exc)
+
+
+class TestExactCountKernel:
+    """The exact count's kernel against its earlier form in tests/oracles.py, count for count.
+
+    The fused pseudo-remainder, the values at +-1 from two sums, the one
+    derivative per sum and the cached Chebyshev rows must give the same
+    count, or the same exception and message, on every input.
+    """
+
+    @staticmethod
+    def _same(sums):
+        for coeffs in sums:
+            want = _outcome(reference_exact_cosine_zero_count, coeffs)
+            assert _outcome(_exact_cosine_zero_count, coeffs) == want, coeffs
+
+    def test_criterion_8_distribution_to_degree_16(self):
+        rng = np.random.default_rng(8)
+        sums = []
+        for _ in range(2000):
+            n = int(rng.integers(1, 17))
+            a = rng.uniform(-1.0, 1.0, size=n + 1)
+            while abs(a[0]) < 0.05:
+                a[0] = rng.uniform(-1.0, 1.0)
+            while abs(a[-1]) < 0.05:
+                a[-1] = rng.uniform(-1.0, 1.0)
+            sums.append(list(a))
+        self._same(sums)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cosine_sums_pools(self, seed, monkeypatch):
+        # each sum as verify_trig counts it, scaled, and its reversal
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        from workloads import WORKLOADS
+
+        wl = WORKLOADS["cosine-sums"]
+        scaled = [list(zerowind.verify._unit_scaled(tuple(a))) for a in wl.inputs(seed, wl.pool_size)]
+        self._same(scaled + [c[::-1] for c in scaled])
+
+    def test_combs_binomials_and_planted_roots(self):
+        sums = [[1.0] + [0.0] * (n - 1) + [1.0] for n in range(1, 13)]
+        sums += [[math.comb(n, j) for j in range(n + 1)] for n in range(1, 32)]
+        for t0 in (0.0, np.pi / 4, np.pi, 1.0):
+            a = _dyadic(np.cos(t0))
+            sums.append(_exact_cheb_from_x_roots([a, a, _dyadic(0.3)]))
+        sums += [_cheb_from_x_roots([a, a, 0.3]) for a in (1.0, np.cos(np.pi / 4))]
+        for seed in range(8):
+            rng = np.random.default_rng(100 + seed)
+            inside = [_dyadic(x, 6) for x in rng.uniform(-0.95, 0.95, size=3)]
+            roots = [inside[0]] * 2 + [inside[1]] * 3 + [inside[2]] + [_dyadic(rng.uniform(1.2, 3.0), 4)]
+            roots += [1.0] * int(rng.integers(0, 4)) + [-1.0] * int(rng.integers(0, 4))
+            sums.append(_exact_cheb_from_x_roots(roots))
+        self._same(sums)
+
+    def test_extreme_scales_and_refusals(self):
+        scales = [[1e307] * 9, [1e308] * 3, [1e-300] * 9, [1e-310] * 3, [5e-324] * 3, [1.0, 5e-324, 1.0]]
+        refused = [[], [0.0], [0.0, 0.0], [0.0, 1e-300, 0.0]]
+        self._same(scales + refused + [[1.0, 1e-6, 1.0], [1 + 1e-13, 1], [-0.3, 1.6, -2.3, 1.0]])
+
+    @pytest.mark.parametrize(
+        "coeffs, lead, want",
+        [
+            # (1 + 2^-44) + (1 - 2^-44) cos 2t stays 2^-43 = eta above 0: the
+            # level p - eta is 2 (2^44 - 1) x^2 at bits = 44, with a double root
+            ([1 + 2**-44, 0.0, 1 - 2**-44], 2 * (2**44 - 1), 0),
+            # -(1 - 2^-44) + (1 + 2^-44) cos t is eta at t = 0: p(1) = eta at bits = 44
+            ([-(1 - 2**-44), 1 + 2**-44], 2**44 + 1, 2),
+        ],
+        ids=["level-not-square-free", "level-at-an-end"],
+    )
+    def test_eta_is_halved_where_a_crossing_is_not_clean(self, coeffs, lead, want, monkeypatch):
+        # the level polynomials' leading coefficients are lead * 2^bits, in the
+        # kernel and in its earlier form: both count at bits = 45
+        seen = {zerowind.verify: [], oracles: []}
+        for module, levels in seen.items():
+
+            def spy(p, *dp, count=module._sturm_count, levels=levels):
+                levels.append(p[0])
+                return count(p, *dp)
+
+            monkeypatch.setattr(module, "_sturm_count", spy)
+        assert _exact_cosine_zero_count(coeffs) == reference_exact_cosine_zero_count(coeffs) == want
+        kernel, reference = seen.values()
+        assert kernel == reference
+        assert kernel[-2:] == [lead << 45] * 2 and all(c == lead << 44 for c in kernel[:-2])

@@ -7,7 +7,8 @@ repository root with ``src`` first on ``PYTHONPATH`` (ROADMAP's tier-1
 command), with a JUnit XML report in a temporary directory added so that
 every test's outcome can be read.  It deselects, skips and changes no test.
 Prints the passed, failed, errored, xfailed and skipped counts and the wall
-time.  Exits 1 when any test other than the two acceptance criteria pinned
+time, then the five slowest tests by the report's ``time`` attributes.
+Exits 1 when any test other than the two acceptance criteria pinned
 to unreachable values fails or errors, or when either of those two does not
 fail; otherwise 0.
 """
@@ -45,6 +46,13 @@ def outcomes(junit_xml: str) -> dict[str, str]:
     return result
 
 
+def slowest(junit_xml: str) -> list[tuple[str, float]]:
+    """The five tests of a pytest JUnit XML report that took longest, slowest first, with their seconds."""
+    cases = ET.parse(junit_xml).iter("testcase")
+    times = [(f"{case.get('classname')}::{case.get('name')}", float(case.get("time", 0))) for case in cases]
+    return sorted(times, key=lambda item: item[1], reverse=True)[:5]
+
+
 def problems(result: dict[str, str]) -> list[str]:
     """Every departure from the documented state: any other failure or error, or a documented failure that passed."""
     found = []
@@ -71,10 +79,12 @@ def main() -> int:
         if not os.path.exists(junit):
             print("tier1_check: pytest wrote no report", file=sys.stderr)
             return 1
-        result = outcomes(junit)
+        result, slow = outcomes(junit), slowest(junit)
     counts = Counter(result.values())
     kinds = ("passed", "failed", "error", "xfailed", "skipped")
     print(f"tier1_check: {', '.join(f'{counts[k]} {k}' for k in kinds)} in {wall:.1f} s")
+    for test, seconds in slow:
+        print(f"tier1_check: slow {seconds:.1f} s {test}")
     found = problems(result)
     for line in found:
         print(f"tier1_check: {line}", file=sys.stderr)
