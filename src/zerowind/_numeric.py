@@ -50,6 +50,12 @@ def polynomial_roots(coeffs: np.ndarray) -> np.ndarray:
     return np.concatenate((roots, np.zeros(trailing, roots.dtype))) if trailing else roots
 
 
+def is_integer(value) -> bool:
+    """True for a Python or NumPy integer other than a bool, and for a float with an integer value."""
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    return integral or isinstance(value, float) and value.is_integer()
+
+
 def wrap_angle(a):
     """Reduce angles to the principal branch (-pi, pi]."""
     a = np.asarray(a, dtype=float)
@@ -226,25 +232,17 @@ def adaptive_winding(fn, coarse):
     raise WindingNotResolved("argument steps did not settle below the limit")
 
 
-def trig_series(c0, pos, neg, theta):
-    """The Laurent polynomial c0 + sum_k (pos[k-1] w^k + neg[k-1] conj(w)^k) at w = exp(i theta).
+def trig_series(coeffs, theta):
+    """The Laurent polynomial sum_k c_k w^k at w = exp(i theta), from ``coeffs`` c_-K .. c_K, K >= 1.
 
     A cosine/sine series is a Laurent polynomial in w (Boyd, J. Eng. Math. 56,
-    2006), so one complex exp and two Horner passes evaluate it.  ``pos`` and
-    ``neg`` hold c_1 .. c_K and c_-1 .. c_-K, both of length K >= 1.
+    2006), so one complex exp and two Horner passes evaluate it, over Python
+    complexes, which NumPy applies sooner than its own scalars.  ``theta``
+    must be an array, not 0-d: a 0-d angle rounds the products otherwise.
     """
-    w = np.exp(1j * np.asarray(theta, dtype=float))
-    return c0 + _horner(pos, w) + _horner(neg, np.conj(w))
-
-
-def trig_series_deriv(pos, neg, theta):
-    """d/dtheta of :func:`trig_series`, i (sum_k k c_k w^k - sum_k k c_-k conj(w)^k).
-
-    ``pos`` and ``neg`` hold the derivative's own coefficients, i k c_k and
-    -i k c_-k.
-    """
-    w = np.exp(1j * np.asarray(theta, dtype=float))
-    return _horner(pos, w) + _horner(neg, np.conj(w))
+    k, c = len(coeffs) // 2, coeffs.tolist()
+    w = np.exp(1j * theta)
+    return c[k] + _horner(c[k + 1 :], w) + _horner(c[k - 1 :: -1], np.conj(w))
 
 
 def _horner(coeffs, w):

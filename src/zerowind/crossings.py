@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._numeric import TWO_PI, polynomial_roots
+from ._numeric import TWO_PI, is_integer, polynomial_roots
 from .curves import ArcSegment, JordanCurve, LineSegment, circle
 from .errors import BelowNoiseFloor
 from .polynomials import Polynomial, ZeroReport, classify_roots, find_roots
@@ -345,13 +345,16 @@ def _isolated_root(f: Polynomial, zero: complex, eps: float, what: str, center=N
 def count_disc_preimages(f: Polynomial, zero: complex, multiplicity: int, eps: float, line: Line) -> int:
     """Preimage count of the line on the circle of radius eps around a root of f.
 
-    For small eps this equals twice the root's multiplicity.  The disc must
-    exclude every other root.  Raises BelowNoiseFloor when eps is so small
-    that f on the circle stays within the rounding noise of its evaluation.
+    For small eps this equals twice the root's multiplicity, an integer >= 1
+    by ``is_integer``.  The disc must exclude every other root.  Raises
+    BelowNoiseFloor when eps is so small that f on the circle stays within
+    the rounding noise of its evaluation.
     """
+    if not (is_integer(multiplicity) and multiplicity >= 1):
+        raise ValueError(f"multiplicity must be an integer >= 1, not {multiplicity!r}")
     zero = complex(zero)
     root, _ = _isolated_root(f, zero, eps, "disc of radius", center=zero)
-    if root.multiplicity != int(multiplicity):
+    if root.multiplicity != multiplicity:
         raise ValueError(f"root at {zero} has multiplicity {root.multiplicity}, not {multiplicity}")
     return count_preimages(f, circle(zero, eps), line, zeros=ZeroReport.empty()).count
 

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._numeric import TWO_PI, bisect_zero, polynomial_roots, trig_series, trig_series_deriv, wrap_angle
+from ._numeric import TWO_PI, bisect_zero, polynomial_roots, trig_series, wrap_angle
 from .errors import AmbiguousClassification, DetourFailed
 
 # Tangent-direction jump (radians) above which a joint counts as a corner.
@@ -222,8 +222,8 @@ class TrigSegment(_HarmonicFacts):
             raise ValueError("trig segment parameter interval must be nondegenerate")
 
     @cached_property
-    def _laurent(self):
-        """(c_0, c_1..K, c_-1..-K, i k c_k, -i k c_-k): z(t) as a Laurent polynomial in w = e^{it}.
+    def _coefficients(self) -> np.ndarray:
+        """c_-K .. c_K in one array: the coefficients of w^K z(w), ascending in w = e^{it}.
 
         With (a_k, b_k) the x series' cosine and sine coefficients and
         (c_k, d_k) the y series', c_0 = x_0 + i y_0 and
@@ -236,15 +236,17 @@ class TrigSegment(_HarmonicFacts):
             a, b, c, d = x[2 * k - 1], x[2 * k], y[2 * k - 1], y[2 * k]
             pos.append(complex((a + d) / 2, (c - b) / 2))
             neg.append(complex((a - d) / 2, (c + b) / 2))
-        dpos = [complex(-k * p.imag, k * p.real) for k, p in enumerate(pos, start=1)]
-        dneg = [complex(k * n.imag, -k * n.real) for k, n in enumerate(neg, start=1)]
-        return complex(x[0], y[0]), tuple(pos), tuple(neg), tuple(dpos), tuple(dneg)
+        return np.array(neg[::-1] + [complex(x[0], y[0])] + pos, dtype=complex)
 
     @cached_property
-    def _coefficients(self) -> np.ndarray:
-        """c_-K .. c_K in one array: the coefficients of w^K z(w), ascending in w = e^{it}."""
-        c0, pos, neg, _, _ = self._laurent
-        return np.array(neg[::-1] + (c0,) + pos, dtype=complex)
+    def _tangent_coefficients(self) -> np.ndarray:
+        """dz/dt's coefficients i k c_k, part by part (-k Im c_k, k Re c_k), with -0.0 - 0.0i, which adds exactly, at k = 0."""
+        c = self._coefficients
+        k = np.arange(len(c)) - len(c) // 2
+        tangent = np.empty_like(c)
+        tangent.real, tangent.imag = -k * c.imag, k * c.real
+        tangent[len(c) // 2] = complex(-0.0, -0.0)
+        return tangent
 
     @cached_property
     def _root_coefficients(self) -> np.ndarray:
@@ -269,7 +271,8 @@ class TrigSegment(_HarmonicFacts):
         return c
 
     def _theta(self, s):
-        return self.theta0 + np.asarray(s, dtype=float) * (self.theta1 - self.theta0)
+        """The angles of local parameter(s) s, always an array: a scalar s gets the bits it gets in a batch."""
+        return self.theta0 + np.atleast_1d(np.asarray(s, dtype=float)) * (self.theta1 - self.theta0)
 
     def nearest(self, ps):
         """Local parameter in [0, 1] of the segment point nearest each of ps.
@@ -329,12 +332,12 @@ class TrigSegment(_HarmonicFacts):
         return 0.5 * float((np.conj(c) @ weights @ c).imag)
 
     def points(self, s):
-        c0, pos, neg, _, _ = self._laurent
-        return trig_series(c0, pos, neg, self._theta(s))
+        out = trig_series(self._coefficients, self._theta(s))
+        return out if np.ndim(s) else out[0]
 
     def derivs(self, s):
-        _, _, _, dpos, dneg = self._laurent
-        return (self.theta1 - self.theta0) * trig_series_deriv(dpos, dneg, self._theta(s))
+        out = (self.theta1 - self.theta0) * trig_series(self._tangent_coefficients, self._theta(s))
+        return out if np.ndim(s) else out[0]
 
     def subsegment(self, s0, s1):
         span = self.theta1 - self.theta0
@@ -492,20 +495,19 @@ class _ArcTable:
 
 
 def _segment_rows(segs: Sequence[Segment], arcs: _ArcTable | None, method: str, s) -> np.ndarray:
-    """``getattr(seg, method)(s)`` for each of segs, stacked: one row, or one value for a scalar s, per segment.
+    """``getattr(seg, method)(s)`` for each of segs and an array s, stacked: one row per segment.
 
     ``arcs`` is the segments' arc table or None; a table answers for all of
     them in one expression, with each arc in a row of its own.
     """
     if arcs is None:
         return np.array([getattr(seg, method)(s) for seg in segs])
-    return getattr(arcs[:, np.newaxis] if np.ndim(s) else arcs, method)(s)
+    return getattr(arcs[:, np.newaxis], method)(s)
 
 
-def _joint_points(segs: Sequence[Segment], arcs: _ArcTable | None) -> tuple[np.ndarray, np.ndarray]:
-    """Each segment's end and the next segment's start."""
-    starts = _segment_rows(segs, arcs, "points", 0.0)
-    return _segment_rows(segs, arcs, "points", 1.0), np.concatenate((starts[1:], starts[:1]))
+def _joints_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each segment's end and the next segment's start, as columns, from rows whose first and last columns are s = 0 and 1."""
+    return rows[:, -1:], np.concatenate((rows[1:, :1], rows[:1, :1]))
 
 
 def segment_from_json(obj: dict) -> Segment:
@@ -573,14 +575,14 @@ class JordanCurve:
             raise ValueError("degenerate curve")
         closure_tol = 1e-9 * diameter
 
-        joints = _joint_points(segs, arcs)
-        ends, next_starts = (pts.tolist() for pts in joints)
-        for i, (end, start) in enumerate(zip(ends, next_starts)):
-            gap = abs(end - start)
+        # the probes' first and last columns are each segment at s = 0.0 and 1.0
+        starts = probes[:, 0].tolist()
+        for i, end in enumerate(probes[:, -1].tolist()):
+            gap = abs(end - starts[(i + 1) % len(segs)])
             if gap > closure_tol:
                 raise ValueError(f"segments {i} and {(i + 1) % len(segs)} do not join (gap {gap:.3g})")
 
-        curve = cls._assembled(segs, diameter, arcs, next_starts[-1:] + next_starts[:-1])
+        curve = cls._assembled(segs, diameter, arcs, probes)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing area is refused below, not warned about
             area = curve.signed_area()
         if not np.isfinite(area):
@@ -588,8 +590,6 @@ class JordanCurve:
         if area <= 0.0:
             warnings.warn("clockwise curve reversed to counterclockwise orientation", stacklevel=2)
             curve = cls._assembled(tuple(s.reversed() for s in reversed(segs)), diameter)
-        else:
-            curve.__dict__["_joints"] = tuple(pts[:, np.newaxis] for pts in joints)
         _check_simple(curve)
         return curve
 
@@ -599,17 +599,17 @@ class JordanCurve:
         segs: tuple[Segment, ...],
         diameter: float,
         arcs: _ArcTable | None = None,
-        starts: list[complex] | None = None,
+        rows: np.ndarray | None = None,
     ) -> "JordanCurve":
-        """The curve of the chained segments, with its breaks and corners.
+        """The curve of the chained segments, with its breaks, corners and joints.
 
-        ``arcs`` and ``starts``, the segments' arc table (which the curve
-        keeps) and their start points, are taken from the segments when not
-        given.  A single segment takes the whole range, (0.0, 1.0), whatever
-        its length.
+        ``arcs`` (the segments' arc table) and ``rows`` (their points, with s = 0.0 and
+        1.0 as first and last columns) are taken from the segments when not given.  The
+        curve keeps the table, and the joints and corner locations it reads off the
+        rows.  A single segment takes the whole range, (0.0, 1.0), whatever its length.
         """
         arcs = _ArcTable.of(segs) if arcs is None else arcs
-        starts = _segment_rows(segs, arcs, "points", 0.0).tolist() if starts is None else starts
+        rows = _segment_rows(segs, arcs, "points", (0.0, 1.0)) if rows is None else rows
         if len(segs) == 1:
             breaks = _WHOLE_RANGE
         else:
@@ -617,8 +617,8 @@ class JordanCurve:
             cum = np.concatenate([[0.0], np.cumsum(lengths)]) / lengths.sum()
             cum[-1] = 1.0
             breaks = tuple(cum)
-        curve = cls(segs, breaks, _find_corners(segs, breaks, arcs, starts), diameter)
-        curve.__dict__["_arcs"] = arcs
+        curve = cls(segs, breaks, _find_corners(segs, breaks, arcs, rows[:, 0].tolist()), diameter)
+        curve.__dict__.update(_arcs=arcs, _joints=_joints_of(rows))
         return curve
 
     # -- evaluation ----------------------------------------------------
@@ -697,9 +697,8 @@ class JordanCurve:
 
     @cached_property
     def _joints(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each segment's end and the next segment's start, as columns: kept by ``from_segments`` or built on first use."""
-        ends, starts = _joint_points(self.segments, self._arcs)
-        return ends[:, np.newaxis], starts[:, np.newaxis]
+        """Each segment's end and the next segment's start, as columns: kept by ``_assembled`` or built on first use."""
+        return _joints_of(_segment_rows(self.segments, self._arcs, "points", (0.0, 1.0)))
 
     def derivs(self, t):
         """d(curve)/dt at global parameter(s) t; one-sided from the right at joints."""
@@ -773,9 +772,8 @@ def _find_corners(
     segs: tuple[Segment, ...], breaks: tuple[float, ...], arcs: _ArcTable | None, starts: list[complex]
 ) -> tuple[CornerInfo, ...]:
     """The joints where the tangent turns by more than CORNER_TOL; ``starts`` holds each segment's start point."""
-    ends = _segment_rows(segs, arcs, "derivs", 1.0)
-    incoming = np.concatenate((ends[-1:], ends[:-1]))
-    outgoing = _segment_rows(segs, arcs, "derivs", 0.0)
+    tangents = _segment_rows(segs, arcs, "derivs", (0.0, 1.0))
+    incoming, outgoing = np.concatenate((tangents[-1:, 1], tangents[:-1, 1])), tangents[:, 0]
     corners = []
     for i, turn in enumerate(wrap_angle(np.angle(outgoing) - np.angle(incoming)).tolist()):
         if abs(turn) <= CORNER_TOL:
@@ -1169,10 +1167,11 @@ def classify_point(curve: JordanCurve, p: complex, band: float | None = None) ->
 
 
 def interior_angle(curve: JordanCurve, t: float) -> float:
-    """Interior angle at parameter t: pi at smooth points, the corner angle at corners within 1e-7 of t."""
-    t = float(t) % 1.0
+    """Interior angle at parameter t: pi at smooth points, the corner angle at corners within 1e-7 of t; t must be finite."""
+    if not np.isfinite(t := float(t)):
+        raise ValueError(f"curve parameter must be finite, not {t}")
     for c in curve.corners:
-        gap = abs(t - c.parameter)
+        gap = abs(t % 1.0 - c.parameter)
         if min(gap, 1.0 - gap) < 1e-7:
             return c.interior_angle
     return np.pi
@@ -1362,9 +1361,9 @@ def _detour_at(
     schedule = tuple(eps_schedule) if eps_schedule is not None else default_epsilon_schedule(curve, zs)
     if not schedule:
         raise ValueError("empty radius schedule")
+    if bad := [eps for eps in schedule if not (isinstance(eps, numbers.Real) and 0.0 < eps < np.inf)]:
+        raise ValueError(f"detour radii must be positive and finite, not {bad[0]}")
     for eps in schedule:
-        if not 0.0 < eps < np.inf:
-            raise ValueError(f"detour radii must be positive and finite, not {eps}")
         result = _try_detour(curve, marks, float(eps), band)
         if result is not None:
             return result

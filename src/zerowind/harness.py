@@ -14,6 +14,7 @@ from functools import cache
 
 import numpy as np
 
+from ._numeric import is_integer
 from .crossings import Line, count_preimages
 from .curves import JordanCurve, polygon, radial_trig_curve, square, unit_circle
 from .polynomials import Polynomial
@@ -78,9 +79,8 @@ class HarnessConfig:
 
 
 def _integer(key: str, value) -> int:
-    """A Python or NumPy integer other than a bool, or a float with an integer value, as an int; else refused."""
-    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-    if not (integral or isinstance(value, float) and value.is_integer()):
+    """``value`` as an int when ``is_integer`` takes it; else refused."""
+    if not is_integer(value):
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return int(value)
 

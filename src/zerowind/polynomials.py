@@ -10,13 +10,12 @@ at the cluster centroid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import curves as _curves
-from ._numeric import WindingNotResolved, adaptive_winding, polynomial_roots
+from ._numeric import WindingNotResolved, adaptive_winding, is_integer, polynomial_roots
 from .errors import DegreeZero, NoConvergence, NonIntegerWinding, ZeroOnCurve
 
 # min sampled |f| must exceed LIFT_OFF_FACTOR * band * max sampled |f'| for
@@ -85,13 +84,13 @@ class Polynomial:
     def from_roots(cls, roots, leading: complex = 1.0) -> "Polynomial":
         """Build leading * prod (z - r)^mult from (root, multiplicity) pairs or plain roots.
 
-        A multiplicity must be an integer >= 1, or a float with such a value;
-        any other raises ValueError.
+        A multiplicity must be an integer >= 1, or a float with such a value
+        (``is_integer``); any other raises ValueError.
         """
         coeffs = np.array([complex(leading)])
         for item in roots:
             r, mult = item if isinstance(item, tuple) else (item, 1)
-            if not (isinstance(mult, numbers.Real) and mult >= 1 and mult % 1 == 0):
+            if not (is_integer(mult) and mult >= 1):
                 raise ValueError(f"multiplicity of root {r!r} must be an integer >= 1, not {mult!r}")
             for _ in range(int(mult)):
                 coeffs = np.convolve(coeffs, np.array([-complex(r), 1.0]))

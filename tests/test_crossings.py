@@ -516,6 +516,25 @@ class TestDiscPreimages:
         with pytest.raises(ValueError):
             count_disc_preimages(f, 1.0, 1, 1e-2, Line.real_axis())
 
+    @pytest.mark.parametrize(
+        "mult, multiplicity",
+        [(2, 2.5), (2, 2.9), (2, "2"), (1, True), (1, 1.7)],
+        ids=["double-2.5", "double-2.9", "double-string", "simple-bool", "simple-1.7"],
+    )
+    def test_multiplicity_that_is_not_an_integer_refused(self, mult, multiplicity, monkeypatch):
+        # each was taken as int(multiplicity): a double root's 4 preimages, a simple root's 2
+        solves, original = [], zerowind.crossings.find_roots
+        monkeypatch.setattr(zerowind.crossings, "find_roots", lambda f: solves.append(f) or original(f))
+        f = Polynomial.from_roots([(1.0, mult)])
+        with pytest.raises(ValueError, match=f"^multiplicity must be an integer >= 1, not {multiplicity!r}$"):
+            count_disc_preimages(f, 1.0, multiplicity, 1e-2, Line.real_axis())
+        assert solves == []
+
+    @pytest.mark.parametrize("multiplicity", [2, 2.0, np.int64(2)], ids=["int", "float", "numpy-int"])
+    def test_integer_valued_multiplicity_accepted(self, multiplicity):
+        f = Polynomial.from_roots([(1.0, 2)])
+        assert count_disc_preimages(f, 1.0, multiplicity, 1e-2, Line.real_axis()) == 4
+
     def test_wrong_multiplicity_rejected(self):
         f = Polynomial.from_roots([(1.0, 2)])
         with pytest.raises(ValueError):

@@ -328,7 +328,7 @@ class TestBatchLocation:
 
 
 def _trig_segment(coeffs: dict[int, complex], theta0: float, theta1: float) -> TrigSegment:
-    """The segment of z(t) = sum_m coeffs[m] e^{imt} on [theta0, theta1], unchecked: TrigSegment._laurent inverted."""
+    """The segment of z(t) = sum_m coeffs[m] e^{imt} on [theta0, theta1], unchecked: TrigSegment._coefficients inverted."""
     kmax = max(abs(m) for m in coeffs)
     c = [complex(coeffs.get(m, 0.0)) for m in range(-kmax, kmax + 1)]
     x, y = [c[kmax].real], [c[kmax].imag]
@@ -792,10 +792,44 @@ class TestWorkBudget:
         assert calls == [1, 1]
 
 
+def _segments_of_every_kind() -> list:
+    """Arcs swept either way, a line, and trig segments whole, in part and reversed."""
+    rng = np.random.default_rng(33)
+    segs = [ArcSegment(0.3 - 0.2j, 1.7, 0.4, -2.9), ArcSegment(0.0, 1.0, 0.0, TWO_PI), LineSegment(-1 + 0.5j, 2 - 1j)]
+    for _ in range(6):
+        k, base = int(rng.integers(1, 6)), rng.uniform(0.1, 3.0)
+        amps = rng.uniform(-1.0, 1.0, (k, 2)) * base * 0.5 / (k * (k + 3))
+        seg = radial_trig_curve([tuple(h) for h in amps], base_radius=base).segments[0]
+        part = seg.subsegment(*sorted(rng.uniform(0.0, 1.0, 2).tolist()))
+        segs += [seg, seg.reversed(), part, part.reversed()]
+    return segs + [trig_curve_from_complex_fourier({1: 1.0, -1: 0.3, 2: 0.05j}).segments[0]]
+
+
+class TestScalarBits:
+    def test_a_scalar_gets_its_batch_bits(self):
+        # a trig segment's scalar parameter rounded otherwise than inside an array
+        rng = np.random.default_rng(34)
+        for seg in _segments_of_every_kind():
+            s = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 62)])
+            for method in ("points", "derivs"):
+                batch = getattr(seg, method)(s)
+                for i, si in enumerate(s.tolist()):
+                    for scalar in (si, np.float64(si), np.array(si)):
+                        got = getattr(seg, method)(scalar)
+                        assert np.ndim(got) == 0, (seg, method)
+                        assert np.array(got).tobytes() == batch[i].tobytes(), (seg, method, si)
+
+
 class TestInteriorAngle:
     def test_smooth_point_is_pi(self, circle_curve):
         for t in (0.0, 0.123, 0.75):
             assert interior_angle(circle_curve, t) == pytest.approx(np.pi, abs=1e-6)
+
+    @pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_parameter_refused(self, unit_square, t):
+        # each gave pi without complaint
+        with pytest.raises(ValueError, match="^curve parameter must be finite, not "):
+            interior_angle(unit_square, t)
 
     def test_square_corner(self, unit_square):
         for c in unit_square.corners:
@@ -903,13 +937,26 @@ class TestConstruction:
                     at = starts[curve.breaks.index(corner.parameter)]
                     assert np.array(corner.location).tobytes() == np.array(at).tobytes(), name
 
-    def test_joints_are_kept(self):
-        # from_segments evaluates the joints to check closure and keeps them when it does not reverse the curve
+    def test_joints_and_corners_are_curve_points(self):
+        # each next segment's start and each corner's location is curve.points at its break, bit for bit
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the clockwise square is reversed with a warning
             for name, segs in self._joint_cases().items():
                 curve = JordanCurve.from_segments(segs)
-                assert ("_joints" in curve.__dict__) == (name != "clockwise-square"), name
+                next_starts = curve.points(np.array(curve.breaks[1:]))
+                assert curve._joints[1].tobytes() == next_starts[:, np.newaxis].tobytes(), name
+                for corner in curve.corners:
+                    at = curve.points(np.array([corner.parameter]))
+                    assert np.array(corner.location).tobytes() == at.tobytes(), name
+                    assert np.array(corner.location).tobytes() == np.array(curve.point(corner.parameter)).tobytes(), name
+
+    def test_joints_are_kept(self):
+        # every curve keeps its joints: read off the probes, or evaluated with the corner locations of a reversed curve
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the clockwise square is reversed with a warning
+            for name, segs in self._joint_cases().items():
+                curve = JordanCurve.from_segments(segs)
+                assert "_joints" in curve.__dict__, name
 
     def test_open_chain_rejected(self):
         segs = [LineSegment(0, 1), LineSegment(1, 1 + 1j), LineSegment(1 + 1j, 0.5j)]

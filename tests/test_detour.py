@@ -63,6 +63,18 @@ class TestBuildDetour:
         with pytest.raises(ValueError, match="listed more than once"):
             build_detour(circle_curve, [1j, -1.0, 1j], eps_schedule=[0.1])
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [[0.1, -1.0], [0.1, np.nan], [0.1, "x"], [0.1, np.inf], [-1.0, 0.1]],
+        ids=["negative-second", "nan-second", "string-second", "inf-second", "negative-first"],
+    )
+    def test_whole_schedule_checked_before_the_first_radius(self, schedule):
+        # 0.1 builds a detour, so a bad radius after it went unchecked; only a bad first radius raised
+        with pytest.raises(ValueError, match="^detour radii must be positive and finite, not "):
+            build_detour(unit_circle(), [1.0], eps_schedule=schedule)
+        with pytest.raises(ValueError, match="^detour radii must be positive and finite, not "):
+            verify_detour(Polynomial([-1, 1]), unit_circle(), Line.real_axis(), eps_schedule=schedule)
+
     def test_overlapping_discs_exhaust_schedule(self, circle_curve):
         close_pair = [1.0, complex(np.exp(0.05j))]
         with pytest.raises(DetourFailed):

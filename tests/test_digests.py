@@ -8,7 +8,10 @@ hashes their canonical JSON reports, as ``perfbench/run.py`` does for its
 added; a change that moves any float in any of these reports fails here.
 The whole seed-1 pool of each workload, every input a timed run cycles
 through, is pinned too, by the line ``tools/report_digests.py --seeds 1``
-prints for it.  The seed-7 run also pins the searches' traffic:
+prints for it, and so is the seed-1 pool of ``detour-wide`` with its
+failures.  So are 120 ``verify_detour`` reports on trig-perturbed curves,
+whose composites splice arcs into trig segments, which no workload builds.
+The seed-7 run also pins the searches' traffic:
 ``golden_min`` has no caller, and on ``detour`` ``bisect_zero`` calls its
 ``fn`` at most 4 times per call.
 """
@@ -17,9 +20,11 @@ import hashlib
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zerowind._numeric
+from zerowind.harness import HarnessConfig, random_instance
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -87,17 +92,41 @@ POOL_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(POOL_DIGESTS))
-def test_pool_digest_at_seed_1(name):
-    wl = WORKLOADS[name]
+def _digest(run, items) -> tuple[str, list[str]]:
+    """The sha256 of the canonical reports of ``run`` over items, and the failures among them."""
     digest, failed = hashlib.sha256(), []
-    for item in wl.inputs(1, wl.pool_size):
-        out = wl.run(item)
+    for item in items:
+        out = run(item)
         if out.failure is not None:
             failed.append(out.failure)
         digest.update(canonical(out.report) + b"\n")
+    return digest.hexdigest(), failed
+
+
+@pytest.mark.parametrize("name", sorted(POOL_DIGESTS))
+def test_pool_digest_at_seed_1(name):
+    wl = WORKLOADS[name]
+    digest, failed = _digest(wl.run, wl.inputs(1, wl.pool_size))
     assert failed == []
-    assert digest.hexdigest() == POOL_DIGESTS[name]
+    assert digest == POOL_DIGESTS[name]
+
+
+def test_detour_wide_pool_digest_at_seed_1():
+    # the line tools/report_digests.py --workloads detour-wide --seeds 1 prints: boundary double roots on circles
+    # and squares, 23 of whose 240 operations fail (ROADMAP item 1); mending them moves this pin
+    wl = WORKLOADS["detour-wide"]
+    digest, failed = _digest(wl.run, wl.inputs(1, wl.pool_size))
+    assert (digest, len(failed)) == ("e580a4605e1b04c6907c870a6eb14cfe0a2ba6dc243368e30db1122fdcf74648", 23)
+
+
+def test_trig_detour_digest():
+    # verify_detour on 120 trig-perturbed instances with a boundary root, each checked as the detour workload
+    # checks it; 4 fail: three find no zero on the curve, and one raises ZeroOnCurve
+    rng = np.random.default_rng(1)
+    cfg = HarnessConfig(trials=1, max_degree=5, curve_family="trig-perturbed")
+    instances = [random_instance(rng, cfg, min_on_curve=1) for _ in range(120)]
+    digest, failed = _digest(WORKLOADS["detour"].run, instances)
+    assert (digest, len(failed)) == ("3a0f89d4e5e8a17d2f7502f8a325419b6643b1b71801c38f005098f8d6f36e8c", 4)
 
 
 def test_digest_tool_compares_with_a_saved_run(tmp_path, monkeypatch, capsys):

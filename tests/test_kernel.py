@@ -184,9 +184,10 @@ class TestKernelOracle:
         for seg in segments:
             span = seg.theta1 - seg.theta0
             theta = seg.theta0 + s * span
-            c0, pos, neg, _, _ = seg._laurent
-            terms = 2 * len(pos) + 1
-            bound = terms * eps * sum(abs(c) for c in (c0, *pos, *neg))
+            # c_0, c_1 .. c_K, c_-1 .. c_-K
+            c, k = seg._coefficients.tolist(), len(seg._coefficients) // 2
+            terms = len(c)
+            bound = terms * eps * sum(abs(x) for x in c[k:] + c[k - 1 :: -1])
             weighted = sum(abs(c) * ((i + 1) // 2) for co in (seg.coeffs_x, seg.coeffs_y) for i, c in enumerate(co))
             bound_d = terms * eps * abs(span) * weighted
             old, old_d = (

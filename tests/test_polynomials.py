@@ -68,9 +68,9 @@ class TestPolynomialType:
         for f in (Polynomial([1, 2.5, -3]), Polynomial([1j, 2, 1 - 1j])):
             assert Polynomial.from_json(f.to_json()) == f
 
-    @pytest.mark.parametrize("mult", [2.5, 0, -1, 0.0, float("nan"), "2"])
+    @pytest.mark.parametrize("mult", [2.5, 0, -1, 0.0, float("nan"), "2", True])
     def test_from_roots_refuses_a_multiplicity_that_is_not_an_integer_from_1(self, mult):
-        # 2.5 built a double root, and 0 or -1 dropped the root
+        # 2.5 built a double root, 0 or -1 dropped the root, and True built a simple one
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             Polynomial.from_roots([(0.5, 1), (1.0, mult)])
 
