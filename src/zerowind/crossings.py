@@ -194,12 +194,12 @@ def _segment_roots(f: Polynomial, seg, u: complex, zeros, floor: float, solved: 
             return None
         return _in_range(roots.real[np.abs(roots.imag) < CIRCLE_TOL * (1.0 + np.abs(roots))])
 
-    # an arc or trig segment is z = sum_k c_k e^{i k theta}, theta from th0 to th1
+    # an arc or trig segment is z = sum_k c_k e^{i k theta}, theta from th0 over the segment's sweep
     if isinstance(seg, ArcSegment):
-        th0, th1, coeffs = seg.angle0, seg.angle1, seg._coefficients
+        th0, coeffs = seg.angle0, seg._coefficients
     else:
-        th0, th1, coeffs = seg.theta0, seg.theta1, seg._root_coefficients
-    sweep = th1 - th0
+        th0, coeffs = seg.theta0, seg._root_coefficients
+    sweep = seg.sweep
     ws = tuple((np.exp(1j * (th0 + s * sweep)), k) for s, k in zeros)
     key = (coeffs.tobytes(), ws)
     if key not in solved:

@@ -23,7 +23,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from ._numeric import TWO_PI, bisect_zero, polynomial_roots, trig_series, wrap_angle
+from ._numeric import TWO_PI, bisect_zero, is_integer, polynomial_roots, trig_series, wrap_angle
 from .errors import AmbiguousClassification, DetourFailed
 
 # Tangent-direction jump (radians) above which a joint counts as a corner.
@@ -68,14 +68,54 @@ class _HarmonicFacts:
         None unless the segment sweeps exactly one full turn.  A full circle
         c + R w gives 0, c, R.
         """
-        if abs(_sweep(self)) != TWO_PI:
+        if abs(self.sweep) != TWO_PI:
             return None
         size, k = self._moduli, len(self._coefficients) // 2
         return self._coefficients, size, (k + 1 if size[k + 1] >= size[k - 1] else k - 1)
 
 
+class _ArcForm:
+    """The arc z = c + R e^{i (a0 + s sweep)}, s in [0, 1], read off ``center``, ``radius``, ``angle0`` and ``sweep``.
+
+    Each arc formula, written once.  An ``ArcSegment`` has them as scalars;
+    an ``_ArcTable`` as columns, so one expression evaluates every arc of a
+    curve.  The operations are elementwise, so each arc's floats have the
+    same bits either way.
+    """
+
+    def points(self, s):
+        """c + R e^{i (a0 + s sweep)} at local parameter(s) s."""
+        return self.center + self.radius * np.exp(1j * (self.angle0 + np.asarray(s, dtype=float) * self.sweep))
+
+    def derivs(self, s):
+        """d/ds of ``points``: i sweep R e^{i (a0 + s sweep)}."""
+        return 1j * self.sweep * self.radius * np.exp(1j * (self.angle0 + np.asarray(s, dtype=float) * self.sweep))
+
+    def _ahead(self, ps):
+        """The angle of each of ps - center, measured along the sweep from angle0, in [0, 2 pi)."""
+        return (np.sign(self.sweep) * (np.angle(np.asarray(ps) - self.center) - self.angle0)) % TWO_PI
+
+    def _sweeps(self, ps):
+        """True for each of ps whose angle about the center the arc sweeps past."""
+        return self._ahead(ps) <= abs(self.sweep)
+
+    def nearest(self, ps):
+        """Local parameter in [0, 1] of the arc point nearest each of ps.
+
+        The angle of p - center, measured along the sweep from angle0, over
+        the sweep's length; off the arc's angular span, the nearer endpoint.
+        """
+        span, ahead = np.abs(self.sweep), self._ahead(ps)
+        past_end = ahead - span
+        return np.where(past_end <= 0.0, ahead / span, np.where(past_end < TWO_PI - ahead, 1.0, 0.0))
+
+    def turns(self, ps):
+        """Argument change of z - p along the arc, in turns, for each of ps (none on the arc)."""
+        return _unit_arc_turns((ps - self.center) / self.radius, self.angle0, self.sweep)
+
+
 @dataclass(frozen=True)
-class ArcSegment(_HarmonicFacts):
+class ArcSegment(_ArcForm, _HarmonicFacts):
     """Circular arc, swept from angle0 to angle1 (negative sweep = clockwise)."""
 
     center: complex
@@ -90,28 +130,18 @@ class ArcSegment(_HarmonicFacts):
             raise ValueError("arc sweep must be nonzero")
         # angle1 - angle0 rounds at the scale of the larger angle
         slack = 1e-12 * max(TWO_PI, abs(self.angle0), abs(self.angle1))
-        if abs(self.angle1 - self.angle0) > TWO_PI + slack:
+        if abs(self.sweep) > TWO_PI + slack:
             raise ValueError("arc sweeps more than one full turn")
 
-    def points(self, s):
-        return _arc_points(self.center, self.radius, self.angle0, self.angle1 - self.angle0, s)
-
-    def nearest(self, ps):
-        """Local parameter in [0, 1] of the arc point nearest each of ps (see ``_arc_nearest``)."""
-        return _arc_nearest(self.center, self.angle0, self.angle1 - self.angle0, ps)
-
-    def _sweeps(self, ps):
-        """True for each of ps whose angle about the center the arc sweeps past."""
-        return _arc_ahead(self.center, self.angle0, self.angle1 - self.angle0, ps) <= abs(self.angle1 - self.angle0)
+    @property
+    def sweep(self) -> float:
+        """The signed angle swept, angle1 - angle0."""
+        return self.angle1 - self.angle0
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
         """The arc z = c + R w as the coefficients 0, c, R of w z(w), ascending in w = e^{i angle}."""
         return np.array((0.0, self.center, self.radius), dtype=complex)
-
-    def turns(self, ps):
-        """Argument change of z - p along the arc, in turns, for each of ps (none on the arc)."""
-        return _unit_arc_turns((ps - self.center) / self.radius, self.angle0, self.angle1 - self.angle0)
 
     def extent(self):
         """A bound on every coordinate of the arc."""
@@ -121,20 +151,17 @@ class ArcSegment(_HarmonicFacts):
         """Half of the integral of Im(conj(z) dz) along the arc: (R^2 sweep + R Im(conj(c) (e^{i a1} - e^{i a0}))) / 2."""
         chord = np.exp(1j * self.angle1) - np.exp(1j * self.angle0)
         r = self.radius
-        return 0.5 * (r * r * (self.angle1 - self.angle0) + r * (np.conj(self.center) * chord).imag)
-
-    def derivs(self, s):
-        return _arc_derivs(self.radius, self.angle0, self.angle1 - self.angle0, s)
+        return 0.5 * (r * r * self.sweep + r * (np.conj(self.center) * chord).imag)
 
     def subsegment(self, s0, s1):
-        sweep = self.angle1 - self.angle0
+        sweep = self.sweep
         return ArcSegment(self.center, self.radius, self.angle0 + s0 * sweep, self.angle0 + s1 * sweep)
 
     def reversed(self):
         return ArcSegment(self.center, self.radius, self.angle1, self.angle0)
 
     def rough_length(self):
-        return abs(self.angle1 - self.angle0) * self.radius
+        return abs(self.sweep) * self.radius
 
     def to_json(self):
         return {
@@ -221,6 +248,11 @@ class TrigSegment(_HarmonicFacts):
         if self.theta0 == self.theta1:
             raise ValueError("trig segment parameter interval must be nondegenerate")
 
+    @property
+    def sweep(self) -> float:
+        """The signed angle swept, theta1 - theta0."""
+        return self.theta1 - self.theta0
+
     @cached_property
     def _coefficients(self) -> np.ndarray:
         """c_-K .. c_K in one array: the coefficients of w^K z(w), ascending in w = e^{it}.
@@ -272,7 +304,7 @@ class TrigSegment(_HarmonicFacts):
 
     def _theta(self, s):
         """The angles of local parameter(s) s, always an array: a scalar s gets the bits it gets in a batch."""
-        return self.theta0 + np.atleast_1d(np.asarray(s, dtype=float)) * (self.theta1 - self.theta0)
+        return self.theta0 + np.atleast_1d(np.asarray(s, dtype=float)) * self.sweep
 
     def nearest(self, ps):
         """Local parameter in [0, 1] of the segment point nearest each of ps.
@@ -284,7 +316,7 @@ class TrigSegment(_HarmonicFacts):
         both ends and every root angle that falls on the segment; the nearest
         one wins.
         """
-        a, sweep = self._root_coefficients, self.theta1 - self.theta0
+        a, sweep = self._root_coefficients, self.sweep
         k = len(a) // 2
         da, at_c0 = 1j * np.arange(-k, k + 1) * a, np.arange(len(a)) == k
         out = []
@@ -308,9 +340,8 @@ class TrigSegment(_HarmonicFacts):
         at_c0 = np.arange(len(a)) == k
         roots = [polynomial_roots(a - p * at_c0) for p in ps.tolist()]
         owner = np.repeat(np.arange(len(roots)), [len(r) for r in roots])
-        sweep = self.theta1 - self.theta0
-        per_root = _unit_arc_turns(np.concatenate([np.empty(0, dtype=complex)] + roots), self.theta0, sweep)
-        return np.bincount(owner, per_root, minlength=len(roots)) - k * sweep / TWO_PI
+        per_root = _unit_arc_turns(np.concatenate([np.empty(0, dtype=complex)] + roots), self.theta0, self.sweep)
+        return np.bincount(owner, per_root, minlength=len(roots)) - k * self.sweep / TWO_PI
 
     def extent(self):
         """A bound on every coordinate of the segment: |c_0| + sum_k |c_k|."""
@@ -328,7 +359,7 @@ class TrigSegment(_HarmonicFacts):
         k, i_steps, gather, diagonal, divisor = _area_table(len(c))
         # one exp per harmonic difference k - j, gathered into the table
         off = (np.exp(i_steps * self.theta1) - np.exp(i_steps * self.theta0))[gather]
-        weights = np.where(diagonal, 1j * k * (self.theta1 - self.theta0), k * off / divisor)
+        weights = np.where(diagonal, 1j * k * self.sweep, k * off / divisor)
         return 0.5 * float((np.conj(c) @ weights @ c).imag)
 
     def points(self, s):
@@ -336,11 +367,11 @@ class TrigSegment(_HarmonicFacts):
         return out if np.ndim(s) else out[0]
 
     def derivs(self, s):
-        out = (self.theta1 - self.theta0) * trig_series(self._tangent_coefficients, self._theta(s))
+        out = self.sweep * trig_series(self._tangent_coefficients, self._theta(s))
         return out if np.ndim(s) else out[0]
 
     def subsegment(self, s0, s1):
-        span = self.theta1 - self.theta0
+        span = self.sweep
         return TrigSegment(self.coeffs_x, self.coeffs_y, self.theta0 + s0 * span, self.theta0 + s1 * span)
 
     def reversed(self):
@@ -393,41 +424,6 @@ def _area_table(n: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-# ---------------------------------------------------------------------------
-# arc kernels
-#
-# Each arc formula, written once.  An ``ArcSegment`` calls them with its own
-# fields; an ``_ArcTable`` with its columns, so one expression evaluates every
-# arc of a curve.  The operations are elementwise, so each arc's floats have
-# the same bits either way.
-
-
-def _arc_points(center, radius, angle0, sweep, s):
-    """c + R e^{i (a0 + s sweep)} at local parameter(s) s."""
-    return center + radius * np.exp(1j * (angle0 + np.asarray(s, dtype=float) * sweep))
-
-
-def _arc_derivs(radius, angle0, sweep, s):
-    """d/ds of ``_arc_points``: i sweep R e^{i (a0 + s sweep)}."""
-    return 1j * sweep * radius * np.exp(1j * (angle0 + np.asarray(s, dtype=float) * sweep))
-
-
-def _arc_ahead(center, angle0, sweep, ps):
-    """The angle of each of ps - center, measured along the sweep from angle0, in [0, 2 pi)."""
-    return (np.sign(sweep) * (np.angle(np.asarray(ps) - center) - angle0)) % TWO_PI
-
-
-def _arc_nearest(center, angle0, sweep, ps):
-    """Local parameter in [0, 1] of the arc point nearest each of ps.
-
-    The angle of p - center, measured along the sweep from angle0, over the
-    sweep's length; off the arc's angular span, the nearer endpoint.
-    """
-    span, ahead = np.abs(sweep), _arc_ahead(center, angle0, sweep, ps)
-    past_end = ahead - span
-    return np.where(past_end <= 0.0, ahead / span, np.where(past_end < TWO_PI - ahead, 1.0, 0.0))
-
-
 def _unit_arc_turns(r: np.ndarray, theta0, sweep) -> np.ndarray:
     """Argument change of e^{it} - r as t runs from theta0 over sweep, in turns, for each r off that arc.
 
@@ -451,14 +447,14 @@ def _unit_arc_turns(r: np.ndarray, theta0, sweep) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class _ArcTable:
+class _ArcTable(_ArcForm):
     """The arcs of a curve of two or more arcs, as columns: centres, radii, start angles and sweeps.
 
-    It answers ``points``, ``derivs``, ``nearest`` and ``turns`` as an
-    ``ArcSegment`` does, for every row at once.  Indexing gathers rows: an
-    index array gives one arc per parameter, and ``[:, np.newaxis]`` puts
-    each arc in a row of its own, against which a batch of parameters or
-    points broadcasts.
+    It answers ``points``, ``derivs``, ``nearest`` and ``turns`` with an
+    ``ArcSegment``'s own methods, for every row at once.  Indexing gathers
+    rows: an index array gives one arc per parameter, and ``[:, np.newaxis]``
+    puts each arc in a row of its own, against which a batch of parameters
+    or points broadcasts.
     """
 
     center: np.ndarray
@@ -475,34 +471,24 @@ class _ArcTable:
             np.array([seg.center for seg in segs], dtype=complex),
             np.array([seg.radius for seg in segs], dtype=float),
             np.array([seg.angle0 for seg in segs], dtype=float),
-            np.array([seg.angle1 - seg.angle0 for seg in segs], dtype=float),
+            np.array([seg.sweep for seg in segs], dtype=float),
         )
 
     def __getitem__(self, rows) -> _ArcTable:
         return _ArcTable(self.center[rows], self.radius[rows], self.angle0[rows], self.sweep[rows])
 
-    def points(self, s):
-        return _arc_points(self.center, self.radius, self.angle0, self.sweep, s)
-
-    def derivs(self, s):
-        return _arc_derivs(self.radius, self.angle0, self.sweep, s)
-
-    def nearest(self, ps):
-        return _arc_nearest(self.center, self.angle0, self.sweep, ps)
-
-    def turns(self, ps):
-        return _unit_arc_turns((ps - self.center) / self.radius, self.angle0, self.sweep)
-
 
 def _segment_rows(segs: Sequence[Segment], arcs: _ArcTable | None, method: str, s) -> np.ndarray:
-    """``getattr(seg, method)(s)`` for each of segs and an array s, stacked: one row per segment.
+    """``getattr(seg, method)(s)`` for each of segs, stacked: one row per segment.
 
-    ``arcs`` is the segments' arc table or None; a table answers for all of
-    them in one expression, with each arc in a row of its own.
+    s is one array for every segment, or a 2-D array with one row per
+    segment.  ``arcs`` is the segments' arc table or None; a table answers
+    for all of them in one expression, with each arc in a row of its own.
     """
-    if arcs is None:
-        return np.array([getattr(seg, method)(s) for seg in segs])
-    return getattr(arcs[:, np.newaxis], method)(s)
+    if arcs is not None:
+        return getattr(arcs[:, np.newaxis], method)(s)
+    rows = s if np.ndim(s) == 2 else [s] * len(segs)
+    return np.array([getattr(seg, method)(si) for seg, si in zip(segs, rows)])
 
 
 def _joints_of(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -853,13 +839,6 @@ def _turning_number(pts: np.ndarray) -> float:
 _DOMINANCE_SLACK = 1e-9
 
 
-def _sweep(seg: Segment) -> float:
-    """The signed angle of w = e^{i theta} that an arc or trig segment sweeps; 0.0 for a straight segment."""
-    if isinstance(seg, ArcSegment):
-        return seg.angle1 - seg.angle0
-    return seg.theta1 - seg.theta0 if isinstance(seg, TrigSegment) else 0.0
-
-
 def _first_harmonic_dominates(seg: Segment) -> bool:
     """True when seg sweeps one full turn and its first harmonic proves the closed curve simple.
 
@@ -949,14 +928,14 @@ def square(center: complex, side: float) -> JordanCurve:
 def trig_curve_from_complex_fourier(coeffs: dict[int, complex]) -> JordanCurve:
     """Closed curve z(t) = sum_m c_m exp(i m t), t in [0, 2*pi), from complex coefficients.
 
-    Each key m is an integer, or a float with an integer value, which counts
-    as that integer; any other key is refused.
+    Each key m is an integer by ``is_integer``; a float with an integer
+    value counts as that integer, and any other key is refused.
     """
     if not coeffs:
         raise ValueError("no Fourier coefficients given")
     terms = []
     for m, c in coeffs.items():
-        if not (isinstance(m, (int, np.integer)) or isinstance(m, (float, np.floating)) and float(m).is_integer()):
+        if not is_integer(m):
             raise ValueError(f"Fourier coefficient key {m!r} is not an integer")
         terms.append((int(m), complex(c)))
     # x and y packed flat as [c0, a1, b1, a2, b2, ...]: h > 0 fills slots 2h - 1 (cosine) and 2h (sine)
@@ -1028,23 +1007,19 @@ def nearest_parameter(curve: JordanCurve, ps: np.ndarray) -> tuple[np.ndarray, n
     exactly to the next break, so a corner gets its break.  A curve of one
     segment takes its nearest points without measuring them against any
     other, and their distances from the segment itself, whose breaks are
-    (0.0, 1.0).  A curve of two or more arcs takes every arc's nearest points
-    and their distances from its arc table, one row per arc, in one
-    expression each, with the bits that each arc gives on its own.
+    (0.0, 1.0).  Any other curve takes every segment's nearest points and
+    their distances through ``_segment_rows``, one row per segment: a curve
+    of two or more arcs from its arc table, in one expression each, with the
+    bits that each arc gives on its own.
     """
     br = np.asarray(curve.breaks)
-    arcs = curve._arcs
     one = len(curve.segments) == 1
     if one:
         # an argmin over one row is 0
         i, si = 0, curve.segments[0].nearest(ps)
     else:
-        if arcs is None:
-            s = np.array([seg.nearest(ps) for seg in curve.segments])
-            gaps = np.abs(np.array([seg.points(si) for seg, si in zip(curve.segments, s)]) - ps)
-        else:
-            s = arcs[:, np.newaxis].nearest(ps)
-            gaps = np.abs(arcs[:, np.newaxis].points(s) - ps)
+        s = _segment_rows(curve.segments, curve._arcs, "nearest", ps)
+        gaps = np.abs(_segment_rows(curve.segments, curve._arcs, "points", s) - ps)
         i = np.argmin(gaps, axis=0)
         si = s[i, np.arange(len(ps))]
     t = np.where(si == 1.0, br[i + 1], br[i] + si * (br[i + 1] - br[i])) % 1.0
@@ -1114,7 +1089,7 @@ def _annulus_kinds(curve: JordanCurve, ps: np.ndarray, band: float, extent: floa
         return None
     c, size, s = harmonic
     seg, k = curve.segments[0], len(c) // 2
-    if (s - k) * np.sign(_sweep(seg)) != 1:
+    if (s - k) * np.sign(seg.sweep) != 1:
         return None
     kinds, scale = np.full(len(ps), "", dtype=object), np.abs(ps)
     rho = size.sum() - size[k] - size[s]
@@ -1251,7 +1226,6 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
                 return None
 
     n = 8192
-    ts = np.arange(n) / n
     pts = curve.grid(n)
 
     flips = []
@@ -1266,7 +1240,7 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
     def gfn(q):
         return np.abs(curve.points(q) - centers) - eps
 
-    lo = ts[np.concatenate(flips)]
+    lo = np.concatenate(flips) / n
     roots = bisect_zero(gfn, lo, lo + 1.0 / n).tolist()
     intervals, mids = [], []
     for j, (tj, zj) in enumerate(marks):
@@ -1292,7 +1266,7 @@ def _try_detour(curve: JordanCurve, marks: list[tuple[float, complex]], eps: flo
             return None
         arc = ArcSegment(zj, eps, th_a, th_a + sweep)
         segs.append(arc)
-        spans.append(arc.angle1 - arc.angle0)
+        spans.append(arc.sweep)
 
         next_u = intervals[(idx + 1) % len(intervals)][0]
         gap = _forward_gap(v, next_u)

@@ -1170,13 +1170,23 @@ class TestConstruction:
     def test_integer_valued_fourier_keys(self):
         # {1: 1.0, 2.0: 0.1} raised an untyped TypeError: a float key indexed the packed series
         want = trig_curve_from_complex_fourier({1: 1.0, 2: 0.1, -1: 0.05j}).segments
-        for coeffs in ({1: 1.0, 2.0: 0.1, -1: 0.05j}, {np.int64(1): 1.0, np.float64(2.0): 0.1, -1.0: 0.05j}):
+        for coeffs in (
+            {1: 1.0, 2.0: 0.1, -1: 0.05j},
+            {np.int64(1): 1.0, np.float64(2.0): 0.1, -1.0: 0.05j},
+            {1.0: 1.0, np.int64(2): 0.1, -1: 0.05j},
+        ):
             assert trig_curve_from_complex_fourier(coeffs).segments == want
 
     @pytest.mark.parametrize("key", [2.5, float("nan"), float("inf"), "2", None, 2j])
     def test_other_fourier_keys_refused(self, key):
         with pytest.raises(ValueError, match=re.escape(f"Fourier coefficient key {key!r} is not an integer")):
             trig_curve_from_complex_fourier({1: 1.0, key: 0.1})
+
+    @pytest.mark.parametrize("key", [True, np.float32(1.0)], ids=["bool", "float32"])
+    def test_fourier_keys_follow_the_integer_rule(self, key):
+        # {True: 1.0} built the unit circle, and an np.float32 key counted as its integer
+        with pytest.raises(ValueError, match=re.escape(f"Fourier coefficient key {key!r} is not an integer")):
+            trig_curve_from_complex_fourier({key: 1.0, -1: 0.1})
 
     @pytest.mark.parametrize("family", ["circle", "trig-perturbed", "square", "lshape"])
     def test_harness_families_still_build(self, family):

@@ -15,7 +15,8 @@ the same bits in any array, which the last class here checks directly.
 Closed-form segment areas are checked against the shoelace sum of fine
 chords.  A curve of several arcs, evaluated
 as one arc table, must give the bits of its arcs taken one at a time, and so
-must a curve of one segment, located without comparing segments.  A trig
+must a curve of one segment, located without comparing segments, and a
+curve of lines, arcs or trig pieces, located one row per segment.  A trig
 segment's area, its exponentials gathered into one table, must be the float
 of the full table, and the companion-matrix root kernel must give the bytes
 of ``np.roots``.
@@ -1141,7 +1142,7 @@ def _open_arc_chain(draw):
 
 
 def _probe_points(curve: JordanCurve, draw) -> np.ndarray:
-    """Points near and far, on the curve, at its joints and at its arcs' centres."""
+    """Points near and far, on the curve, at its joints and at its arcs' centres (a joint where it has no arc)."""
     samples, out = curve.points(np.linspace(0.0, 1.0, 97)), []
     span = max(np.ptp(samples.real), np.ptp(samples.imag), 1e-3)
     for _ in range(draw(st.integers(1, 8))):
@@ -1154,8 +1155,8 @@ def _probe_points(curve: JordanCurve, draw) -> np.ndarray:
             out.append(curve.point(t) + off)
         elif where == "far":
             out.append(complex(draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))) * span + samples.mean())
-        elif where == "centre":
-            out.append(complex(draw(st.sampled_from([seg.center for seg in curve.segments]))))
+        elif where == "centre" and _arc_centres(curve):
+            out.append(draw(st.sampled_from(_arc_centres(curve))))
         else:
             out.append(complex(draw(st.sampled_from(list(curve._joints[0][:, 0])))))
     return np.array(out, dtype=complex)
@@ -1217,6 +1218,40 @@ class TestArcTable:
         assert square(0.0, 2.0)._arcs is None and _curve("composite-detour")._arcs is None
         assert _closed_form_curve("stadium")._arcs is None
         assert _closed_form_curve("circle-detour")._arcs is not None
+
+
+class TestSegmentRows:
+    """A curve of two or more segments, not all arcs, is located segment by segment with the reference's bits.
+
+    ``nearest_parameter`` takes every segment's nearest points and their
+    distances through ``_segment_rows``, one row per segment, as the winding
+    sum takes the segments' turns; ``tests/oracles.py`` takes each segment
+    on its own.  The curves mix arcs and lines, or cut one trig segment into
+    three.
+    """
+
+    NAMES = ("square", "lshape", "stadium", "trig-in-three")
+
+    @staticmethod
+    @cache
+    def _curve(name: str) -> JordanCurve:
+        if name != "trig-in-three":
+            return _closed_form_curve(name)
+        seg = _curve("radial-trig").segments[0]
+        return JordanCurve.from_segments(seg.subsegment(a, b) for a, b in ((0.0, 1 / 3), (1 / 3, 2 / 3), (2 / 3, 1.0)))
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(st.sampled_from(NAMES), st.data())
+    def test_location_matches_the_reference(self, name, data):
+        curve = self._curve(name)
+        assert len(curve.segments) > 1 and curve._arcs is None
+        ps = _probe_points(curve, data.draw)
+        got, want = nearest_parameter(curve, ps), reference_nearest_parameter(curve, ps)
+        assert _bits(got[0]) == _bits(want[0]) and _bits(got[1]) == _bits(want[1])
+        # a point at a line's end divides by zero in its turns, on both sides alike
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for batch in (ps, ps[:1]):
+                assert _bits(zerowind.curves._windings(curve, batch)) == _bits(reference_windings(curve, batch))
 
 
 class TestOneSegmentCurves:

@@ -1,5 +1,5 @@
-"""tools/tier1_check.py reads each test's outcome and the slowest tests from pytest's JUnit XML report;
-tools/bench_pairs.py names a checkout by its commit only when its sources are committed."""
+"""tools/tier1_check.py reads each test's outcome and the slowest tests from pytest's JUnit XML report and counts
+the source lines; tools/bench_pairs.py names a checkout by its commit only when its sources are committed."""
 
 import importlib.util
 import subprocess
@@ -75,6 +75,19 @@ def test_slowest_tests(tmp_path):
     assert len(slow) == 5 and slow[0][0] == "test_suite::test_ok" and slow[0][1] >= 0.3
     assert [seconds for _, seconds in slow] == sorted((seconds for _, seconds in slow), reverse=True)
     assert {test for test, _ in slow} <= set(result)
+
+
+def test_source_lines(tmp_path):
+    # only the package's own modules count: not other files, subpackages or other directories
+    package = tmp_path / "src" / "zerowind"
+    (package / "sub").mkdir(parents=True)
+    (package / "a.py").write_text("A = 1\n\nB = 2\n")
+    (package / "b.py").write_text("C = 3")
+    (package / "notes.txt").write_text("x\ny\n")
+    (package / "sub" / "c.py").write_text("D = 4\n")
+    (tmp_path / "tools").mkdir()
+    (tmp_path / "tools" / "d.py").write_text("E = 5\n")
+    assert _tool().source_lines(tmp_path) == 4
 
 
 def test_head_commit_only_for_committed_sources(tmp_path):

@@ -7,7 +7,8 @@ repository root with ``src`` first on ``PYTHONPATH`` (ROADMAP's tier-1
 command), with a JUnit XML report in a temporary directory added so that
 every test's outcome can be read.  It deselects, skips and changes no test.
 Prints the passed, failed, errored, xfailed and skipped counts and the wall
-time, then the five slowest tests by the report's ``time`` attributes.
+time, the five slowest tests by the report's ``time`` attributes, and the
+number of lines in ``src/zerowind/*.py``.
 Exits 1 when any test other than the two acceptance criteria pinned
 to unreachable values fails or errors, or when either of those two does not
 fail; otherwise 0.
@@ -53,6 +54,11 @@ def slowest(junit_xml: str) -> list[tuple[str, float]]:
     return sorted(times, key=lambda item: item[1], reverse=True)[:5]
 
 
+def source_lines(root: Path) -> int:
+    """The number of lines in the files ``src/zerowind/*.py`` under ``root``."""
+    return sum(len(path.read_text(encoding="utf-8").splitlines()) for path in (root / "src" / "zerowind").glob("*.py"))
+
+
 def problems(result: dict[str, str]) -> list[str]:
     """Every departure from the documented state: any other failure or error, or a documented failure that passed."""
     found = []
@@ -85,6 +91,7 @@ def main() -> int:
     print(f"tier1_check: {', '.join(f'{counts[k]} {k}' for k in kinds)} in {wall:.1f} s")
     for test, seconds in slow:
         print(f"tier1_check: slow {seconds:.1f} s {test}")
+    print(f"tier1_check: src {source_lines(ROOT)} lines")
     found = problems(result)
     for line in found:
         print(f"tier1_check: {line}", file=sys.stderr)
